@@ -117,13 +117,31 @@ fn ident_seconds(materials: &[Material], threads: usize) -> f64 {
     t
 }
 
-/// Steady-state allocation counts of the two hot-path entry points, under
-/// one worker thread so the counts are schedule-independent. The first
-/// (warm-up) call grows scratch pools and lazy statics; the measured
-/// second call is the steady state the SoA refactor optimises.
-fn steady_state_allocs(packets: usize) -> (u64, u64) {
+/// Steady-state allocation counts of the three hot-path entry points,
+/// under one worker thread so the counts are schedule-independent.
+struct SteadyAllocs {
+    /// One `Simulator::new` (scenario realisation), scenario built outside.
+    realise: u64,
+    /// One `capture` of the measured packet count.
+    capture: u64,
+    /// One `WiMi::measure` of a baseline/target pair.
+    measure: u64,
+}
+
+/// Counts [`SteadyAllocs`]. The first (warm-up) call of each entry point
+/// grows scratch pools and lazy statics; the measured second call is the
+/// steady state.
+fn steady_state_allocs(packets: usize) -> SteadyAllocs {
     wimi_core::par::set_thread_override(Some(1));
-    let mut sim = Simulator::new(Scenario::builder().build(), 7);
+    let scenario = Scenario::builder().build();
+    let _warm = Simulator::new(scenario.clone(), 7);
+    let mut twin = Some(scenario.clone());
+    let realise_allocs = count_allocs(|| {
+        if let Some(s) = twin.take() {
+            std::hint::black_box(Simulator::new(s, 7));
+        }
+    });
+    let mut sim = Simulator::new(scenario, 7);
     sim.set_liquid(Some(Liquid::Milk.into()));
     let _warm = sim.capture(packets);
     let capture_allocs = count_allocs(|| {
@@ -137,7 +155,11 @@ fn steady_state_allocs(packets: usize) -> (u64, u64) {
         std::hint::black_box(wimi.measure(&base, &tar));
     });
     wimi_core::par::set_thread_override(None);
-    (capture_allocs, measure_allocs)
+    SteadyAllocs {
+        realise: realise_allocs,
+        capture: capture_allocs,
+        measure: measure_allocs,
+    }
 }
 
 /// Measurements per identification run: (train + test) trials × materials.
@@ -149,13 +171,23 @@ fn check(path: &str) -> Result<(), String> {
         .ok_or("artifact lacks throughput.capture_allocs_steady")?;
     let recorded_measure = json_number(&text, "measure_allocs_steady")
         .ok_or("artifact lacks throughput.measure_allocs_steady")?;
+    let recorded_realise = json_number(&text, "realise_allocs_steady")
+        .ok_or("artifact lacks throughput.realise_allocs_steady")?;
 
-    let (capture_allocs, measure_allocs) = steady_state_allocs(100);
+    let SteadyAllocs {
+        realise: realise_allocs,
+        capture: capture_allocs,
+        measure: measure_allocs,
+    } = steady_state_allocs(100);
     // A tenth of headroom absorbs allocator-internal noise without letting
     // a real per-packet allocation regression (hundreds of extra calls)
     // slip through.
-    let cap_limit = recorded_capture + (recorded_capture / 10.0).max(8.0);
-    let meas_limit = recorded_measure + (recorded_measure / 10.0).max(8.0);
+    let limit = |recorded: f64| recorded + (recorded / 10.0).max(8.0);
+    let (cap_limit, meas_limit) = (limit(recorded_capture), limit(recorded_measure));
+    let real_limit = limit(recorded_realise);
+    println!(
+        "bench check: realise allocs {realise_allocs} (recorded {recorded_realise}, limit {real_limit:.0})"
+    );
     println!(
         "bench check: capture allocs {capture_allocs} (recorded {recorded_capture}, limit {cap_limit:.0})"
     );
@@ -170,6 +202,11 @@ fn check(path: &str) -> Result<(), String> {
     if measure_allocs as f64 > meas_limit {
         return Err(format!(
             "steady-state measure now allocates {measure_allocs} times (recorded {recorded_measure}); the hot path regressed"
+        ));
+    }
+    if realise_allocs as f64 > real_limit {
+        return Err(format!(
+            "Simulator::new now allocates {realise_allocs} times (recorded {recorded_realise}); realisation regressed"
         ));
     }
 
@@ -230,7 +267,8 @@ fn main() {
     let ident_4 = ident_seconds(&materials, 4);
 
     // Stage 3: steady-state allocation counts of the hot entry points.
-    let (capture_allocs, measure_allocs) = steady_state_allocs(packets);
+    let allocs = steady_state_allocs(packets);
+    let (capture_allocs, measure_allocs) = (allocs.capture, allocs.measure);
 
     // Deterministic work budgets: the exact counters the shared trace
     // campaign produces today. `wimi-trace budget` fails CI if any run
@@ -308,6 +346,10 @@ fn main() {
     ));
     out.push_str(&format!(
         "    \"measure_allocs_steady\": {measure_allocs},\n"
+    ));
+    out.push_str(&format!(
+        "    \"realise_allocs_steady\": {},\n",
+        allocs.realise
     ));
     json_field(
         &mut out,

@@ -86,12 +86,17 @@ impl AmplitudeConfig {
     }
 }
 
-/// Scratch buffers for [`AmplitudeConfig::clean_series_into`].
+/// Scratch buffers for [`AmplitudeConfig::clean_series_into`] and
+/// [`CleanedAmplitudes::compute_with`].
 #[derive(Debug, Clone, Default)]
 pub struct CleanScratch {
     rejected: Vec<f64>,
     outlier: OutlierScratch,
     denoise: DenoiseScratch,
+    /// Raw and cleaned series of [`CleanedAmplitudes::compute_with`],
+    /// taken out and put back around each capture.
+    raw: Vec<f64>,
+    cleaned: Vec<f64>,
 }
 
 /// Every cleaned per-(antenna, subcarrier) amplitude time series of one
@@ -104,11 +109,16 @@ pub struct CleanScratch {
 /// de-duplicates that work; [`AmplitudeRatioProfile::from_cleaned`] then
 /// forms ratios from the cached series, bit-for-bit equal to
 /// [`AmplitudeRatioProfile::compute`].
+///
+/// Cleaning preserves a series' length, so the series are stored back to
+/// back in one plane: series `(a, k)` is the `n_packets` values starting
+/// at `(a · n_subcarriers + k) · n_packets`.
 #[derive(Debug, Clone)]
 pub struct CleanedAmplitudes {
     n_antennas: usize,
     n_subcarriers: usize,
-    series: Vec<Vec<f64>>,
+    n_packets: usize,
+    plane: Vec<f64>,
 }
 
 impl CleanedAmplitudes {
@@ -117,25 +127,46 @@ impl CleanedAmplitudes {
     /// # Panics
     ///
     /// Panics if the capture is empty.
+    // wlint: hot
     pub fn compute(capture: &CsiCapture, config: &AmplitudeConfig) -> Self {
+        Self::compute_with(capture, config, &mut CleanScratch::default())
+    }
+
+    /// [`Self::compute`] through caller-owned scratch, so the baseline
+    /// and target captures of one measurement share one set of cleaning
+    /// buffers — same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capture is empty.
+    // wlint: allow(panic-reach) — a < n_antennas and k < n_subcarriers by the loop bounds, so every series walk stays inside the capture's planes
+    pub fn compute_with(
+        capture: &CsiCapture,
+        config: &AmplitudeConfig,
+        scratch: &mut CleanScratch,
+    ) -> Self {
         assert!(!capture.is_empty(), "capture holds no packets");
         let n_antennas = capture.n_antennas();
         let n_subcarriers = capture.n_subcarriers();
-        let mut scratch = CleanScratch::default();
-        let mut raw = Vec::new();
-        let mut series = Vec::with_capacity(n_antennas * n_subcarriers);
+        let n_packets = capture.len();
+        let mut raw = std::mem::take(&mut scratch.raw);
+        let mut cleaned = std::mem::take(&mut scratch.cleaned);
+        // wlint: allow(hot-path-alloc) — the plane is the result this builds: one allocation per capture, sized up front
+        let mut plane = Vec::with_capacity(n_antennas * n_subcarriers * n_packets);
         for a in 0..n_antennas {
             for k in 0..n_subcarriers {
                 capture.amplitude_series_into(a, k, &mut raw);
-                let mut cleaned = Vec::new();
-                config.clean_series_into(&raw, &mut scratch, &mut cleaned);
-                series.push(cleaned);
+                config.clean_series_into(&raw, scratch, &mut cleaned);
+                plane.extend_from_slice(&cleaned);
             }
         }
+        scratch.raw = raw;
+        scratch.cleaned = cleaned;
         CleanedAmplitudes {
             n_antennas,
             n_subcarriers,
-            series,
+            n_packets,
+            plane,
         }
     }
 
@@ -147,7 +178,8 @@ impl CleanedAmplitudes {
     pub fn series(&self, antenna: usize, subcarrier: usize) -> &[f64] {
         assert!(antenna < self.n_antennas, "antenna index out of range");
         assert!(subcarrier < self.n_subcarriers, "subcarrier out of range");
-        &self.series[antenna * self.n_subcarriers + subcarrier]
+        let start = (antenna * self.n_subcarriers + subcarrier) * self.n_packets;
+        &self.plane[start..start + self.n_packets]
     }
 
     /// Number of antennas covered.
@@ -192,7 +224,8 @@ impl AmplitudeRatioProfile {
 
         let n_sub = capture.n_subcarriers();
         let mut scratch = CleanScratch::default();
-        let mut summary = RatioSummary::new(n_sub);
+        let mut ratio = RatioScratch::default();
+        let mut summary = RatioSummary::new(n_sub, &mut ratio);
         let (mut raw, mut sa, mut sb) = (Vec::new(), Vec::new(), Vec::new());
         for k in 0..n_sub {
             capture.amplitude_series_into(a, k, &mut raw);
@@ -212,12 +245,27 @@ impl AmplitudeRatioProfile {
     ///
     /// Panics if indices are out of range or equal.
     pub fn from_cleaned(cleaned: &CleanedAmplitudes, a: usize, b: usize) -> Self {
+        Self::from_cleaned_with(cleaned, a, b, &mut RatioScratch::default())
+    }
+
+    /// [`Self::from_cleaned`] through caller-owned ratio and sort buffers,
+    /// reused across the profiles of one measurement — same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range or equal.
+    pub fn from_cleaned_with(
+        cleaned: &CleanedAmplitudes,
+        a: usize,
+        b: usize,
+        scratch: &mut RatioScratch,
+    ) -> Self {
         assert!(a != b, "amplitude ratio needs two distinct antennas");
         let n_ant = cleaned.n_antennas();
         assert!(a < n_ant && b < n_ant, "antenna index out of range");
 
         let n_sub = cleaned.n_subcarriers();
-        let mut summary = RatioSummary::new(n_sub);
+        let mut summary = RatioSummary::new(n_sub, scratch);
         for k in 0..n_sub {
             summary.push_ratio(cleaned.series(a, k), cleaned.series(b, k));
         }
@@ -251,40 +299,48 @@ impl AmplitudeRatioProfile {
     }
 }
 
-/// Accumulates the per-subcarrier median/variance of the cleaned ratio,
-/// reusing one ratio buffer and one sort buffer across subcarriers.
-struct RatioSummary {
-    mean: Vec<f64>,
-    variance: Vec<f64>,
+/// Ratio and sort buffers for
+/// [`AmplitudeRatioProfile::from_cleaned_with`].
+#[derive(Debug, Clone, Default)]
+pub struct RatioScratch {
     ratio: Vec<f64>,
     sort: Vec<f64>,
 }
 
-impl RatioSummary {
-    fn new(n_sub: usize) -> Self {
+/// Accumulates the per-subcarrier median/variance of the cleaned ratio,
+/// reusing the caller's ratio and sort buffers across subcarriers.
+struct RatioSummary<'s> {
+    mean: Vec<f64>,
+    variance: Vec<f64>,
+    scratch: &'s mut RatioScratch,
+}
+
+impl<'s> RatioSummary<'s> {
+    fn new(n_sub: usize, scratch: &'s mut RatioScratch) -> Self {
         RatioSummary {
             mean: Vec::with_capacity(n_sub),
             variance: Vec::with_capacity(n_sub),
-            ratio: Vec::new(),
-            sort: Vec::new(),
+            scratch,
         }
     }
 
     // wlint: hot
     fn push_ratio(&mut self, sa: &[f64], sb: &[f64]) {
-        self.ratio.clear();
-        self.ratio.extend(
+        let RatioScratch { ratio, sort } = &mut *self.scratch;
+        ratio.clear();
+        ratio.reserve(sa.len().min(sb.len()));
+        ratio.extend(
             sa.iter()
                 .zip(sb)
                 .map(|(x, y)| if *y > 0.0 { x / y } else { f64::NAN })
                 .filter(|r| r.is_finite()),
         );
-        if self.ratio.is_empty() {
+        if ratio.is_empty() {
             self.mean.push(f64::NAN);
             self.variance.push(f64::NAN);
         } else {
-            self.mean.push(median_in(&self.ratio, &mut self.sort));
-            self.variance.push(variance(&self.ratio));
+            self.mean.push(median_in(ratio, sort));
+            self.variance.push(variance(ratio));
         }
     }
 
@@ -367,6 +423,55 @@ mod tests {
                 }
                 for (x, y) in direct.variance.iter().zip(&cached.variance) {
                     assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_cleaned_series_match_clean_series_bitwise() {
+        // One scratch shared across captures of different lengths (short
+        // ones skip the denoiser) and configurations, as `measure` shares
+        // it between the baseline and target captures.
+        let mut scratch = CleanScratch::default();
+        let mut ratio = RatioScratch::default();
+        let configs = [
+            AmplitudeConfig::default(),
+            AmplitudeConfig::raw(),
+            AmplitudeConfig {
+                reject_outliers: true,
+                wavelet_denoise: false,
+                denoiser: CorrelationDenoiser::default(),
+            },
+            AmplitudeConfig {
+                reject_outliers: false,
+                wavelet_denoise: true,
+                denoiser: CorrelationDenoiser::default(),
+            },
+        ];
+        for (seed, packets) in [(3u64, 20usize), (4, 5), (5, 8), (6, 33), (7, 1)] {
+            let cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
+            for config in &configs {
+                let flat = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
+                for a in 0..cap.n_antennas() {
+                    for k in 0..cap.n_subcarriers() {
+                        let reference = config.clean_series(&cap.amplitude_series(a, k));
+                        let got = flat.series(a, k);
+                        assert_eq!(got.len(), reference.len(), "{packets} packets ({a}, {k})");
+                        for (x, y) in got.iter().zip(&reference) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{packets} packets ({a}, {k})");
+                        }
+                    }
+                }
+                for (a, b) in [(0usize, 1usize), (2, 0)] {
+                    let shared = AmplitudeRatioProfile::from_cleaned_with(&flat, a, b, &mut ratio);
+                    let direct = AmplitudeRatioProfile::compute(&cap, a, b, config);
+                    for (x, y) in shared.mean.iter().zip(&direct.mean) {
+                        assert_eq!(x.to_bits(), y.to_bits());
+                    }
+                    for (x, y) in shared.variance.iter().zip(&direct.variance) {
+                        assert_eq!(x.to_bits(), y.to_bits());
+                    }
                 }
             }
         }

@@ -195,14 +195,10 @@ impl MaterialFeature {
         let mut best_dispersion_any = f64::INFINITY;
         let mut best: Option<GammaCandidate> = None;
         if ln_psi_band.abs() < LOW_LOSS_LN_PSI {
-            let zero_cfg = FeatureConfig {
-                gamma_search: 0,
-                ..config.clone()
-            };
-            for cand in enumerate_gamma_candidates(
+            if let Some(cand) = gamma_candidate(
                 &delta_theta,
                 ln_psi_band,
-                &zero_cfg,
+                0,
                 (LOW_LOSS_MEAN_FLOOR, OMEGA_MEAN_MAX),
             ) {
                 best_dispersion_any = best_dispersion_any.min(cand.dispersion);
@@ -327,16 +323,7 @@ impl MaterialFeature {
     ) -> Result<MaterialFeature, FeatureError> {
         assert!(!inputs.is_empty(), "need at least one pair measurement");
 
-        struct PairData {
-            pair: (usize, usize),
-            subcarriers: Vec<usize>,
-            delta_theta: Vec<f64>,
-            delta_psi: Vec<f64>,
-            ln_psi_band: f64,
-            /// Coarse unwrapped-ΔΘ estimate from the frequency slope.
-            unwrapped_est: f64,
-        }
-        let mut per_pair: Vec<PairData> = Vec::new();
+        let mut per_pair: Vec<PairData<'_>> = Vec::with_capacity(inputs.len());
         for m in inputs {
             let mut delta_theta = Vec::with_capacity(m.subcarriers.len());
             let mut delta_psi = Vec::with_capacity(m.subcarriers.len());
@@ -367,7 +354,7 @@ impl MaterialFeature {
             let unwrapped_est = slope_unwrapped_estimate(m.phase_base, m.phase_tar, m.rejected);
             per_pair.push(PairData {
                 pair: m.phase_base.pair,
-                subcarriers: m.subcarriers.to_vec(),
+                subcarriers: m.subcarriers,
                 delta_theta,
                 delta_psi,
                 ln_psi_band,
@@ -396,19 +383,12 @@ impl MaterialFeature {
                 if mean(&p.delta_theta).abs() < LOW_LOSS_MIN_PHASE {
                     continue;
                 }
-                let zero_cfg = FeatureConfig {
-                    gamma_search: 0,
-                    ..config.clone()
-                };
-                if let Some(c) = enumerate_gamma_candidates(
+                if let Some(c) = gamma_candidate(
                     &p.delta_theta,
                     p.ln_psi_band,
-                    &zero_cfg,
+                    0,
                     (LOW_LOSS_MEAN_FLOOR, OMEGA_MEAN_MAX),
-                )
-                .into_iter()
-                .next()
-                {
+                ) {
                     resolved.push((i, c));
                 }
             }
@@ -426,107 +406,23 @@ impl MaterialFeature {
                 .iter()
                 .map(|p| wimi_dsp::stats::circular_mean(&p.delta_theta))
                 .collect();
-            let mut best_omega = f64::NAN;
-            let mut best_score = f64::INFINITY;
-            let n_grid = 600usize;
-            let (lo, hi) = (OMEGA_GRID_MIN, OMEGA_MEAN_MAX);
-            let mut grid_scores = Vec::with_capacity(n_grid);
-            for i in 0..n_grid {
-                let omega = lo * (hi / lo).powf(i as f64 / (n_grid - 1) as f64);
-                let mut score = 0.0;
-                let mut wsum: f64 = 0.0;
-                for (p, &dt) in per_pair.iter().zip(&dt_band) {
-                    let predicted = -p.ln_psi_band / omega;
-                    if predicted.abs()
-                        > (2 * config.gamma_search as usize + 1) as f64 * std::f64::consts::PI
-                    {
-                        // This Ω̄ would need more wraps than the geometry
-                        // allows; penalise it heavily.
-                        score += 10.0;
-                        wsum += 1.0;
-                        continue;
-                    }
-                    // Wrapped-phase residual (precise but 2π-ambiguous)…
-                    let r = wrap_to_pi(predicted - dt);
-                    score += r * r / (PHASE_RESIDUAL_STD * PHASE_RESIDUAL_STD);
-                    // …plus the frequency-slope estimate of the unwrapped
-                    // phase (coarse but unambiguous): `ΔΘ_true(f)` scales
-                    // with `f`, so its slope across the band, extrapolated
-                    // to the carrier, estimates the total unwrapped value.
-                    if p.unwrapped_est.is_finite() {
-                        let rs = predicted - p.unwrapped_est;
-                        score += rs * rs / (SLOPE_RESIDUAL_STD * SLOPE_RESIDUAL_STD);
-                    }
-                    wsum += 1.0;
-                }
-                score /= wsum.max(1e-9);
-                grid_scores.push((omega, score));
-                if score < best_score {
-                    best_score = score;
-                    best_omega = omega;
-                }
-            }
-            if !best_omega.is_finite() || best_score > UNWRAP_SCORE_GATE {
-                return Err(FeatureError::NoConsistentFeature {
-                    best_dispersion: best_score,
-                });
-            }
-            // Ambiguity detection: at certain beaker placements two pairs'
-            // path differentials coincide and a *different wrap hypothesis*
-            // explains the data almost as well. Refusing such measurements
-            // (→ retake with the beaker nudged) beats silently picking one.
-            // An Ω̄ rival only counts if it implies a different γ vector —
-            // a smooth score ridge around the same wraps (small-phase
-            // liquids) is not ambiguity.
-            let gamma_vector = |omega: f64| -> Vec<i32> {
-                per_pair
-                    .iter()
-                    .zip(&dt_band)
-                    .map(|(p, &dt)| {
-                        ((-p.ln_psi_band / omega - dt) / std::f64::consts::TAU).round() as i32
-                    })
-                    .collect()
-            };
-            let best_gammas = gamma_vector(best_omega);
-            let rival = grid_scores
-                .iter()
-                .filter(|(o, _)| {
-                    (o / best_omega).ln().abs() > AMBIGUITY_LOG_SEPARATION
-                        && gamma_vector(*o) != best_gammas
-                })
-                .map(|&(_, s)| s)
-                .fold(f64::INFINITY, f64::min);
-            if rival - best_score < AMBIGUITY_MARGIN {
-                return Err(FeatureError::NoConsistentFeature {
-                    best_dispersion: rival - best_score,
-                });
-            }
+            let best_gammas = resolve_omega(&per_pair, &dt_band, config.gamma_search)?;
             // Materialise the per-pair candidates implied by Ω̄*.
-            for (i, (p, &dt)) in per_pair.iter().zip(&dt_band).enumerate() {
-                let predicted = -p.ln_psi_band / best_omega;
-                let gamma_f = (predicted - dt) / std::f64::consts::TAU;
-                let gamma = gamma_f.round() as i32;
+            for (i, (p, &gamma)) in per_pair.iter().zip(&best_gammas).enumerate() {
                 if gamma.abs() > config.gamma_search {
                     continue;
                 }
-                let zero_cfg = FeatureConfig {
-                    gamma_search: 0,
-                    ..config.clone()
-                };
                 let shifted: Vec<f64> = p
                     .delta_theta
                     .iter()
                     .map(|d| d + gamma as f64 * std::f64::consts::TAU)
                     .collect();
-                if let Some(mut c) = enumerate_gamma_candidates(
+                if let Some(mut c) = gamma_candidate(
                     &shifted,
                     p.ln_psi_band,
-                    &zero_cfg,
+                    0,
                     (OMEGA_MEAN_FLOOR, OMEGA_MEAN_MAX),
-                )
-                .into_iter()
-                .next()
-                {
+                ) {
                     c.gamma = gamma;
                     resolved.push((i, c));
                 }
@@ -569,9 +465,9 @@ impl MaterialFeature {
         // resolved (largest unwrapped |ΔΘ| → highest phase SNR; for lossy
         // liquids this coincides with the largest |lnΨ|, while for
         // low-loss liquids |lnΨ| is pure noise and must not decide).
-        let denom_mag = |cand: &GammaCandidate, p: &PairData| -> f64 {
+        let denom_mag = |cand: &GammaCandidate, p: &PairData<'_>| -> f64 {
             let shift = cand.gamma as f64 * std::f64::consts::TAU;
-            mean(&p.delta_theta.iter().map(|d| d + shift).collect::<Vec<_>>()).abs()
+            shifted_mean(&p.delta_theta, shift).abs()
         };
         let best = resolved.into_iter().max_by(|(ia, ca), (ib, cb)| {
             denom_mag(ca, &per_pair[*ia]).total_cmp(&denom_mag(cb, &per_pair[*ib]))
@@ -591,7 +487,7 @@ impl MaterialFeature {
         let pdata = &per_pair[idx];
         Ok(MaterialFeature {
             pair: pdata.pair,
-            subcarriers: pdata.subcarriers.clone(),
+            subcarriers: pdata.subcarriers.to_vec(),
             omega: cand.omegas.clone(),
             delta_theta: pdata.delta_theta.clone(),
             delta_psi: pdata.delta_psi.clone(),
@@ -599,6 +495,169 @@ impl MaterialFeature {
             dispersion: cand.dispersion,
         })
     }
+}
+
+/// One usable pair's inputs to joint γ resolution.
+struct PairData<'a> {
+    pair: (usize, usize),
+    subcarriers: &'a [usize],
+    delta_theta: Vec<f64>,
+    delta_psi: Vec<f64>,
+    ln_psi_band: f64,
+    /// Coarse unwrapped-ΔΘ estimate from the frequency slope.
+    unwrapped_est: f64,
+}
+
+/// Number of points of the multi-baseline Ω̄ search grid.
+const OMEGA_GRID_POINTS: usize = 600;
+
+/// The multi-baseline Ω̄ search grid: [`OMEGA_GRID_POINTS`] values
+/// log-spaced from [`OMEGA_GRID_MIN`] to [`OMEGA_MEAN_MAX`]. It depends on
+/// nothing but those constants, so it is built once per process.
+fn omega_grid() -> &'static [f64; OMEGA_GRID_POINTS] {
+    static GRID: std::sync::OnceLock<[f64; OMEGA_GRID_POINTS]> = std::sync::OnceLock::new();
+    GRID.get_or_init(|| {
+        let (lo, hi) = (OMEGA_GRID_MIN, OMEGA_MEAN_MAX);
+        std::array::from_fn(|i| lo * (hi / lo).powf(i as f64 / (OMEGA_GRID_POINTS - 1) as f64))
+    })
+}
+
+/// Multi-baseline Ω̄ resolution over the search grid: the phase-wrap count
+/// the best-scoring Ω̄* implies for every pair.
+///
+/// # Errors
+///
+/// [`FeatureError::NoConsistentFeature`] when no Ω̄ explains the pairs
+/// (the best score exceeds [`UNWRAP_SCORE_GATE`]), or when a distant Ω̄
+/// implying different wrap counts scores within [`AMBIGUITY_MARGIN`] of
+/// the best.
+fn resolve_omega(
+    per_pair: &[PairData<'_>],
+    dt_band: &[f64],
+    gamma_search: i32,
+) -> Result<Vec<i32>, FeatureError> {
+    let mut scores = [0.0; OMEGA_GRID_POINTS];
+    let (best_omega, best_score) = score_omega_grid(per_pair, dt_band, gamma_search, &mut scores);
+    if !best_omega.is_finite() || best_score > UNWRAP_SCORE_GATE {
+        return Err(FeatureError::NoConsistentFeature {
+            best_dispersion: best_score,
+        });
+    }
+    // Ambiguity detection: at certain beaker placements two pairs' path
+    // differentials coincide and a *different wrap hypothesis* explains
+    // the data almost as well. Refusing such measurements (→ retake with
+    // the beaker nudged) beats silently picking one. An Ω̄ rival only
+    // counts if it implies a different γ vector — a smooth score ridge
+    // around the same wraps (small-phase liquids) is not ambiguity.
+    let best_gammas: Vec<i32> = per_pair
+        .iter()
+        .zip(dt_band)
+        .map(|(p, &dt)| wrap_count(p, dt, best_omega))
+        .collect();
+    let rival = rival_score(per_pair, dt_band, best_omega, &best_gammas, &scores);
+    if rival - best_score < AMBIGUITY_MARGIN {
+        return Err(FeatureError::NoConsistentFeature {
+            best_dispersion: rival - best_score,
+        });
+    }
+    Ok(best_gammas)
+}
+
+/// Scores every Ω̄ of the search grid into `scores` and returns the best
+/// `(Ω̄, score)`; `(NaN, ∞)` when no score is finite.
+///
+/// With the `e^{−jβd}` sign convention each pair's wrap-free `−ln ΔΨ`
+/// predicts its *unwrapped* phase change `ΔΘ_true = −lnΔΨ_band / Ω̄`. A
+/// candidate's score is how well that prediction explains every pair's
+/// wrapped measurement `dt_band` and its frequency-slope estimate.
+// wlint: hot
+// wlint: allow(panic-reach) — zip bounds every index: grid, scores and the pair lists are walked in lockstep
+fn score_omega_grid(
+    per_pair: &[PairData<'_>],
+    dt_band: &[f64],
+    gamma_search: i32,
+    scores: &mut [f64; OMEGA_GRID_POINTS],
+) -> (f64, f64) {
+    // The largest unwrapped phase change `gamma_search` wraps can reach.
+    let max_phase = (2 * gamma_search as usize + 1) as f64 * std::f64::consts::PI;
+    let mut best_omega = f64::NAN;
+    let mut best_score = f64::INFINITY;
+    for (&omega, slot) in omega_grid().iter().zip(scores.iter_mut()) {
+        let mut score = 0.0;
+        let mut wsum: f64 = 0.0;
+        for (p, &dt) in per_pair.iter().zip(dt_band) {
+            let predicted = -p.ln_psi_band / omega;
+            if predicted.abs() > max_phase {
+                // This Ω̄ would need more wraps than the geometry
+                // allows; penalise it heavily.
+                score += 10.0;
+                wsum += 1.0;
+                continue;
+            }
+            // Wrapped-phase residual (precise but 2π-ambiguous)…
+            let r = wrap_to_pi(predicted - dt);
+            score += r * r / (PHASE_RESIDUAL_STD * PHASE_RESIDUAL_STD);
+            // …plus the frequency-slope estimate of the unwrapped
+            // phase (coarse but unambiguous): `ΔΘ_true(f)` scales
+            // with `f`, so its slope across the band, extrapolated
+            // to the carrier, estimates the total unwrapped value.
+            if p.unwrapped_est.is_finite() {
+                let rs = predicted - p.unwrapped_est;
+                score += rs * rs / (SLOPE_RESIDUAL_STD * SLOPE_RESIDUAL_STD);
+            }
+            wsum += 1.0;
+        }
+        score /= wsum.max(1e-9);
+        *slot = score;
+        if score < best_score {
+            best_score = score;
+            best_omega = omega;
+        }
+    }
+    (best_omega, best_score)
+}
+
+/// The phase-wrap count pair `p` needs if the material's feature is
+/// `omega`: the whole turns between the predicted unwrapped phase change
+/// and the wrapped measurement `dt`.
+fn wrap_count(p: &PairData<'_>, dt: f64, omega: f64) -> i32 {
+    ((-p.ln_psi_band / omega - dt) / std::f64::consts::TAU).round() as i32
+}
+
+/// The best score among grid points distant from `best_omega` (more than
+/// [`AMBIGUITY_LOG_SEPARATION`] apart in log space) that imply a
+/// different wrap count than `best_gammas` for at least one pair; `∞` when
+/// there is none. Wrap counts are compared pair by pair in place.
+// wlint: hot
+fn rival_score(
+    per_pair: &[PairData<'_>],
+    dt_band: &[f64],
+    best_omega: f64,
+    best_gammas: &[i32],
+    scores: &[f64; OMEGA_GRID_POINTS],
+) -> f64 {
+    omega_grid()
+        .iter()
+        .zip(scores)
+        .filter(|&(&o, _)| {
+            (o / best_omega).ln().abs() > AMBIGUITY_LOG_SEPARATION
+                && per_pair
+                    .iter()
+                    .zip(dt_band)
+                    .zip(best_gammas)
+                    .any(|((p, &dt), &g)| wrap_count(p, dt, o) != g)
+        })
+        .map(|(_, &s)| s)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// [`mean`] of `xs` shifted by `shift`, without materialising the shifted
+/// series: the same sum over the same values in the same order.
+fn shifted_mean(xs: &[f64], shift: f64) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    xs.iter().map(|d| d + shift).sum::<f64>() / xs.len() as f64
 }
 
 /// Largest-pair `|ln ΔΨ|` below which the liquid is treated as low-loss
@@ -641,17 +700,18 @@ fn slope_unwrapped_estimate(
     rejected: &[usize],
 ) -> f64 {
     let n = phase_base.mean.len().min(phase_tar.mean.len());
-    let kept: Vec<usize> = (0..n).filter(|k| !rejected.contains(k)).collect();
-    if kept.len() < 4 {
+    let kept = || (0..n).filter(|k| !rejected.contains(k));
+    let n_kept = kept().count();
+    if n_kept < 4 {
         return f64::NAN;
     }
     // Wrapped ΔΘ per kept subcarrier, then unwrap along the band
     // (adjacent kept subcarriers differ by far less than π). A rejected
     // (zeroed) subcarrier reads the argument of complex zero — a bogus
     // constant — and would corrupt the whole chain if left in.
-    let mut series = Vec::with_capacity(kept.len());
+    let mut series = Vec::with_capacity(n_kept);
     let mut prev = 0.0f64;
-    for (i, &k) in kept.iter().enumerate() {
+    for (i, k) in kept().enumerate() {
         let dt = wrap_to_pi(phase_tar.mean[k] - phase_base.mean[k]);
         let un = if i == 0 {
             dt
@@ -664,12 +724,12 @@ fn slope_unwrapped_estimate(
     // Least-squares slope against subcarrier position (uniform index is a
     // good proxy: the Intel 5300 map is nearly uniform). The abscissa is
     // the original index so exclusion gaps keep their true spacing.
-    let xs: Vec<f64> = kept.iter().map(|&k| k as f64).collect();
-    let mx = mean(&xs);
+    let xs = || kept().map(|k| k as f64);
+    let mx = xs().sum::<f64>() / n_kept as f64;
     let my = mean(&series);
     let mut num = 0.0;
     let mut den = 0.0;
-    for (x, y) in xs.iter().zip(&series) {
+    for (x, y) in xs().zip(&series) {
         num += (x - mx) * (y - my);
         den += (x - mx) * (x - mx);
     }
@@ -694,10 +754,9 @@ fn band_ln_psi(
     rejected: &[usize],
 ) -> Option<f64> {
     let n = amp_base.mean.len().min(amp_tar.mean.len());
-    let considered: Vec<usize> = (0..n).filter(|k| !rejected.contains(k)).collect();
-    let lps: Vec<f64> = considered
-        .iter()
-        .filter_map(|&k| {
+    let considered = || (0..n).filter(|k| !rejected.contains(k));
+    let mut lps: Vec<f64> = considered()
+        .filter_map(|k| {
             let b = amp_base.mean[k];
             let t = amp_tar.mean[k];
             if b.is_finite() && t.is_finite() && b > 0.0 && t > 0.0 {
@@ -709,10 +768,10 @@ fn band_ln_psi(
         .collect();
     // The half-band quorum is judged over the subcarriers triage kept:
     // rejected ones carry no signal and must not dilute the vote.
-    if lps.len() * 2 < considered.len() || lps.is_empty() {
+    if lps.len() * 2 < considered().count() || lps.is_empty() {
         None
     } else {
-        Some(wimi_dsp::stats::median(&lps))
+        Some(wimi_dsp::stats::median_in_place(&mut lps))
     }
 }
 
@@ -771,38 +830,43 @@ fn enumerate_gamma_candidates(
     config: &FeatureConfig,
     mean_bounds: (f64, f64),
 ) -> Vec<GammaCandidate> {
+    (-config.gamma_search..=config.gamma_search)
+        .filter_map(|gamma| gamma_candidate(delta_theta, ln_psi_band, gamma, mean_bounds))
+        .collect()
+}
+
+/// The candidate for one wrap count `gamma`, when its Ω̄ values are finite
+/// and within the plausible range on every subcarrier and their mean is
+/// within `mean_bounds` (see [`enumerate_gamma_candidates`]).
+fn gamma_candidate(
+    delta_theta: &[f64],
+    ln_psi_band: f64,
+    gamma: i32,
+    mean_bounds: (f64, f64),
+) -> Option<GammaCandidate> {
     let tau = std::f64::consts::TAU;
     let sub_floor = OMEGA_SUBCARRIER_FLOOR.min(mean_bounds.0 * 2.5);
-    let mut out = Vec::new();
-    for gamma in -config.gamma_search..=config.gamma_search {
-        let mut omegas = Vec::with_capacity(delta_theta.len());
-        let mut valid = true;
-        for dt in delta_theta {
-            let denom = dt + gamma as f64 * tau;
-            // A zero denominator yields ±inf or NaN, which the finiteness
-            // gate below rejects — no explicit zero test needed.
-            let omega = -ln_psi_band / denom;
-            if !omega.is_finite() || !(sub_floor..=OMEGA_SUBCARRIER_MAX).contains(&omega) {
-                valid = false;
-                break;
-            }
-            omegas.push(omega);
+    let mut omegas = Vec::with_capacity(delta_theta.len());
+    for dt in delta_theta {
+        let denom = dt + gamma as f64 * tau;
+        // A zero denominator yields ±inf or NaN, which the finiteness
+        // gate below rejects — no explicit zero test needed.
+        let omega = -ln_psi_band / denom;
+        if !omega.is_finite() || !(sub_floor..=OMEGA_SUBCARRIER_MAX).contains(&omega) {
+            return None;
         }
-        if !valid {
-            continue;
-        }
-        let m = mean(&omegas);
-        if !(mean_bounds.0..=mean_bounds.1).contains(&m) {
-            continue;
-        }
-        let dispersion = std_dev(&omegas) / m.abs().max(OMEGA_NORM_FLOOR);
-        out.push(GammaCandidate {
-            gamma,
-            omegas,
-            dispersion,
-        });
+        omegas.push(omega);
     }
-    out
+    let m = mean(&omegas);
+    if !(mean_bounds.0..=mean_bounds.1).contains(&m) {
+        return None;
+    }
+    let dispersion = std_dev(&omegas) / m.abs().max(OMEGA_NORM_FLOOR);
+    Some(GammaCandidate {
+        gamma,
+        omegas,
+        dispersion,
+    })
 }
 
 #[cfg(test)]
@@ -863,6 +927,211 @@ mod tests {
                 variance: vec![0.0; n_sub],
             },
         )
+    }
+
+    /// Verbatim copy of the multi-baseline Ω̄ scan before the grid was
+    /// hoisted: 600 `powf` per call and one allocated γ vector per grid
+    /// point in the ambiguity scan. Returns the wrap counts the pipeline
+    /// then materialised, computed the way it did.
+    fn reference_resolve_omega(
+        per_pair: &[PairData<'_>],
+        dt_band: &[f64],
+        config: &FeatureConfig,
+    ) -> Result<Vec<i32>, FeatureError> {
+        let mut best_omega = f64::NAN;
+        let mut best_score = f64::INFINITY;
+        let n_grid = 600usize;
+        let (lo, hi) = (OMEGA_GRID_MIN, OMEGA_MEAN_MAX);
+        let mut grid_scores = Vec::with_capacity(n_grid);
+        for i in 0..n_grid {
+            let omega = lo * (hi / lo).powf(i as f64 / (n_grid - 1) as f64);
+            let mut score = 0.0;
+            let mut wsum: f64 = 0.0;
+            for (p, &dt) in per_pair.iter().zip(dt_band) {
+                let predicted = -p.ln_psi_band / omega;
+                if predicted.abs()
+                    > (2 * config.gamma_search as usize + 1) as f64 * std::f64::consts::PI
+                {
+                    score += 10.0;
+                    wsum += 1.0;
+                    continue;
+                }
+                let r = wrap_to_pi(predicted - dt);
+                score += r * r / (PHASE_RESIDUAL_STD * PHASE_RESIDUAL_STD);
+                if p.unwrapped_est.is_finite() {
+                    let rs = predicted - p.unwrapped_est;
+                    score += rs * rs / (SLOPE_RESIDUAL_STD * SLOPE_RESIDUAL_STD);
+                }
+                wsum += 1.0;
+            }
+            score /= wsum.max(1e-9);
+            grid_scores.push((omega, score));
+            if score < best_score {
+                best_score = score;
+                best_omega = omega;
+            }
+        }
+        if !best_omega.is_finite() || best_score > UNWRAP_SCORE_GATE {
+            return Err(FeatureError::NoConsistentFeature {
+                best_dispersion: best_score,
+            });
+        }
+        let gamma_vector = |omega: f64| -> Vec<i32> {
+            per_pair
+                .iter()
+                .zip(dt_band)
+                .map(|(p, &dt)| {
+                    ((-p.ln_psi_band / omega - dt) / std::f64::consts::TAU).round() as i32
+                })
+                .collect()
+        };
+        let best_gammas = gamma_vector(best_omega);
+        let rival = grid_scores
+            .iter()
+            .filter(|(o, _)| {
+                (o / best_omega).ln().abs() > AMBIGUITY_LOG_SEPARATION
+                    && gamma_vector(*o) != best_gammas
+            })
+            .map(|&(_, s)| s)
+            .fold(f64::INFINITY, f64::min);
+        if rival - best_score < AMBIGUITY_MARGIN {
+            return Err(FeatureError::NoConsistentFeature {
+                best_dispersion: rival - best_score,
+            });
+        }
+        Ok(per_pair
+            .iter()
+            .zip(dt_band)
+            .map(|(p, &dt)| {
+                let predicted = -p.ln_psi_band / best_omega;
+                let gamma_f = (predicted - dt) / std::f64::consts::TAU;
+                gamma_f.round() as i32
+            })
+            .collect())
+    }
+
+    /// Scan inputs of a target with feature `omega` seen by pairs with
+    /// path differentials `diffs` (metres) through a phase contrast of
+    /// `contrast` rad/m: wrapped phases with noise, band `−ln ΔΨ`, and a
+    /// slope estimate off by `slope_err` (NaN when `slope_err` is NaN).
+    fn scan_inputs(
+        omega: f64,
+        contrast: f64,
+        diffs: &[f64],
+        noise: &[f64],
+        slope_err: f64,
+    ) -> (Vec<PairData<'static>>, Vec<f64>) {
+        let mut pairs = Vec::new();
+        let mut dt_band = Vec::new();
+        for (i, &d) in diffs.iter().enumerate() {
+            let unwrapped = -d * contrast;
+            pairs.push(PairData {
+                pair: (0, i + 1),
+                subcarriers: &[],
+                delta_theta: Vec::new(),
+                delta_psi: Vec::new(),
+                ln_psi_band: -unwrapped * omega,
+                unwrapped_est: unwrapped + slope_err,
+            });
+            dt_band.push(wrap_to_pi(unwrapped + noise[i % noise.len()]));
+        }
+        (pairs, dt_band)
+    }
+
+    /// Bitwise equality of two resolutions, error payloads included.
+    fn same_resolution(
+        a: &Result<Vec<i32>, FeatureError>,
+        b: &Result<Vec<i32>, FeatureError>,
+    ) -> bool {
+        match (a, b) {
+            (Ok(x), Ok(y)) => x == y,
+            (
+                Err(FeatureError::NoConsistentFeature { best_dispersion: x }),
+                Err(FeatureError::NoConsistentFeature { best_dispersion: y }),
+            ) => x.to_bits() == y.to_bits(),
+            _ => false,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn omega_scan_matches_allocating_reference(
+            omega in 0.01f64..2.2,
+            contrast in 40.0f64..900.0,
+            diffs in proptest::collection::vec(-0.02f64..0.02, 1..5),
+            noise in proptest::collection::vec(-1.2f64..1.2, 1..5),
+            slope_err in -9.0f64..9.0,
+            slope_known in 0usize..4,
+            gamma_search in 0i32..5,
+        ) {
+            let slope_err = if slope_known == 0 { f64::NAN } else { slope_err };
+            let (pairs, dt_band) = scan_inputs(omega, contrast, &diffs, &noise, slope_err);
+            let config = FeatureConfig { gamma_search, ..FeatureConfig::default() };
+            let got = resolve_omega(&pairs, &dt_band, gamma_search);
+            let want = reference_resolve_omega(&pairs, &dt_band, &config);
+            proptest::prop_assert!(same_resolution(&got, &want), "{got:?} vs {want:?}");
+        }
+    }
+
+    #[test]
+    fn omega_scan_matches_reference_through_every_gate() {
+        // A deterministic sweep that must reach all three outcomes: a
+        // resolution, the score gate, and the ambiguity (rival) gate.
+        let config = FeatureConfig::default();
+        let (mut resolved, mut score_gate, mut rival_gate) = (0, 0, 0);
+        let mut state = 0x0BAD_5EED_u64;
+        let mut uniform = |lo: f64, hi: f64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
+        };
+        for case in 0..600 {
+            let omega = uniform(0.02, 1.6);
+            let contrast = uniform(60.0, 850.0);
+            let base = uniform(-0.012, 0.012);
+            // Every third case puts two pairs at nearly the same path
+            // differential: the placement that makes wraps ambiguous.
+            let second = if case % 3 == 0 {
+                base * uniform(0.97, 1.03)
+            } else {
+                uniform(-0.012, 0.012)
+            };
+            let diffs = [base, second, base - second];
+            let noise = [uniform(-0.9, 0.9), uniform(-0.9, 0.9), uniform(-0.9, 0.9)];
+            let slope_err = if case % 5 == 0 {
+                f64::NAN
+            } else {
+                uniform(-8.0, 8.0)
+            };
+            let (pairs, dt_band) = scan_inputs(omega, contrast, &diffs, &noise, slope_err);
+            let got = resolve_omega(&pairs, &dt_band, config.gamma_search);
+            let want = reference_resolve_omega(&pairs, &dt_band, &config);
+            assert!(
+                same_resolution(&got, &want),
+                "case {case}: {got:?} vs {want:?}"
+            );
+            match got {
+                Ok(_) => resolved += 1,
+                Err(FeatureError::NoConsistentFeature { best_dispersion })
+                    if best_dispersion > UNWRAP_SCORE_GATE =>
+                {
+                    score_gate += 1
+                }
+                Err(_) => rival_gate += 1,
+            }
+        }
+        assert!(resolved > 0 && score_gate > 0 && rival_gate > 0,
+            "sweep missed a branch: {resolved} resolved, {score_gate} score-gated, {rival_gate} rival-gated");
+    }
+
+    #[test]
+    fn omega_grid_matches_per_call_powf() {
+        let (lo, hi) = (OMEGA_GRID_MIN, OMEGA_MEAN_MAX);
+        for (i, &o) in omega_grid().iter().enumerate() {
+            let want = lo * (hi / lo).powf(i as f64 / (600 - 1) as f64);
+            assert_eq!(o.to_bits(), want.to_bits(), "grid point {i}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! antennas cancels those errors (Eq. 6), leaving only a Gaussian residual
 //! that time-averaging removes.
 
-use wimi_dsp::stats::phase_summary;
+use wimi_dsp::stats::{phase_summary, PhaseSummaryScratch};
 use wimi_phy::csi::CsiCapture;
 
 /// Fraction of most-deviant packets dropped from the per-subcarrier phase
@@ -33,6 +33,21 @@ impl PhaseDifferenceProfile {
     /// Panics if the capture is empty, either antenna index is out of
     /// range, or `a == b`.
     pub fn compute(capture: &CsiCapture, a: usize, b: usize) -> Self {
+        Self::compute_with(capture, a, b, &mut PhaseScratch::default())
+    }
+
+    /// [`Self::compute`] through caller-owned scratch, reused across the
+    /// profiles of one measurement — same bits.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Self::compute`].
+    pub fn compute_with(
+        capture: &CsiCapture,
+        a: usize,
+        b: usize,
+        scratch: &mut PhaseScratch,
+    ) -> Self {
         assert!(!capture.is_empty(), "capture holds no packets");
         assert!(a != b, "phase difference needs two distinct antennas");
         let n_ant = capture.n_antennas();
@@ -41,11 +56,9 @@ impl PhaseDifferenceProfile {
         let n_sub = capture.n_subcarriers();
         let mut mean = Vec::with_capacity(n_sub);
         let mut variance = Vec::with_capacity(n_sub);
-        let mut series = Vec::new();
-        let mut dev = Vec::new();
         for k in 0..n_sub {
-            capture.phase_difference_series_into(a, b, k, &mut series);
-            let (m, v) = phase_summary(&series, PHASE_TRIM_FRACTION, &mut dev);
+            capture.phase_difference_series_into(a, b, k, &mut scratch.series);
+            let (m, v) = phase_summary(&scratch.series, PHASE_TRIM_FRACTION, &mut scratch.summary);
             mean.push(m);
             variance.push(v);
         }
@@ -72,6 +85,15 @@ impl PhaseDifferenceProfile {
     pub fn mean_variance(&self) -> f64 {
         self.variance.iter().sum::<f64>() / self.variance.len() as f64
     }
+}
+
+/// Scratch buffers for [`PhaseDifferenceProfile::compute_with`]: the
+/// per-subcarrier phase-difference series and the [`phase_summary`]
+/// scratch.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseScratch {
+    series: Vec<f64>,
+    summary: PhaseSummaryScratch,
 }
 
 /// Summary statistics of raw (uncalibrated) phase across a capture —
@@ -146,6 +168,27 @@ mod tests {
         assert!(!prof.is_empty());
         assert!(prof.mean.iter().all(|m| m.is_finite()));
         assert!(prof.variance.iter().all(|v| *v >= 0.0));
+    }
+
+    #[test]
+    fn shared_scratch_matches_fresh_compute_bitwise() {
+        // One scratch across captures of different lengths, as a
+        // measurement shares it between baseline and target.
+        let mut scratch = PhaseScratch::default();
+        for (seed, packets) in [(1u64, 20usize), (2, 8), (3, 3), (4, 31)] {
+            let cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
+            for (a, b) in [(0usize, 1usize), (1, 2), (2, 0)] {
+                let shared = PhaseDifferenceProfile::compute_with(&cap, a, b, &mut scratch);
+                let fresh = PhaseDifferenceProfile::compute(&cap, a, b);
+                assert_eq!(shared.pair, fresh.pair);
+                for (x, y) in shared.mean.iter().zip(&fresh.mean) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
+                for (x, y) in shared.variance.iter().zip(&fresh.variance) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

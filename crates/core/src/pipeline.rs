@@ -6,12 +6,14 @@
 //! feature extraction (Ω̄), and SVM classification against the material
 //! database.
 
-use crate::amplitude::{AmplitudeConfig, AmplitudeRatioProfile, CleanedAmplitudes};
+use crate::amplitude::{
+    AmplitudeConfig, AmplitudeRatioProfile, CleanScratch, CleanedAmplitudes, RatioScratch,
+};
 use crate::antenna::PairSelection;
 use crate::database::MaterialDatabase;
 use crate::error::{FeatureError, IdentifyError, IssueKind, Stage, StageIssue};
 use crate::feature::{FeatureConfig, MaterialFeature};
-use crate::phase::PhaseDifferenceProfile;
+use crate::phase::{PhaseDifferenceProfile, PhaseScratch};
 use crate::subcarrier::SubcarrierSelection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -344,10 +346,7 @@ impl WiMi {
                 quality.pairs_attempted = pairs.len();
                 // Shared cleaned-amplitude cache, built before the fan-out
                 // (see `extract_joint`).
-                let amp_cache = (
-                    CleanedAmplitudes::compute(base, &self.config.amplitude),
-                    CleanedAmplitudes::compute(tar, &self.config.amplitude),
-                );
+                let amp_cache = self.clean_amplitudes(base, tar);
                 let extracted = crate::par::map(&pairs, |_, &(a, b)| {
                     self.extract_for_pair(
                         base,
@@ -419,10 +418,7 @@ impl WiMi {
                 .recorder
                 .as_ref()
                 .map(|r| r.span(StageId::AmplitudeDenoising));
-            (
-                CleanedAmplitudes::compute(baseline, &self.config.amplitude),
-                CleanedAmplitudes::compute(target, &self.config.amplitude),
-            )
+            self.clean_amplitudes(baseline, target)
         };
         let profiles = crate::par::map(&pairs, |_, &(a, b)| {
             self.pair_profiles(
@@ -458,6 +454,20 @@ impl WiMi {
         MaterialFeature::extract_joint_with_diag(&inputs, &self.config.feature)
     }
 
+    /// Cleans every amplitude series of both captures through one shared
+    /// set of cleaning buffers.
+    fn clean_amplitudes(
+        &self,
+        baseline: &CsiCapture,
+        target: &CsiCapture,
+    ) -> (CleanedAmplitudes, CleanedAmplitudes) {
+        let mut scratch = CleanScratch::default();
+        (
+            CleanedAmplitudes::compute_with(baseline, &self.config.amplitude, &mut scratch),
+            CleanedAmplitudes::compute_with(target, &self.config.amplitude, &mut scratch),
+        )
+    }
+
     /// Per-pair profile computation shared by the joint and single-pair
     /// paths: phase calibration, good-subcarrier selection, amplitude
     /// denoising — each under its stage span when a recorder is attached.
@@ -480,9 +490,10 @@ impl WiMi {
         let rec = self.recorder.as_ref();
         let (phase_base, phase_tar) = {
             let _span = rec.map(|r| r.span(StageId::PhaseCalibration));
+            let mut scratch = PhaseScratch::default();
             (
-                PhaseDifferenceProfile::compute(baseline, a, b),
-                PhaseDifferenceProfile::compute(target, a, b),
+                PhaseDifferenceProfile::compute_with(baseline, a, b, &mut scratch),
+                PhaseDifferenceProfile::compute_with(target, a, b, &mut scratch),
             )
         };
         let selected = {
@@ -494,10 +505,13 @@ impl WiMi {
         let (amp_base, amp_tar) = {
             let _span = rec.map(|r| r.span(StageId::AmplitudeDenoising));
             match amps {
-                Some((clean_base, clean_tar)) => (
-                    AmplitudeRatioProfile::from_cleaned(clean_base, a, b),
-                    AmplitudeRatioProfile::from_cleaned(clean_tar, a, b),
-                ),
+                Some((clean_base, clean_tar)) => {
+                    let mut scratch = RatioScratch::default();
+                    (
+                        AmplitudeRatioProfile::from_cleaned_with(clean_base, a, b, &mut scratch),
+                        AmplitudeRatioProfile::from_cleaned_with(clean_tar, a, b, &mut scratch),
+                    )
+                }
                 None => (
                     AmplitudeRatioProfile::compute(baseline, a, b, &self.config.amplitude),
                     AmplitudeRatioProfile::compute(target, a, b, &self.config.amplitude),
@@ -857,30 +871,39 @@ struct Screened<'a> {
 /// and whether any individual channel estimate was exactly zero.
 struct CapScan {
     finite: Vec<bool>,
-    zero_rows: Vec<Vec<bool>>,
+    /// Packet-major all-zero flags: entry `m · n_ant + a`.
+    zero_rows: Vec<bool>,
+    n_ant: usize,
     n_finite: usize,
     saw_zero: bool,
 }
 
+impl CapScan {
+    /// Whether antenna `a`'s row of packet `m` is all-zero.
+    fn row_is_zero(&self, m: usize, a: usize) -> bool {
+        self.zero_rows[m * self.n_ant + a]
+    }
+}
+
 fn scan_capture(cap: &CsiCapture, n_ant: usize) -> CapScan {
     let mut finite = Vec::with_capacity(cap.len());
-    let mut zero_rows = Vec::with_capacity(cap.len());
+    let mut zero_rows = Vec::with_capacity(cap.len() * n_ant);
     let mut n_finite = 0usize;
     let mut saw_zero = false;
     for m in 0..cap.len() {
         let fin = cap.packet_is_finite(m);
         n_finite += fin as usize;
         finite.push(fin);
-        let rows: Vec<bool> = (0..n_ant).map(|a| cap.antenna_row_is_zero(m, a)).collect();
+        zero_rows.extend((0..n_ant).map(|a| cap.antenna_row_is_zero(m, a)));
         if !saw_zero {
             // `packet_has_zero` uses `norm_sqr <= 0.0` as the zero test.
             saw_zero = cap.packet_has_zero(m);
         }
-        zero_rows.push(rows);
     }
     CapScan {
         finite,
         zero_rows,
+        n_ant,
         n_finite,
         saw_zero,
     }
@@ -920,10 +943,10 @@ fn screen<'a>(
     // capture shows for the antenna, over its finite packets.
     let zero_fraction = |scan: &CapScan, a: usize| -> f64 {
         let zeros = scan
-            .zero_rows
+            .finite
             .iter()
-            .zip(&scan.finite)
-            .filter(|(rows, &fin)| fin && rows[a])
+            .enumerate()
+            .filter(|&(m, &fin)| fin && scan.row_is_zero(m, a))
             .count();
         zeros as f64 / scan.n_finite as f64
     };
@@ -953,8 +976,8 @@ fn screen<'a>(
     let keep_mask = |scan: &CapScan| -> Vec<bool> {
         scan.finite
             .iter()
-            .zip(&scan.zero_rows)
-            .map(|(&fin, rows)| fin && survivors.iter().all(|&a| !rows[a]))
+            .enumerate()
+            .map(|(m, &fin)| fin && survivors.iter().all(|&a| !scan.row_is_zero(m, a)))
             .collect()
     };
     let keep_b = keep_mask(&scan_b);

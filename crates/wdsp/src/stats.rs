@@ -47,35 +47,31 @@ pub fn rms(xs: &[f64]) -> f64 {
 /// Median (interpolated for even lengths). Returns `NaN` for an empty
 /// slice. `O(n log n)`.
 pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
+    median_in_place(&mut xs.to_vec())
 }
 
 /// Median computed through a caller-owned scratch buffer — identical to
 /// [`median`] but with no allocation once `buf` has grown to the series
 /// length.
-// wlint: allow(panic-reach) — n/2 and n/2-1 are in bounds: the slice is non-empty and the n%2 branch guards the even case
 pub fn median_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
+    buf.clear();
+    buf.extend_from_slice(xs);
+    median_in_place(buf)
+}
+
+/// [`median`] of a buffer the caller no longer needs in its original
+/// order: sorts `xs` in place. Returns `NaN` for an empty slice.
+// wlint: allow(panic-reach) — n/2 and n/2-1 are in bounds: the slice is non-empty and the n%2 branch guards the even case
+pub fn median_in_place(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    buf.clear();
-    buf.extend_from_slice(xs);
-    buf.sort_by(f64::total_cmp);
-    let n = buf.len();
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
     if n % 2 == 1 {
-        buf[n / 2]
+        xs[n / 2]
     } else {
-        (buf[n / 2 - 1] + buf[n / 2]) / 2.0
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
     }
 }
 
@@ -108,14 +104,7 @@ pub fn robust_std_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
     let med = median_in(xs, buf);
     buf.clear();
     buf.extend(xs.iter().map(|x| (x - med).abs()));
-    buf.sort_by(f64::total_cmp);
-    let n = buf.len();
-    let mad = if n % 2 == 1 {
-        buf[n / 2]
-    } else {
-        (buf[n / 2 - 1] + buf[n / 2]) / 2.0
-    };
-    mad / 0.6745
+    median_in_place(buf) / 0.6745
 }
 
 /// Linear Pearson correlation of two equal-length series.
@@ -251,19 +240,40 @@ pub fn phase_variance(angles: &[f64]) -> f64 {
     centered.iter().map(|d| d * d).sum::<f64>() / centered.len() as f64
 }
 
+/// One angle of a [`phase_summary`] series: its sine and cosine and its
+/// wrapped deviation from the series' circular mean.
+#[derive(Debug, Clone, Copy)]
+struct AngleSample {
+    sin: f64,
+    cos: f64,
+    dev: f64,
+}
+
+/// Caller-owned scratch for [`phase_summary`]: one [`AngleSample`] per
+/// angle, grown once and reused across calls.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseSummaryScratch {
+    samples: Vec<AngleSample>,
+}
+
 /// Computes [`trimmed_circular_mean`] and [`phase_variance`] of one angle
 /// series in a single pass over the shared circular mean, through a
-/// caller-owned deviation scratch buffer.
+/// caller-owned scratch.
 ///
-/// Both statistics reference every angle to `circular_mean(angles)`;
-/// computing them together evaluates that mean (and the per-angle
-/// `sin`/`cos`) once instead of twice, returning exactly the bits the two
-/// separate calls would.
+/// Each angle's `sin`/`cos` and its wrapped deviation from the mean are
+/// evaluated once and carried through the stable deviation sort into the
+/// trimmed sum, returning exactly the bits the two separate calls would:
+/// every sum runs in the same order over the same values.
 ///
 /// # Panics
 ///
 /// Panics if `trim_fraction` is not within `[0, 0.5]`.
-pub fn phase_summary(angles: &[f64], trim_fraction: f64, dev: &mut Vec<(f64, f64)>) -> (f64, f64) {
+// wlint: hot
+pub fn phase_summary(
+    angles: &[f64],
+    trim_fraction: f64,
+    scratch: &mut PhaseSummaryScratch,
+) -> (f64, f64) {
     assert!(
         (0.0..=0.5).contains(&trim_fraction),
         "trim fraction must be within [0, 0.5]"
@@ -271,25 +281,30 @@ pub fn phase_summary(angles: &[f64], trim_fraction: f64, dev: &mut Vec<(f64, f64
     if angles.is_empty() {
         return (f64::NAN, f64::NAN);
     }
-    let first = circular_mean(angles);
-    let variance = angles
-        .iter()
-        .map(|&a| {
-            let d = wrap_to_pi(a - first);
-            d * d
-        })
-        .sum::<f64>()
-        / angles.len() as f64;
+    let samples = &mut scratch.samples;
+    samples.clear();
+    samples.reserve(angles.len());
+    let (mut s, mut c) = (0.0, 0.0);
+    for &a in angles {
+        let (sin, cos) = (a.sin(), a.cos());
+        s += sin;
+        c += cos;
+        samples.push(AngleSample { sin, cos, dev: 0.0 });
+    }
+    let first = s.atan2(c);
+    for (sample, &a) in samples.iter_mut().zip(angles) {
+        sample.dev = wrap_to_pi(a - first);
+    }
+    let variance = samples.iter().map(|x| x.dev * x.dev).sum::<f64>() / angles.len() as f64;
     let n_drop = ((angles.len() as f64) * trim_fraction).floor() as usize;
     if n_drop == 0 || angles.len() - n_drop < 2 {
         return (first, variance);
     }
-    dev.clear();
-    dev.extend(angles.iter().map(|&a| (wrap_to_pi(a - first).abs(), a)));
-    dev.sort_by(|x, y| x.0.total_cmp(&y.0));
-    let (s, c) = dev[..angles.len() - n_drop]
+    samples.sort_by(|x, y| x.dev.abs().total_cmp(&y.dev.abs()));
+    let (s, c) = samples
         .iter()
-        .fold((0.0, 0.0), |(s, c), &(_, a)| (s + a.sin(), c + a.cos()));
+        .take(angles.len() - n_drop)
+        .fold((0.0, 0.0), |(s, c), x| (s + x.sin, c + x.cos));
     (s.atan2(c), variance)
 }
 
@@ -446,17 +461,93 @@ mod tests {
         assert!(robust_std_in(&[], &mut buf).is_nan());
     }
 
+    /// Verbatim copy of `phase_summary` before the per-angle `sin`/`cos`
+    /// and deviations were carried through the sort: it wrapped every
+    /// angle twice and re-evaluated `sin`/`cos` for the kept angles.
+    fn reference_phase_summary(
+        angles: &[f64],
+        trim_fraction: f64,
+        dev: &mut Vec<(f64, f64)>,
+    ) -> (f64, f64) {
+        if angles.is_empty() {
+            return (f64::NAN, f64::NAN);
+        }
+        let first = circular_mean(angles);
+        let variance = angles
+            .iter()
+            .map(|&a| {
+                let d = wrap_to_pi(a - first);
+                d * d
+            })
+            .sum::<f64>()
+            / angles.len() as f64;
+        let n_drop = ((angles.len() as f64) * trim_fraction).floor() as usize;
+        if n_drop == 0 || angles.len() - n_drop < 2 {
+            return (first, variance);
+        }
+        dev.clear();
+        dev.extend(angles.iter().map(|&a| (wrap_to_pi(a - first).abs(), a)));
+        dev.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let (s, c) = dev[..angles.len() - n_drop]
+            .iter()
+            .fold((0.0, 0.0), |(s, c), &(_, a)| (s + a.sin(), c + a.cos()));
+        (s.atan2(c), variance)
+    }
+
     #[test]
     fn phase_summary_matches_separate_calls_bitwise() {
-        let mut dev = Vec::new();
+        let mut scratch = PhaseSummaryScratch::default();
         for n in [0usize, 1, 3, 4, 10, 57] {
             let angles: Vec<f64> = (0..n).map(|i| wrap_to_pi((i as f64) * 2.9)).collect();
             for trim in [0.0, 0.2, 0.5] {
-                let (m, v) = phase_summary(&angles, trim, &mut dev);
+                let (m, v) = phase_summary(&angles, trim, &mut scratch);
                 let m_ref = trimmed_circular_mean(&angles, trim);
                 let v_ref = phase_variance(&angles);
                 assert_eq!(m.to_bits(), m_ref.to_bits(), "mean n={n} trim={trim}");
                 assert_eq!(v.to_bits(), v_ref.to_bits(), "var n={n} trim={trim}");
+            }
+        }
+    }
+
+    #[test]
+    fn phase_summary_matches_reference_bitwise() {
+        let mut scratch = PhaseSummaryScratch::default();
+        let mut dev = Vec::new();
+        let mut check = |angles: &[f64], trim: f64, what: &str| {
+            let (m, v) = phase_summary(angles, trim, &mut scratch);
+            let (m_ref, v_ref) = reference_phase_summary(angles, trim, &mut dev);
+            assert_eq!(m.to_bits(), m_ref.to_bits(), "mean: {what} trim={trim}");
+            assert_eq!(v.to_bits(), v_ref.to_bits(), "variance: {what} trim={trim}");
+        };
+        // Deviation ties: mirrored angles sit at equal |deviation| from a
+        // zero mean, so the stable sort must keep their input order.
+        let ties = [0.3, -0.3, 0.3, -0.3, 1.1, -1.1, 0.0, 0.7, -0.7, 1.1];
+        // Repeated identical angles: every deviation ties at zero.
+        let flat = [0.42; 9];
+        // Wrap-around cluster with one impulse-noise outlier.
+        let wrapped = [3.1, -3.1, 3.05, -3.12, 0.2, 3.13, -3.08, 3.0];
+        for trim in [0.0, 0.1, 0.2, 0.5] {
+            check(&ties, trim, "ties");
+            check(&flat, trim, "flat");
+            check(&wrapped, trim, "wrapped");
+            // n_drop = 0 at 20% trim for n < 5; n < 3 keeps fewer than two.
+            for n in 0..5 {
+                check(&wrapped[..n], trim, "short");
+            }
+        }
+        // Series like the pipeline's: 8 and 20 packets, 20% trim.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            for n in [8usize, 20] {
+                let angles: Vec<f64> = (0..n)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        wrap_to_pi((state >> 11) as f64 / (1u64 << 53) as f64 * 7.0 - 3.5)
+                    })
+                    .collect();
+                check(&angles, 0.2, "random");
             }
         }
     }

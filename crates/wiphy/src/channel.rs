@@ -283,7 +283,7 @@ impl MultipathChannel {
                 "extra multipliers must be per-scatterer"
             );
         }
-        let beta0 = f.angular() / crate::constants::SPEED_OF_LIGHT;
+        let beta0 = free_space_wavenumber(f);
         self.scatterers
             .iter()
             .enumerate()
@@ -298,21 +298,33 @@ impl MultipathChannel {
             .sum()
     }
 
-    /// Static per-scatterer path gains at one receive antenna and
-    /// frequency: `gain_n · e^{−jβ₀·(d_tx→n + d_n→rx)}`. These depend only
-    /// on the (fixed) geometry, so a caller generating many packets can
-    /// compute them once and combine each packet's jitter with
-    /// [`Self::response_from_gains`] — the distance and `cis` work per
-    /// scatterer then drops out of the packet loop.
-    pub fn path_gains(&self, tx: Point, rx: Point, f: Hertz) -> Vec<Complex> {
-        let beta0 = f.angular() / crate::constants::SPEED_OF_LIGHT;
-        self.scatterers
-            .iter()
-            .map(|s| {
-                let d = tx.distance_to(s.position).value() + s.position.distance_to(rx).value();
-                s.gain * Complex::cis(-beta0 * d)
-            })
-            .collect()
+    /// Static per-scatterer path gains at one receive antenna over a band,
+    /// written subcarrier-major into `out`:
+    /// `out[k·n + s] = gain_s · e^{−jβ_k·(d_tx→s + d_s→rx)}` for `n`
+    /// scatterers, with `β_k = wavenumbers[k]` (see
+    /// [`free_space_wavenumber`]). These depend only on the (fixed)
+    /// geometry, so a caller generating many packets computes them once
+    /// and combines each packet's jitter with [`Self::response_from_gains`].
+    /// The path length does not depend on frequency, so it is computed
+    /// once per scatterer rather than once per (scatterer, subcarrier).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not `wavenumbers.len()` times the number
+    /// of scatterers.
+    pub fn path_gains(&self, tx: Point, rx: Point, wavenumbers: &[f64], out: &mut [Complex]) {
+        let n = self.scatterers.len();
+        assert_eq!(
+            out.len(),
+            wavenumbers.len() * n,
+            "path gain plane must hold subcarriers × scatterers"
+        );
+        for (i, s) in self.scatterers.iter().enumerate() {
+            let d = tx.distance_to(s.position).value() + s.position.distance_to(rx).value();
+            for (k, &beta0) in wavenumbers.iter().enumerate() {
+                out[k * n + i] = s.gain * Complex::cis(-beta0 * d);
+            }
+        }
     }
 
     /// Combines cached [`Self::path_gains`] with one packet's jitter;
@@ -341,12 +353,30 @@ impl MultipathChannel {
     }
 }
 
-/// Free-space LoS response (unit amplitude at the reference distance):
-/// `e^{−jβ₀·d}·(d_ref/d)` so amplitude is normalised to 1 at `d = d_ref`.
-pub fn los_response(tx: Point, rx: Point, f: Hertz, d_ref: Meters) -> Complex {
+/// Free-space wavenumber `β₀ = ω/c` of frequency `f`, radians per metre.
+pub fn free_space_wavenumber(f: Hertz) -> f64 {
+    f.angular() / crate::constants::SPEED_OF_LIGHT
+}
+
+/// Free-space LoS response over a band (unit amplitude at the reference
+/// distance): `out[k] = e^{−jβ_k·d}·(d_ref/d)`, with `β_k = wavenumbers[k]`,
+/// so amplitude is normalised to 1 at `d = d_ref`. The distance and the
+/// amplitude factor are computed once for the whole band.
+///
+/// # Panics
+///
+/// Panics if `out` and `wavenumbers` differ in length.
+pub fn los_response(tx: Point, rx: Point, wavenumbers: &[f64], d_ref: Meters, out: &mut [Complex]) {
+    assert_eq!(
+        out.len(),
+        wavenumbers.len(),
+        "one LoS response per subcarrier"
+    );
     let d = tx.distance_to(rx).value();
-    let beta0 = f.angular() / crate::constants::SPEED_OF_LIGHT;
-    Complex::cis(-beta0 * d) * (d_ref.value() / d)
+    let amplitude = d_ref.value() / d;
+    for (h, &beta0) in out.iter_mut().zip(wavenumbers) {
+        *h = Complex::cis(-beta0 * d) * amplitude;
+    }
 }
 
 /// Internal shim: sample a standard normal via Box–Muller so we only depend
@@ -459,7 +489,8 @@ mod tests {
         let (tx, rx) = link();
         let mut rng = StdRng::seed_from_u64(5);
         let ch = MultipathChannel::realize(Environment::Lab, tx, rx, &mut rng);
-        let gains = ch.path_gains(tx, rx, F);
+        let mut gains = vec![Complex::ZERO; ch.scatterers().len()];
+        ch.path_gains(tx, rx, &[free_space_wavenumber(F)], &mut gains);
         for _ in 0..8 {
             let j = ch.draw_jitter(&mut rng);
             let direct = ch.response(tx, rx, F, &j, None);
@@ -468,6 +499,60 @@ mod tests {
                 (direct - cached).abs() < 1e-12,
                 "cached gains diverge: {direct:?} vs {cached:?}"
             );
+        }
+    }
+
+    /// Verbatim copy of the per-frequency `path_gains` the band version
+    /// replaced: it recomputed every scatterer's path length per call.
+    fn reference_path_gains(ch: &MultipathChannel, tx: Point, rx: Point, f: Hertz) -> Vec<Complex> {
+        let beta0 = f.angular() / crate::constants::SPEED_OF_LIGHT;
+        ch.scatterers
+            .iter()
+            .map(|s| {
+                let d = tx.distance_to(s.position).value() + s.position.distance_to(rx).value();
+                s.gain * Complex::cis(-beta0 * d)
+            })
+            .collect()
+    }
+
+    /// Verbatim copy of the per-frequency `los_response` the band version
+    /// replaced.
+    fn reference_los_response(tx: Point, rx: Point, f: Hertz, d_ref: Meters) -> Complex {
+        let d = tx.distance_to(rx).value();
+        let beta0 = f.angular() / crate::constants::SPEED_OF_LIGHT;
+        Complex::cis(-beta0 * d) * (d_ref.value() / d)
+    }
+
+    #[test]
+    fn band_gains_match_per_frequency_reference_bitwise() {
+        let tx = Point::new(0.0, 0.0);
+        let freqs: Vec<Hertz> = (0..30).map(|k| Hertz(5.2e9 + 1.875e6 * k as f64)).collect();
+        let wavenumbers: Vec<f64> = freqs.iter().map(|&f| free_space_wavenumber(f)).collect();
+        for (seed, env) in Environment::ALL.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64 + 40);
+            let ch = MultipathChannel::realize(env, tx, Point::new(2.0, 0.0), &mut rng);
+            let n = ch.scatterers().len();
+            for rx in [
+                Point::new(2.0, -0.029),
+                Point::new(2.0, 0.0),
+                Point::new(3.1, 0.4),
+            ] {
+                let mut plane = vec![Complex::ZERO; freqs.len() * n];
+                ch.path_gains(tx, rx, &wavenumbers, &mut plane);
+                let mut los = vec![Complex::ZERO; freqs.len()];
+                los_response(tx, rx, &wavenumbers, Meters(2.0), &mut los);
+                for (k, &f) in freqs.iter().enumerate() {
+                    let reference = reference_path_gains(&ch, tx, rx, f);
+                    for (s, g) in reference.iter().enumerate() {
+                        let got = plane[k * n + s];
+                        assert_eq!(got.re.to_bits(), g.re.to_bits(), "{env} k={k} s={s}");
+                        assert_eq!(got.im.to_bits(), g.im.to_bits(), "{env} k={k} s={s}");
+                    }
+                    let want = reference_los_response(tx, rx, f, Meters(2.0));
+                    assert_eq!(los[k].re.to_bits(), want.re.to_bits(), "LoS k={k}");
+                    assert_eq!(los[k].im.to_bits(), want.im.to_bits(), "LoS k={k}");
+                }
+            }
         }
     }
 
@@ -513,10 +598,12 @@ mod tests {
     #[test]
     fn los_normalisation() {
         let (tx, rx) = link();
-        let h = los_response(tx, rx, F, Meters(2.0));
-        assert!((h.abs() - 1.0).abs() < 1e-12);
-        let h_far = los_response(tx, Point::new(4.0, 0.0), F, Meters(2.0));
-        assert!((h_far.abs() - 0.5).abs() < 1e-12);
+        let beta = [free_space_wavenumber(F)];
+        let mut h = [Complex::ZERO];
+        los_response(tx, rx, &beta, Meters(2.0), &mut h);
+        assert!((h[0].abs() - 1.0).abs() < 1e-12);
+        los_response(tx, Point::new(4.0, 0.0), &beta, Meters(2.0), &mut h);
+        assert!((h[0].abs() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl HardwareProfile {
                 im.push(h.im);
             }
         }
-        self.apply_planes(&mut re, &mut im, n_ant, n_sub, rng);
+        self.apply_planes(&mut re, &mut im, n_ant, n_sub, rng, &mut Vec::new());
         for a in 0..n_ant {
             for k in 0..n_sub {
                 *packet.get_mut(a, k) = Complex::new(re[a * n_sub + k], im[a * n_sub + k]);
@@ -131,13 +131,18 @@ impl HardwareProfile {
     /// wobble are drawn once per packet and applied to *every antenna
     /// identically*, modelling the shared oscillator/sampling clock of one
     /// NIC. Noise, gain ripple, impulse bursts and outliers are per antenna.
+    /// Because the corruption is common, its per-subcarrier phasor
+    /// `cis(β + k·slope)` is evaluated once per subcarrier into `corrupt`
+    /// (caller-owned scratch, overwritten) and shared by every antenna; it
+    /// draws nothing, so the RNG stream is the same as evaluating it per
+    /// antenna.
     ///
     /// # Panics
     ///
     /// Panics if the plane lengths differ from
     /// `n_antennas · n_subcarriers`.
     // wlint: hot
-    // wlint: allow(panic-reach) — plane indices row + k < n_antennas·n_subcarriers, asserted at entry
+    // wlint: allow(panic-reach) — plane indices row + k < n_antennas·n_subcarriers, asserted at entry; corrupt holds n_subcarriers phasors
     pub fn apply_planes<R: Rng + ?Sized>(
         &self,
         re: &mut [f64],
@@ -145,6 +150,7 @@ impl HardwareProfile {
         n_antennas: usize,
         n_subcarriers: usize,
         rng: &mut R,
+        corrupt: &mut Vec<Complex>,
     ) {
         assert_eq!(re.len(), n_antennas * n_subcarriers, "re plane length");
         assert_eq!(im.len(), n_antennas * n_subcarriers, "im plane length");
@@ -159,6 +165,9 @@ impl HardwareProfile {
             (0.0, 0.0)
         };
         let agc = db_to_amp(self.agc_wobble_db * rng.sample(StandardNormal));
+        // k(λ_b + λ_s) + β phase corruption, Eq. (5).
+        corrupt.clear();
+        corrupt.extend((0..n_subcarriers).map(|k| Complex::cis(cfo_intercept + slope * k as f64)));
 
         for a in 0..n_antennas {
             let ripple = db_to_amp(self.antenna_gain_ripple_db * rng.sample(StandardNormal));
@@ -177,12 +186,10 @@ impl HardwareProfile {
 
             let gain = agc * ripple * outlier_gain;
             let row = a * n_subcarriers;
-            for k in 0..n_subcarriers {
+            for (k, &phasor) in corrupt.iter().enumerate() {
                 let i = row + k;
                 let mut h = Complex::new(re[i], im[i]);
-                // k(λ_b + λ_s) + β phase corruption, Eq. (5).
-                let corrupt = Complex::cis(cfo_intercept + slope * k as f64);
-                h = h * corrupt * gain;
+                h = h * phasor * gain;
                 // Impulse burst: a short broadband additive spike.
                 if impulse_hit {
                     let spike = Complex::from_polar(
@@ -268,6 +275,125 @@ mod tests {
             .map(|i| Complex::from_polar(1.0, 0.1 * (i % n_sub) as f64))
             .collect();
         CsiPacket::new(n_ant, n_sub, data)
+    }
+
+    /// Verbatim copy of `apply_planes` before the phase-corruption phasor
+    /// was hoisted: it evaluated `cis(β + k·slope)` once per antenna.
+    fn reference_apply_planes<R: Rng + ?Sized>(
+        prof: &HardwareProfile,
+        re: &mut [f64],
+        im: &mut [f64],
+        n_antennas: usize,
+        n_subcarriers: usize,
+        rng: &mut R,
+    ) {
+        let (cfo_intercept, slope) = if prof.phase_corruption {
+            (
+                rng.gen_range(0.0..std::f64::consts::TAU),
+                prof.phase_slope_std * rng.sample(StandardNormal),
+            )
+        } else {
+            (0.0, 0.0)
+        };
+        let agc = db_to_amp(prof.agc_wobble_db * rng.sample(StandardNormal));
+        for a in 0..n_antennas {
+            let ripple = db_to_amp(prof.antenna_gain_ripple_db * rng.sample(StandardNormal));
+            let impulse_hit = rng.gen::<f64>() < prof.impulse_probability;
+            let outlier_hit = rng.gen::<f64>() < prof.outlier_probability;
+            let outlier_gain = if outlier_hit {
+                if rng.gen::<bool>() {
+                    prof.outlier_factor
+                } else {
+                    1.0 / prof.outlier_factor
+                }
+            } else {
+                1.0
+            };
+            let gain = agc * ripple * outlier_gain;
+            let row = a * n_subcarriers;
+            for k in 0..n_subcarriers {
+                let i = row + k;
+                let mut h = Complex::new(re[i], im[i]);
+                let corrupt = Complex::cis(cfo_intercept + slope * k as f64);
+                h = h * corrupt * gain;
+                if impulse_hit {
+                    let spike = Complex::from_polar(
+                        prof.impulse_magnitude * rng.gen::<f64>(),
+                        rng.gen_range(0.0..std::f64::consts::TAU),
+                    );
+                    h += spike;
+                }
+                if prof.noise_std > 0.0 {
+                    h += Complex::new(
+                        prof.noise_std * rng.sample(StandardNormal),
+                        prof.noise_std * rng.sample(StandardNormal),
+                    );
+                }
+                re[i] = h.re;
+                im[i] = h.im;
+            }
+        }
+        if prof.quantize_8bit {
+            quantize_intel5300_planes(re, im);
+        }
+    }
+
+    #[test]
+    fn hoisted_phase_corruption_matches_reference_bitwise() {
+        let profiles = [
+            HardwareProfile::default(),
+            HardwareProfile {
+                impulse_probability: 0.5,
+                outlier_probability: 0.3,
+                ..HardwareProfile::default()
+            },
+            HardwareProfile::default().without_phase_corruption(),
+            HardwareProfile::ideal(),
+        ];
+        let mut corrupt = Vec::new();
+        for (p, prof) in profiles.iter().enumerate() {
+            for (n_ant, n_sub) in [(3usize, 30usize), (1, 4), (2, 1)] {
+                for seed in 0..40u64 {
+                    let packet = clean_packet(n_ant, n_sub);
+                    let re0: Vec<f64> = (0..n_ant * n_sub)
+                        .map(|i| packet.get(i / n_sub, i % n_sub).re)
+                        .collect();
+                    let im0: Vec<f64> = (0..n_ant * n_sub)
+                        .map(|i| packet.get(i / n_sub, i % n_sub).im)
+                        .collect();
+                    let (mut re, mut im) = (re0.clone(), im0.clone());
+                    let (mut re_ref, mut im_ref) = (re0, im0);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut rng_ref = StdRng::seed_from_u64(seed);
+                    prof.apply_planes(&mut re, &mut im, n_ant, n_sub, &mut rng, &mut corrupt);
+                    reference_apply_planes(
+                        prof,
+                        &mut re_ref,
+                        &mut im_ref,
+                        n_ant,
+                        n_sub,
+                        &mut rng_ref,
+                    );
+                    for i in 0..n_ant * n_sub {
+                        assert_eq!(
+                            re[i].to_bits(),
+                            re_ref[i].to_bits(),
+                            "profile {p} seed {seed} re[{i}]"
+                        );
+                        assert_eq!(
+                            im[i].to_bits(),
+                            im_ref[i].to_bits(),
+                            "profile {p} seed {seed} im[{i}]"
+                        );
+                    }
+                    assert_eq!(
+                        rng.gen::<u64>(),
+                        rng_ref.gen::<u64>(),
+                        "profile {p} seed {seed}: RNG state diverged"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

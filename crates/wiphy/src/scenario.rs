@@ -8,7 +8,9 @@
 //! a set of phase and amplitude values as the baseline data when the empty
 //! plastic beaker is placed at the LoS link, then pour the tested liquid").
 
-use crate::channel::{Environment, MultipathChannel, StandardNormal};
+use crate::channel::{
+    free_space_wavenumber, los_response, Environment, MultipathChannel, StandardNormal,
+};
 use crate::complex::Complex;
 use crate::csi::{CsiCapture, CsiPacket, CsiSource};
 use crate::fault::FaultPlan;
@@ -381,23 +383,16 @@ pub struct Simulator {
     liquid: Option<LiquidSpec>,
     rng: StdRng,
     rays: Vec<Ray>,
-    /// Per-subcarrier centre frequencies, hoisted out of the packet loop.
-    freqs: Vec<Hertz>,
-    /// Free-space LoS response per antenna × subcarrier. Depends only on
-    /// the (immutable) geometry and channel, so it is computed once.
-    los: Vec<Vec<Complex>>,
-    /// Cached [`Simulator::compute_target_insertions`] result. The
-    /// insertion factors are deterministic in the scenario and the current
-    /// liquid, so they stay valid until [`Simulator::set_liquid`] clears
-    /// them; only jitter, ray perturbation, multipath and hardware
-    /// impairments are stochastic per packet.
-    insertions_cache: Option<Vec<Vec<Complex>>>,
-    /// Static multipath path gains per antenna × subcarrier × scatterer
-    /// (`gain · e^{−jβ₀d}` for each scatterer). The scatterer geometry is
-    /// fixed once the channel is realised, so only the per-packet jitter
-    /// multipliers vary; caching these drops the per-scatterer distance
-    /// and `cis` work (the dominant per-packet cost) out of the loop.
-    mp_gains: Vec<Vec<Vec<Complex>>>,
+    /// Frequency-domain invariants of the realisation: subcarrier
+    /// frequencies, LoS responses and static multipath path gains.
+    band: BandCache,
+    /// Cached [`Simulator::compute_target_insertions`] result, an
+    /// antenna-major `n_antennas · n_subcarriers` plane. The insertion
+    /// factors are deterministic in the scenario and the current liquid,
+    /// so they stay valid until [`Simulator::set_liquid`] clears them;
+    /// only jitter, ray perturbation, multipath and hardware impairments
+    /// are stochastic per packet.
+    insertions_cache: Option<Vec<Complex>>,
     /// Ray-perturbation spread (amplitude σ, phase σ), hoisted from the
     /// per-packet draw; `None` when the scenario is perturbation-free.
     perturb_sigmas: Option<(f64, f64)>,
@@ -424,26 +419,68 @@ pub struct Simulator {
     /// Reusable per-packet ray-perturbation scratch (one entry per
     /// antenna); same contract as `jitter_scratch`.
     perturb_scratch: Vec<Complex>,
+    /// Reusable per-packet phase-corruption scratch for
+    /// [`HardwareProfile::apply_planes`]; same contract as
+    /// `jitter_scratch`.
+    corrupt_scratch: Vec<Complex>,
 }
 
-/// Static multipath path gains for every (antenna, subcarrier) of a
-/// scenario — see [`MultipathChannel::path_gains`].
-fn compute_multipath_gains(
-    scenario: &Scenario,
-    multipath: &MultipathChannel,
-    freqs: &[Hertz],
-) -> Vec<Vec<Vec<Complex>>> {
-    let tx = scenario.tx_position();
-    scenario
-        .rx_array()
-        .iter()
-        .map(|&rx_pos| {
-            freqs
-                .iter()
-                .map(|&f| multipath.path_gains(tx, rx_pos, f))
-                .collect()
-        })
-        .collect()
+/// The frequency-domain invariants of one realisation, computed once by
+/// [`BandCache::build`]. Each depends only on the (immutable) geometry,
+/// channel plan and scatterer constellation, so the packet loop only
+/// combines them with its per-packet draws.
+#[derive(Debug, Clone)]
+struct BandCache {
+    /// Per-subcarrier centre frequencies.
+    freqs: Vec<Hertz>,
+    /// Free-space LoS response, antenna-major: entry `a · n_sub + k`.
+    los: Vec<Complex>,
+    /// Static multipath path gains `gain · e^{−jβ₀d}` per antenna ×
+    /// subcarrier × scatterer: entry `(a · n_sub + k) · n_scatterers + s`.
+    /// Caching these drops the per-scatterer distance and `cis` work (the
+    /// dominant per-packet cost) out of the packet loop.
+    mp_gains: Vec<Complex>,
+}
+
+impl BandCache {
+    /// The one builder of the realisation caches, shared by
+    /// [`Simulator::new`] and [`Simulator::invalidate_caches`]. Path
+    /// lengths are computed once per (antenna, scatterer) and wavenumbers
+    /// once per subcarrier; every value is the same expression the
+    /// per-frequency formulas evaluate.
+    fn build(scenario: &Scenario, multipath: &MultipathChannel) -> Self {
+        let n_sub = scenario.channel.num_subcarriers();
+        let freqs: Vec<Hertz> = (0..n_sub)
+            .map(|k| scenario.channel.subcarrier_freq(k))
+            .collect();
+        let wavenumbers: Vec<f64> = freqs.iter().map(|&f| free_space_wavenumber(f)).collect();
+        let tx = scenario.tx_position();
+        let rx = scenario.rx_array();
+        let n_scat = multipath.scatterers().len();
+        let mut los = vec![Complex::ZERO; rx.len() * n_sub];
+        let mut mp_gains = vec![Complex::ZERO; rx.len() * n_sub * n_scat];
+        let row_gains = n_sub * n_scat;
+        for (a, &rx_pos) in rx.iter().enumerate() {
+            los_response(
+                tx,
+                rx_pos,
+                &wavenumbers,
+                scenario.link_distance,
+                &mut los[a * n_sub..(a + 1) * n_sub],
+            );
+            multipath.path_gains(
+                tx,
+                rx_pos,
+                &wavenumbers,
+                &mut mp_gains[a * row_gains..(a + 1) * row_gains],
+            );
+        }
+        BandCache {
+            freqs,
+            los,
+            mp_gains,
+        }
+    }
 }
 
 impl Simulator {
@@ -455,21 +492,7 @@ impl Simulator {
         let rx_center = Point::new(scenario.link_distance.value(), 0.0);
         let multipath = MultipathChannel::realize(scenario.environment, tx, rx_center, &mut rng);
         let rays: Vec<Ray> = rx.iter().map(|&p| Ray::new(tx, p)).collect();
-
-        let n_sub = scenario.channel.num_subcarriers();
-        let freqs: Vec<Hertz> = (0..n_sub)
-            .map(|k| scenario.channel.subcarrier_freq(k))
-            .collect();
-        let d_ref = scenario.link_distance;
-        let los = rx
-            .iter()
-            .map(|&rx_pos| {
-                freqs
-                    .iter()
-                    .map(|&f| crate::channel::los_response(tx, rx_pos, f, d_ref))
-                    .collect()
-            })
-            .collect();
+        let band = BandCache::build(&scenario, &multipath);
 
         let lambda = scenario.channel.center.wavelength();
         let severity = diffraction_severity(scenario.beaker.diameter, lambda);
@@ -481,18 +504,14 @@ impl Simulator {
             Some((0.6 * severity + 0.3 * flow, 2.5 * severity + 1.2 * flow))
         };
 
-        let mp_gains = compute_multipath_gains(&scenario, &multipath, &freqs);
-
         Simulator {
             scenario,
             multipath,
             liquid: None,
             rng,
             rays,
-            freqs,
-            los,
+            band,
             insertions_cache: None,
-            mp_gains,
             perturb_sigmas,
             fault: None,
             captures_taken: 0,
@@ -500,6 +519,7 @@ impl Simulator {
             trace: None,
             jitter_scratch: crate::channel::PacketJitter::empty(),
             perturb_scratch: Vec::new(),
+            corrupt_scratch: Vec::new(),
         }
     }
 
@@ -538,24 +558,7 @@ impl Simulator {
     /// identical; this exists so benchmarks can measure the uncached
     /// path.
     pub fn invalidate_caches(&mut self) {
-        let n_sub = self.scenario.channel.num_subcarriers();
-        self.freqs = (0..n_sub)
-            .map(|k| self.scenario.channel.subcarrier_freq(k))
-            .collect();
-        let tx = self.scenario.tx_position();
-        let d_ref = self.scenario.link_distance;
-        self.los = self
-            .scenario
-            .rx_array()
-            .iter()
-            .map(|&rx_pos| {
-                self.freqs
-                    .iter()
-                    .map(|&f| crate::channel::los_response(tx, rx_pos, f, d_ref))
-                    .collect()
-            })
-            .collect();
-        self.mp_gains = compute_multipath_gains(&self.scenario, &self.multipath, &self.freqs);
+        self.band = BandCache::build(&self.scenario, &self.multipath);
         self.insertions_cache = None;
     }
 
@@ -595,7 +598,7 @@ impl Simulator {
     /// flat planes directly via [`Simulator::packet_into`]).
     pub fn packet(&mut self) -> CsiPacket {
         let n_ant = self.scenario.n_antennas;
-        let n_sub = self.freqs.len();
+        let n_sub = self.band.freqs.len();
         let mut re = vec![0.0; n_ant * n_sub];
         let mut im = vec![0.0; n_ant * n_sub];
         self.packet_into(&mut re, &mut im);
@@ -616,7 +619,8 @@ impl Simulator {
     // wlint: allow(panic-reach) — per-antenna rows and cached insertion tables are all sized n_antennas·n_subcarriers by construction
     fn packet_into(&mut self, re: &mut [f64], im: &mut [f64]) {
         let n_ant = self.scenario.n_antennas;
-        let n_sub = self.freqs.len();
+        let n_sub = self.band.freqs.len();
+        let n_scat = self.multipath.scatterers().len();
 
         let mut jitter = std::mem::replace(
             &mut self.jitter_scratch,
@@ -641,60 +645,65 @@ impl Simulator {
             .take()
             .unwrap_or_else(|| self.compute_target_insertions());
 
-        for a in 0..n_ant {
-            let perturb = perturbs[a];
-            let row = a * n_sub;
-            let subcarriers = self.los[a]
-                .iter()
-                .zip(&insertions[a])
-                .zip(&self.mp_gains[a])
-                .enumerate();
-            for (k, ((&los, &insertion), gains)) in subcarriers {
-                let through = los * insertion * perturb;
-                let mp = self.multipath.response_from_gains(gains, &jitter);
-                let h = through + mp;
-                re[row + k] = h.re;
-                im[row + k] = h.im;
+        for (a, &perturb) in perturbs.iter().enumerate() {
+            for i in a * n_sub..(a + 1) * n_sub {
+                let through = self.band.los[i] * insertions[i] * perturb;
+                let gains = &self.band.mp_gains[i * n_scat..(i + 1) * n_scat];
+                let h = through + self.multipath.response_from_gains(gains, &jitter);
+                re[i] = h.re;
+                im[i] = h.im;
             }
         }
 
-        self.scenario
-            .hardware
-            .apply_planes(re, im, n_ant, n_sub, &mut self.rng);
+        self.scenario.hardware.apply_planes(
+            re,
+            im,
+            n_ant,
+            n_sub,
+            &mut self.rng,
+            &mut self.corrupt_scratch,
+        );
         self.insertions_cache = Some(insertions);
         self.jitter_scratch = jitter;
         self.perturb_scratch = perturbs;
     }
 
     /// Per-antenna, per-subcarrier complex insertion factor of the beaker
-    /// (and liquid) on the LoS ray, with the common leakage floor applied.
-    /// Deterministic in `(scenario, liquid)` — see `insertions_cache`.
+    /// (and liquid) on the LoS ray, with the common leakage floor applied,
+    /// as an antenna-major `n_antennas · n_subcarriers` plane.
+    /// Deterministic in `(scenario, liquid)` — see `insertions_cache`. The
+    /// propagation constants depend only on frequency, so they are
+    /// evaluated once per subcarrier and shared by every antenna.
     // wlint: allow(hot-path-alloc) — cold fallback: runs once per (scenario, liquid) change and is cached; the steady-state path takes the cache hit
-    fn compute_target_insertions(&self) -> Vec<Vec<Complex>> {
-        let n_sub = self.freqs.len();
-        let outer = Cylinder::new(self.scenario.target_center, self.scenario.beaker.radius());
-        let wall = self.scenario.beaker.wall_thickness;
+    fn compute_target_insertions(&self) -> Vec<Complex> {
+        let n_sub = self.band.freqs.len();
+        let n_rays = self.rays.len();
 
         // Metal blocks penetration entirely: −80 dB and no leakage floor
         // (reflection carries no through-target signature).
         let Some(wall_diel) = self.scenario.beaker.material.dielectric() else {
-            let blocked = Complex::from_re(1e-4);
-            return vec![vec![blocked; n_sub]; self.rays.len()];
+            return vec![Complex::from_re(1e-4); n_rays * n_sub];
         };
 
-        let mut per_antenna: Vec<Vec<Complex>> = Vec::with_capacity(self.rays.len());
-        for &ray in &self.rays {
-            let trav = traverse_beaker(ray, outer, wall);
-            let mut row = Vec::with_capacity(n_sub);
-            for &f in &self.freqs {
-                let air = PropagationConstants::air(f);
-                let mut ins = insertion_factor(wall_diel.propagation(f), air, trav.wall_path);
-                if let Some(liquid) = &self.liquid {
-                    ins *= insertion_factor(liquid.propagation(f), air, trav.liquid_path);
+        let outer = Cylinder::new(self.scenario.target_center, self.scenario.beaker.radius());
+        let wall = self.scenario.beaker.wall_thickness;
+        let traversals: Vec<_> = self
+            .rays
+            .iter()
+            .map(|&ray| traverse_beaker(ray, outer, wall))
+            .collect();
+        let mut plane = vec![Complex::ZERO; n_rays * n_sub];
+        for (k, &f) in self.band.freqs.iter().enumerate() {
+            let air = PropagationConstants::air(f);
+            let wall_pc = wall_diel.propagation(f);
+            let liquid_pc = self.liquid.as_ref().map(|liquid| liquid.propagation(f));
+            for (a, trav) in traversals.iter().enumerate() {
+                let mut ins = insertion_factor(wall_pc, air, trav.wall_path);
+                if let Some(liquid_pc) = liquid_pc {
+                    ins *= insertion_factor(liquid_pc, air, trav.liquid_path);
                 }
-                row.push(ins);
+                plane[a * n_sub + k] = ins;
             }
-            per_antenna.push(row);
         }
 
         // Leakage floor: boost the *common* attenuation (geometric mean
@@ -703,16 +712,14 @@ impl Simulator {
         // differential that WiMi measures is untouched.
         let floor = 10f64.powf(self.scenario.leakage_floor_db / 20.0);
         let mid = n_sub / 2;
-        let mean_amp = geometric_mean(per_antenna.iter().map(|row| row[mid].abs()));
+        let mean_amp = geometric_mean((0..n_rays).map(|a| plane[a * n_sub + mid].abs()));
         if mean_amp < floor && mean_amp > 0.0 {
             let boost = floor / mean_amp;
-            for row in &mut per_antenna {
-                for ins in row.iter_mut() {
-                    *ins = *ins * boost;
-                }
+            for ins in plane.iter_mut() {
+                *ins = *ins * boost;
             }
         }
-        per_antenna
+        plane
     }
 
     /// Per-packet multiplicative perturbation of one LoS ray from liquid
@@ -738,7 +745,7 @@ impl CsiSource for Simulator {
         let trace = self.trace.clone();
         let _trace_span = trace.as_ref().map(|t| t.span(wimi_obs::StageId::Capture));
         let n_ant = self.scenario.n_antennas;
-        let n_sub = self.freqs.len();
+        let n_sub = self.band.freqs.len();
         let mut clean = CsiCapture::zeros(n_packets, n_ant, n_sub);
         for m in 0..n_packets {
             let (re, im) = clean.packet_planes_mut(m);
