@@ -11,6 +11,9 @@ use wimi_ml::knn::KnnClassifier;
 use wimi_ml::scale::StandardScaler;
 use wimi_ml::svm::{Kernel, SvmParams};
 use wimi_phy::material::Liquid;
+use wimi_phy::scenario::LiquidSpec;
+use wimi_serve::{measure_with_retry, RetryPolicy};
+use wimi_trace::TaskKey;
 
 fn subset() -> Vec<Material> {
     [
@@ -100,7 +103,9 @@ pub fn ablation_classifier(effort: Effort) {
     for trial in 0..opts.n_train {
         for (label, m) in materials.iter().enumerate() {
             let seed = opts.seed + 1_000 + trial as u64 * 131 + label as u64;
-            if let (Some(f), _) = crate::harness::measure(&extractor, &m.spec, &opts, seed) {
+            let setup = opts.trial(Some(&m.spec));
+            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
+            if let Some(f) = out.feature {
                 train.push(f.as_vector(), label);
             }
         }
@@ -117,7 +122,9 @@ pub fn ablation_classifier(effort: Effort) {
     for trial in 0..opts.n_test {
         for (label, m) in materials.iter().enumerate() {
             let seed = opts.seed + 900_000 + trial as u64 * 137 + label as u64;
-            if let (Some(f), _) = crate::harness::measure(&extractor, &m.spec, &opts, seed) {
+            let setup = opts.trial(Some(&m.spec));
+            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
+            if let Some(f) = out.feature {
                 total += 1;
                 if knn.predict(&scaler.transform_one(&f.as_vector())) == label {
                     correct += 1;
@@ -136,9 +143,10 @@ pub fn ablation_classifier(effort: Effort) {
 pub fn robustness_flowing_liquid() {
     heading("Robustness", "flowing liquid (paper §VI limitation)");
     let extractor = wimi_core::WiMi::new(WiMiConfig::default());
+    let milk: LiquidSpec = Liquid::Milk.into();
     for flow in [0.0, 0.4, 0.8] {
         let opts = RunOptions {
-            retry: crate::harness::RetryPolicy::attempts(1),
+            retry: RetryPolicy::attempts(1),
             modify: Box::new(move |b| {
                 b.flow_noise(flow);
             }),
@@ -147,9 +155,10 @@ pub fn robustness_flowing_liquid() {
         let mut refused = 0usize;
         let total = 12usize;
         for trial in 0..total as u64 {
-            let (feat, _) =
-                crate::harness::measure(&extractor, &Liquid::Milk.into(), &opts, 50_000 + trial);
-            if feat.is_none() {
+            let seed = 50_000 + trial;
+            let setup = opts.trial(Some(&milk));
+            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
+            if out.feature.is_none() {
                 refused += 1;
             }
         }

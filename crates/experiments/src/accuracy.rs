@@ -9,6 +9,8 @@ use wimi_phy::channel::Environment;
 use wimi_phy::material::{ContainerMaterial, Liquid, SaltwaterConcentration};
 use wimi_phy::scenario::Beaker;
 use wimi_phy::units::Meters;
+use wimi_serve::{measure_with_retry, RetryPolicy};
+use wimi_trace::TaskKey;
 
 /// A quick/full switch: quick mode shrinks trial counts ~3× for smoke runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,7 +339,7 @@ pub fn fig20(effort: Effort) {
     let opts = RunOptions {
         n_train: 2,
         n_test: 4,
-        retry: crate::harness::RetryPolicy::attempts(1),
+        retry: RetryPolicy::attempts(1),
         modify: Box::new(|b| {
             b.beaker(Beaker::paper_default().with_material(ContainerMaterial::Metal));
         }),
@@ -349,8 +351,10 @@ pub fn fig20(effort: Effort) {
     for trial in 0..6u64 {
         for m in &materials {
             total += 1;
-            let (feat, _) = crate::harness::measure(&extractor, &m.spec, &opts, 777 + trial);
-            if feat.is_none() {
+            let seed = 777 + trial;
+            let setup = opts.trial(Some(&m.spec));
+            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
+            if out.feature.is_none() {
                 refused += 1;
             }
         }

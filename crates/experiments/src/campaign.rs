@@ -21,13 +21,15 @@ use wimi_campaign::{
 };
 use wimi_core::{WiMi, WiMiConfig};
 use wimi_ml::dataset::Dataset;
-use wimi_obs::{CounterId, Recorder};
+use wimi_obs::json::fixed6;
+use wimi_obs::Recorder;
 use wimi_phy::scenario::{Beaker, LiquidSpec};
 use wimi_phy::units::Meters;
+use wimi_serve::measure_with_retry;
 use wimi_trace::artifact::{cell_artifact_name, render_cell, CampaignTag};
-use wimi_trace::{analyze, TraceSink};
+use wimi_trace::{analyze, TaskKey, TraceSink};
 
-use crate::harness::{measure_target, RunOptions};
+use crate::harness::RunOptions;
 
 /// Schema identifier of the campaign summary JSON.
 pub const SUMMARY_SCHEMA: &str = "wimi-campaign/1";
@@ -175,10 +177,11 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
     for trial in 0..c.train {
         for (label, spec) in specs.iter().enumerate() {
             let seed = cell.seed + 1_000 + trial as u64 * 131 + label as u64;
-            let (feat, stats) = measure_target(&extractor, Some(spec), &train_opts, seed);
-            rejected += stats.rejected;
-            salvaged += stats.salvaged as usize;
-            match feat {
+            let setup = train_opts.trial(Some(spec));
+            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
+            rejected += out.rejected;
+            salvaged += out.salvaged as usize;
+            match out.feature {
                 Some(f) => train.push(f.as_vector(), label),
                 None => dropped += 1,
             }
@@ -226,10 +229,11 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
                 TargetMode::Swapped => Some(&specs[(label + 1) % k]),
                 TargetMode::Removed => None,
             };
-            let (feat, stats) = measure_target(&extractor, spec, &opts, seed);
-            rejected += stats.rejected;
-            salvaged += stats.salvaged as usize;
-            match feat {
+            let setup = opts.trial(spec);
+            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
+            rejected += out.rejected;
+            salvaged += out.salvaged as usize;
+            match out.feature {
                 Some(f) => {
                     let wimi = trained.as_ref().expect("test phase only runs when trained");
                     let predicted = wimi.classify_feature(&f).expect("trained");
@@ -242,7 +246,6 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
             }
         }
     }
-    recorder.add(CounterId::TrialsDropped, dropped as u64);
 
     let (correct, total) = segments.iter().fold((0usize, 0usize), |(c0, t0), s| {
         (c0 + s.correct, t0 + s.total)
@@ -311,12 +314,6 @@ pub fn work_totals(outcome: &CampaignOutcome) -> Vec<(String, u64)> {
     rows
 }
 
-fn json_f64(x: f64) -> String {
-    // Summary accuracies are ratios of small integers; six decimals are
-    // exact enough to be stable and deterministic across platforms.
-    format!("{x:.6}")
-}
-
 /// Renders the campaign summary JSON (`wimi-campaign/1`): campaign
 /// identity, aggregated work totals, and one record per cell with its
 /// seed, scores and artifact name. Field order and formatting are fixed,
@@ -351,8 +348,8 @@ pub fn summary_json(outcome: &CampaignOutcome) -> String {
                 format!(
                     "{{\"from\": {}, \"intensity\": {}, \"accuracy\": {}}}",
                     s.from,
-                    json_f64(s.intensity),
-                    json_f64(s.accuracy())
+                    fixed6(s.intensity),
+                    fixed6(s.accuracy())
                 )
             })
             .collect();
@@ -363,7 +360,7 @@ pub fn summary_json(outcome: &CampaignOutcome) -> String {
              \"segments\": [{}]}}{comma}",
             cell.index,
             cell.seed,
-            json_f64(cell.accuracy),
+            fixed6(cell.accuracy),
             cell.dropped,
             cell.rejected,
             cell.salvaged,

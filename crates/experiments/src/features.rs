@@ -1,14 +1,17 @@
 //! Feature-space figures: the material feature Ω̄ and antenna-pair
 //! selection evidence (paper Figs. 9, 10).
 
-use crate::harness::{heading, measure, Material, RunOptions};
+use crate::harness::{heading, Material, RunOptions};
 use wimi_core::amplitude::{AmplitudeConfig, AmplitudeRatioProfile};
 use wimi_core::antenna::score_pairs;
 use wimi_core::phase::PhaseDifferenceProfile;
 use wimi_core::{WiMi, WiMiConfig};
 use wimi_dsp::stats::{mean, std_dev};
+use wimi_phy::channel::Environment;
 use wimi_phy::material::Liquid;
 use wimi_phy::scenario::LiquidSpec;
+use wimi_serve::{measure_with_retry, Trial};
+use wimi_trace::TaskKey;
 
 /// Fig. 9: Ω̄ clusters for five liquids.
 pub fn fig9() {
@@ -30,8 +33,10 @@ pub fn fig9() {
     for (i, m) in materials.iter().enumerate() {
         let mut omegas = Vec::new();
         for trial in 0..15u64 {
-            let (feat, _) = measure(&extractor, &m.spec, &opts, 90_000 + i as u64 * 97 + trial);
-            if let Some(f) = feat {
+            let seed = 90_000 + i as u64 * 97 + trial;
+            let setup = opts.trial(Some(&m.spec));
+            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
+            if let Some(f) = out.feature {
                 omegas.push(f.omega_mean());
             }
         }
@@ -63,14 +68,8 @@ pub fn fig9() {
 /// Fig. 10: phase-difference and amplitude-ratio variance per antenna pair.
 pub fn fig10() {
     heading("Fig. 10", "variance per antenna combination");
-    let (_, tar) = crate::harness::capture_pair(
-        &Liquid::Milk.into(),
-        wimi_phy::channel::Environment::Lab,
-        200,
-        10,
-        1.0,
-        &|_| {},
-    );
+    let milk: LiquidSpec = Liquid::Milk.into();
+    let (_, tar) = Trial::clean(Some(&milk), Environment::Lab, 200).capture_pair(10, 1.0);
     println!("pair : phase-diff variance : amplitude-ratio variance");
     for score in score_pairs(&tar, &AmplitudeConfig::default()) {
         println!(
@@ -100,14 +99,8 @@ pub fn fig10() {
 /// useful context for readers of the report).
 pub fn feature_anatomy() {
     heading("Anatomy", "ΔΘ / ΔΨ / Ω̄ of one milk measurement");
-    let (base, tar) = crate::harness::capture_pair(
-        &Liquid::Milk.into(),
-        wimi_phy::channel::Environment::Lab,
-        20,
-        42,
-        1.0,
-        &|_| {},
-    );
+    let milk: LiquidSpec = Liquid::Milk.into();
+    let (base, tar) = Trial::clean(Some(&milk), Environment::Lab, 20).capture_pair(42, 1.0);
     let pb = PhaseDifferenceProfile::compute(&base, 0, 1);
     let pt = PhaseDifferenceProfile::compute(&tar, 0, 1);
     let ab = AmplitudeRatioProfile::compute(&base, 0, 1, &AmplitudeConfig::default());

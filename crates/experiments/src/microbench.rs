@@ -1,7 +1,7 @@
 //! Microbenchmark figures: the CSI pre-processing evidence
 //! (paper Figs. 2, 3, 6, 7, 8 and 12).
 
-use crate::harness::{capture_pair, heading};
+use crate::harness::heading;
 use wimi_core::amplitude::{
     per_antenna_amplitude_variance, AmplitudeConfig, AmplitudeRatioProfile,
 };
@@ -11,18 +11,22 @@ use wimi_dsp::filters::{butterworth_filtfilt, median_filter, slide_filter};
 use wimi_dsp::stats::{mean, rms};
 use wimi_dsp::wavelet::correlation_denoise;
 use wimi_phy::channel::Environment;
+use wimi_phy::csi::CsiCapture;
 use wimi_phy::material::Liquid;
 use wimi_phy::scenario::LiquidSpec;
+use wimi_serve::Trial;
 
-fn milk() -> LiquidSpec {
-    Liquid::Milk.into()
+/// A clean baseline/milk capture pair at the nominal placement.
+fn milk_pair(environment: Environment, packets: usize, seed: u64) -> (CsiCapture, CsiCapture) {
+    let milk: LiquidSpec = Liquid::Milk.into();
+    Trial::clean(Some(&milk), environment, packets).capture_pair(seed, 1.0)
 }
 
 /// Fig. 2: raw CSI phase is uniformly random across packets; the
 /// cross-antenna phase difference concentrates.
 pub fn fig2() {
     heading("Fig. 2", "raw CSI phase vs cross-antenna phase difference");
-    let (_, tar) = capture_pair(&milk(), Environment::Lab, 200, 2, 1.0, &|_| {});
+    let (_, tar) = milk_pair(Environment::Lab, 200, 2);
     let raw = raw_phase_spread(&tar, 0, 15);
     let diff = phase_difference_spread_deg(&tar, 0, 1, 15);
     println!(
@@ -47,7 +51,7 @@ pub fn fig2() {
 /// Fig. 3: raw amplitude readings contain outliers and impulse noise.
 pub fn fig3() {
     heading("Fig. 3", "raw CSI amplitude outliers and impulse noise");
-    let (_, tar) = capture_pair(&milk(), Environment::Lab, 400, 3, 1.0, &|_| {});
+    let (_, tar) = milk_pair(Environment::Lab, 400, 3);
     let series = tar.amplitude_series(0, 15);
     let m = mean(&series);
     let sd = wimi_dsp::stats::std_dev(&series);
@@ -76,7 +80,7 @@ pub fn fig3() {
 /// and a few "good" subcarriers stand out.
 pub fn fig6() {
     heading("Fig. 6", "phase-difference variance per subcarrier");
-    let (base, tar) = capture_pair(&milk(), Environment::Lab, 200, 6, 1.0, &|_| {});
+    let (base, tar) = milk_pair(Environment::Lab, 200, 6);
     let pb = PhaseDifferenceProfile::compute(&base, 0, 1);
     let pt = PhaseDifferenceProfile::compute(&tar, 0, 1);
     let ranked = rank_subcarriers(&pb, &pt);
@@ -179,7 +183,7 @@ pub fn fig8() {
     heading("Fig. 8", "amplitude variance: single antennas vs ratio");
     // Measured on the baseline capture: the figure's point is that the
     // common AGC/power wobble cancels in the cross-antenna ratio.
-    let (tar, _) = capture_pair(&milk(), Environment::Lab, 200, 8, 1.0, &|_| {});
+    let (tar, _) = milk_pair(Environment::Lab, 200, 8);
     let v1 = per_antenna_amplitude_variance(&tar, 0);
     let v2 = per_antenna_amplitude_variance(&tar, 1);
     let ratio = AmplitudeRatioProfile::compute(&tar, 0, 1, &AmplitudeConfig::raw());
@@ -214,7 +218,7 @@ pub fn fig8() {
 /// good-subcarrier spread.
 pub fn fig12() {
     heading("Fig. 12", "phase calibration performance (library)");
-    let (base, tar) = capture_pair(&milk(), Environment::Library, 200, 12, 1.0, &|_| {});
+    let (base, tar) = milk_pair(Environment::Library, 200, 12);
     let raw = raw_phase_spread(&tar, 0, 15);
     let pb = PhaseDifferenceProfile::compute(&base, 0, 1);
     let pt = PhaseDifferenceProfile::compute(&tar, 0, 1);

@@ -308,6 +308,13 @@ impl Parser<'_> {
     }
 }
 
+/// Renders a ratio of small integers (an accuracy, a fault intensity)
+/// with six fixed decimals: exact enough to be stable, and identical on
+/// every platform, so summaries that embed it stay byte-comparable.
+pub fn fixed6(x: f64) -> String {
+    format!("{x:.6}")
+}
+
 /// Re-serialises a JSON document onto a single line with no interstitial
 /// whitespace (string contents untouched). Used to embed the multi-line
 /// `wimi-obs/1` snapshot as one JSONL record in trace artifacts.

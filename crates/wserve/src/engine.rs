@@ -23,19 +23,18 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rand::{Rng, SeedableRng};
 use wimi_campaign::derive_cell_seed;
 use wimi_core::{MaterialFeature, WiMi, WiMiConfig};
 use wimi_ml::dataset::Dataset;
 use wimi_obs::{CounterId, GaugeId, Recorder};
 use wimi_phy::channel::Environment;
-use wimi_phy::csi::CsiSource;
-use wimi_phy::scenario::{LiquidSpec, Scenario, Simulator};
-use wimi_phy::units::Meters;
+use wimi_phy::scenario::LiquidSpec;
+use wimi_trace::TaskKey;
 
 use crate::cache::{ModelCache, ModelKey};
 use crate::queue::{BoundedQueues, ShardTick};
-use crate::session::{MeasureOutcome, MeasureRequest, Session};
+use crate::retry::{measure_with_retry, MeasureOutcome, Trial};
+use crate::session::{MeasureRequest, Session};
 
 /// Engine shape and training configuration.
 #[derive(Debug, Clone)]
@@ -342,9 +341,13 @@ impl Engine {
     /// Trains the model for one key: a deterministic training set —
     /// `train_per_class` clean measurements per catalog material under
     /// the key's environment and capture length, seeded purely from the
-    /// key — then an SVM fit. A key whose training set ends up with
-    /// fewer than two populated classes yields an *untrained* model (its
-    /// requests classify to `None`), keeping the service total.
+    /// key — then an SVM fit. Training measurements go through the same
+    /// re-seat-and-retry protocol as serving ([`measure_with_retry`]),
+    /// under the default policy, without faults or tracing: a
+    /// [`ModelKey`] has no fault component, so its model is the clean
+    /// deployment's. A key whose training set ends up with fewer than two
+    /// populated classes yields an *untrained* model (its requests
+    /// classify to `None`), keeping the service total.
     fn train_model(&self, key: &ModelKey) -> WiMi {
         let seed = key.train_seed(self.cfg.train_root);
         let environment = Environment::ALL
@@ -355,7 +358,6 @@ impl Engine {
         let mut extractor = WiMi::new(self.cfg.config.clone());
         extractor.set_recorder(Some(Arc::clone(&self.recorder)));
         let mut ds = Dataset::new(key.catalog.clone());
-        let retry = crate::retry::RetryPolicy::default();
         for trial in 0..self.cfg.train_per_class.max(1) {
             for (label, name) in key.catalog.iter().enumerate() {
                 // Unknown names contribute no samples; if that leaves the
@@ -364,28 +366,14 @@ impl Engine {
                     continue;
                 };
                 let mseed = derive_cell_seed(seed, (trial * key.catalog.len() + label) as u64);
-                let mut placement =
-                    rand::rngs::StdRng::seed_from_u64(mseed ^ 0x9E37_79B9_7F4A_7C15);
-                // Training measurements get the same re-seat-and-retry
-                // protocol as serving: a single placement regularly lands
-                // in a gamma-ambiguous spot and extraction refuses it.
-                for attempt in 0..retry.allowed_attempts(key.packets) {
-                    let offset_cm = 1.0 + placement.gen_range(-0.5..0.5);
-                    let mut builder = Scenario::builder();
-                    builder.environment(environment);
-                    builder.target_offset(Meters::from_cm(offset_cm));
-                    let mut sim = Simulator::new(
-                        builder.build(),
-                        crate::retry::attempt_capture_seed(mseed, attempt),
-                    );
-                    sim.set_recorder(Some(Arc::clone(&self.recorder)));
-                    let base = sim.capture(key.packets);
-                    sim.set_liquid(Some(spec.clone()));
-                    let tar = sim.capture(key.packets);
-                    if let Ok(f) = extractor.measure(&base, &tar).feature {
-                        ds.push(f.as_vector(), label);
-                        break;
-                    }
+                let clean = Trial {
+                    recorder: Some(&self.recorder),
+                    ..Trial::clean(Some(spec), environment, key.packets)
+                };
+                let out =
+                    measure_with_retry(&extractor, &clean, mseed, TaskKey::measurement(mseed));
+                if let Some(f) = out.feature {
+                    ds.push(f.as_vector(), label);
                 }
             }
         }
@@ -407,7 +395,13 @@ mod tests {
     use super::*;
     use crate::retry::RetryPolicy;
     use crate::session::SessionSpec;
-    use wimi_phy::material::Liquid;
+    use rand::{Rng, SeedableRng};
+    use wimi_obs::Snapshot;
+    use wimi_phy::csi::CsiSource;
+    use wimi_phy::fault::FaultPlan;
+    use wimi_phy::material::{Liquid, LIQUIDS};
+    use wimi_phy::scenario::{Scenario, Simulator};
+    use wimi_phy::units::Meters;
 
     fn sessions(n: usize) -> (Vec<Session>, Vec<(String, LiquidSpec)>) {
         let catalog: Vec<(String, LiquidSpec)> = [Liquid::Milk, Liquid::PureWater]
@@ -519,5 +513,161 @@ mod tests {
         let snap = engine.recorder().snapshot();
         assert_eq!(snap.counter("serve_shed"), Some(1));
         assert_eq!(engine.drain().len(), 1);
+    }
+
+    /// One training measurement as the engine took it before training
+    /// moved onto `measure_with_retry`: the loop body of the old
+    /// `train_model`, verbatim but for the recorder, with the attempt
+    /// count made visible. Attempts stop at the *planned* cap.
+    fn planned_cap_reference(
+        extractor: &WiMi,
+        spec: &LiquidSpec,
+        environment: Environment,
+        packets: usize,
+        mseed: u64,
+    ) -> (Option<MaterialFeature>, usize) {
+        let retry = crate::retry::RetryPolicy::default();
+        let mut placement = rand::rngs::StdRng::seed_from_u64(mseed ^ 0x9E37_79B9_7F4A_7C15);
+        for attempt in 0..retry.allowed_attempts(packets) {
+            let offset_cm = 1.0 + placement.gen_range(-0.5..0.5);
+            let mut builder = Scenario::builder();
+            builder.environment(environment);
+            builder.target_offset(Meters::from_cm(offset_cm));
+            let mut sim = Simulator::new(
+                builder.build(),
+                crate::retry::attempt_capture_seed(mseed, attempt),
+            );
+            let base = sim.capture(packets);
+            sim.set_liquid(Some(spec.clone()));
+            let tar = sim.capture(packets);
+            if let Ok(f) = extractor.measure(&base, &tar).feature {
+                return (Some(f), attempt + 1);
+            }
+        }
+        (None, retry.allowed_attempts(packets))
+    }
+
+    /// How many of `key`'s training trials the old `train_model` loop
+    /// ran out of attempts on.
+    fn reference_exhausted(engine: &Engine, key: &ModelKey) -> usize {
+        let seed = key.train_seed(engine.cfg.train_root);
+        let environment = Environment::ALL
+            .iter()
+            .copied()
+            .find(|e| e.name() == key.environment)
+            .unwrap_or(Environment::Lab);
+        let extractor = WiMi::new(engine.cfg.config.clone());
+        let mut exhausted = 0;
+        for trial in 0..engine.cfg.train_per_class.max(1) {
+            for (label, name) in key.catalog.iter().enumerate() {
+                let Some(spec) = engine.specs.get(name) else {
+                    continue;
+                };
+                let mseed = derive_cell_seed(seed, (trial * key.catalog.len() + label) as u64);
+                let (f, _) =
+                    planned_cap_reference(&extractor, spec, environment, key.packets, mseed);
+                exhausted += usize::from(f.is_none());
+            }
+        }
+        exhausted
+    }
+
+    fn bits(f: &Option<MaterialFeature>) -> Option<Vec<u64>> {
+        f.as_ref()
+            .map(|f| f.as_vector().iter().map(|x| x.to_bits()).collect())
+    }
+
+    #[test]
+    fn training_measurements_match_the_planned_cap_reference() {
+        // Clean captures keep every packet, so charging the budget with
+        // kept packets spends exactly the nominal 2 × packets per attempt
+        // and `allows_another` stops where `allowed_attempts` did: at the
+        // attempt cap for 8 packets, at the budget for 51 and 100.
+        let extractor = WiMi::new(WiMiConfig::default());
+        let mut exhausted = [0usize; 3];
+        for (p, packets) in [8usize, 51, 100].into_iter().enumerate() {
+            for environment in [Environment::Lab, Environment::EmptyHall] {
+                for (i, &liquid) in LIQUIDS.iter().enumerate() {
+                    let spec: LiquidSpec = liquid.into();
+                    for k in 0..10u64 {
+                        let mseed = derive_cell_seed(0x7EA1 + packets as u64, k * 8 + i as u64);
+                        let (want, want_attempts) =
+                            planned_cap_reference(&extractor, &spec, environment, packets, mseed);
+                        let trial = Trial::clean(Some(&spec), environment, packets);
+                        let got = measure_with_retry(
+                            &extractor,
+                            &trial,
+                            mseed,
+                            TaskKey::measurement(mseed),
+                        );
+                        let case = format!("packets={packets} {environment:?} {liquid:?} k={k}");
+                        assert_eq!(bits(&got.feature), bits(&want), "{case}");
+                        assert_eq!(got.attempts, want_attempts, "{case}");
+                        assert_eq!(got.packets_spent, 2 * packets * got.attempts, "{case}");
+                        exhausted[p] += usize::from(got.feature.is_none());
+                    }
+                }
+            }
+        }
+        // Each length must run some trial into its cap (4, 3 and 2
+        // attempts), or the comparison never reaches the bound.
+        assert!(
+            exhausted.iter().all(|&n| n > 0),
+            "every capture length must exhaust a trial: {exhausted:?}"
+        );
+    }
+
+    /// Asserts the retry counter contract on one recorder snapshot.
+    fn assert_conserved(snap: &Snapshot, exhausted: u64, what: &str) {
+        let counter = |name| snap.counter(name).unwrap_or(0);
+        let runs: u64 = snap.attempts.counts.iter().sum();
+        assert!(runs > 0, "{what}: no measurement runs recorded");
+        assert_eq!(
+            counter("measurements_attempted"),
+            counter("retries") + runs,
+            "{what}: attempts must equal retries plus runs"
+        );
+        assert_eq!(
+            counter("trials_dropped"),
+            exhausted,
+            "{what}: dropped trials"
+        );
+    }
+
+    #[test]
+    fn retry_counters_conserve_on_engine_and_session_recorders() {
+        let (mut s, catalog) = sessions(4);
+        for session in s.iter_mut().skip(1).step_by(2) {
+            session.fault = Some(FaultPlan::hostile(0xBAD0 + session.id));
+        }
+        let mut engine = Engine::new(tiny_config(), s, catalog, Arc::new(Recorder::enabled()));
+        for seq in 0..3 {
+            engine.submit(&requests(4, seq));
+        }
+        let responses = engine.drain();
+        assert!(!engine.cache().is_empty(), "the drain must train a key");
+
+        let keys: std::collections::BTreeSet<ModelKey> = engine
+            .sessions()
+            .iter()
+            .map(|s| engine.model_key(s))
+            .collect();
+        let trained_dropped: usize = keys.iter().map(|k| reference_exhausted(&engine, k)).sum();
+        assert_conserved(
+            &engine.recorder().snapshot(),
+            trained_dropped as u64,
+            "engine",
+        );
+        for session in engine.sessions() {
+            let exhausted = responses
+                .iter()
+                .filter(|r| r.session == session.id && !r.measured)
+                .count();
+            assert_conserved(
+                &session.recorder.snapshot(),
+                exhausted as u64,
+                &format!("session {}", session.id),
+            );
+        }
     }
 }

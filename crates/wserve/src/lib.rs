@@ -10,6 +10,9 @@
 //! most of the cost at that scale is *training* and *inference*, both of
 //! which amortise across links. This crate provides the serving layer:
 //!
+//! * [`measure_with_retry`] — the one re-seat-and-retry measurement
+//!   protocol (a [`Trial`] under a [`RetryPolicy`]) that sessions, model
+//!   training and the experiment harness all call.
 //! * [`Session`] — one link: scenario, ground truth, [`RetryPolicy`],
 //!   and its own per-session observability sinks.
 //! * [`Engine`] — tick-structured service: [`Engine::submit`] requests
@@ -45,6 +48,6 @@ pub use cache::{ModelCache, ModelKey};
 pub use engine::{Engine, ServeConfig, ServeResponse, ShardTickStats};
 pub use fleet::{run_campaign_fleet, run_fleet, FleetConfig, FleetReport, SessionStat};
 pub use queue::{BoundedQueues, ShardTick};
-pub use retry::{attempt_capture_seed, RetryPolicy};
-pub use session::{MeasureOutcome, MeasureRequest, Session, SessionSpec};
+pub use retry::{attempt_capture_seed, measure_with_retry, MeasureOutcome, RetryPolicy, Trial};
+pub use session::{MeasureRequest, Session, SessionSpec};
 pub use summary::{summary_json, validate_summary, SUMMARY_SCHEMA};

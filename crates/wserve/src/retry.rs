@@ -1,8 +1,24 @@
-//! Bounded retry policy for the re-seat-and-retry measurement protocol.
+//! The re-seat-and-retry measurement protocol, in one place.
 //!
-//! This lived in the experiment harness until the serve layer needed it
-//! per session; the harness re-exports it, so existing call sites keep
-//! their paths.
+//! A WiMi measurement is one baseline/target capture pair at one beaker
+//! placement. A placement that lands γ-ambiguous is refused, so the
+//! operator re-seats the beaker and tries again under a bounded
+//! [`RetryPolicy`]. [`measure_with_retry`] is that protocol; the
+//! experiment harness, campaign cells, serve sessions and serve-side
+//! model training all call it, so a measurement means the same thing
+//! wherever it is taken.
+
+use std::sync::Arc;
+
+use rand::{Rng, SeedableRng};
+use wimi_core::{MaterialFeature, WiMi};
+use wimi_obs::{CounterId, Recorder};
+use wimi_phy::channel::Environment;
+use wimi_phy::csi::{CsiCapture, CsiSource};
+use wimi_phy::fault::FaultPlan;
+use wimi_phy::scenario::{LiquidSpec, Scenario, ScenarioBuilder, Simulator};
+use wimi_phy::units::Meters;
+use wimi_trace::{task_scope, TaskKey, TraceEvent, TraceSink};
 
 /// Bounded retry policy for the re-seat-and-retry measurement protocol.
 ///
@@ -32,12 +48,16 @@ impl Default for RetryPolicy {
     /// (4 × 2 × 20 = 160 ≤ 400), but a 60-packet capture now stops after
     /// three attempts instead of wasting a fourth.
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            packet_budget: 400,
-        }
+        DEFAULT_POLICY
     }
 }
+
+/// The value of `RetryPolicy::default()`, as a constant so clean trials
+/// can borrow it for `'static`.
+const DEFAULT_POLICY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    packet_budget: 400,
+};
 
 impl RetryPolicy {
     /// A policy bounded only by attempt count (no packet budget).
@@ -100,9 +120,162 @@ pub fn attempt_capture_seed(seed: u64, attempt: usize) -> u64 {
     seed.wrapping_mul(31).wrapping_add(attempt as u64 * 7919)
 }
 
+/// The scenario customisation of trials that need none.
+fn no_modify(_: &mut ScenarioBuilder) {}
+
+/// Everything one measurement needs besides its seed: what is measured,
+/// where, how long each capture runs, how often it may retry, what goes
+/// wrong on the air, and where its observations go.
+pub struct Trial<'a> {
+    /// Target liquid, or `None` when the target was removed (a campaign
+    /// `target removed` window): the target capture then sees the empty
+    /// scenario, the same view as the baseline.
+    pub spec: Option<&'a LiquidSpec>,
+    /// Deployment environment.
+    pub environment: Environment,
+    /// Packets per capture.
+    pub packets: usize,
+    /// Retry policy bounding the protocol.
+    pub retry: &'a RetryPolicy,
+    /// Fault plan injected into every capture (`None` = healthy link).
+    pub fault: Option<&'a FaultPlan>,
+    /// Extra scenario customisation applied after environment and
+    /// placement.
+    pub modify: &'a (dyn Fn(&mut ScenarioBuilder) + Sync),
+    /// Recorder for simulator work and the protocol's retry counters.
+    pub recorder: Option<&'a Arc<Recorder>>,
+    /// Flight-recorder sink for captures and attempt events.
+    pub trace: Option<&'a Arc<TraceSink>>,
+}
+
+impl<'a> Trial<'a> {
+    /// A clean trial: default retry policy, no fault, no scenario
+    /// customisation and no sinks.
+    pub fn clean(spec: Option<&'a LiquidSpec>, environment: Environment, packets: usize) -> Self {
+        Trial {
+            spec,
+            environment,
+            packets,
+            retry: &DEFAULT_POLICY,
+            fault: None,
+            modify: &no_modify,
+            recorder: None,
+            trace: None,
+        }
+    }
+
+    /// One baseline/target capture pair at the placement `offset_cm`,
+    /// simulated from `capture_seed`. The fault plan is reseeded from its
+    /// own seed XOR the capture seed, so every capture draws an
+    /// independent, reproducible fault stream.
+    pub fn capture_pair(&self, capture_seed: u64, offset_cm: f64) -> (CsiCapture, CsiCapture) {
+        let mut builder = Scenario::builder();
+        builder.environment(self.environment);
+        builder.target_offset(Meters::from_cm(offset_cm));
+        (self.modify)(&mut builder);
+        let mut sim = Simulator::new(builder.build(), capture_seed);
+        if let Some(plan) = self.fault {
+            sim.set_fault_plan(Some(plan.clone().with_seed(plan.seed() ^ capture_seed)));
+        }
+        sim.set_recorder(self.recorder.cloned());
+        sim.set_trace(self.trace.cloned());
+        let baseline = sim.capture(self.packets);
+        sim.set_liquid(self.spec.cloned());
+        let target = sim.capture(self.packets);
+        (baseline, target)
+    }
+}
+
+/// What one measurement produced, before classification.
+#[derive(Debug, Clone, Default)]
+pub struct MeasureOutcome {
+    /// The extracted feature, or `None` after retry exhaustion.
+    pub feature: Option<MaterialFeature>,
+    /// Attempts the pipeline rejected before success (or giving up).
+    pub rejected: usize,
+    /// Whether the successful measurement needed salvage (dropped
+    /// packets or antennas).
+    pub salvaged: bool,
+    /// Packets actually spent across all attempts (baseline + target,
+    /// post-screening — the air time the retry budget charges).
+    pub packets_spent: usize,
+    /// Attempts taken (1 = first try succeeded).
+    pub attempts: usize,
+}
+
+/// Measures `trial` with the re-seat-and-retry protocol.
+///
+/// Everything derives from the measurement `seed`: placement offsets
+/// (the operator never re-seats the beaker in exactly the same spot),
+/// capture seeds and fault streams. The outcome is therefore a pure
+/// function of `(trial, seed)` and identical on any worker thread.
+///
+/// The budget is charged with what each attempt *kept* after screening
+/// ([`RetryPolicy::allows_another`]), so salvage savings fund further
+/// attempts. Trace events land in the task `task`, so rendered traces
+/// group by measurement or session, never by worker thread. With a
+/// recorder attached, every run adds `attempts − 1` to `retries` and one
+/// entry to the attempts histogram, and an exhausted run adds one to
+/// `trials_dropped`. On a recorder that only these runs feed,
+/// `measurements_attempted` therefore equals `retries` plus the
+/// histogram total.
+pub fn measure_with_retry(
+    extractor: &WiMi,
+    trial: &Trial<'_>,
+    seed: u64,
+    task: TaskKey,
+) -> MeasureOutcome {
+    let mut placement = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+    let _task = trial.trace.map(|_| task_scope(task));
+    // The nominal-cost attempt cap, reported as `max` in traces.
+    let planned = trial.retry.allowed_attempts(trial.packets);
+    let mut out = MeasureOutcome::default();
+    while trial
+        .retry
+        .allows_another(out.attempts, out.packets_spent, trial.packets)
+    {
+        if let Some(t) = trial.trace {
+            t.emit(TraceEvent::Attempt {
+                attempt: out.attempts as u32 + 1,
+                max: planned as u32,
+            });
+        }
+        let offset_cm = 1.0 + placement.gen_range(-0.5..0.5);
+        let (base, tar) = trial.capture_pair(attempt_capture_seed(seed, out.attempts), offset_cm);
+        let m = extractor.measure(&base, &tar);
+        out.packets_spent += m.quality.baseline_packets_kept + m.quality.target_packets_kept;
+        out.attempts += 1;
+        match m.feature {
+            Ok(f) => {
+                out.salvaged = m.quality.salvaged();
+                out.feature = Some(f);
+                break;
+            }
+            Err(_) => out.rejected += 1,
+        }
+    }
+    if let Some(rec) = trial.recorder {
+        rec.add(CounterId::Retries, out.attempts.saturating_sub(1) as u64);
+        rec.record_attempts(out.attempts as u64);
+        if out.feature.is_none() {
+            rec.incr(CounterId::TrialsDropped);
+        }
+    }
+    if out.feature.is_none() {
+        if let Some(t) = trial.trace {
+            t.emit(TraceEvent::RetriesExhausted {
+                attempts: out.attempts as u32,
+            });
+            t.mark_failure();
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wimi_phy::material::Liquid;
 
     /// Replays a retry loop where every attempt costs `kept` packets,
     /// returning how many attempts run before the policy stops it.
@@ -200,5 +373,36 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), seeds.len(), "collision under seed {seed}");
         }
+    }
+
+    #[test]
+    fn clean_capture_pair_produces_consistent_captures() {
+        let spec: LiquidSpec = Liquid::Milk.into();
+        let (base, tar) = Trial::clean(Some(&spec), Environment::Lab, 5).capture_pair(1, 1.0);
+        assert_eq!(base.len(), 5);
+        assert_eq!(tar.len(), 5);
+        assert_eq!(base.n_antennas(), Scenario::builder().build().n_antennas());
+    }
+
+    #[test]
+    fn retry_attempts_draw_distinct_fault_streams() {
+        // Regression pin: two attempts of one measurement under an active
+        // FaultPlan must observe different captures (distinct sim + fault
+        // randomness), while re-running the same attempt reproduces its
+        // capture exactly.
+        let spec: LiquidSpec = Liquid::Milk.into();
+        let plan = FaultPlan::hostile(0xFA17);
+        let trial = Trial {
+            fault: Some(&plan),
+            ..Trial::clean(Some(&spec), Environment::Lab, 6)
+        };
+        let capture = |attempt: usize| trial.capture_pair(attempt_capture_seed(4242, attempt), 1.0);
+        let (base0, tar0) = capture(0);
+        let (base0_again, tar0_again) = capture(0);
+        assert_eq!(base0, base0_again, "same attempt must reproduce exactly");
+        assert_eq!(tar0, tar0_again, "same attempt must reproduce exactly");
+        let (base1, tar1) = capture(1);
+        assert_ne!(base0, base1, "attempts must not share a fault stream");
+        assert_ne!(tar0, tar1, "attempts must not share a fault stream");
     }
 }

@@ -10,18 +10,15 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, SeedableRng};
 use wimi_campaign::derive_cell_seed;
-use wimi_core::{MaterialFeature, WiMi, WiMiConfig};
-use wimi_obs::{CounterId, Recorder};
+use wimi_core::{WiMi, WiMiConfig};
+use wimi_obs::Recorder;
 use wimi_phy::channel::Environment;
-use wimi_phy::csi::{CsiCapture, CsiSource};
 use wimi_phy::fault::FaultPlan;
-use wimi_phy::scenario::{LiquidSpec, Scenario, Simulator};
-use wimi_phy::units::Meters;
-use wimi_trace::{task_scope, TaskKey, TraceEvent, TraceSink};
+use wimi_phy::scenario::LiquidSpec;
+use wimi_trace::{TaskKey, TraceSink};
 
-use crate::retry::{attempt_capture_seed, RetryPolicy};
+use crate::retry::{measure_with_retry, MeasureOutcome, RetryPolicy, Trial};
 
 /// One measurement request: the `seq`-th measurement on a session. The
 /// pair `(session, seq)` fully determines the measurement — its seed is a
@@ -33,22 +30,6 @@ pub struct MeasureRequest {
     pub session: usize,
     /// Measurement sequence number within the session.
     pub seq: u64,
-}
-
-/// What one measurement produced, before classification.
-#[derive(Debug, Clone)]
-pub struct MeasureOutcome {
-    /// The extracted feature, or `None` after retry exhaustion.
-    pub feature: Option<MaterialFeature>,
-    /// Attempts the pipeline rejected before success (or giving up).
-    pub rejected: usize,
-    /// Whether the successful measurement needed salvage.
-    pub salvaged: bool,
-    /// Packets actually spent across all attempts (baseline + target,
-    /// post-screening — the air time the retry budget charges).
-    pub packets_spent: usize,
-    /// Attempts taken (1 = first try succeeded).
-    pub attempts: usize,
 }
 
 /// One long-lived measurement link.
@@ -139,86 +120,24 @@ impl Session {
         derive_cell_seed(self.seed, seq)
     }
 
-    /// One baseline/target capture pair for retry `attempt` of the
-    /// measurement seeded `seed`, at the given placement offset.
-    fn capture_pair(&self, seed: u64, attempt: usize, offset_cm: f64) -> (CsiCapture, CsiCapture) {
-        let mut builder = Scenario::builder();
-        builder.environment(self.environment);
-        builder.target_offset(Meters::from_cm(offset_cm));
-        let capture_seed = attempt_capture_seed(seed, attempt);
-        let mut sim = Simulator::new(builder.build(), capture_seed);
-        if let Some(plan) = &self.fault {
-            sim.set_fault_plan(Some(plan.clone().with_seed(plan.seed() ^ capture_seed)));
-        }
-        sim.set_recorder(Some(Arc::clone(&self.recorder)));
-        sim.set_trace(self.trace.clone());
-        let baseline = sim.capture(self.packets);
-        sim.set_liquid(Some(self.spec.clone()));
-        let target = sim.capture(self.packets);
-        (baseline, target)
-    }
-
-    /// Runs measurement `seq` with the re-seat-and-retry protocol.
-    ///
-    /// The retry budget is charged per *actual* packets each attempt
-    /// spent (post-screening, from the quality report), so salvage
-    /// savings stay available for further attempts; the hard attempt cap
-    /// still bounds the loop. Everything — placement offsets, capture
-    /// seeds, fault streams — derives from the measurement seed, so the
-    /// outcome is a pure function of `(session, seq)` and is identical on
-    /// any worker thread.
+    /// Runs measurement `seq` with the re-seat-and-retry protocol
+    /// ([`measure_with_retry`]). Its events land in the session's
+    /// `sess:{id}` task, so rendered traces group by link, not by worker
+    /// thread; the outcome is a pure function of `(session, seq)`.
     pub fn measure(&self, seq: u64) -> MeasureOutcome {
-        let seed = self.measurement_seed(seq);
-        let mut placement = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-        let trace = self.trace.as_ref();
-        // All of this session's events land in one `sess:{id}` task, so
-        // rendered traces group by link, not by worker thread.
-        let _task = trace.map(|_| task_scope(TaskKey::session(self.id)));
-        let planned = self.retry.allowed_attempts(self.packets);
-        let mut out = MeasureOutcome {
-            feature: None,
-            rejected: 0,
-            salvaged: false,
-            packets_spent: 0,
-            attempts: 0,
+        let trial = Trial {
+            retry: &self.retry,
+            fault: self.fault.as_ref(),
+            recorder: Some(&self.recorder),
+            trace: self.trace.as_ref(),
+            ..Trial::clean(Some(&self.spec), self.environment, self.packets)
         };
-        while self
-            .retry
-            .allows_another(out.attempts, out.packets_spent, self.packets)
-        {
-            if let Some(t) = trace {
-                t.emit(TraceEvent::Attempt {
-                    attempt: out.attempts as u32 + 1,
-                    max: planned as u32,
-                });
-            }
-            let offset_cm = 1.0 + placement.gen_range(-0.5..0.5);
-            let (base, tar) = self.capture_pair(seed, out.attempts, offset_cm);
-            let m = self.extractor.measure(&base, &tar);
-            out.packets_spent += m.quality.baseline_packets_kept + m.quality.target_packets_kept;
-            out.attempts += 1;
-            match m.feature {
-                Ok(f) => {
-                    out.salvaged = m.quality.salvaged();
-                    out.feature = Some(f);
-                    self.recorder.add(CounterId::Retries, out.rejected as u64);
-                    self.recorder.record_attempts(out.attempts as u64);
-                    return out;
-                }
-                Err(_) => out.rejected += 1,
-            }
-        }
-        self.recorder
-            .add(CounterId::Retries, out.rejected.saturating_sub(1) as u64);
-        self.recorder.record_attempts(out.rejected as u64);
-        self.recorder.incr(CounterId::TrialsDropped);
-        if let Some(t) = trace {
-            t.emit(TraceEvent::RetriesExhausted {
-                attempts: out.attempts as u32,
-            });
-            t.mark_failure();
-        }
-        out
+        measure_with_retry(
+            &self.extractor,
+            &trial,
+            self.measurement_seed(seq),
+            TaskKey::session(self.id),
+        )
     }
 }
 

@@ -14,12 +14,6 @@ use crate::fleet::FleetReport;
 /// Schema tag stamped into every fleet summary.
 pub const SUMMARY_SCHEMA: &str = "wimi-serve/1";
 
-fn json_f64(x: f64) -> String {
-    // Accuracy is a ratio of small integers; six decimals are exact
-    // enough to be stable and deterministic across platforms.
-    format!("{x:.6}")
-}
-
 /// Renders the fleet summary JSON (`wimi-serve/1`): fleet identity,
 /// service totals, fleet-wide counters, and one record per session.
 // wlint: artifact
@@ -45,7 +39,7 @@ pub fn summary_json(report: &FleetReport) -> String {
     } else {
         0.0
     };
-    let _ = writeln!(out, "    \"accuracy\": {},", json_f64(accuracy));
+    let _ = writeln!(out, "    \"accuracy\": {},", json::fixed6(accuracy));
     let _ = writeln!(out, "    \"model_keys\": {},", report.model_keys);
     let _ = writeln!(out, "    \"queue_peak\": {}", report.queue_peak);
     out.push_str("  },\n");

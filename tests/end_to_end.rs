@@ -7,7 +7,7 @@ use wimi::phy::csi::CsiSource;
 use wimi::phy::material::{ContainerMaterial, Liquid};
 use wimi::phy::scenario::{Beaker, LiquidSpec, Scenario, Simulator};
 use wimi::phy::units::Meters;
-use wimi_experiments::harness::RetryPolicy;
+use wimi::serve::RetryPolicy;
 
 fn measure(
     extractor: &WiMi,
