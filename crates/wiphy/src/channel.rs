@@ -16,7 +16,6 @@ use crate::complex::Complex;
 use crate::geometry::Point;
 use crate::units::{Hertz, Meters};
 use rand::Rng;
-use rand_distr_shim::StandardNormalShim;
 
 /// Deployment environments of the paper, ordered by multipath richness.
 ///
@@ -196,8 +195,8 @@ impl MultipathChannel {
             }
             // Rayleigh-like gain: complex Gaussian around the target power.
             let g = Complex::new(
-                per_amp * rng.sample(StandardNormalShim) / std::f64::consts::SQRT_2,
-                per_amp * rng.sample(StandardNormalShim) / std::f64::consts::SQRT_2,
+                per_amp * rng.sample(StandardNormal) / std::f64::consts::SQRT_2,
+                per_amp * rng.sample(StandardNormal) / std::f64::consts::SQRT_2,
             );
             scatterers.push(Scatterer {
                 position: Point::new(x, y),
@@ -238,8 +237,8 @@ impl MultipathChannel {
             let m = if !s.dynamic {
                 Complex::ONE
             } else {
-                let g: f64 = 1.0 + self.gain_jitter_std * rng.sample(StandardNormalShim);
-                let p: f64 = self.phase_jitter_std * rng.sample(StandardNormalShim);
+                let g: f64 = 1.0 + self.gain_jitter_std * rng.sample(StandardNormal);
+                let p: f64 = self.phase_jitter_std * rng.sample(StandardNormal);
                 Complex::from_polar(g.max(0.0), p)
             };
             jitter.multipliers.push(m);
@@ -379,27 +378,7 @@ pub fn los_response(tx: Point, rx: Point, wavenumbers: &[f64], d_ref: Meters, ou
     }
 }
 
-/// Internal shim: sample a standard normal via Box–Muller so we only depend
-/// on `rand`'s uniform sampling (`rand_distr` is not in the approved set).
-mod rand_distr_shim {
-    use rand::distributions::Distribution;
-    use rand::Rng;
-
-    /// Standard normal distribution N(0, 1).
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct StandardNormalShim;
-
-    impl Distribution<f64> for StandardNormalShim {
-        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-            // Box–Muller transform on two uniforms in (0, 1].
-            let u1: f64 = 1.0 - rng.gen::<f64>();
-            let u2: f64 = rng.gen::<f64>();
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        }
-    }
-}
-
-pub use rand_distr_shim::StandardNormalShim as StandardNormal;
+pub use crate::normal::StandardNormal;
 
 #[cfg(test)]
 mod tests {
@@ -615,16 +594,5 @@ mod tests {
         let b = MultipathChannel::realize(Environment::Library, tx, rx, &mut rng);
         let j = b.frozen_jitter();
         let _ = a.response(tx, rx, F, &j, None);
-    }
-
-    #[test]
-    fn standard_normal_shim_moments() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.sample(StandardNormal)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.03, "mean = {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var = {var}");
     }
 }

@@ -40,6 +40,7 @@ pub mod fault;
 pub mod geometry;
 pub mod hardware;
 pub mod material;
+mod normal;
 pub mod ofdm;
 pub mod scenario;
 pub mod units;

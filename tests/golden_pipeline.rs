@@ -7,7 +7,9 @@
 //! recorded before the realisation, capture and extraction hot paths were
 //! restructured; a refactor that claims to be bit-identical must leave it
 //! unchanged. A deliberate change to the physics or the pipeline's
-//! numerics re-records it and says so.
+//! numerics re-records it and says so. It was re-recorded when the
+//! simulator's Gaussian sampler went from Box–Muller to an exact ziggurat
+//! (DESIGN §12.6): the same distribution, a different random stream.
 
 use wimi::core::{FeatureError, Measurement, WiMi, WiMiConfig};
 use wimi::phy::channel::Environment;
@@ -18,7 +20,7 @@ use wimi::phy::scenario::{Scenario, Simulator};
 use wimi::phy::units::Meters;
 
 /// The fingerprint of [`grid_fingerprint`].
-const GOLDEN: u64 = 0x3067_b2a2_d525_9aa2;
+const GOLDEN: u64 = 0x044e_f997_ce47_45e8;
 
 /// FNV-1a over 64-bit words.
 struct Fingerprint(u64);
