@@ -188,8 +188,7 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
         }
     }
 
-    let populated = train.class_counts().iter().filter(|&&n| n > 0).count();
-    let trained = if populated >= 2 {
+    let trained = if train.is_trainable() {
         let mut wimi = WiMi::new(WiMiConfig::default());
         wimi.set_recorder(Some(Arc::clone(&recorder)));
         wimi.set_trace(Some(Arc::clone(&sink)));

@@ -184,14 +184,20 @@ pub fn run_identification(materials: &[Material], opts: &RunOptions) -> RunResul
         }
     }
 
+    // Test set. An untrainable run (fewer than two classes with a
+    // training feature) skips it: nothing is classified, and every test
+    // trial counts as dropped.
+    let test_jobs = jobs(opts.seed + 900_000, opts.n_test, 137);
     let mut wimi = WiMi::new(opts.config.clone());
     wimi.set_recorder(opts.recorder.clone());
     wimi.set_trace(opts.trace.clone());
-    wimi.train_on_dataset(&train);
-
-    // Test set.
-    let test_jobs = jobs(opts.seed + 900_000, opts.n_test, 137);
-    let measured = wimi_core::par::map(&test_jobs, |_, job| measure(job));
+    let measured = if train.is_trainable() {
+        wimi.train_on_dataset(&train);
+        wimi_core::par::map(&test_jobs, |_, job| measure(job))
+    } else {
+        dropped += test_jobs.len();
+        Vec::new()
+    };
     let mut truth = Vec::new();
     let mut pred = Vec::new();
     for (label, out) in measured {
@@ -236,6 +242,26 @@ mod tests {
         let mats = paper_liquids();
         assert_eq!(mats.len(), 10);
         assert_eq!(mats[0].name, "Vinegar");
+    }
+
+    #[test]
+    fn untrainable_run_skips_its_test_phase() {
+        let materials = vec![
+            Material::catalog(Liquid::PureWater),
+            Material::catalog(Liquid::Oil),
+        ];
+        let opts = RunOptions {
+            n_train: 0,
+            n_test: 3,
+            packets: 10,
+            ..RunOptions::default()
+        };
+        let r = run_identification(&materials, &opts);
+        let names: Vec<String> = materials.iter().map(|m| m.name.clone()).collect();
+        let nothing = ConfusionMatrix::from_predictions(&[], &[], &names);
+        assert_eq!(r.confusion, nothing);
+        assert_eq!(r.dropped_trials, 6);
+        assert_eq!(r.rejected_measurements, 0);
     }
 
     #[test]

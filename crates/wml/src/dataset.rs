@@ -116,6 +116,12 @@ impl Dataset {
         counts
     }
 
+    /// Whether a multiclass model can be trained on this set: at least
+    /// two classes hold a sample.
+    pub fn is_trainable(&self) -> bool {
+        self.class_counts().iter().filter(|&&n| n > 0).count() >= 2
+    }
+
     /// Stratified train/test split: each class contributes `train_frac` of
     /// its samples to the training set (rounded down, at least one per
     /// class if the class has ≥ 2 samples).

@@ -88,12 +88,11 @@ impl MulticlassSvm {
         trace: Option<&wimi_trace::TraceSink>,
     ) -> Self {
         let _span = recorder.map(|r| r.span(wimi_obs::StageId::Classification));
-        let counts = ds.class_counts();
-        let populated = counts.iter().filter(|&&c| c > 0).count();
         assert!(
-            populated >= 2,
+            ds.is_trainable(),
             "multiclass training needs at least two populated classes"
         );
+        let counts = ds.class_counts();
         let k = ds.n_classes();
         let mut jobs: Vec<(usize, usize, u64)> = Vec::with_capacity(k * (k - 1) / 2);
         for a in 0..k {

@@ -377,13 +377,12 @@ impl Engine {
                 }
             }
         }
-        let populated = ds.class_counts().iter().filter(|&&n| n > 0).count();
         let mut model = WiMi::new(WiMiConfig {
             train_seed: seed,
             ..self.cfg.config.clone()
         });
         model.set_recorder(Some(Arc::clone(&self.recorder)));
-        if populated >= 2 {
+        if ds.is_trainable() {
             model.train_on_dataset(&ds);
         }
         model
