@@ -296,7 +296,7 @@ pub fn run_campaign(c: &Campaign) -> CampaignOutcome {
 
 /// Sums every cell's obs counters plus the per-cell trace emissions into
 /// `(name, total)` rows, canonical counter order, with `trace_events`
-/// first — the shape the `work_budgets` gate reads.
+/// first — the shape the `<name>_budgets` gate reads.
 pub fn work_totals(outcome: &CampaignOutcome) -> Vec<(String, u64)> {
     let mut rows: Vec<(String, u64)> = vec![(
         "trace_events".to_owned(),
@@ -372,45 +372,24 @@ pub fn summary_json(outcome: &CampaignOutcome) -> String {
     out
 }
 
-/// Checks a campaign's aggregated work totals against the `work_budgets`
-/// object of a committed bench summary (`BENCH_PR7.json`), mirroring the
-/// `wimi-trace` budget gate: exceeding any ceiling fails, and so does a
-/// budget name with no matching total.
+/// Gates a campaign's aggregated work totals against the
+/// `"<campaign name>_budgets"` section of `BENCH.json` (`matrix_budgets`
+/// for `campaigns/matrix.campaign`). The section name comes from the
+/// campaign itself, so a campaign with no committed ceilings fails closed
+/// instead of borrowing another campaign's.
 ///
 /// # Errors
 ///
-/// One-line message for unparsable bench JSON, a missing/empty
-/// `work_budgets` object, or an unknown budget name.
+/// [`analyze::check_budgets`]'s one-line message.
 pub fn check_campaign_budgets(
     bench_json: &str,
     outcome: &CampaignOutcome,
 ) -> Result<Vec<analyze::BudgetRow>, String> {
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(wimi_obs::json::Json::Obj(budgets)) = bench.get("work_budgets") else {
-        return Err("bench summary has no \"work_budgets\" object".into());
-    };
-    if budgets.is_empty() {
-        return Err("\"work_budgets\" is empty — nothing to gate on".into());
-    }
     let totals = work_totals(outcome);
-    let mut rows = Vec::new();
-    for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = totals
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("budget \"{name}\" does not match any campaign work total"))?;
-        rows.push(analyze::BudgetRow {
-            name: name.clone(),
-            actual,
-            budget,
-            ok: actual <= budget,
-        });
-    }
-    Ok(rows)
+    let section = format!("{}_budgets", outcome.campaign.name);
+    analyze::check_budgets(bench_json, &section, |name| {
+        totals.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    })
 }
 
 fn read_campaign(path: &str) -> Campaign {
@@ -471,8 +450,9 @@ fn write_file(path: &std::path::Path, text: &str) {
 /// writing per-cell artifacts plus the summary JSON into `DIR` when
 /// given. `--cell N` runs that one cell in isolation (its artifact must
 /// reproduce the full run's byte for byte — CI replays cells this way).
-/// `--check BENCH` gates the aggregated work totals against the bench
-/// file's `work_budgets` and exits 1 when any ceiling is exceeded.
+/// `--check BENCH` gates the aggregated work totals against the budget
+/// file's `<name>_budgets` section and exits 1 when any ceiling is
+/// exceeded.
 pub fn campaign_run(path: &str, out_dir: Option<&str>, cell: Option<u64>, check: Option<&str>) {
     let c = read_campaign(path);
     let dir = out_dir.map(std::path::Path::new);
@@ -546,26 +526,11 @@ pub fn campaign_run(path: &str, out_dir: Option<&str>, cell: Option<u64>, check:
     }
 
     if let Some(bench_path) = check {
-        let bench = match std::fs::read_to_string(bench_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("campaign-run: cannot read {bench_path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match check_campaign_budgets(&bench, &outcome) {
-            Ok(rows) => {
-                print!("{}", analyze::budget_table(&rows));
-                if rows.iter().any(|r| !r.ok) {
-                    eprintln!("campaign-run: work budget exceeded (see table above)");
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("campaign-run: {e}");
-                std::process::exit(1);
-            }
-        }
+        crate::enforce_budgets(
+            "campaign-run",
+            bench_path,
+            &[&|bench| check_campaign_budgets(bench, &outcome)],
+        );
     }
 }
 
@@ -681,13 +646,13 @@ mod tests {
             parsed.get("cells").and_then(wimi_obs::json::Json::as_u64),
             Some(2)
         );
-        // The totals gate accepts a bench file with generous ceilings…
+        // The totals gate reads the section named after the campaign…
         let bench =
-            "{\"work_budgets\": {\"trace_events\": 99999999, \"captures_taken\": 99999999}}";
+            "{\"tiny_budgets\": {\"trace_events\": 99999999, \"captures_taken\": 99999999}}";
         let rows = check_campaign_budgets(bench, &outcome).expect("budgets check");
         assert!(rows.iter().all(|r| r.ok));
-        // …and fails closed on an unknown budget name.
-        let bad = "{\"work_budgets\": {\"warp_drives\": 1}}";
-        assert!(check_campaign_budgets(bad, &outcome).is_err());
+        // …so another campaign's ceilings never gate it.
+        let other = "{\"matrix_budgets\": {\"trace_events\": 99999999}}";
+        assert!(check_campaign_budgets(other, &outcome).is_err());
     }
 }

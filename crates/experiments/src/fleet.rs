@@ -3,102 +3,57 @@
 //!
 //! This is the CLI surface CI drives: one run at `WIMI_THREADS=1` and one
 //! at `WIMI_THREADS=4` must produce byte-identical summaries (`cmp`), and
-//! `--check BENCH_PR9.json` gates the run's deterministic totals against
-//! the committed `fleet_budgets` ceilings, fail-closed like the campaign
-//! gate.
+//! `--check BENCH.json` gates the run's deterministic totals against the
+//! committed `fleet_budgets` and `metrics_budgets` ceilings, fail-closed
+//! like the campaign gate.
 
 use wimi_metrics::Timeline;
 use wimi_serve::{run_campaign_fleet, run_fleet, summary_json, validate_summary, FleetConfig};
 use wimi_trace::analyze;
 
-/// Deterministic gateable totals of a fleet report: service totals first,
-/// then every fleet-wide counter, canonical order.
-fn fleet_totals(report: &wimi_serve::FleetReport) -> Vec<(String, u64)> {
-    let mut totals: Vec<(String, u64)> = vec![
-        ("requests".to_owned(), report.requests),
-        ("responses".to_owned(), report.responses),
-        ("ok".to_owned(), report.ok),
-        ("failed".to_owned(), report.failed),
-        ("shed".to_owned(), report.shed),
-        ("correct".to_owned(), report.correct),
-        ("model_keys".to_owned(), report.model_keys as u64),
-        ("queue_peak".to_owned(), report.queue_peak as u64),
-    ];
-    for &(name, value) in &report.counters {
-        totals.push((name.to_owned(), value));
-    }
-    totals
+/// A fleet report's gated total of `name`: a service total, else a
+/// fleet-wide counter.
+fn fleet_total(report: &wimi_serve::FleetReport, name: &str) -> Option<u64> {
+    Some(match name {
+        "requests" => report.requests,
+        "responses" => report.responses,
+        "ok" => report.ok,
+        "failed" => report.failed,
+        "shed" => report.shed,
+        "correct" => report.correct,
+        "model_keys" => report.model_keys as u64,
+        "queue_peak" => report.queue_peak as u64,
+        _ => {
+            return report
+                .counters
+                .iter()
+                .find(|&&(n, _)| n == name)
+                .map(|&(_, v)| v)
+        }
+    })
 }
 
-/// Checks a fleet report's deterministic totals against the
-/// `fleet_budgets` object of a committed bench summary. Fail-closed: a
-/// missing or empty object, a non-integer budget, or a budget name that
-/// matches no total is an error, not a skip.
+/// Gates a fleet report's deterministic totals against the
+/// `fleet_budgets` section of `BENCH.json`.
 pub fn check_fleet_budgets(
     bench_json: &str,
     report: &wimi_serve::FleetReport,
 ) -> Result<Vec<analyze::BudgetRow>, String> {
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(wimi_obs::json::Json::Obj(budgets)) = bench.get("fleet_budgets") else {
-        return Err("bench summary has no \"fleet_budgets\" object".into());
-    };
-    if budgets.is_empty() {
-        return Err("\"fleet_budgets\" is empty — nothing to gate on".into());
-    }
-    let totals = fleet_totals(report);
-    let mut rows = Vec::new();
-    for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = totals
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("budget \"{name}\" does not match any fleet total"))?;
-        rows.push(analyze::BudgetRow {
-            name: name.clone(),
-            actual,
-            budget,
-            ok: actual <= budget,
-        });
-    }
-    Ok(rows)
+    analyze::check_budgets(bench_json, "fleet_budgets", |name| {
+        fleet_total(report, name)
+    })
 }
 
-/// Checks a fleet timeline's windowed aggregates against the
-/// `metrics_budgets` object of a committed bench summary: each budget
-/// name must be a timeline series, gated on the series' windowed `max`.
-/// Fail-closed: a missing or empty object, a non-integer budget, or a
-/// name that is not a series is an error, not a skip.
+/// Gates a fleet timeline against the `metrics_budgets` section of
+/// `BENCH.json`: each name is a timeline series, gated on its windowed
+/// per-tick `max`.
 pub fn check_metrics_budgets(
     bench_json: &str,
     timeline: &Timeline,
 ) -> Result<Vec<analyze::BudgetRow>, String> {
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(wimi_obs::json::Json::Obj(budgets)) = bench.get("metrics_budgets") else {
-        return Err("bench summary has no \"metrics_budgets\" object".into());
-    };
-    if budgets.is_empty() {
-        return Err("\"metrics_budgets\" is empty — nothing to gate on".into());
-    }
-    let mut rows = Vec::new();
-    for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = timeline
-            .aggregate(name)
-            .map(|s| s.max)
-            .ok_or_else(|| format!("budget \"{name}\" is not a timeline series"))?;
-        rows.push(analyze::BudgetRow {
-            name: name.clone(),
-            actual,
-            budget,
-            ok: actual <= budget,
-        });
-    }
-    Ok(rows)
+    analyze::check_budgets(bench_json, "metrics_budgets", |name| {
+        timeline.aggregate(name).map(|s| s.max)
+    })
 }
 
 /// `fleet [--sessions N] [--measurements M] [--campaign PATH]
@@ -225,48 +180,13 @@ pub fn fleet_run(
     }
 
     if let Some(bench_path) = check {
-        let bench = match std::fs::read_to_string(bench_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("fleet: cannot read {bench_path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match check_fleet_budgets(&bench, &report) {
-            Ok(rows) => {
-                print!("{}", analyze::budget_table(&rows));
-                if rows.iter().any(|r| !r.ok) {
-                    eprintln!("fleet: budget check FAILED against {bench_path}");
-                    std::process::exit(1);
-                }
-                eprintln!("fleet: budget check OK against {bench_path}");
-            }
-            Err(e) => {
-                eprintln!("fleet: {e}");
-                std::process::exit(1);
-            }
-        }
-        // A bench summary that carries telemetry ceilings gates them
-        // too (older summaries without the object stay valid).
-        if wimi_obs::json::parse(&bench)
-            .ok()
-            .is_some_and(|b| b.get("metrics_budgets").is_some())
-        {
-            match check_metrics_budgets(&bench, &report.timeline) {
-                Ok(rows) => {
-                    print!("{}", analyze::budget_table(&rows));
-                    if rows.iter().any(|r| !r.ok) {
-                        eprintln!("fleet: metrics budget check FAILED against {bench_path}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("fleet: metrics budget check OK against {bench_path}");
-                }
-                Err(e) => {
-                    eprintln!("fleet: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+        crate::enforce_budgets(
+            "fleet",
+            bench_path,
+            &[&|bench| check_fleet_budgets(bench, &report), &|bench| {
+                check_metrics_budgets(bench, &report.timeline)
+            }],
+        );
     }
 }
 
@@ -319,28 +239,5 @@ mod tests {
         let rows = check_metrics_budgets(tight, &report.timeline)
             .unwrap_or_else(|e| panic!("budgets must parse: {e}"));
         assert!(rows.iter().any(|r| !r.ok), "zero ceiling must trip");
-
-        // Fail-closed: no object, empty object, unknown series.
-        assert!(check_metrics_budgets("{}", &report.timeline).is_err());
-        assert!(check_metrics_budgets("{\"metrics_budgets\": {}}", &report.timeline).is_err());
-        assert!(check_metrics_budgets(
-            "{\"metrics_budgets\": {\"no_such_series\": 1}}",
-            &report.timeline
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn budget_check_fails_closed() {
-        let report = tiny_report();
-        assert!(check_fleet_budgets("{}", &report).is_err());
-        assert!(check_fleet_budgets("{\"fleet_budgets\": {}}", &report).is_err());
-        assert!(
-            check_fleet_budgets("{\"fleet_budgets\": {\"no_such_total\": 1}}", &report).is_err()
-        );
-        assert!(
-            check_fleet_budgets("{\"fleet_budgets\": {\"requests\": -3}}", &report).is_err(),
-            "negative budget must be rejected"
-        );
     }
 }

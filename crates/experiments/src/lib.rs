@@ -27,6 +27,41 @@ pub mod trace;
 
 pub use accuracy::Effort;
 
+use wimi_trace::analyze::{budget_table, BudgetRow};
+
+/// A budget gate: checks one section of the budget file's text.
+type Gate<'a> = &'a dyn Fn(&str) -> Result<Vec<BudgetRow>, String>;
+
+/// `--check BENCH` for the CLI subcommands: reads the budget file, prints
+/// each gate's table, and exits 1 at the first gate that errors or has a
+/// total over its ceiling (exit 2 when the file cannot be read). `cmd`
+/// prefixes the stderr lines.
+pub(crate) fn enforce_budgets(cmd: &str, bench_path: &str, gates: &[Gate<'_>]) {
+    let bench = match std::fs::read_to_string(bench_path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("{cmd}: cannot read {bench_path}: {e}");
+            std::process::exit(2);
+        }
+    };
+    for gate in gates {
+        match gate(&bench) {
+            Ok(rows) => {
+                print!("{}", budget_table(&rows));
+                if rows.iter().any(|r| !r.ok) {
+                    eprintln!("{cmd}: budget check FAILED against {bench_path}");
+                    std::process::exit(1);
+                }
+            }
+            Err(e) => {
+                eprintln!("{cmd}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+    eprintln!("{cmd}: budget check OK against {bench_path}");
+}
+
 /// Runs one named experiment; returns false for unknown names.
 pub fn run_named(name: &str, effort: Effort) -> bool {
     match name {

@@ -7,7 +7,6 @@ fn usage() -> ! {
         "usage: wimi-experiments [--quick] [--obs-json PATH] [--obs-wall] [--trace-out PATH] \
          all | environments | <name>...\n       \
          wimi-experiments obs-validate PATH\n       \
-         wimi-experiments trace-diff A B\n       \
          wimi-experiments campaign-run PATH [--campaign-out DIR] [--cell N] [--check BENCH]\n       \
          wimi-experiments campaign-diff DIR_A DIR_B\n       \
          wimi-experiments campaign-validate PATH\n       \
@@ -84,13 +83,6 @@ fn main() {
         match names.get(1) {
             Some(path) => obs::obs_validate(path),
             None => usage(),
-        }
-        return;
-    }
-    if names[0] == "trace-diff" {
-        match (names.get(1), names.get(2)) {
-            (Some(a), Some(b)) => trace::trace_diff(a, b),
-            _ => usage(),
         }
         return;
     }

@@ -31,7 +31,7 @@ pub struct TraceCampaign {
 ///
 /// Trial counts are clamped exactly like `obs-report`'s, so `--quick`
 /// and full runs execute the same campaign and trace identically — which
-/// is what lets `BENCH_PR5.json` commit hard work-counter budgets for it.
+/// is what lets `BENCH.json` commit exact `trace_budgets` for it.
 pub fn trace_campaign_with(effort: Effort, fault: Option<FaultPlan>) -> TraceCampaign {
     let recorder = Arc::new(Recorder::enabled());
     let sink = TraceSink::enabled();
@@ -121,29 +121,6 @@ pub fn trace_report(effort: Effort, out_path: Option<&str>) {
             std::process::exit(1);
         }
         println!("trace written to {path} ({} bytes)", text.len());
-    }
-}
-
-/// Diffs two trace artifacts, printing the first divergence with context.
-/// Exits 0 iff the files are byte-identical (CI entry point).
-pub fn trace_diff(a_path: &str, b_path: &str) {
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("trace-diff: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let a = read(a_path);
-    let b = read(b_path);
-    match analyze::diff(&a, &b) {
-        analyze::DiffOutcome::Identical => {
-            println!("identical: {a_path} == {b_path}");
-        }
-        analyze::DiffOutcome::Diverged { report, .. } => {
-            eprint!("{report}");
-            std::process::exit(1);
-        }
     }
 }
 

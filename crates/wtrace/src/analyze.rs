@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use wimi_obs::json::Json;
 
-use crate::artifact::{parse_and_validate, Artifact};
+use crate::artifact::parse_and_validate;
 
 /// Renders a deterministic human-readable summary of an artifact:
 /// header totals, event-type mix, per-stage span balance, issue tallies,
@@ -193,38 +193,43 @@ pub fn diff(a: &str, b: &str) -> DiffOutcome {
 /// One budget comparison row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetRow {
-    /// Work-counter name.
+    /// Gated total's name.
     pub name: String,
-    /// Actual value measured from the artifact.
+    /// Actual value measured from the run.
     pub actual: u64,
-    /// Committed ceiling from the bench summary.
+    /// Committed ceiling from `BENCH.json`.
     pub budget: u64,
     /// Whether `actual` stayed within `budget`.
     pub ok: bool,
 }
 
-/// Checks an artifact's deterministic work counters against the
-/// `work_budgets` object of a committed bench summary (`BENCH_PR5.json`).
+/// Checks every ceiling of one `section` object of a committed budget
+/// file (`BENCH.json`) against `actual(name)`, the gated run's total of
+/// that name. Each row is `ok` when the total stays within its ceiling.
 ///
-/// `trace_events` is compared against the sink's total emissions; every
-/// other budget name is looked up in the embedded obs snapshot's
-/// counters. Exceeding any ceiling fails; unknown budget names fail too
-/// (a renamed counter must not silently stop gating).
-pub fn check_budgets(bench_json: &str, artifact_text: &str) -> Result<Vec<BudgetRow>, String> {
-    let artifact = parse_and_validate(artifact_text)?;
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(Json::Obj(budgets)) = bench.get("work_budgets") else {
-        return Err("bench summary has no \"work_budgets\" object".into());
+/// Fail-closed: a missing or empty section, a ceiling that is not a
+/// non-negative integer, and a name `actual` does not know are errors,
+/// not skips — a renamed total or section must not silently stop gating.
+pub fn check_budgets(
+    bench_json: &str,
+    section: &str,
+    actual: impl Fn(&str) -> Option<u64>,
+) -> Result<Vec<BudgetRow>, String> {
+    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("budget file: {e}"))?;
+    let Some(Json::Obj(budgets)) = bench.get(section) else {
+        return Err(format!("budget file has no \"{section}\" object"));
     };
     if budgets.is_empty() {
-        return Err("\"work_budgets\" is empty — nothing to gate on".into());
+        return Err(format!("\"{section}\" is empty — nothing to gate on"));
     }
     let mut rows = Vec::new();
     for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = lookup_metric(&artifact, name)?;
+        let budget = value.as_u64().ok_or_else(|| {
+            format!("{section}: budget \"{name}\" must be a non-negative integer")
+        })?;
+        let actual = actual(name).ok_or_else(|| {
+            format!("{section}: budget \"{name}\" matches no gated total (renamed or removed?)")
+        })?;
         rows.push(BudgetRow {
             name: name.clone(),
             actual,
@@ -235,16 +240,19 @@ pub fn check_budgets(bench_json: &str, artifact_text: &str) -> Result<Vec<Budget
     Ok(rows)
 }
 
-fn lookup_metric(artifact: &Artifact, name: &str) -> Result<u64, String> {
-    if name == "trace_events" {
-        return Ok(artifact.header.events_emitted);
-    }
-    let counters = artifact
-        .obs
-        .get("counters")
-        .ok_or_else(|| format!("budget \"{name}\": artifact embeds no obs snapshot counters"))?;
-    counters.get(name).and_then(Json::as_u64).ok_or_else(|| {
-        format!("budget \"{name}\" does not match any obs counter (renamed or removed?)")
+/// Gates a trace artifact's deterministic work counters against the
+/// `trace_budgets` section of `BENCH.json`: `trace_events` is the sink's
+/// total emissions, every other name an embedded obs snapshot counter.
+pub fn check_trace_budgets(
+    bench_json: &str,
+    artifact_text: &str,
+) -> Result<Vec<BudgetRow>, String> {
+    let artifact = parse_and_validate(artifact_text)?;
+    check_budgets(bench_json, "trace_budgets", |name| {
+        if name == "trace_events" {
+            return Some(artifact.header.events_emitted);
+        }
+        artifact.obs.get("counters")?.get(name)?.as_u64()
     })
 }
 
@@ -349,23 +357,71 @@ mod tests {
 
     #[test]
     fn budgets_pass_within_and_fail_over() {
-        let artifact = failing_artifact();
-        let ok = r#"{"work_budgets": {"trace_events": 10, "measurements_failed": 1}}"#;
-        let rows = check_budgets(ok, &artifact).unwrap();
-        assert!(rows.iter().all(|r| r.ok), "{rows:?}");
-        let over = r#"{"work_budgets": {"trace_events": 3}}"#;
-        let rows = check_budgets(over, &artifact).unwrap();
-        assert!(rows.iter().any(|r| !r.ok), "{rows:?}");
+        let total = |name: &str| (name == "captures_taken").then_some(7);
+        let rows = check_budgets(r#"{"s": {"captures_taken": 7}}"#, "s", total).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0].ok, "a total equal to its ceiling passes: {rows:?}");
+        let rows = check_budgets(r#"{"s": {"captures_taken": 6}}"#, "s", total).unwrap();
+        assert_eq!((rows[0].actual, rows[0].budget, rows[0].ok), (7, 6, false));
         let table = budget_table(&rows);
         assert!(table.contains("OVER BUDGET"), "{table}");
     }
 
     #[test]
-    fn budgets_reject_unknown_names_and_missing_section() {
+    fn budgets_fail_closed() {
+        let total = |name: &str| (name == "captures_taken").then_some(7);
+        for (bench, why) in [
+            ("not json", "unparsable file"),
+            ("{}", "missing section"),
+            (r#"{"s": {}}"#, "empty section"),
+            (r#"{"s": 3}"#, "section that is not an object"),
+            (
+                r#"{"other": {"captures_taken": 9}}"#,
+                "only another section",
+            ),
+            (r#"{"s": {"captures_taken": -3}}"#, "negative ceiling"),
+            (r#"{"s": {"captures_taken": 7.5}}"#, "fractional ceiling"),
+            (r#"{"s": {"captures_taken": "9"}}"#, "string ceiling"),
+            (
+                r#"{"s": {"captures_taken": 9, "warp_cores": 1}}"#,
+                "unknown name",
+            ),
+        ] {
+            assert!(
+                check_budgets(bench, "s", total).is_err(),
+                "{why} must fail closed"
+            );
+        }
+    }
+
+    #[test]
+    fn trace_budgets_read_header_and_obs_counters() {
         let artifact = failing_artifact();
-        let unknown = r#"{"work_budgets": {"warp_cores": 1}}"#;
-        assert!(check_budgets(unknown, &artifact).is_err());
-        assert!(check_budgets("{}", &artifact).is_err());
-        assert!(check_budgets(r#"{"work_budgets": {}}"#, &artifact).is_err());
+        let ok = r#"{"trace_budgets": {"trace_events": 10, "measurements_failed": 1}}"#;
+        let rows = check_trace_budgets(ok, &artifact).unwrap();
+        assert!(rows.iter().all(|r| r.ok), "{rows:?}");
+        let over = r#"{"trace_budgets": {"trace_events": 3}}"#;
+        let rows = check_trace_budgets(over, &artifact).unwrap();
+        assert!(rows.iter().any(|r| !r.ok), "{rows:?}");
+        // A file holding only another gate's section must not gate a
+        // trace against that gate's ceilings.
+        let matrix_only = r#"{"matrix_budgets": {"trace_events": 68000}}"#;
+        assert!(check_trace_budgets(matrix_only, &artifact).is_err());
+    }
+
+    #[test]
+    fn committed_budget_file_holds_every_gated_section() {
+        const BENCH: &str = include_str!("../../../BENCH.json");
+        for section in [
+            "trace_budgets",
+            "matrix_budgets",
+            "fleet_budgets",
+            "metrics_budgets",
+            "alloc_budgets",
+        ] {
+            if let Err(e) = check_budgets(BENCH, section, |_| Some(0)) {
+                panic!("BENCH.json: {e}");
+            }
+        }
     }
 }

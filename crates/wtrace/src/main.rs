@@ -4,7 +4,7 @@
 //! wimi-trace validate <trace.jsonl>          # schema + invariants, exit 1 on any violation
 //! wimi-trace summary  <trace.jsonl>          # deterministic human summary
 //! wimi-trace diff     <a.jsonl> <b.jsonl>    # exit 0 iff byte-identical; else first divergence
-//! wimi-trace budget   <bench.json> <trace.jsonl>  # gate work counters against committed budgets
+//! wimi-trace budget   <BENCH.json> <trace.jsonl>  # gate work counters against `trace_budgets`
 //! ```
 //!
 //! Exit codes: 0 success, 1 check failed, 2 usage or I/O error.
@@ -63,8 +63,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         (Some("budget"), 3) => {
             let bench = read(&args[1])?;
             let trace = read(&args[2])?;
-            let rows =
-                analyze::check_budgets(&bench, &trace).map_err(|e| format!("budget check: {e}"))?;
+            // A gate that cannot run (no `trace_budgets`, an unknown
+            // name, an invalid artifact) fails closed like an exceeded one.
+            let rows = match analyze::check_trace_budgets(&bench, &trace) {
+                Ok(rows) => rows,
+                Err(e) => {
+                    eprintln!("budget check: {e}");
+                    return Ok(ExitCode::FAILURE);
+                }
+            };
             print!("{}", analyze::budget_table(&rows));
             if rows.iter().all(|r| r.ok) {
                 Ok(ExitCode::SUCCESS)
