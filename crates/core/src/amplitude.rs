@@ -8,10 +8,11 @@
 //! 3. cross-antenna ratio `|H_a|/|H_b|`, whose common AGC/multipath
 //!    variation cancels (paper Fig. 8).
 
-use wimi_dsp::outlier::{reject_outliers_3sigma, reject_outliers_into, OutlierScratch};
+use wimi_dsp::outlier::{reject_outliers_into, OutlierScratch};
 use wimi_dsp::stats::{median_in, variance};
 use wimi_dsp::wavelet::denoise::DenoiseScratch;
 use wimi_dsp::wavelet::CorrelationDenoiser;
+use wimi_phy::complex::Complex;
 use wimi_phy::csi::CsiCapture;
 
 /// Configuration of the amplitude stage.
@@ -48,40 +49,53 @@ impl AmplitudeConfig {
 
     /// Cleans one amplitude time series according to the configuration.
     pub fn clean_series(&self, series: &[f64]) -> Vec<f64> {
-        let mut xs = series.to_vec();
-        if self.reject_outliers {
-            xs = reject_outliers_3sigma(&xs);
-        }
-        if self.wavelet_denoise {
-            xs = self.denoiser.denoise(&xs);
-        }
-        xs
+        let mut out = Vec::new();
+        self.clean_series_into(series, &mut CleanScratch::default(), &mut out);
+        out
     }
 
-    /// [`Self::clean_series`] through caller-owned buffers — same bits,
-    /// no steady-state allocation.
-    // wlint: hot
+    /// [`Self::clean_series`] through caller-owned buffers — the
+    /// one-column case of the batched cleaning chain.
     pub fn clean_series_into(
         &self,
         series: &[f64],
         scratch: &mut CleanScratch,
         out: &mut Vec<f64>,
     ) {
+        out.clear();
+        out.extend_from_slice(series);
+        self.clean_columns(out, 1, scratch);
+    }
+
+    /// Cleans, in place, every column of a sample-major plane holding
+    /// `cols` series (sample `m` of series `c` at `m·cols + c`): the 3σ
+    /// repair per column, then the denoiser over all columns at once.
+    /// Each column comes out bit for bit as its series cleaned alone.
+    // wlint: hot
+    fn clean_columns(&self, plane: &mut Vec<f64>, cols: usize, scratch: &mut CleanScratch) {
         if self.reject_outliers {
-            reject_outliers_into(series, 3.0, &mut scratch.outlier, &mut scratch.rejected);
-            if self.wavelet_denoise {
-                self.denoiser
-                    .denoise_into(&scratch.rejected, &mut scratch.denoise, out);
-            } else {
-                out.clear();
-                out.extend_from_slice(&scratch.rejected);
+            for c in 0..cols {
+                scratch.column.clear();
+                scratch.column.extend(plane.iter().skip(c).step_by(cols));
+                reject_outliers_into(
+                    &scratch.column,
+                    3.0,
+                    &mut scratch.outlier,
+                    &mut scratch.rejected,
+                );
+                for (x, &v) in plane
+                    .iter_mut()
+                    .skip(c)
+                    .step_by(cols)
+                    .zip(&scratch.rejected)
+                {
+                    *x = v;
+                }
             }
-        } else if self.wavelet_denoise {
+        }
+        if self.wavelet_denoise {
             self.denoiser
-                .denoise_into(series, &mut scratch.denoise, out);
-        } else {
-            out.clear();
-            out.extend_from_slice(series);
+                .denoise_columns(plane, cols, &mut scratch.denoise);
         }
     }
 }
@@ -90,13 +104,12 @@ impl AmplitudeConfig {
 /// [`CleanedAmplitudes::compute_with`].
 #[derive(Debug, Clone, Default)]
 pub struct CleanScratch {
+    /// One series gathered out of the plane for the 3σ repair, and its
+    /// repaired copy.
+    column: Vec<f64>,
     rejected: Vec<f64>,
     outlier: OutlierScratch,
     denoise: DenoiseScratch,
-    /// Raw and cleaned series of [`CleanedAmplitudes::compute_with`],
-    /// taken out and put back around each capture.
-    raw: Vec<f64>,
-    cleaned: Vec<f64>,
 }
 
 /// Every cleaned per-(antenna, subcarrier) amplitude time series of one
@@ -107,17 +120,16 @@ pub struct CleanScratch {
 /// several pairs — computing the cleaned series per *pair* repeats the
 /// most expensive stage of the pipeline. Building this cache up front
 /// de-duplicates that work; [`AmplitudeRatioProfile::from_cleaned`] then
-/// forms ratios from the cached series, bit-for-bit equal to
-/// [`AmplitudeRatioProfile::compute`].
+/// forms ratios from the cached series.
 ///
-/// Cleaning preserves a series' length, so the series are stored back to
-/// back in one plane: series `(a, k)` is the `n_packets` values starting
-/// at `(a · n_subcarriers + k) · n_packets`.
+/// The plane keeps the capture's own sample-major layout: packet `m` of
+/// series `(a, k)` sits at `m · cols + a · n_subcarriers + k`, with
+/// `cols = n_antennas · n_subcarriers`. The cleaning kernels run over all
+/// `cols` series at once, row by row.
 #[derive(Debug, Clone)]
 pub struct CleanedAmplitudes {
     n_antennas: usize,
     n_subcarriers: usize,
-    n_packets: usize,
     plane: Vec<f64>,
 }
 
@@ -127,7 +139,6 @@ impl CleanedAmplitudes {
     /// # Panics
     ///
     /// Panics if the capture is empty.
-    // wlint: hot
     pub fn compute(capture: &CsiCapture, config: &AmplitudeConfig) -> Self {
         Self::compute_with(capture, config, &mut CleanScratch::default())
     }
@@ -139,7 +150,7 @@ impl CleanedAmplitudes {
     /// # Panics
     ///
     /// Panics if the capture is empty.
-    // wlint: allow(panic-reach) — a < n_antennas and k < n_subcarriers by the loop bounds, so every series walk stays inside the capture's planes
+    // wlint: hot
     pub fn compute_with(
         capture: &CsiCapture,
         config: &AmplitudeConfig,
@@ -148,38 +159,31 @@ impl CleanedAmplitudes {
         assert!(!capture.is_empty(), "capture holds no packets");
         let n_antennas = capture.n_antennas();
         let n_subcarriers = capture.n_subcarriers();
-        let n_packets = capture.len();
-        let mut raw = std::mem::take(&mut scratch.raw);
-        let mut cleaned = std::mem::take(&mut scratch.cleaned);
+        let (re, im) = capture.planes();
         // wlint: allow(hot-path-alloc) — the plane is the result this builds: one allocation per capture, sized up front
-        let mut plane = Vec::with_capacity(n_antennas * n_subcarriers * n_packets);
-        for a in 0..n_antennas {
-            for k in 0..n_subcarriers {
-                capture.amplitude_series_into(a, k, &mut raw);
-                config.clean_series_into(&raw, scratch, &mut cleaned);
-                plane.extend_from_slice(&cleaned);
-            }
-        }
-        scratch.raw = raw;
-        scratch.cleaned = cleaned;
+        let mut plane = Vec::with_capacity(re.len());
+        plane.extend(re.iter().zip(im).map(|(&r, &i)| Complex::new(r, i).abs()));
+        config.clean_columns(&mut plane, n_antennas * n_subcarriers, scratch);
         CleanedAmplitudes {
             n_antennas,
             n_subcarriers,
-            n_packets,
             plane,
         }
     }
 
-    /// The cleaned series of one (antenna, subcarrier).
+    /// The cleaned series of one (antenna, subcarrier), in packet order.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn series(&self, antenna: usize, subcarrier: usize) -> &[f64] {
+    pub fn series(&self, antenna: usize, subcarrier: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(antenna < self.n_antennas, "antenna index out of range");
         assert!(subcarrier < self.n_subcarriers, "subcarrier out of range");
-        let start = (antenna * self.n_subcarriers + subcarrier) * self.n_packets;
-        &self.plane[start..start + self.n_packets]
+        let cols = self.n_antennas * self.n_subcarriers;
+        self.plane[antenna * self.n_subcarriers + subcarrier..]
+            .iter()
+            .step_by(cols)
+            .copied()
     }
 
     /// Number of antennas covered.
@@ -190,6 +194,11 @@ impl CleanedAmplitudes {
     /// Number of subcarriers covered.
     pub fn n_subcarriers(&self) -> usize {
         self.n_subcarriers
+    }
+
+    /// Number of packets per series.
+    pub fn n_packets(&self) -> usize {
+        self.plane.len() / (self.n_antennas * self.n_subcarriers)
     }
 }
 
@@ -217,29 +226,11 @@ impl AmplitudeRatioProfile {
     ///
     /// Panics if the capture is empty, indices are out of range or equal.
     pub fn compute(capture: &CsiCapture, a: usize, b: usize, config: &AmplitudeConfig) -> Self {
-        assert!(!capture.is_empty(), "capture holds no packets");
-        assert!(a != b, "amplitude ratio needs two distinct antennas");
-        let n_ant = capture.n_antennas();
-        assert!(a < n_ant && b < n_ant, "antenna index out of range");
-
-        let n_sub = capture.n_subcarriers();
-        let mut scratch = CleanScratch::default();
-        let mut ratio = RatioScratch::default();
-        let mut summary = RatioSummary::new(n_sub, &mut ratio);
-        let (mut raw, mut sa, mut sb) = (Vec::new(), Vec::new(), Vec::new());
-        for k in 0..n_sub {
-            capture.amplitude_series_into(a, k, &mut raw);
-            config.clean_series_into(&raw, &mut scratch, &mut sa);
-            capture.amplitude_series_into(b, k, &mut raw);
-            config.clean_series_into(&raw, &mut scratch, &mut sb);
-            summary.push_ratio(&sa, &sb);
-        }
-        summary.finish(a, b)
+        Self::from_cleaned(&CleanedAmplitudes::compute(capture, config), a, b)
     }
 
-    /// Builds the profile from pre-cleaned series — bit-for-bit equal to
-    /// [`Self::compute`] with the same configuration, without repeating
-    /// the per-antenna cleaning for every pair the antenna appears in.
+    /// Builds the profile from pre-cleaned series, without repeating the
+    /// per-antenna cleaning for every pair the antenna appears in.
     ///
     /// # Panics
     ///
@@ -265,11 +256,32 @@ impl AmplitudeRatioProfile {
         assert!(a < n_ant && b < n_ant, "antenna index out of range");
 
         let n_sub = cleaned.n_subcarriers();
-        let mut summary = RatioSummary::new(n_sub, scratch);
+        let mut mean = Vec::with_capacity(n_sub);
+        let mut var = Vec::with_capacity(n_sub);
+        let RatioScratch { ratio, sort } = scratch;
         for k in 0..n_sub {
-            summary.push_ratio(cleaned.series(a, k), cleaned.series(b, k));
+            ratio.clear();
+            ratio.reserve(cleaned.n_packets());
+            ratio.extend(
+                cleaned
+                    .series(a, k)
+                    .zip(cleaned.series(b, k))
+                    .map(|(x, y)| if y > 0.0 { x / y } else { f64::NAN })
+                    .filter(|r| r.is_finite()),
+            );
+            if ratio.is_empty() {
+                mean.push(f64::NAN);
+                var.push(f64::NAN);
+            } else {
+                mean.push(median_in(ratio, sort));
+                var.push(variance(ratio));
+            }
         }
-        summary.finish(a, b)
+        AmplitudeRatioProfile {
+            pair: (a, b),
+            mean,
+            variance: var,
+        }
     }
 
     /// Number of subcarriers.
@@ -305,52 +317,6 @@ impl AmplitudeRatioProfile {
 pub struct RatioScratch {
     ratio: Vec<f64>,
     sort: Vec<f64>,
-}
-
-/// Accumulates the per-subcarrier median/variance of the cleaned ratio,
-/// reusing the caller's ratio and sort buffers across subcarriers.
-struct RatioSummary<'s> {
-    mean: Vec<f64>,
-    variance: Vec<f64>,
-    scratch: &'s mut RatioScratch,
-}
-
-impl<'s> RatioSummary<'s> {
-    fn new(n_sub: usize, scratch: &'s mut RatioScratch) -> Self {
-        RatioSummary {
-            mean: Vec::with_capacity(n_sub),
-            variance: Vec::with_capacity(n_sub),
-            scratch,
-        }
-    }
-
-    // wlint: hot
-    fn push_ratio(&mut self, sa: &[f64], sb: &[f64]) {
-        let RatioScratch { ratio, sort } = &mut *self.scratch;
-        ratio.clear();
-        ratio.reserve(sa.len().min(sb.len()));
-        ratio.extend(
-            sa.iter()
-                .zip(sb)
-                .map(|(x, y)| if *y > 0.0 { x / y } else { f64::NAN })
-                .filter(|r| r.is_finite()),
-        );
-        if ratio.is_empty() {
-            self.mean.push(f64::NAN);
-            self.variance.push(f64::NAN);
-        } else {
-            self.mean.push(median_in(ratio, sort));
-            self.variance.push(variance(ratio));
-        }
-    }
-
-    fn finish(self, a: usize, b: usize) -> AmplitudeRatioProfile {
-        AmplitudeRatioProfile {
-            pair: (a, b),
-            mean: self.mean,
-            variance: self.variance,
-        }
-    }
 }
 
 /// Per-antenna amplitude variance per subcarrier (uncleaned) — used for
@@ -428,14 +394,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_cleaned_series_match_clean_series_bitwise() {
-        // One scratch shared across captures of different lengths (short
-        // ones skip the denoiser) and configurations, as `measure` shares
-        // it between the baseline and target captures.
-        let mut scratch = CleanScratch::default();
-        let mut ratio = RatioScratch::default();
-        let configs = [
+    fn flag_configs() -> [AmplitudeConfig; 4] {
+        [
             AmplitudeConfig::default(),
             AmplitudeConfig::raw(),
             AmplitudeConfig {
@@ -448,15 +408,25 @@ mod tests {
                 wavelet_denoise: true,
                 denoiser: CorrelationDenoiser::default(),
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn flat_cleaned_series_match_clean_series_bitwise() {
+        // One scratch shared across captures of different lengths (short
+        // ones skip the denoiser) and configurations, as `measure` shares
+        // it between the baseline and target captures.
+        let mut scratch = CleanScratch::default();
+        let mut ratio = RatioScratch::default();
         for (seed, packets) in [(3u64, 20usize), (4, 5), (5, 8), (6, 33), (7, 1)] {
             let cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
-            for config in &configs {
+            for config in &flag_configs() {
                 let flat = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
+                assert_eq!(flat.n_packets(), packets);
                 for a in 0..cap.n_antennas() {
                     for k in 0..cap.n_subcarriers() {
                         let reference = config.clean_series(&cap.amplitude_series(a, k));
-                        let got = flat.series(a, k);
+                        let got: Vec<f64> = flat.series(a, k).collect();
                         assert_eq!(got.len(), reference.len(), "{packets} packets ({a}, {k})");
                         for (x, y) in got.iter().zip(&reference) {
                             assert_eq!(x.to_bits(), y.to_bits(), "{packets} packets ({a}, {k})");
@@ -477,6 +447,181 @@ mod tests {
         }
     }
 
+    /// Verbatim copy of the per-series cleaning chain the batched kernels
+    /// replaced: 3σ repair, then the correlation denoiser with its
+    /// wrap-split SWT kernels and two-sort robust σ, one series at a time.
+    mod per_series_reference {
+        use wimi_dsp::outlier::reject_outliers_3sigma;
+        use wimi_dsp::stats::median;
+        use wimi_dsp::wavelet::CorrelationDenoiser;
+
+        pub fn clean_series(
+            series: &[f64],
+            reject_outliers: bool,
+            wavelet_denoise: bool,
+            cfg: &CorrelationDenoiser,
+        ) -> Vec<f64> {
+            let mut xs = series.to_vec();
+            if reject_outliers {
+                xs = reject_outliers_3sigma(&xs);
+            }
+            if wavelet_denoise {
+                xs = denoise(cfg, &xs);
+            }
+            xs
+        }
+
+        fn accumulate_rotated(y: &mut [f64], x: &[f64], hk: f64, off: usize) {
+            let n = x.len();
+            let split = n - off;
+            for (yi, &xi) in y[..split].iter_mut().zip(&x[off..]) {
+                *yi += hk * xi;
+            }
+            for (yi, &xi) in y[split..].iter_mut().zip(&x[..off]) {
+                *yi += hk * xi;
+            }
+        }
+
+        fn analyze(x: &[f64], h: &[f64], stride: usize) -> Vec<f64> {
+            let n = x.len();
+            let mut out = vec![0.0; n];
+            for (k, &hk) in h.iter().enumerate() {
+                accumulate_rotated(&mut out, x, hk, (k * stride) % n);
+            }
+            out
+        }
+
+        fn synthesize(x: &[f64], h: &[f64], stride: usize) -> Vec<f64> {
+            let n = x.len();
+            let mut out = vec![0.0; n];
+            for (k, &hk) in h.iter().enumerate() {
+                accumulate_rotated(&mut out, x, hk, (n - (k * stride) % n) % n);
+            }
+            out
+        }
+
+        fn robust_std(xs: &[f64]) -> f64 {
+            let med = median(xs);
+            let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+            median(&dev) / 0.6745
+        }
+
+        fn denoise(cfg: &CorrelationDenoiser, xs: &[f64]) -> Vec<f64> {
+            if xs.len() < 8 {
+                return xs.to_vec();
+            }
+            let taps = cfg.wavelet.lowpass().len();
+            let mut max_levels = 1usize;
+            while (taps - 1) * (1usize << max_levels) < xs.len() {
+                max_levels += 1;
+            }
+            let levels = cfg.levels.min(max_levels);
+            if levels < 2 {
+                return xs.to_vec();
+            }
+            let h = cfg.wavelet.lowpass();
+            let g = cfg.wavelet.highpass();
+            let mut approx = xs.to_vec();
+            let mut details = Vec::new();
+            for l in 0..levels {
+                details.push(analyze(&approx, &g, 1 << l));
+                approx = analyze(&approx, h, 1 << l);
+            }
+            let sigma = robust_std(&details[0]);
+            let n = xs.len() as f64;
+            for l in 0..levels - 1 {
+                let threshold = cfg.threshold_scale * n * sigma * sigma;
+                let coarser = details[l + 1].clone();
+                let w = &mut details[l];
+                for _ in 0..cfg.max_iterations {
+                    let pw: f64 = w.iter().map(|v| v * v).sum();
+                    if pw <= threshold {
+                        break;
+                    }
+                    let corr: Vec<f64> = w.iter().zip(&coarser).map(|(a, b)| a * b).collect();
+                    let pcorr: f64 = corr.iter().map(|c| c * c).sum();
+                    if pcorr <= 0.0 {
+                        w.iter_mut().for_each(|v| *v = 0.0);
+                        break;
+                    }
+                    let norm = (pw / pcorr).sqrt();
+                    let mut zeroed = 0usize;
+                    for m in 0..w.len() {
+                        if w[m].abs() > 0.0 && w[m].abs() >= (corr[m] * norm).abs() {
+                            w[m] = 0.0;
+                            zeroed += 1;
+                        }
+                    }
+                    if zeroed == 0 {
+                        break;
+                    }
+                }
+            }
+            for l in (0..levels).rev() {
+                let from_a = synthesize(&approx, h, 1 << l);
+                let from_d = synthesize(&details[l], &g, 1 << l);
+                approx = from_a
+                    .iter()
+                    .zip(&from_d)
+                    .map(|(a, d)| 0.5 * (a + d))
+                    .collect();
+            }
+            approx
+        }
+    }
+
+    #[test]
+    fn batched_cleaning_matches_per_series_reference_bitwise() {
+        use wimi_phy::fault::FaultPlan;
+        let mut scratch = CleanScratch::default();
+        let mut repaired = 0usize;
+        for packets in [8usize, 10, 14, 15, 20, 40] {
+            for (seed, faulted) in [(11u64, false), (12, true), (13, true)] {
+                let mut cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
+                if faulted {
+                    // Interference and AGC jumps put outliers into the
+                    // amplitude series for the 3σ repair to fix.
+                    let plan = FaultPlan::new(seed)
+                        .with_interference(0.2)
+                        .with_agc_jump(0.15, 6.0)
+                        .with_saturation(0.1, 0.35);
+                    cap = plan.apply(&cap, seed);
+                }
+                for config in &flag_configs() {
+                    let batched = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
+                    for a in 0..cap.n_antennas() {
+                        for k in 0..cap.n_subcarriers() {
+                            let raw = cap.amplitude_series(a, k);
+                            let want = per_series_reference::clean_series(
+                                &raw,
+                                config.reject_outliers,
+                                config.wavelet_denoise,
+                                &config.denoiser,
+                            );
+                            if config.reject_outliers && !config.wavelet_denoise {
+                                repaired += usize::from(
+                                    want.iter()
+                                        .zip(&raw)
+                                        .any(|(x, y)| x.to_bits() != y.to_bits()),
+                                );
+                            }
+                            let got: Vec<f64> = batched.series(a, k).collect();
+                            assert_eq!(got.len(), want.len());
+                            for (m, (x, y)) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                    "{packets} packets seed {seed} {config:?} ({a}, {k}) m={m}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(repaired > 0, "no faulted series had an outlier repaired");
+    }
+
     #[test]
     fn clean_series_into_matches_allocating_variant_bitwise() {
         let mut series: Vec<f64> = (0..64)
@@ -485,20 +630,7 @@ mod tests {
         series[30] = 50.0;
         let mut scratch = CleanScratch::default();
         let mut out = Vec::new();
-        for config in [
-            AmplitudeConfig::default(),
-            AmplitudeConfig::raw(),
-            AmplitudeConfig {
-                reject_outliers: true,
-                wavelet_denoise: false,
-                denoiser: CorrelationDenoiser::default(),
-            },
-            AmplitudeConfig {
-                reject_outliers: false,
-                wavelet_denoise: true,
-                denoiser: CorrelationDenoiser::default(),
-            },
-        ] {
+        for config in flag_configs() {
             config.clean_series_into(&series, &mut scratch, &mut out);
             let reference = config.clean_series(&series);
             assert_eq!(out.len(), reference.len());

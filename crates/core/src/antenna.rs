@@ -5,7 +5,7 @@
 //! different multipath). WiMi scores each pair on the baseline capture
 //! and uses the most stable one.
 
-use crate::amplitude::{AmplitudeConfig, AmplitudeRatioProfile};
+use crate::amplitude::{AmplitudeConfig, AmplitudeRatioProfile, CleanedAmplitudes};
 use crate::phase::PhaseDifferenceProfile;
 use wimi_phy::csi::CsiCapture;
 
@@ -63,11 +63,12 @@ pub fn score_pairs(capture: &CsiCapture, amp_config: &AmplitudeConfig) -> Vec<Pa
         capture.n_antennas() >= 2,
         "pair scoring needs at least two antennas"
     );
+    let cleaned = CleanedAmplitudes::compute(capture, amp_config);
     enumerate_pairs(capture.n_antennas())
         .into_iter()
         .map(|(a, b)| {
             let phase = PhaseDifferenceProfile::compute(capture, a, b);
-            let amp = AmplitudeRatioProfile::compute(capture, a, b, amp_config);
+            let amp = AmplitudeRatioProfile::from_cleaned(&cleaned, a, b);
             PairScore {
                 pair: (a, b),
                 phase_variance: phase.mean_variance(),

@@ -504,19 +504,19 @@ impl WiMi {
         };
         let (amp_base, amp_tar) = {
             let _span = rec.map(|r| r.span(StageId::AmplitudeDenoising));
-            match amps {
-                Some((clean_base, clean_tar)) => {
-                    let mut scratch = RatioScratch::default();
-                    (
-                        AmplitudeRatioProfile::from_cleaned_with(clean_base, a, b, &mut scratch),
-                        AmplitudeRatioProfile::from_cleaned_with(clean_tar, a, b, &mut scratch),
-                    )
+            let owned;
+            let (clean_base, clean_tar) = match amps {
+                Some(cached) => cached,
+                None => {
+                    owned = self.clean_amplitudes(baseline, target);
+                    (&owned.0, &owned.1)
                 }
-                None => (
-                    AmplitudeRatioProfile::compute(baseline, a, b, &self.config.amplitude),
-                    AmplitudeRatioProfile::compute(target, a, b, &self.config.amplitude),
-                ),
-            }
+            };
+            let mut scratch = RatioScratch::default();
+            (
+                AmplitudeRatioProfile::from_cleaned_with(clean_base, a, b, &mut scratch),
+                AmplitudeRatioProfile::from_cleaned_with(clean_tar, a, b, &mut scratch),
+            )
         };
         (phase_base, phase_tar, amp_base, amp_tar, selected)
     }

@@ -77,12 +77,61 @@ pub fn median_in_place(xs: &mut [f64]) -> f64 {
 
 /// Median absolute deviation (unscaled).
 pub fn mad(xs: &[f64]) -> f64 {
+    mad_in(xs, &mut Vec::new())
+}
+
+/// [`mad`] through a caller-owned scratch buffer, with one sort.
+///
+/// Over the sorted series `s`, `s_i − med` rounds monotonically, so the
+/// absolute deviations form two sorted runs that meet at the median: the
+/// negative ones descending, the rest ascending. Merging the two runs up
+/// to the middle yields the same order statistics, so the same bits, as
+/// sorting the deviations. Input with a non-finite value (where `∞ − ∞`
+/// can make a deviation NaN) takes the sort of the deviations instead.
+// wlint: hot
+// wlint: allow(panic-reach) — the merge cursors stay inside buf: lo < split ≤ hi, and it takes at most n/2 + 1 < n + 1 steps
+fn mad_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    let med = median(xs);
-    let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median(&dev)
+    let med = median_in(xs, buf);
+    if !xs.iter().all(|x| x.is_finite()) {
+        buf.clear();
+        buf.extend(xs.iter().map(|x| (x - med).abs()));
+        return median_in_place(buf);
+    }
+    let n = buf.len();
+    let split = buf.partition_point(|&x| x - med < 0.0);
+    // `lo` walks the negative run down from the median, `hi` the rest up.
+    let (mut lo, mut hi) = (split, split);
+    let mut next = || {
+        let below = (lo > 0).then(|| (buf[lo - 1] - med).abs());
+        let above = (hi < n).then(|| (buf[hi] - med).abs());
+        match (below, above) {
+            (Some(b), Some(a)) if b <= a => {
+                lo -= 1;
+                b
+            }
+            (_, Some(a)) => {
+                hi += 1;
+                a
+            }
+            (Some(b), None) => {
+                lo -= 1;
+                b
+            }
+            (None, None) => f64::NAN,
+        }
+    };
+    let mut lower = next();
+    for _ in 0..(n - 1) / 2 {
+        lower = next();
+    }
+    if n % 2 == 1 {
+        lower
+    } else {
+        (lower + next()) / 2.0
+    }
 }
 
 /// Robust standard-deviation estimate from the MAD of `xs`:
@@ -93,18 +142,10 @@ pub fn robust_std(xs: &[f64]) -> f64 {
     mad(xs) / 0.6745
 }
 
-/// [`robust_std`] through a caller-owned scratch buffer. The median only
-/// depends on the sorted order, so reusing one buffer for both the series
-/// copy and the absolute deviations returns the same bits as the
-/// allocating version.
+/// [`robust_std`] through a caller-owned scratch buffer — same bits, no
+/// allocation once `buf` has grown to the series length.
 pub fn robust_std_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let med = median_in(xs, buf);
-    buf.clear();
-    buf.extend(xs.iter().map(|x| (x - med).abs()));
-    median_in_place(buf) / 0.6745
+    mad_in(xs, buf) / 0.6745
 }
 
 /// Linear Pearson correlation of two equal-length series.
@@ -459,6 +500,66 @@ mod tests {
         );
         assert!(median_in(&[], &mut buf).is_nan());
         assert!(robust_std_in(&[], &mut buf).is_nan());
+    }
+
+    /// Verbatim copy of the two-sort `mad`: sort the series for its
+    /// median, then sort the absolute deviations for theirs.
+    fn reference_mad(xs: &[f64]) -> f64 {
+        if xs.is_empty() {
+            return f64::NAN;
+        }
+        let med = median(xs);
+        let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+        median(&dev)
+    }
+
+    #[test]
+    fn one_sort_mad_matches_two_sort_reference_bitwise() {
+        let mut buf = Vec::new();
+        let mut check = |xs: &[f64], what: &str| {
+            let want = reference_mad(xs);
+            assert_eq!(mad(xs).to_bits(), want.to_bits(), "mad: {what} {xs:?}");
+            assert_eq!(
+                robust_std_in(xs, &mut buf).to_bits(),
+                (want / 0.6745).to_bits(),
+                "robust_std_in: {what} {xs:?}"
+            );
+            assert_eq!(
+                robust_std(xs).to_bits(),
+                (want / 0.6745).to_bits(),
+                "robust_std: {what}"
+            );
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Odd and even lengths, from one sample up.
+        for n in 1..=41 {
+            for _ in 0..20 {
+                let xs: Vec<f64> = (0..n).map(|_| uniform() * 4.0 - 2.0).collect();
+                check(&xs, "random");
+                // Coarse values make many ties among samples and deviations.
+                let ties: Vec<f64> = xs.iter().map(|x| (x * 2.0).round() / 2.0).collect();
+                check(&ties, "ties");
+            }
+        }
+        check(&[0.0, -0.0, 0.0, -0.0], "signed zeros even");
+        check(&[-0.0, 0.0, -0.0], "signed zeros odd");
+        check(&[-0.0, 1.0, 0.0, -1.0, 2.0], "zeros around the median");
+        check(&[3.5; 7], "all equal odd");
+        check(&[-2.25; 8], "all equal even");
+        check(&[1e308, 1e308, -1e308, 5.0], "overflowing deviations");
+        check(&[1.0, f64::INFINITY, 2.0], "+inf");
+        check(&[f64::NEG_INFINITY, 1.0, 2.0, 3.0], "-inf");
+        check(&[f64::INFINITY, f64::NEG_INFINITY], "both infinities");
+        check(&[f64::INFINITY, f64::INFINITY, 1.0], "infinite median");
+        check(&[1.0, f64::NAN, 2.0, 0.5], "NaN");
+        check(&[f64::NAN], "lone NaN");
+        assert!(mad(&[]).is_nan());
     }
 
     /// Verbatim copy of `phase_summary` before the per-angle `sin`/`cos`

@@ -39,8 +39,8 @@ impl Default for CorrelationDenoiser {
     }
 }
 
-/// Reusable work area for [`CorrelationDenoiser::denoise_into`]. Holds the
-/// decomposition bands, filter taps and temporaries so a steady-state
+/// Reusable work area for [`CorrelationDenoiser::denoise_columns`]. Holds
+/// the decomposition bands, filter taps and temporaries so a steady-state
 /// denoise call performs no heap allocation once the buffers have grown to
 /// the working size.
 #[derive(Debug, Clone, Default)]
@@ -48,6 +48,9 @@ pub struct DenoiseScratch {
     details: Vec<Vec<f64>>,
     approx: Vec<f64>,
     tmp: Vec<f64>,
+    /// One column of a detail band, gathered for the per-series noise
+    /// estimate and suppression.
+    band: Vec<f64>,
     corr: Vec<f64>,
     sort: Vec<f64>,
     highpass: Vec<f64>,
@@ -76,33 +79,49 @@ impl CorrelationDenoiser {
     /// upsampled filter still fits the signal — deeper levels would wrap
     /// circularly several times and smear energy instead of separating it.
     pub fn denoise(&self, xs: &[f64]) -> Vec<f64> {
-        let mut scratch = DenoiseScratch::default();
         let mut out = Vec::new();
-        self.denoise_into(xs, &mut scratch, &mut out);
+        self.denoise_into(xs, &mut DenoiseScratch::default(), &mut out);
         out
     }
 
     /// [`Self::denoise`] through caller-owned buffers: the cleaned series
     /// is written into `out` and every intermediate band lives in
-    /// `scratch`. Returns the same bits as the allocating version with no
-    /// steady-state heap traffic.
-    // wlint: hot
-    // wlint: allow(panic-reach) — detail-band indices are bounded by the resize_with(levels) above them; downstream kernels assert their length invariants
+    /// `scratch` — the one-column case of [`Self::denoise_columns`].
     pub fn denoise_into(&self, xs: &[f64], scratch: &mut DenoiseScratch, out: &mut Vec<f64>) {
         out.clear();
-        if xs.len() < 8 {
-            out.extend_from_slice(xs);
+        out.extend_from_slice(xs);
+        self.denoise_columns(out, 1, scratch);
+    }
+
+    /// Denoises, in place, every column of a sample-major plane holding
+    /// `cols` series of `plane.len() / cols` samples (sample `m` of series
+    /// `c` at `m·cols + c`). Each column comes out bit for bit as
+    /// [`Self::denoise`] of that series alone: the transform kernels sum
+    /// each element's taps in the per-series order, and the noise estimate
+    /// and suppression run per column on gathered copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is zero or does not divide the plane's length.
+    // wlint: hot
+    // wlint: allow(panic-reach) — detail-band indices are bounded by the resize_with(levels) above them; column gathers stay below n·cols
+    pub fn denoise_columns(&self, plane: &mut Vec<f64>, cols: usize, scratch: &mut DenoiseScratch) {
+        assert!(
+            cols > 0 && plane.len().is_multiple_of(cols),
+            "plane must hold whole rows of cols samples"
+        );
+        let n_samples = plane.len() / cols;
+        if n_samples < 8 {
             return;
         }
         let taps = self.wavelet.lowpass().len();
         let mut max_levels = 1usize;
-        while (taps - 1) * (1usize << max_levels) < xs.len() {
+        while (taps - 1) * (1usize << max_levels) < n_samples {
             max_levels += 1;
         }
         let levels = self.levels.min(max_levels);
         if levels < 2 {
             // Cannot form an adjacent-scale correlation; leave untouched.
-            out.extend_from_slice(xs);
             return;
         }
         let h = self.wavelet.lowpass();
@@ -110,53 +129,56 @@ impl CorrelationDenoiser {
         if scratch.details.len() < levels {
             scratch.details.resize_with(levels, Vec::new);
         }
-        scratch.approx.clear();
-        scratch.approx.extend_from_slice(xs);
-        for l in 0..levels {
+        let DenoiseScratch {
+            details,
+            approx,
+            tmp,
+            band,
+            corr,
+            sort,
+            highpass,
+        } = scratch;
+        approx.clear();
+        approx.extend_from_slice(plane);
+        for (l, detail) in details[..levels].iter_mut().enumerate() {
             let stride = 1usize << l;
-            analyze_into(
-                &scratch.approx,
-                &scratch.highpass,
-                stride,
-                &mut scratch.details[l],
-            );
-            analyze_into(&scratch.approx, h, stride, &mut scratch.tmp);
-            std::mem::swap(&mut scratch.approx, &mut scratch.tmp);
+            analyze_into(approx, cols, highpass, stride, detail);
+            analyze_into(approx, cols, h, stride, tmp);
+            std::mem::swap(approx, tmp);
         }
 
-        // Robust per-coefficient noise σ from the finest detail band
-        // (Donoho's median rule, which the paper cites via Xu et al.).
-        let sigma = robust_std_in(&scratch.details[0], &mut scratch.sort);
-        let n = xs.len() as f64;
-
-        for l in 0..levels - 1 {
-            let (fine, coarse) = scratch.details.split_at_mut(l + 1);
-            self.suppress_noise_at_scale_in(
-                &mut fine[l],
-                &coarse[0],
-                self.threshold_scale * n * sigma * sigma,
-                &mut scratch.corr,
-            );
+        let n = n_samples as f64;
+        for c in 0..cols {
+            // Robust per-coefficient noise σ from the finest detail band
+            // (Donoho's median rule, which the paper cites via Xu et al.).
+            gather_column(&details[0], cols, c, band);
+            let sigma = robust_std_in(band, sort);
+            for l in 0..levels - 1 {
+                gather_column(&details[l], cols, c, band);
+                self.suppress_noise_at_scale_in(
+                    band,
+                    &details[l + 1][c..],
+                    cols,
+                    self.threshold_scale * n * sigma * sigma,
+                    corr,
+                );
+                for (w, &v) in details[l][c..].iter_mut().step_by(cols).zip(band.iter()) {
+                    *w = v;
+                }
+            }
         }
         // Coarsest detail band: dominated by signal; keep as-is. Inverse
-        // transform level by level: `out` carries the low-pass branch,
+        // transform level by level: `plane` carries the low-pass branch,
         // `tmp` the detail branch.
         for l in (0..levels).rev() {
             let stride = 1usize << l;
-            synthesize_into(&scratch.approx, h, stride, out);
-            synthesize_into(
-                &scratch.details[l],
-                &scratch.highpass,
-                stride,
-                &mut scratch.tmp,
-            );
-            scratch.approx.clear();
-            scratch
-                .approx
-                .extend(out.iter().zip(&scratch.tmp).map(|(a, d)| 0.5 * (a + d)));
+            synthesize_into(approx, cols, h, stride, plane);
+            synthesize_into(&details[l], cols, highpass, stride, tmp);
+            approx.clear();
+            approx.extend(plane.iter().zip(tmp.iter()).map(|(a, d)| 0.5 * (a + d)));
         }
-        out.clear();
-        out.extend_from_slice(&scratch.approx);
+        plane.clear();
+        plane.extend_from_slice(approx);
     }
 
     /// Iterative noise suppression on one detail band, using the adjacent
@@ -168,11 +190,13 @@ impl CorrelationDenoiser {
     /// confirmed by the coarser scale — it is noise (e.g. an impulse
     /// concentrated at fine scale) and is zeroed. Coefficients the coarser
     /// scale confirms survive. Iterate until the band power `PW` falls to
-    /// the robust noise-power threshold.
+    /// the robust noise-power threshold. The coarser band's column is
+    /// every `cols`-th value of `coarser`.
     fn suppress_noise_at_scale_in(
         &self,
         w: &mut [f64],
         coarser: &[f64],
+        cols: usize,
         noise_power_threshold: f64,
         corr: &mut Vec<f64>,
     ) {
@@ -182,7 +206,11 @@ impl CorrelationDenoiser {
                 break;
             }
             corr.clear();
-            corr.extend(w.iter().zip(coarser.iter()).map(|(a, b)| a * b));
+            corr.extend(
+                w.iter()
+                    .zip(coarser.iter().step_by(cols))
+                    .map(|(a, b)| a * b),
+            );
             let pcorr: f64 = corr.iter().map(|c| c * c).sum();
             // A sum of squares is non-negative; non-positive means nothing
             // correlates.
@@ -204,6 +232,12 @@ impl CorrelationDenoiser {
             }
         }
     }
+}
+
+/// Copies column `c` of a sample-major plane with `cols` columns into `out`.
+fn gather_column(plane: &[f64], cols: usize, c: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(plane[c..].iter().step_by(cols));
 }
 
 /// Denoises with the paper's correlation method using default settings.
@@ -350,6 +384,27 @@ mod tests {
                 assert_eq!(out.len(), reference.len(), "{} n={n}", cfg.wavelet);
                 for (i, (a, b)) in out.iter().zip(&reference).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{} n={n} i={i}", cfg.wavelet);
+                }
+                // The same series beside two others in one sample-major
+                // plane: each column must come out as its lone series.
+                let columns = [
+                    noisy.clone(),
+                    noisy.iter().map(|x| 2.0 - x).collect(),
+                    reference.clone(),
+                ];
+                let mut plane: Vec<f64> = (0..3 * n).map(|j| columns[j % 3][j / 3]).collect();
+                cfg.denoise_columns(&mut plane, 3, &mut scratch);
+                for (c, column) in columns.iter().enumerate() {
+                    let want = denoise_reference(&cfg, column);
+                    for (i, w) in want.iter().enumerate() {
+                        let got = plane[i * 3 + c];
+                        assert_eq!(
+                            got.to_bits(),
+                            w.to_bits(),
+                            "{} n={n} c={c} i={i}",
+                            cfg.wavelet
+                        );
+                    }
                 }
             }
         }

@@ -152,61 +152,72 @@ impl SwtDecomposition {
     }
 }
 
-/// Adds `hk · rot(x, off)` into `y`, where `rot` rotates `x` left by
-/// `off`: `y[i] += hk · x[(i + off) mod N]`.
+/// Circular filter of every column of a sample-major plane:
+/// `y[i·cols + c] = Σ_k h[k]·x[((i + shift(k)) mod n)·cols + c]` over the
+/// `n = x.len() / cols` rows, written into `out`.
 ///
-/// The modular index walk is split at the wrap point into two contiguous
-/// slice passes so the compiler can vectorise both. Because the tap loop
-/// in [`analyze_into`]/[`synthesize_into`] is *outside* this call, every
-/// output element still accumulates its taps in the exact order the naive
-/// `Σ_k h[k]·x[…]` sum would — outputs are bitwise identical.
-// wlint: allow(panic-reach) — split = n - off is valid: both callers reduce off mod x.len() first
-#[inline]
-fn accumulate_rotated(y: &mut [f64], x: &[f64], hk: f64, off: usize) {
-    let n = x.len();
-    let split = n - off;
-    for (yi, &xi) in y[..split].iter_mut().zip(&x[off..]) {
-        *yi += hk * xi;
-    }
-    for (yi, &xi) in y[split..].iter_mut().zip(&x[..off]) {
-        *yi += hk * xi;
+/// Taps run outermost, then rows, then the contiguous columns, so every
+/// element starts from `0.0` and adds its taps in order `k = 0..L` — the
+/// same sum, in the same order, as the naive per-series loop: each column
+/// is bit for bit the one-column result. The source row walks from
+/// `shift(k)` and wraps to row 0 once, with no modulo per row.
+// wlint: hot
+// wlint: allow(panic-reach) — shift(k) < n and src stays below n, so every source row lies inside x
+fn filter_rows(
+    x: &[f64],
+    cols: usize,
+    h: &[f64],
+    shift: impl Fn(usize) -> usize,
+    out: &mut Vec<f64>,
+) {
+    let n = x.len() / cols;
+    out.clear();
+    out.resize(x.len(), 0.0);
+    for (k, &hk) in h.iter().enumerate() {
+        let mut src = shift(k);
+        for row in out.chunks_exact_mut(cols) {
+            for (y, &v) in row.iter_mut().zip(&x[src * cols..(src + 1) * cols]) {
+                *y += hk * v;
+            }
+            src += 1;
+            if src == n {
+                src = 0;
+            }
+        }
     }
 }
 
-/// Circular correlation of `x` with filter `h` upsampled by `stride`:
-/// `y[n] = Σ_k h[k]·x[(n + k·stride) mod N]`, written into `out`.
-// wlint: hot
-pub(crate) fn analyze_into(x: &[f64], h: &[f64], stride: usize, out: &mut Vec<f64>) {
-    let n = x.len();
-    out.clear();
-    out.resize(n, 0.0);
-    for (k, &hk) in h.iter().enumerate() {
-        accumulate_rotated(out, x, hk, (k * stride) % n);
-    }
+/// Circular correlation of every column of the sample-major plane `x`
+/// (`cols` series of `x.len() / cols` samples, sample `i` of series `c` at
+/// `i·cols + c`) with filter `h` upsampled by `stride`:
+/// `y[i] = Σ_k h[k]·x[(i + k·stride) mod n]` per column, written into `out`.
+pub(crate) fn analyze_into(x: &[f64], cols: usize, h: &[f64], stride: usize, out: &mut Vec<f64>) {
+    let n = x.len() / cols;
+    filter_rows(x, cols, h, |k| (k * stride) % n, out);
 }
 
 /// Adjoint of [`analyze_into`]: circular convolution
-/// `y[n] = Σ_k h[k]·x[(n − k·stride) mod N]`, written into `out`.
-// wlint: hot
-pub(crate) fn synthesize_into(x: &[f64], h: &[f64], stride: usize, out: &mut Vec<f64>) {
-    let n = x.len();
-    out.clear();
-    out.resize(n, 0.0);
-    for (k, &hk) in h.iter().enumerate() {
-        let off = (n - (k * stride) % n) % n;
-        accumulate_rotated(out, x, hk, off);
-    }
+/// `y[i] = Σ_k h[k]·x[(i − k·stride) mod n]` per column, written into `out`.
+pub(crate) fn synthesize_into(
+    x: &[f64],
+    cols: usize,
+    h: &[f64],
+    stride: usize,
+    out: &mut Vec<f64>,
+) {
+    let n = x.len() / cols;
+    filter_rows(x, cols, h, |k| (n - (k * stride) % n) % n, out);
 }
 
 fn analyze(x: &[f64], h: &[f64], stride: usize) -> Vec<f64> {
     let mut out = Vec::new();
-    analyze_into(x, h, stride, &mut out);
+    analyze_into(x, 1, h, stride, &mut out);
     out
 }
 
 fn synthesize(x: &[f64], h: &[f64], stride: usize) -> Vec<f64> {
     let mut out = Vec::new();
-    synthesize_into(x, h, stride, &mut out);
+    synthesize_into(x, 1, h, stride, &mut out);
     out
 }
 
@@ -280,51 +291,82 @@ mod tests {
             .collect()
     }
 
-    /// Naive modular-index reference for [`analyze_into`] — the loop the
-    /// wrap-split kernel must match bit-for-bit.
+    /// Naive modular-index reference for one column of [`analyze_into`]:
+    /// each output starts from `0.0` and adds its taps in order — the sum
+    /// the batched kernel must match bit for bit.
     fn analyze_ref(x: &[f64], h: &[f64], stride: usize) -> Vec<f64> {
         let n = x.len();
         (0..n)
             .map(|i| {
                 h.iter()
                     .enumerate()
-                    .map(|(k, &hk)| hk * x[(i + k * stride) % n])
-                    .sum()
+                    .fold(0.0, |acc, (k, &hk)| acc + hk * x[(i + k * stride) % n])
             })
             .collect()
     }
 
-    /// Naive reference for [`synthesize_into`].
+    /// Naive reference for one column of [`synthesize_into`].
     fn synthesize_ref(x: &[f64], h: &[f64], stride: usize) -> Vec<f64> {
         let n = x.len();
         (0..n)
             .map(|i| {
-                h.iter()
-                    .enumerate()
-                    .map(|(k, &hk)| {
-                        let idx = (i + n * h.len() * stride - k * stride) % n;
-                        hk * x[idx]
-                    })
-                    .sum()
+                h.iter().enumerate().fold(0.0, |acc, (k, &hk)| {
+                    acc + hk * x[(i + n * h.len() * stride - k * stride) % n]
+                })
             })
             .collect()
     }
 
     #[test]
     fn wrap_split_kernels_match_naive_reference_bitwise() {
-        for &n in &[2usize, 7, 13, 33, 64, 101] {
-            let x = chirp(n);
-            for w in Wavelet::ALL {
-                let h = w.lowpass();
-                let g = w.highpass();
-                for level in 0..5 {
-                    let stride = 1usize << level;
-                    for f in [h, &g[..]] {
-                        let mut fast = Vec::new();
-                        analyze_into(&x, f, stride, &mut fast);
-                        assert_eq!(fast, analyze_ref(&x, f, stride), "{w} n={n} s={stride}");
-                        synthesize_into(&x, f, stride, &mut fast);
-                        assert_eq!(fast, synthesize_ref(&x, f, stride), "{w} n={n} s={stride}");
+        for &n in &[2usize, 7, 13, 15, 20, 33, 64, 101] {
+            for cols in [1usize, 3, 90] {
+                // Column c is a chirp scaled and offset by c, so no two
+                // columns coincide; a zero column checks signed zeros.
+                let series: Vec<Vec<f64>> = (0..cols)
+                    .map(|c| {
+                        chirp(n)
+                            .iter()
+                            .map(|v| {
+                                if c == 2 {
+                                    -0.0
+                                } else {
+                                    v * (1.0 + c as f64 * 0.01) + c as f64
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let plane: Vec<f64> = (0..n * cols).map(|j| series[j % cols][j / cols]).collect();
+                for w in Wavelet::ALL {
+                    let h = w.lowpass();
+                    let g = w.highpass();
+                    for level in 0..5 {
+                        let stride = 1usize << level;
+                        for f in [h, &g[..]] {
+                            let mut a = Vec::new();
+                            let mut s = Vec::new();
+                            analyze_into(&plane, cols, f, stride, &mut a);
+                            synthesize_into(&plane, cols, f, stride, &mut s);
+                            for (c, x) in series.iter().enumerate() {
+                                let what = format!("{w} n={n} cols={cols} c={c} s={stride}");
+                                let want_a = analyze_ref(x, f, stride);
+                                let want_s = synthesize_ref(x, f, stride);
+                                for i in 0..n {
+                                    let j = i * cols + c;
+                                    assert_eq!(
+                                        a[j].to_bits(),
+                                        want_a[i].to_bits(),
+                                        "analyze {what}"
+                                    );
+                                    assert_eq!(
+                                        s[j].to_bits(),
+                                        want_s[i].to_bits(),
+                                        "synthesize {what}"
+                                    );
+                                }
+                            }
+                        }
                     }
                 }
             }

@@ -123,7 +123,10 @@ pub struct Scatterer {
 /// deployment, plus the jitter parameters that animate it per packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultipathChannel {
+    /// Static scatterers first, then dynamic ones.
     scatterers: Vec<Scatterer>,
+    /// Number of static scatterers leading `scatterers`.
+    n_static: usize,
     phase_jitter_std: f64,
     gain_jitter_std: f64,
 }
@@ -206,6 +209,7 @@ impl MultipathChannel {
         }
         MultipathChannel {
             scatterers,
+            n_static: prof.n_static,
             phase_jitter_std: prof.phase_jitter_std,
             gain_jitter_std: prof.gain_jitter_std,
         }
@@ -326,14 +330,46 @@ impl MultipathChannel {
         }
     }
 
-    /// Combines cached [`Self::path_gains`] with one packet's jitter;
-    /// equals `response(tx, rx, f, jitter, None)` for the same geometry.
+    /// Folds the static scatterers' share of a [`Self::path_gains`] plane
+    /// once, in place. Static scatterers lead the list, never jitter
+    /// (their multiplier is always [`Complex::ONE`]) and draw nothing from
+    /// the RNG, so their part of every packet's sum is constant: each row
+    /// of one gain per scatterer gets `Σ_static g·1` in its first slot,
+    /// summed from [`Complex::ZERO`] in scatterer order exactly as the
+    /// per-packet sum would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane does not hold whole rows of one gain per
+    /// scatterer.
+    pub fn fold_static(&self, gains: &mut [Complex]) {
+        if self.n_static == 0 {
+            return;
+        }
+        let n = self.scatterers.len();
+        assert!(
+            gains.len().is_multiple_of(n),
+            "path gain plane must hold whole scatterer rows"
+        );
+        for row in gains.chunks_exact_mut(n) {
+            row[0] = row[..self.n_static]
+                .iter()
+                .fold(Complex::ZERO, |acc, g| acc + *g * Complex::ONE);
+        }
+    }
+
+    /// Combines one row of [`Self::fold_static`]-folded path gains with a
+    /// packet's jitter, continuing the folded static sum over the dynamic
+    /// scatterers only; equals `response(tx, rx, f, jitter, None)` for the
+    /// same geometry, bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `gains` or `jitter` were built from a channel with a
     /// different number of scatterers.
-    pub fn response_from_gains(&self, gains: &[Complex], jitter: &PacketJitter) -> Complex {
+    // wlint: hot
+    // wlint: allow(panic-reach) — both lengths are asserted equal to the scatterer count, and n_static ≤ that count by construction
+    pub fn response_from_folded(&self, gains: &[Complex], jitter: &PacketJitter) -> Complex {
         assert_eq!(
             gains.len(),
             self.scatterers.len(),
@@ -344,11 +380,15 @@ impl MultipathChannel {
             self.scatterers.len(),
             "jitter state does not match this channel"
         );
-        gains
+        let start = if self.n_static == 0 {
+            Complex::ZERO
+        } else {
+            gains[0]
+        };
+        gains[self.n_static..]
             .iter()
-            .zip(&jitter.multipliers)
-            .map(|(g, m)| *g * *m)
-            .sum()
+            .zip(&jitter.multipliers[self.n_static..])
+            .fold(start, |acc, (g, m)| acc + *g * *m)
     }
 }
 
@@ -466,18 +506,19 @@ mod tests {
     #[test]
     fn cached_path_gains_reproduce_direct_response() {
         let (tx, rx) = link();
-        let mut rng = StdRng::seed_from_u64(5);
-        let ch = MultipathChannel::realize(Environment::Lab, tx, rx, &mut rng);
-        let mut gains = vec![Complex::ZERO; ch.scatterers().len()];
-        ch.path_gains(tx, rx, &[free_space_wavenumber(F)], &mut gains);
-        for _ in 0..8 {
-            let j = ch.draw_jitter(&mut rng);
-            let direct = ch.response(tx, rx, F, &j, None);
-            let cached = ch.response_from_gains(&gains, &j);
-            assert!(
-                (direct - cached).abs() < 1e-12,
-                "cached gains diverge: {direct:?} vs {cached:?}"
-            );
+        for (seed, env) in Environment::ALL.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64 + 5);
+            let ch = MultipathChannel::realize(env, tx, rx, &mut rng);
+            let mut gains = vec![Complex::ZERO; ch.scatterers().len()];
+            ch.path_gains(tx, rx, &[free_space_wavenumber(F)], &mut gains);
+            ch.fold_static(&mut gains);
+            for _ in 0..8 {
+                let j = ch.draw_jitter(&mut rng);
+                let direct = ch.response(tx, rx, F, &j, None);
+                let cached = ch.response_from_folded(&gains, &j);
+                assert_eq!(direct.re.to_bits(), cached.re.to_bits(), "{env}");
+                assert_eq!(direct.im.to_bits(), cached.im.to_bits(), "{env}");
+            }
         }
     }
 

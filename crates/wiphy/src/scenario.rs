@@ -436,9 +436,11 @@ struct BandCache {
     /// Free-space LoS response, antenna-major: entry `a · n_sub + k`.
     los: Vec<Complex>,
     /// Static multipath path gains `gain · e^{−jβ₀d}` per antenna ×
-    /// subcarrier × scatterer: entry `(a · n_sub + k) · n_scatterers + s`.
-    /// Caching these drops the per-scatterer distance and `cis` work (the
-    /// dominant per-packet cost) out of the packet loop.
+    /// subcarrier × scatterer: entry `(a · n_sub + k) · n_scatterers + s`,
+    /// folded by [`MultipathChannel::fold_static`] so each row's first
+    /// slot holds the static scatterers' constant sum. Caching these drops
+    /// the per-scatterer distance and `cis` work, and the static part of
+    /// the per-packet sum, out of the packet loop.
     mp_gains: Vec<Complex>,
 }
 
@@ -475,6 +477,7 @@ impl BandCache {
                 &mut mp_gains[a * row_gains..(a + 1) * row_gains],
             );
         }
+        multipath.fold_static(&mut mp_gains);
         BandCache {
             freqs,
             los,
@@ -649,7 +652,7 @@ impl Simulator {
             for i in a * n_sub..(a + 1) * n_sub {
                 let through = self.band.los[i] * insertions[i] * perturb;
                 let gains = &self.band.mp_gains[i * n_scat..(i + 1) * n_scat];
-                let h = through + self.multipath.response_from_gains(gains, &jitter);
+                let h = through + self.multipath.response_from_folded(gains, &jitter);
                 re[i] = h.re;
                 im[i] = h.im;
             }
