@@ -21,7 +21,7 @@ use wimi_campaign::{
 };
 use wimi_core::{WiMi, WiMiConfig};
 use wimi_ml::dataset::Dataset;
-use wimi_obs::json::fixed6;
+use wimi_obs::json::{self, fixed6, Json};
 use wimi_obs::Recorder;
 use wimi_phy::scenario::{Beaker, LiquidSpec};
 use wimi_phy::units::Meters;
@@ -372,6 +372,112 @@ pub fn summary_json(outcome: &CampaignOutcome) -> String {
     out
 }
 
+const SUMMARY_KEYS: [&str; 9] = [
+    "schema",
+    "campaign",
+    "seed",
+    "fault_seed",
+    "train",
+    "test",
+    "cells",
+    "work_totals",
+    "cell_results",
+];
+
+const CELL_KEYS: [&str; 9] = [
+    "cell", "seed", "accuracy", "dropped", "rejected", "salvaged", "failures", "artifact",
+    "segments",
+];
+
+fn unit_interval(v: &Json, key: &str, what: &str) -> Result<(), String> {
+    match v.get(key) {
+        Some(Json::Num { value, .. }) if (0.0..=1.0).contains(value) => Ok(()),
+        _ => Err(format!("{what}: \"{key}\" must be a number in [0, 1]")),
+    }
+}
+
+/// Validates a `wimi-campaign/1` summary and returns its cell count.
+/// Checks exact key order, `cells == cell_results.len()`, cell indices
+/// `0..n` in order, each `artifact` equal to [`cell_artifact_name`],
+/// accuracies in `[0, 1]`, segment `from`s strictly ascending from 0, and
+/// integral `work_totals` with `trace_events` first.
+///
+/// # Errors
+///
+/// A one-line message naming the first violated invariant.
+pub fn validate_summary(text: &str) -> Result<u64, String> {
+    let root = json::parse(text)?;
+    match root.get("schema").and_then(Json::as_str) {
+        Some(SUMMARY_SCHEMA) => {}
+        Some(other) => {
+            return Err(format!(
+                "schema version mismatch: summary declares \"{other}\" but this validator understands \"{SUMMARY_SCHEMA}\""
+            ))
+        }
+        None => return Err(format!("\"schema\" must be the string \"{SUMMARY_SCHEMA}\"")),
+    }
+    root.expect_keys(&SUMMARY_KEYS, "root")?;
+    let name = root.str_field("campaign", "root")?;
+    for key in ["seed", "fault_seed", "train", "test"] {
+        root.u64_field(key, "root")?;
+    }
+    let cells = root.u64_field("cells", "root")?;
+    match root.get("work_totals") {
+        Some(Json::Obj(totals)) if totals.first().is_some_and(|(k, _)| k == "trace_events") => {
+            if let Some((key, _)) = totals.iter().find(|(_, v)| v.as_u64().is_none()) {
+                return Err(format!(
+                    "work_totals: \"{key}\" must be a non-negative integer"
+                ));
+            }
+        }
+        _ => return Err("\"work_totals\" must be an object led by \"trace_events\"".into()),
+    }
+    let results = root.arr_field("cell_results", "root")?;
+    if results.len() as u64 != cells {
+        return Err(format!("{} cell results for {cells} cells", results.len()));
+    }
+    for (i, result) in results.iter().enumerate() {
+        let what = format!("cell result {i}");
+        result.expect_keys(&CELL_KEYS, &what)?;
+        if result.u64_field("cell", &what)? != i as u64 {
+            return Err(format!(
+                "{what}: cells must be numbered 0..{cells} in order"
+            ));
+        }
+        for key in ["seed", "dropped", "rejected", "salvaged", "failures"] {
+            result.u64_field(key, &what)?;
+        }
+        unit_interval(result, "accuracy", &what)?;
+        let artifact = result.str_field("artifact", &what)?;
+        let want = cell_artifact_name(name, i as u64);
+        if artifact != want {
+            return Err(format!(
+                "{what}: artifact \"{artifact}\" should be \"{want}\""
+            ));
+        }
+        let mut next_from = 0;
+        for (j, segment) in result.arr_field("segments", &what)?.iter().enumerate() {
+            let what = format!("{what} segment {j}");
+            segment.expect_keys(&["from", "intensity", "accuracy"], &what)?;
+            let from = segment.u64_field("from", &what)?;
+            if (j == 0 && from != 0) || from < next_from {
+                return Err(format!(
+                    "{what}: \"from\" must ascend strictly from 0, found {from}"
+                ));
+            }
+            next_from = from + 1;
+            if !matches!(segment.get("intensity"), Some(Json::Num { .. })) {
+                return Err(format!("{what}: \"intensity\" must be a number"));
+            }
+            unit_interval(segment, "accuracy", &what)?;
+        }
+        if next_from == 0 {
+            return Err(format!("{what}: a cell has at least one segment"));
+        }
+    }
+    Ok(cells)
+}
+
 /// Gates a campaign's aggregated work totals against the
 /// `"<campaign name>_budgets"` section of `BENCH.json` (`matrix_budgets`
 /// for `campaigns/matrix.campaign`). The section name comes from the
@@ -392,50 +498,29 @@ pub fn check_campaign_budgets(
     })
 }
 
-fn read_campaign(path: &str) -> Campaign {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("campaign-run: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match wimi_campaign::parse(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-    }
+/// Reads and parses a campaign file for the CLI subcommand `cmd`: exit 2
+/// when it cannot be read, 1 with the parser's one-line message when it
+/// is malformed.
+pub(crate) fn read_campaign(cmd: &str, path: &str) -> Campaign {
+    wimi_campaign::parse(&crate::read_or_exit(cmd, path)).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// `campaign-validate PATH`: parses and validates a campaign file,
 /// printing its expanded size, or a one-line error on stderr with exit 1
-/// (mirroring `obs-validate`).
+/// (mirroring `artifact validate`).
 pub fn campaign_validate(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("campaign-validate: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match wimi_campaign::parse(&text) {
-        Ok(c) => {
-            println!(
-                "ok: campaign \"{}\", {} cells, {} train + {} test trials per cell, {} schedule entries",
-                c.name,
-                cell_count(&c),
-                c.train,
-                c.test,
-                c.schedule.len()
-            );
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let c = read_campaign("campaign-validate", path);
+    println!(
+        "ok: campaign \"{}\", {} cells, {} train + {} test trials per cell, {} schedule entries",
+        c.name,
+        cell_count(&c),
+        c.train,
+        c.test,
+        c.schedule.len()
+    );
 }
 
 fn write_file(path: &std::path::Path, text: &str) {
@@ -454,7 +539,7 @@ fn write_file(path: &std::path::Path, text: &str) {
 /// file's `<name>_budgets` section and exits 1 when any ceiling is
 /// exceeded.
 pub fn campaign_run(path: &str, out_dir: Option<&str>, cell: Option<u64>, check: Option<&str>) {
-    let c = read_campaign(path);
+    let c = read_campaign("campaign-run", path);
     let dir = out_dir.map(std::path::Path::new);
     if let Some(dir) = dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -517,7 +602,14 @@ pub fn campaign_run(path: &str, out_dir: Option<&str>, cell: Option<u64>, check:
             write_file(&dir.join(&cell.artifact_name), &cell.artifact);
         }
         let summary_name = format!("{}-summary.json", c.name);
-        write_file(&dir.join(&summary_name), &summary_json(&outcome));
+        let summary = summary_json(&outcome);
+        // Like the fleet summary: a render its own reader rejects must
+        // never reach CI's byte-compare.
+        if let Err(e) = validate_summary(&summary) {
+            eprintln!("campaign-run: summary failed validation: {e}");
+            std::process::exit(1);
+        }
+        write_file(&dir.join(&summary_name), &summary);
         println!(
             "{} artifacts + {summary_name} written to {}",
             outcome.cells.len(),
@@ -532,69 +624,6 @@ pub fn campaign_run(path: &str, out_dir: Option<&str>, cell: Option<u64>, check:
             &[&|bench| check_campaign_budgets(bench, &outcome)],
         );
     }
-}
-
-/// `campaign-diff DIR_A DIR_B`: compares the `.jsonl` artifacts of two
-/// campaign output directories for byte-identity (the thread-count
-/// invariance gate). File sets must match; the first divergence is
-/// reported with the `wimi-trace` diff context. Exit 0 iff identical.
-pub fn campaign_diff(dir_a: &str, dir_b: &str) {
-    let list = |dir: &str| -> Vec<String> {
-        let entries = match std::fs::read_dir(dir) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("campaign-diff: cannot read {dir}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut names: Vec<String> = entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.ends_with(".jsonl"))
-            .collect();
-        names.sort();
-        names
-    };
-    let a_names = list(dir_a);
-    let b_names = list(dir_b);
-    if a_names != b_names {
-        eprintln!(
-            "campaign-diff: artifact sets differ ({} files in {dir_a}, {} in {dir_b})",
-            a_names.len(),
-            b_names.len()
-        );
-        std::process::exit(1);
-    }
-    if a_names.is_empty() {
-        eprintln!("campaign-diff: no .jsonl artifacts in {dir_a}");
-        std::process::exit(2);
-    }
-    for name in &a_names {
-        let read = |dir: &str| -> String {
-            let path = std::path::Path::new(dir).join(name);
-            match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("campaign-diff: cannot read {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-        };
-        let a = read(dir_a);
-        let b = read(dir_b);
-        match analyze::diff(&a, &b) {
-            analyze::DiffOutcome::Identical => {}
-            analyze::DiffOutcome::Diverged { report, .. } => {
-                eprintln!("campaign-diff: {name} diverges:");
-                eprint!("{report}");
-                std::process::exit(1);
-            }
-        }
-    }
-    println!(
-        "identical: {} artifacts match between {dir_a} and {dir_b}",
-        a_names.len()
-    );
 }
 
 #[cfg(test)]
@@ -637,15 +666,7 @@ mod tests {
         assert_eq!(outcome.cells[0].segments.len(), 2);
         let summary = summary_json(&outcome);
         assert_eq!(summary, summary_json(&outcome));
-        let parsed = wimi_obs::json::parse(&summary).expect("summary is valid JSON");
-        assert_eq!(
-            parsed.get("schema").and_then(wimi_obs::json::Json::as_str),
-            Some(SUMMARY_SCHEMA)
-        );
-        assert_eq!(
-            parsed.get("cells").and_then(wimi_obs::json::Json::as_u64),
-            Some(2)
-        );
+        assert_eq!(validate_summary(&summary), Ok(2));
         // The totals gate reads the section named after the campaign…
         let bench =
             "{\"tiny_budgets\": {\"trace_events\": 99999999, \"captures_taken\": 99999999}}";
@@ -654,5 +675,61 @@ mod tests {
         // …so another campaign's ceilings never gate it.
         let other = "{\"matrix_budgets\": {\"trace_events\": 99999999}}";
         assert!(check_campaign_budgets(other, &outcome).is_err());
+    }
+
+    #[test]
+    fn summary_reader_rejects_each_broken_invariant() {
+        let summary = summary_json(&run_campaign(&tiny_campaign()));
+        let accuracy = summary.find("\"accuracy\": ").expect("a cell accuracy") + 12;
+        let mut too_accurate = summary.clone();
+        too_accurate.replace_range(accuracy..accuracy + 8, "1.500000");
+        for (bad, why) in [
+            (
+                summary.replacen("\"cells\": 2", "\"cells\": 3", 1),
+                "cell count",
+            ),
+            (
+                summary.replacen("{\"cell\": 1,", "{\"cell\": 0,", 1),
+                "cell order",
+            ),
+            (
+                summary.replacen("tiny-cell-0001", "tiny-cell-0007", 1),
+                "artifact name",
+            ),
+            (too_accurate, "accuracy above 1"),
+            (
+                summary.replacen("{\"from\": 0,", "{\"from\": 1,", 1),
+                "first segment",
+            ),
+            (
+                summary.replacen("{\"from\": 2,", "{\"from\": 0,", 1),
+                "segment order",
+            ),
+            (
+                summary.replacen("\"trace_events\"", "\"trace_eventz\"", 1),
+                "totals lead",
+            ),
+            (
+                summary.replacen(
+                    "\"captures_taken\": ",
+                    "\"captures_taken\": 0.5, \"x\": ",
+                    1,
+                ),
+                "fractional total",
+            ),
+            (
+                summary.replacen("\"seed\":", "\"junk\": 1, \"seed\":", 1),
+                "stray key",
+            ),
+            (
+                summary.replacen("wimi-campaign/1", "wimi-campaign/2", 1),
+                "schema",
+            ),
+            (summary[..summary.len() / 2].to_owned(), "truncation"),
+        ] {
+            assert_ne!(bad, summary, "{why}: the tamper must change the text");
+            let err = validate_summary(&bad).expect_err(why);
+            assert!(!err.contains('\n'), "{why}: {err}");
+        }
     }
 }

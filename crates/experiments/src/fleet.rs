@@ -1,5 +1,7 @@
 //! `fleet` subcommand: runs the deterministic synthetic fleet through
-//! `wimi-serve` and writes/gates its `wimi-serve/1` summary.
+//! `wimi-serve` and writes/gates its `wimi-serve/1` summary; and
+//! `fleet-report`, which joins a written summary with its
+//! `wimi-metrics/1` timeline.
 //!
 //! This is the CLI surface CI drives: one run at `WIMI_THREADS=1` and one
 //! at `WIMI_THREADS=4` must produce byte-identical summaries (`cmp`), and
@@ -8,7 +10,7 @@
 //! like the campaign gate.
 
 use wimi_metrics::Timeline;
-use wimi_serve::{run_campaign_fleet, run_fleet, summary_json, validate_summary, FleetConfig};
+use wimi_serve::{parse_summary, run_campaign_fleet, run_fleet, summary_json, FleetConfig};
 use wimi_trace::analyze;
 
 /// A fleet report's gated total of `name`: a service total, else a
@@ -81,23 +83,7 @@ pub fn fleet_run(
     }
 
     let report = match campaign_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("fleet: cannot read {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            let campaign = match wimi_campaign::parse(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            run_campaign_fleet(&campaign, &cfg)
-        }
+        Some(path) => run_campaign_fleet(&crate::campaign::read_campaign("fleet", path), &cfg),
         None => run_fleet(&cfg),
     };
 
@@ -105,7 +91,7 @@ pub fn fleet_run(
     // The renderer and validator are independent implementations; running
     // the validator here means a malformed summary can never reach CI's
     // byte-compare silently.
-    if let Err(e) = validate_summary(&summary) {
+    if let Err(e) = parse_summary(&summary) {
         eprintln!("fleet: summary failed validation: {e}");
         std::process::exit(1);
     }
@@ -152,13 +138,7 @@ pub fn fleet_run(
     // reported before the nonzero exit so the first breaching tick of
     // each rule is visible in one run.
     if let Some(policy_path) = slo {
-        let policy_text = match std::fs::read_to_string(policy_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("fleet: cannot read {policy_path}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let policy_text = crate::read_or_exit("fleet", policy_path);
         let policy = match wimi_metrics::parse_policy(&policy_text) {
             Ok(p) => p,
             Err(e) => {
@@ -188,6 +168,31 @@ pub fn fleet_run(
             }],
         );
     }
+}
+
+/// `fleet-report SUMMARY [--metrics TIMELINE]`: joins a `wimi-serve/1`
+/// summary's session rows (and optionally a timeline artifact) into the
+/// per-environment × per-material table on stdout. Both inputs go
+/// through their fail-closed readers: exit 1 when either is invalid,
+/// 2 when either cannot be read.
+pub fn fleet_report(summary_path: &str, metrics_path: Option<&str>) {
+    let rows = match parse_summary(&crate::read_or_exit("fleet-report", summary_path)) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("fleet-report: {summary_path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    let timeline = metrics_path.map(|path| {
+        match wimi_metrics::parse_and_validate(&crate::read_or_exit("fleet-report", path)) {
+            Ok(tl) => tl,
+            Err(e) => {
+                eprintln!("fleet-report: {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    });
+    print!("{}", wimi_metrics::render_report(&rows, timeline.as_ref()));
 }
 
 #[cfg(test)]

@@ -15,12 +15,12 @@
 
 pub mod ablation;
 pub mod accuracy;
+pub mod artifact;
 pub mod campaign;
 pub mod degradation;
 pub mod features;
 pub mod fleet;
 pub mod harness;
-pub mod metrics;
 pub mod microbench;
 pub mod obs;
 pub mod trace;
@@ -32,18 +32,21 @@ use wimi_trace::analyze::{budget_table, BudgetRow};
 /// A budget gate: checks one section of the budget file's text.
 type Gate<'a> = &'a dyn Fn(&str) -> Result<Vec<BudgetRow>, String>;
 
+/// Reads `path` for the CLI subcommand `cmd`, exiting 2 with one stderr
+/// line when it cannot be read.
+pub(crate) fn read_or_exit(cmd: &str, path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("{cmd}: cannot read {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// `--check BENCH` for the CLI subcommands: reads the budget file, prints
 /// each gate's table, and exits 1 at the first gate that errors or has a
 /// total over its ceiling (exit 2 when the file cannot be read). `cmd`
 /// prefixes the stderr lines.
 pub(crate) fn enforce_budgets(cmd: &str, bench_path: &str, gates: &[Gate<'_>]) {
-    let bench = match std::fs::read_to_string(bench_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{cmd}: cannot read {bench_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let bench = read_or_exit(cmd, bench_path);
     for gate in gates {
         match gate(&bench) {
             Ok(rows) => {
@@ -89,7 +92,7 @@ pub fn run_named(name: &str, effort: Effort) -> bool {
         "flow" => ablation::robustness_flowing_liquid(),
         "degradation" => degradation::degradation(effort),
         "obs-report" => obs::obs_report(effort, None, false),
-        "trace-report" => trace::trace_report(effort, None),
+        "trace-report" => trace::trace_report(effort, None, None),
         "environments" => ablation::environments(effort),
         _ => return false,
     }

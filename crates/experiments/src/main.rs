@@ -1,19 +1,16 @@
 //! CLI entry point: `cargo run -p wimi-experiments --release -- all`.
 
-use wimi_experiments::{campaign, fleet, metrics, obs, run_named, trace, Effort, ALL_EXPERIMENTS};
+use wimi_experiments::{artifact, campaign, fleet, obs, run_named, trace, Effort, ALL_EXPERIMENTS};
 
 fn usage() -> ! {
     eprintln!(
         "usage: wimi-experiments [--quick] [--obs-json PATH] [--obs-wall] [--trace-out PATH] \
-         all | environments | <name>...\n       \
-         wimi-experiments obs-validate PATH\n       \
+         [--check BENCH] all | environments | <name>...\n       \
+         wimi-experiments artifact validate PATH... | diff A B | summary TRACE\n       \
          wimi-experiments campaign-run PATH [--campaign-out DIR] [--cell N] [--check BENCH]\n       \
-         wimi-experiments campaign-diff DIR_A DIR_B\n       \
          wimi-experiments campaign-validate PATH\n       \
          wimi-experiments fleet [--sessions N] [--measurements M] [--campaign PATH] \
 [--fleet-out PATH] [--metrics-out PATH] [--slo POLICY] [--check BENCH]\n       \
-         wimi-experiments metrics-validate PATH\n       \
-         wimi-experiments metrics-diff A B\n       \
          wimi-experiments fleet-report SUMMARY [--metrics TIMELINE]"
     );
     eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
@@ -78,25 +75,14 @@ fn main() {
         usage();
     }
 
-    // Validation/diff subcommands: no experiments run.
-    if names[0] == "obs-validate" {
-        match names.get(1) {
-            Some(path) => obs::obs_validate(path),
-            None => usage(),
-        }
-        return;
+    // Subcommands that run no experiments.
+    if names[0] == "artifact" {
+        std::process::exit(artifact::run(&names[1..]));
     }
     if names[0] == "campaign-validate" {
         match names.get(1) {
             Some(path) => campaign::campaign_validate(path),
             None => usage(),
-        }
-        return;
-    }
-    if names[0] == "campaign-diff" {
-        match (names.get(1), names.get(2)) {
-            (Some(a), Some(b)) => campaign::campaign_diff(a, b),
-            _ => usage(),
         }
         return;
     }
@@ -109,23 +95,9 @@ fn main() {
         campaign::campaign_run(path, flag("--campaign-out"), cell, flag("--check"));
         return;
     }
-    if names[0] == "metrics-validate" {
-        match names.get(1) {
-            Some(path) => metrics::metrics_validate(path),
-            None => usage(),
-        }
-        return;
-    }
-    if names[0] == "metrics-diff" {
-        match (names.get(1), names.get(2)) {
-            (Some(a), Some(b)) => metrics::metrics_diff(a, b),
-            _ => usage(),
-        }
-        return;
-    }
     if names[0] == "fleet-report" {
         match names.get(1) {
-            Some(path) => metrics::fleet_report(path, flag("--metrics")),
+            Some(path) => fleet::fleet_report(path, flag("--metrics")),
             None => usage(),
         }
         return;
@@ -166,7 +138,7 @@ fn main() {
                 continue;
             }
             if *name == "trace-report" {
-                trace::trace_report(effort, trace_out);
+                trace::trace_report(effort, trace_out, flag("--check"));
                 continue;
             }
             if !run_named(name, effort) {

@@ -78,80 +78,10 @@ pub fn obs_report(effort: Effort, json_path: Option<&str>, wall: bool) {
         std::process::exit(1);
     }
     if let Some(path) = json_path {
-        std::fs::write(path, &json).expect("write obs JSON");
-        println!("snapshot written to {path} ({} bytes)", json.len());
-    }
-}
-
-/// Validates a previously exported snapshot file against the `wimi-obs/1`
-/// schema, returning the one-line success report.
-///
-/// # Errors
-///
-/// A one-line message naming the file and what failed: unreadable file,
-/// schema-version mismatch (quoting both versions), or truncated JSON.
-pub fn validate_snapshot_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    Ok(format!(
-        "{path}: valid wimi-obs/1 snapshot ({} bytes)",
-        text.len()
-    ))
-}
-
-/// CLI wrapper over [`validate_snapshot_file`]: prints the report and
-/// exits non-zero with a one-line message on failure (CI entry point).
-pub fn obs_validate(path: &str) {
-    match validate_snapshot_file(path) {
-        Ok(line) => println!("{line}"),
-        Err(e) => {
-            eprintln!("obs-validate: {e}");
-            std::process::exit(1);
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("obs-report: cannot write {path}: {e}");
+            std::process::exit(2);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("wimi-obs-test-{}-{name}", std::process::id()));
-        std::fs::write(&path, contents).expect("write temp snapshot");
-        path
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_a_one_line_error() {
-        let json = Recorder::enabled().snapshot().to_json();
-        let bumped = json.replace("wimi-obs/1", "wimi-obs/2");
-        let path = temp_file("schema.json", &bumped);
-        let err = validate_snapshot_file(path.to_str().expect("utf-8 path"))
-            .expect_err("future schema must be rejected");
-        let _ = std::fs::remove_file(&path);
-        assert!(
-            err.contains("schema version mismatch"),
-            "message must name the failure class: {err}"
-        );
-        assert!(
-            err.contains("wimi-obs/2") && err.contains("wimi-obs/1"),
-            "message must quote both versions: {err}"
-        );
-        assert!(!err.contains('\n'), "message must be one line: {err:?}");
-    }
-
-    #[test]
-    fn truncated_snapshot_is_a_one_line_error() {
-        let json = Recorder::enabled().snapshot().to_json();
-        let path = temp_file("truncated.json", &json[..json.len() / 2]);
-        let err = validate_snapshot_file(path.to_str().expect("utf-8 path"))
-            .expect_err("truncated snapshot must be rejected");
-        let _ = std::fs::remove_file(&path);
-        assert!(
-            err.contains("truncated JSON"),
-            "message must name the failure class: {err}"
-        );
-        assert!(!err.contains('\n'), "message must be one line: {err:?}");
+        println!("snapshot written to {path} ({} bytes)", json.len());
     }
 }

@@ -6,7 +6,7 @@
 //! Traces carry no wall time and order events by `(task, seq)` logical
 //! clocks, so the artifact is byte-identical for any `WIMI_THREADS`
 //! setting — CI proves it by diffing a 1-thread run against a 4-thread
-//! run with `wimi-trace diff`.
+//! run with `artifact diff`.
 
 use crate::accuracy::Effort;
 use crate::harness::{heading, paper_liquids, run_identification, RunOptions, RunResult};
@@ -88,10 +88,12 @@ pub fn write_failure_dump(campaign: &TraceCampaign, path: &str) -> Result<Option
     Ok(Some(text.len()))
 }
 
-/// Runs the trace campaign, prints the deterministic summary, and (with
-/// `out_path`) writes the validated artifact. Exits non-zero if the
-/// artifact fails self-validation.
-pub fn trace_report(effort: Effort, out_path: Option<&str>) {
+/// Runs the trace campaign, prints the deterministic summary, (with
+/// `out_path`) writes the validated artifact, and (with `check`) gates
+/// its work counters against the budget file's `trace_budgets`. Exits 1
+/// if the artifact fails self-validation or a ceiling is exceeded, 2 if
+/// a file cannot be written or read.
+pub fn trace_report(effort: Effort, out_path: Option<&str>, check: Option<&str>) {
     heading("trace-report", "flight-recorder trace artifact");
     let campaign = trace_campaign(effort);
     println!(
@@ -118,9 +120,16 @@ pub fn trace_report(effort: Effort, out_path: Option<&str>) {
     if let Some(path) = out_path {
         if let Err(e) = std::fs::write(path, &text) {
             eprintln!("trace-report: cannot write {path}: {e}");
-            std::process::exit(1);
+            std::process::exit(2);
         }
         println!("trace written to {path} ({} bytes)", text.len());
+    }
+    if let Some(bench_path) = check {
+        crate::enforce_budgets(
+            "trace-report",
+            bench_path,
+            &[&|bench| analyze::check_trace_budgets(bench, &text)],
+        );
     }
 }
 

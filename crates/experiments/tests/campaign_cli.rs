@@ -1,7 +1,8 @@
 //! End-to-end tests of the campaign CLI surface (`campaign-validate`,
-//! `campaign-run`, `campaign-diff`) through the real binary, pinning the
-//! obs-validate error conventions: one-line stderr message, exit 1 for
-//! invalid campaigns, exit 2 for I/O and usage errors.
+//! `campaign-run`, and `artifact validate|diff` over its output
+//! directories) through the real binary, pinning the shared error
+//! conventions: one-line stderr message, exit 1 for invalid campaigns,
+//! exit 2 for I/O and usage errors.
 
 use std::fs;
 use std::path::PathBuf;
@@ -109,16 +110,36 @@ fn run_replays_one_cell_and_diff_detects_both_match_and_mismatch() {
         assert!(out.status.success(), "{out:?}");
     }
 
-    // Identical runs diff clean.
+    // Both output directories validate: two cell artifacts and the
+    // summary each.
     let out = bin()
         .args([
-            "campaign-diff",
+            "artifact",
+            "validate",
             dir_a.to_str().unwrap(),
             dir_b.to_str().unwrap(),
         ])
         .output()
         .expect("spawn");
     assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(": 3 artifacts"), "{stdout}");
+
+    // Identical runs diff clean.
+    let out = bin()
+        .args([
+            "artifact",
+            "diff",
+            dir_a.to_str().unwrap(),
+            dir_b.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("identical: 3 artifacts match"),
+        "{out:?}"
+    );
 
     // Replaying cell 1 in isolation reproduces the full run's artifact.
     let solo = base.join("solo");
@@ -145,13 +166,36 @@ fn run_replays_one_cell_and_diff_detects_both_match_and_mismatch() {
     fs::write(&target, tampered.replace("\"cell\":0", "\"cell\":0 ")).expect("tamper");
     let out = bin()
         .args([
-            "campaign-diff",
+            "artifact",
+            "diff",
             dir_a.to_str().unwrap(),
             dir_b.to_str().unwrap(),
         ])
         .output()
         .expect("spawn");
-    assert!(!out.status.success(), "tampered diff must fail: {out:?}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "tampered diff must fail: {out:?}"
+    );
+    assert_eq!(stderr_lines(&out).len(), 1, "{out:?}");
+
+    // A file present on one side only is a difference too.
+    fs::remove_file(&target).expect("remove");
+    let out = bin()
+        .args([
+            "artifact",
+            "diff",
+            dir_a.to_str().unwrap(),
+            dir_b.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stderr_lines(&out)[0].contains("clidemo-cell-0000.jsonl is in"),
+        "{out:?}"
+    );
 
     fs::remove_file(&path).ok();
     fs::remove_dir_all(&base).ok();

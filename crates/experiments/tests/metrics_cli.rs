@@ -1,5 +1,5 @@
 //! End-to-end tests of the telemetry CLI surface (`fleet --metrics-out
-//! --slo`, `metrics-validate`, `metrics-diff`, `fleet-report`) through
+//! --slo`, `artifact validate|diff` on timelines, `fleet-report`) through
 //! the real binary: the SLO gate exits nonzero naming the first
 //! breaching tick, validators fail closed with exit 1, I/O errors exit
 //! 2, and the report renders the per-environment × per-material table.
@@ -42,26 +42,31 @@ fn run_tiny_fleet(tag: &str) -> (PathBuf, PathBuf) {
     (summary, metrics)
 }
 
+fn stdout_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 #[test]
 fn fleet_writes_a_timeline_that_validates_and_self_diffs() {
     let (summary, metrics) = run_tiny_fleet("roundtrip");
     let out = bin()
-        .args(["metrics-validate", metrics.to_str().unwrap_or_default()])
+        .args(["artifact", "validate", metrics.to_str().unwrap_or_default()])
         .output()
         .expect("spawn validate");
     assert!(out.status.success(), "{out:?}");
-    assert!(stderr_of(&out).contains("OK"), "{out:?}");
+    assert!(stdout_of(&out).contains("wimi-metrics/1"), "{out:?}");
 
     let out = bin()
         .args([
-            "metrics-diff",
+            "artifact",
+            "diff",
             metrics.to_str().unwrap_or_default(),
             metrics.to_str().unwrap_or_default(),
         ])
         .output()
         .expect("spawn diff");
     assert!(out.status.success(), "{out:?}");
-    assert!(stderr_of(&out).contains("identical"), "{out:?}");
+    assert!(stdout_of(&out).contains("identical"), "{out:?}");
     fs::remove_file(&summary).ok();
     fs::remove_file(&metrics).ok();
 }
@@ -77,15 +82,16 @@ fn metrics_validate_fails_closed_on_tampering() {
     fs::write(&bad, tampered).expect("write tampered");
 
     let out = bin()
-        .args(["metrics-validate", bad.to_str().unwrap_or_default()])
+        .args(["artifact", "validate", bad.to_str().unwrap_or_default()])
         .output()
         .expect("spawn validate");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 
-    // And the diff names the first differing tick.
+    // And the diff, which validates both sides first, fails too.
     let out = bin()
         .args([
-            "metrics-diff",
+            "artifact",
+            "diff",
             metrics.to_str().unwrap_or_default(),
             bad.to_str().unwrap_or_default(),
         ])
@@ -100,10 +106,11 @@ fn metrics_validate_fails_closed_on_tampering() {
 #[test]
 fn metrics_validate_missing_file_exits_two() {
     let out = bin()
-        .args(["metrics-validate", "/nonexistent/nope.jsonl"])
+        .args(["artifact", "validate", "/nonexistent/nope.jsonl"])
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_eq!(stderr_of(&out).lines().count(), 1, "{out:?}");
 }
 
 #[test]
@@ -203,6 +210,31 @@ fn fleet_report_renders_the_environment_material_table() {
     assert_eq!(out.stdout, again.stdout);
     fs::remove_file(&summary).ok();
     fs::remove_file(&metrics).ok();
+}
+
+#[test]
+fn fleet_report_rejects_a_summary_that_breaks_conservation() {
+    let (summary, metrics) = run_tiny_fleet("unconserved");
+    let text = fs::read_to_string(&summary).expect("read summary");
+    let tampered = text.replacen("\"responses\": 8,", "\"responses\": 999,", 1);
+    assert_ne!(tampered, text, "fixture must actually change");
+    let bad = temp("unconserved.json");
+    fs::write(&bad, tampered).expect("write tampered");
+    let out = bin()
+        .args(["fleet-report", bad.to_str().unwrap_or_default()])
+        .output()
+        .expect("spawn report");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "no table for an invalid summary: {out:?}"
+    );
+    let err = stderr_of(&out);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("responses 999"), "{err}");
+    fs::remove_file(&summary).ok();
+    fs::remove_file(&metrics).ok();
+    fs::remove_file(&bad).ok();
 }
 
 #[test]

@@ -20,8 +20,8 @@
 //!
 //! Every error carries a 1-based line and column plus a [`DiagKind`] so
 //! the fixture suite can pin exact diagnostics; the rendered message is
-//! always a single line (no `\n`), mirroring the `obs-validate` and
-//! `wimi-trace` validator conventions.
+//! always a single line (no `\n`), mirroring the `artifact validate`
+//! conventions.
 
 use std::fmt;
 

@@ -121,29 +121,6 @@ pub fn render(timeline: &Timeline, obs_json: Option<&str>) -> String {
 // Fail-closed validation.
 // ---------------------------------------------------------------------------
 
-fn as_obj<'a>(v: &'a Json, what: &str) -> Result<&'a Vec<(String, Json)>, String> {
-    match v {
-        Json::Obj(o) => Ok(o),
-        _ => Err(format!("{what} must be a JSON object")),
-    }
-}
-
-fn expect_keys(obj: &[(String, Json)], want: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
-    if found != want {
-        return Err(format!(
-            "{what} keys must be exactly {want:?} in order, found {found:?}"
-        ));
-    }
-    Ok(())
-}
-
-fn int_field(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: missing or non-integral field \"{key}\""))
-}
-
 const TICK_KEYS: [&str; 12] = [
     "tick",
     "requests",
@@ -163,19 +140,19 @@ const SHARD_KEYS: [&str; 5] = ["depth", "peak", "submitted", "completed", "shed"
 
 fn parse_tick(value: &Json, line_no: usize, shards: u64) -> Result<TickSample, String> {
     let what = format!("line {line_no}");
-    let obj = as_obj(value, &what)?;
-    expect_keys(obj, &TICK_KEYS, &what)?;
+    value.expect_keys(&TICK_KEYS, &what)?;
+    let int = |key| value.u64_field(key, &what);
     let mut t = TickSample {
-        tick: int_field(value, "tick", &what)?,
-        requests: int_field(value, "requests", &what)?,
-        completed: int_field(value, "completed", &what)?,
-        shed: int_field(value, "shed", &what)?,
-        cache_hits: int_field(value, "cache_hits", &what)?,
-        cache_misses: int_field(value, "cache_misses", &what)?,
-        retry_attempts: int_field(value, "retry_attempts", &what)?,
-        retries_exhausted: int_field(value, "retries_exhausted", &what)?,
-        svm_batches: int_field(value, "svm_batches", &what)?,
-        packets_processed: int_field(value, "packets_processed", &what)?,
+        tick: int("tick")?,
+        requests: int("requests")?,
+        completed: int("completed")?,
+        shed: int("shed")?,
+        cache_hits: int("cache_hits")?,
+        cache_misses: int("cache_misses")?,
+        retry_attempts: int("retry_attempts")?,
+        retries_exhausted: int("retries_exhausted")?,
+        svm_batches: int("svm_batches")?,
+        packets_processed: int("packets_processed")?,
         ..TickSample::default()
     };
     if t.completed + t.shed != t.requests {
@@ -187,9 +164,7 @@ fn parse_tick(value: &Json, line_no: usize, shards: u64) -> Result<TickSample, S
 
     // Exhausted-session cross-links: every entry must be a label
     // `TaskKey::from_label` maps back to a session task, ids ascending.
-    let Some(Json::Arr(labels)) = value.get("exhausted") else {
-        return Err(format!("{what}: \"exhausted\" must be an array"));
-    };
+    let labels = value.arr_field("exhausted", &what)?;
     if labels.len() as u64 != t.retries_exhausted {
         return Err(format!(
             "{what}: {} exhausted labels for retries_exhausted {}",
@@ -217,9 +192,7 @@ fn parse_tick(value: &Json, line_no: usize, shards: u64) -> Result<TickSample, S
 
     // Per-shard breakdown: the shard sums must reproduce the tick
     // totals (everything accepted this tick is drained this tick).
-    let Some(Json::Arr(rows)) = value.get("shards") else {
-        return Err(format!("{what}: \"shards\" must be an array"));
-    };
+    let rows = value.arr_field("shards", &what)?;
     if rows.len() as u64 != shards {
         return Err(format!(
             "{what}: {} shard entries for {} shards",
@@ -229,14 +202,14 @@ fn parse_tick(value: &Json, line_no: usize, shards: u64) -> Result<TickSample, S
     }
     for (i, row) in rows.iter().enumerate() {
         let swhat = format!("{what} shard {i}");
-        let obj = as_obj(row, &swhat)?;
-        expect_keys(obj, &SHARD_KEYS, &swhat)?;
+        row.expect_keys(&SHARD_KEYS, &swhat)?;
+        let int = |key| row.u64_field(key, &swhat);
         let s = ShardSample {
-            depth: int_field(row, "depth", &swhat)?,
-            peak: int_field(row, "peak", &swhat)?,
-            submitted: int_field(row, "submitted", &swhat)?,
-            completed: int_field(row, "completed", &swhat)?,
-            shed: int_field(row, "shed", &swhat)?,
+            depth: int("depth")?,
+            peak: int("peak")?,
+            submitted: int("submitted")?,
+            completed: int("completed")?,
+            shed: int("shed")?,
         };
         if s.depth > s.peak {
             return Err(format!("{swhat}: depth {} > peak {}", s.depth, s.peak));
@@ -327,15 +300,14 @@ pub fn parse_and_validate(text: &str) -> Result<Timeline, String> {
         }
         None => return Err("line 1: missing schema field".into()),
     }
-    expect_keys(
-        as_obj(&header, "header")?,
+    header.expect_keys(
         &["schema", "ticks", "shards", "window", "evicted"],
         "header",
     )?;
-    let tick_count = int_field(&header, "ticks", "header")?;
-    let shards = int_field(&header, "shards", "header")?;
-    let window = int_field(&header, "window", "header")?;
-    let evicted = int_field(&header, "evicted", "header")?;
+    let tick_count = header.u64_field("ticks", "header")?;
+    let shards = header.u64_field("shards", "header")?;
+    let window = header.u64_field("window", "header")?;
+    let evicted = header.u64_field("evicted", "header")?;
     if tick_count > window {
         return Err(format!(
             "header: {tick_count} ticks exceed the window capacity {window}"
@@ -388,7 +360,7 @@ pub fn parse_and_validate(text: &str) -> Result<Timeline, String> {
     let Some(obs) = value.get("obs") else {
         return Err(format!("line {obs_no}: expected the {{\"obs\": ...}} line"));
     };
-    expect_keys(as_obj(&value, "obs line")?, &["obs"], "obs line")?;
+    value.expect_keys(&["obs"], "obs line")?;
     if !matches!(obs, Json::Null) {
         check_obs(obs, &timeline)?;
     }
@@ -400,56 +372,6 @@ pub fn parse_and_validate(text: &str) -> Result<Timeline, String> {
         ));
     }
     Ok(timeline)
-}
-
-/// Compares two validated artifacts and names the first difference —
-/// header shape, then the first tick (and shard) whose series diverge,
-/// then the embedded snapshots. `Ok` means no compared field differs.
-pub fn diff(a_text: &str, b_text: &str) -> Result<(), String> {
-    let a = parse_and_validate(a_text).map_err(|e| format!("first artifact: {e}"))?;
-    let b = parse_and_validate(b_text).map_err(|e| format!("second artifact: {e}"))?;
-    for (name, va, vb) in [
-        ("shards", a.shards as u64, b.shards as u64),
-        ("window", a.window as u64, b.window as u64),
-        ("evicted", a.evicted, b.evicted),
-        ("ticks", a.ticks.len() as u64, b.ticks.len() as u64),
-    ] {
-        if va != vb {
-            return Err(format!("header {name} differs: {va} vs {vb}"));
-        }
-    }
-    for (ta, tb) in a.ticks.iter().zip(&b.ticks) {
-        if ta.tick != tb.tick {
-            return Err(format!(
-                "tick numbering differs: {} vs {}",
-                ta.tick, tb.tick
-            ));
-        }
-        for name in SERIES {
-            let (va, vb) = (ta.series(name), tb.series(name));
-            if va != vb {
-                return Err(format!(
-                    "tick {}: {name} differs: {} vs {}",
-                    ta.tick,
-                    va.unwrap_or(0),
-                    vb.unwrap_or(0)
-                ));
-            }
-        }
-        if ta.exhausted != tb.exhausted {
-            return Err(format!("tick {}: exhausted sessions differ", ta.tick));
-        }
-        for (i, (sa, sb)) in ta.shards.iter().zip(&tb.shards).enumerate() {
-            if sa != sb {
-                return Err(format!("tick {} shard {i}: samples differ", ta.tick));
-            }
-        }
-    }
-    let last = |text: &str| text.lines().last().unwrap_or("").to_owned();
-    if last(a_text) != last(b_text) {
-        return Err("embedded obs snapshots differ".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -540,20 +462,6 @@ mod tests {
         assert!(text.contains("{\"agg\":null}"));
         let parsed = parse_and_validate(&text).unwrap_or_else(|e| panic!("{e}"));
         assert!(parsed.ticks.is_empty());
-    }
-
-    #[test]
-    fn diff_names_the_first_differing_tick() {
-        let a = sample_timeline();
-        let mut b = a.clone();
-        b.ticks[1].shed += 1;
-        b.ticks[1].completed -= 1;
-        b.ticks[1].shards[0].shed += 1;
-        b.ticks[1].shards[0].submitted -= 1;
-        b.ticks[1].shards[0].completed -= 1;
-        let err = diff(&render(&a, None), &render(&b, None)).expect_err("must differ");
-        assert!(err.starts_with("tick 1:"), "{err}");
-        assert!(diff(&render(&a, None), &render(&a, None)).is_ok());
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub mod slo;
 pub mod timeline;
 pub mod window;
 
-pub use artifact::{diff, parse_and_validate, render, SCHEMA};
-pub use report::{parse_summary_rows, render_report, SessionRow};
+pub use artifact::{parse_and_validate, render, SCHEMA};
+pub use report::{render_report, SessionRow};
 pub use slo::{parse_policy, Breach, SloPolicy};
 pub use timeline::{ShardSample, TickCollector, TickSample, Timeline, SERIES};
 pub use window::{RingWindow, WindowStats};

@@ -5,8 +5,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use wimi_obs::json::{self, Json};
-
 use crate::timeline::{Timeline, SERIES};
 
 /// One session's outcome row, as carried by the `wimi-serve/1` summary.
@@ -28,51 +26,6 @@ pub struct SessionRow {
     pub correct: u64,
     /// Air-time packets spent across the session's measurements.
     pub packets_spent: u64,
-}
-
-fn int_field(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integral field \"{key}\""))
-}
-
-fn str_field(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field \"{key}\""))
-}
-
-/// Extracts the per-session rows from a `wimi-serve/1` fleet summary.
-/// Fail-closed: a wrong schema tag or a row missing its environment or
-/// material labels is an error.
-pub fn parse_summary_rows(text: &str) -> Result<Vec<SessionRow>, String> {
-    let root = json::parse(text)?;
-    match root.get("schema").and_then(Json::as_str) {
-        Some("wimi-serve/1") => {}
-        Some(other) => return Err(format!("schema is \"{other}\", want \"wimi-serve/1\"")),
-        None => return Err("missing schema field".to_owned()),
-    }
-    let Some(Json::Arr(rows)) = root.get("sessions") else {
-        return Err("missing sessions array".to_owned());
-    };
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let context = |e: String| format!("session record {i}: {e}");
-        out.push(SessionRow {
-            id: int_field(row, "id").map_err(context)?,
-            environment: str_field(row, "environment")
-                .map_err(|e| format!("session record {i}: {e}"))?,
-            material: str_field(row, "material").map_err(|e| format!("session record {i}: {e}"))?,
-            ok: int_field(row, "ok").map_err(|e| format!("session record {i}: {e}"))?,
-            failed: int_field(row, "failed").map_err(|e| format!("session record {i}: {e}"))?,
-            shed: int_field(row, "shed").map_err(|e| format!("session record {i}: {e}"))?,
-            correct: int_field(row, "correct").map_err(|e| format!("session record {i}: {e}"))?,
-            packets_spent: int_field(row, "packets_spent")
-                .map_err(|e| format!("session record {i}: {e}"))?,
-        });
-    }
-    Ok(out)
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -253,24 +206,5 @@ mod tests {
         for name in SERIES {
             assert!(text.contains(name), "{name} missing from:\n{text}");
         }
-    }
-
-    #[test]
-    fn summary_rows_parse_fail_closed() {
-        let good = r#"{
-  "schema": "wimi-serve/1",
-  "sessions": [
-    {"id": 0, "environment": "Lab", "material": "Milk", "ok": 4, "failed": 1,
-     "shed": 0, "correct": 3, "packets_spent": 50}
-  ]
-}"#;
-        let rows = parse_summary_rows(good).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].environment, "Lab");
-        assert_eq!(rows[0].material, "Milk");
-
-        assert!(parse_summary_rows(&good.replace("wimi-serve/1", "wimi-serve/0")).is_err());
-        assert!(parse_summary_rows(&good.replace("\"environment\": \"Lab\", ", "")).is_err());
-        assert!(parse_summary_rows("{}").is_err());
     }
 }

@@ -1,9 +1,13 @@
-//! A minimal, std-only, panic-free JSON parser shared by the snapshot
-//! validator (this crate) and the trace-artifact tooling (`wimi-trace`).
+//! A minimal, std-only, panic-free JSON parser shared by every artifact
+//! validator, with the field helpers they check schemas through and the
+//! one structural differ ([`first_difference`]) the `artifact diff` verb
+//! reports with.
 //!
 //! The parser keeps insertion order for object keys (schema checks care
 //! about canonical field order) and remembers whether each number's source
 //! text was integral, so integer schema checks need no float comparisons.
+
+use std::fmt::Display;
 
 /// Parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +36,7 @@ impl Json {
     /// The value of `key` when `self` is an object holding it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(entries) => field(entries, key),
+            Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -56,11 +60,138 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The entries of an object whose keys are exactly `want`, in order.
+    /// A stray, missing, reordered or duplicated key is an error naming
+    /// `what`; checking allocates nothing unless it fails.
+    pub fn expect_keys(
+        &self,
+        want: &[&str],
+        what: impl Display,
+    ) -> Result<&[(String, Json)], String> {
+        self.expect_keys_opt(want, &[], what)
+    }
+
+    /// Like [`Json::expect_keys`], where `want` may be followed by each
+    /// of the `optional` key groups in order, every group present whole
+    /// or absent.
+    pub fn expect_keys_opt(
+        &self,
+        want: &[&str],
+        optional: &[&[&str]],
+        what: impl Display,
+    ) -> Result<&[(String, Json)], String> {
+        let Json::Obj(entries) = self else {
+            return Err(format!("{what} must be a JSON object"));
+        };
+        let keys_are = |from: usize, names: &[&str]| {
+            entries.get(from..).is_some_and(|rest| {
+                rest.len() >= names.len() && rest.iter().zip(names).all(|((k, _), n)| k == n)
+            })
+        };
+        let mut at = if keys_are(0, want) {
+            want.len()
+        } else {
+            usize::MAX
+        };
+        for group in optional {
+            if keys_are(at, group) {
+                at += group.len();
+            }
+        }
+        if at == entries.len() {
+            return Ok(entries);
+        }
+        let found: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        let then = if optional.is_empty() {
+            String::new()
+        } else {
+            format!(" then optionally {optional:?}")
+        };
+        Err(format!(
+            "{what} keys must be exactly {want:?}{then}, found {found:?}"
+        ))
+    }
+
+    /// The value of `key` as a non-negative integer.
+    pub fn u64_field(&self, key: &str, what: impl Display) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{what}: \"{key}\" must be a non-negative integer"))
+    }
+
+    /// The value of `key` as a string.
+    pub fn str_field(&self, key: &str, what: impl Display) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{what}: \"{key}\" must be a string"))
+    }
+
+    /// The items of `key` when it is an array.
+    pub fn arr_field(&self, key: &str, what: impl Display) -> Result<&[Json], String> {
+        match self.get(key) {
+            Some(Json::Arr(items)) => Ok(items),
+            _ => Err(format!("{what}: \"{key}\" must be an array")),
+        }
+    }
 }
 
-/// Looks up `key` in an object's entry list.
-pub fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// The first structural difference between two values, as
+/// `path: a vs b` with a path rooted at `$` (`$.shards[0].shed: 1 vs 2`),
+/// or `None` when the values are equal. Objects are walked key by key in
+/// order and arrays item by item, so the path names the earliest field
+/// that differs. Formatting is invisible here: callers that need byte
+/// identity compare the text first.
+pub fn first_difference(a: &Json, b: &Json) -> Option<String> {
+    difference_at(a, b, "$")
+}
+
+fn difference_at(a: &Json, b: &Json, path: &str) -> Option<String> {
+    let n = match (a, b) {
+        (Json::Obj(x), Json::Obj(y)) => x.len().max(y.len()),
+        (Json::Arr(x), Json::Arr(y)) => x.len().max(y.len()),
+        _ if a == b => return None,
+        _ => return Some(format!("{path}: {} vs {}", brief(Some(a)), brief(Some(b)))),
+    };
+    (0..n).find_map(|i| match (a, b) {
+        (Json::Obj(x), Json::Obj(y)) => match (x.get(i), y.get(i)) {
+            (Some((ka, va)), Some((kb, vb))) if ka == kb => {
+                difference_at(va, vb, &format!("{path}.{ka}"))
+            }
+            (ea, eb) => {
+                let key = |e: Option<&(String, Json)>| e.map(|(k, _)| format!("key \"{k}\""));
+                Some(format!(
+                    "{path}: {} vs {}",
+                    brief_or(key(ea)),
+                    brief_or(key(eb))
+                ))
+            }
+        },
+        (Json::Arr(x), Json::Arr(y)) => {
+            let path = format!("{path}[{i}]");
+            match (x.get(i), y.get(i)) {
+                (Some(va), Some(vb)) => difference_at(va, vb, &path),
+                (va, vb) => Some(format!("{path}: {} vs {}", brief(va), brief(vb))),
+            }
+        }
+        _ => None,
+    })
+}
+
+fn brief_or(text: Option<String>) -> String {
+    text.unwrap_or_else(|| "<absent>".to_owned())
+}
+
+/// A short rendering of a value for a difference report.
+fn brief(v: Option<&Json>) -> String {
+    brief_or(v.map(|v| match v {
+        Json::Null => "null".to_owned(),
+        Json::Bool(b) => b.to_string(),
+        Json::Num { value, .. } => value.to_string(),
+        Json::Str(s) => format!("{s:?}"),
+        Json::Arr(items) => format!("[{} items]", items.len()),
+        Json::Obj(entries) => format!("{{{} keys}}", entries.len()),
+    }))
 }
 
 const MAX_DEPTH: u32 = 64;
@@ -397,6 +528,82 @@ mod tests {
         assert_eq!(c, "{\"a b\":[1,2],\"s\":\"x \\\" y\"}");
         // Compacted text still parses to the same value.
         assert_eq!(parse(text), Ok(parse(&c).unwrap()));
+    }
+
+    #[test]
+    fn expect_keys_wants_exact_order_and_whole_optional_groups() {
+        let v = parse(r#"{"a": 1, "b": "x", "p": 2, "q": 3}"#).unwrap();
+        assert!(v.expect_keys(&["a", "b", "p", "q"], "v").is_ok());
+        for want in [
+            &["a", "b", "p"][..],
+            &["b", "a", "p", "q"],
+            &["a", "b", "p", "q", "r"],
+        ] {
+            let err = v.expect_keys(want, "v").unwrap_err();
+            assert!(err.starts_with("v keys must be exactly"), "{err}");
+        }
+        let optional: [&[&str]; 2] = [&["p", "q"], &["r"]];
+        assert!(v.expect_keys_opt(&["a", "b"], &optional, "v").is_ok());
+        let bare = parse(r#"{"a": 1, "b": 2}"#).unwrap();
+        assert!(bare.expect_keys_opt(&["a", "b"], &optional, "v").is_ok());
+        for text in [
+            r#"{"a": 1, "b": 2, "p": 3}"#,
+            r#"{"a": 1, "b": 2, "r": 1, "p": 2, "q": 3}"#,
+            r#"{"a": 1, "a": 1, "b": 2}"#,
+            "[1]",
+        ] {
+            let v = parse(text).unwrap();
+            assert!(
+                v.expect_keys_opt(&["a", "b"], &optional, "v").is_err(),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn field_helpers_name_the_key_and_the_place() {
+        let v = parse(r#"{"n": 3, "s": "x", "f": 1.5, "a": [1]}"#).unwrap();
+        assert_eq!(v.u64_field("n", "line 4"), Ok(3));
+        assert_eq!(v.str_field("s", "line 4"), Ok("x"));
+        assert_eq!(v.arr_field("a", "line 4").map(<[Json]>::len), Ok(1));
+        let err = v.u64_field("f", "line 4").unwrap_err();
+        assert_eq!(err, "line 4: \"f\" must be a non-negative integer");
+        assert!(v.str_field("n", "line 4").is_err());
+        assert!(v.arr_field("missing", "line 4").is_err());
+    }
+
+    #[test]
+    fn first_difference_names_the_earliest_differing_path() {
+        let a = parse(r#"{"t": 1, "shards": [{"shed": 1}, {"shed": 0}]}"#).unwrap();
+        assert_eq!(first_difference(&a, &a.clone()), None);
+        let b = parse(r#"{"t": 1, "shards": [{"shed": 2}, {"shed": 9}]}"#).unwrap();
+        assert_eq!(
+            first_difference(&a, &b).as_deref(),
+            Some("$.shards[0].shed: 1 vs 2")
+        );
+        for (x, y, want) in [
+            (r#"{"a": 1}"#, r#"{"b": 1}"#, r#"$: key "a" vs key "b""#),
+            (
+                r#"{"a": 1}"#,
+                r#"{"a": 1, "b": 2}"#,
+                r#"$: <absent> vs key "b""#,
+            ),
+            ("[1, 2]", "[1]", "$[1]: 2 vs <absent>"),
+            (r#"{"s": "x"}"#, r#"{"s": null}"#, r#"$.s: "x" vs null"#),
+            ("[[1]]", r#"[{"k": 0}]"#, "$[0]: [1 items] vs {1 keys}"),
+            ("0.5", "0.25", "$: 0.5 vs 0.25"),
+        ] {
+            let (x, y) = (parse(x).unwrap(), parse(y).unwrap());
+            assert_eq!(first_difference(&x, &y).as_deref(), Some(want));
+        }
+        // Formatting is invisible to the structural walk.
+        assert_eq!(
+            first_difference(
+                &parse("{\"a\":1}").unwrap(),
+                &parse("{ \"a\": 1 }").unwrap()
+            ),
+            None
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{field, parse, Json};
+use crate::json::{parse, Json};
 use crate::recorder::{
     CounterId, GaugeId, IssueId, StageId, ATTEMPT_LABELS, DISPERSION_LABELS, GAMMA_LABELS,
 };
@@ -171,7 +171,7 @@ fn write_int_object(out: &mut String, name: &str, entries: &[(&str, u64)], inden
 /// construction and rejected by the parser).
 ///
 /// Truncated input and a mismatched schema version each produce a
-/// distinct one-line message so `obs-validate` failures are actionable.
+/// distinct one-line message so `artifact validate` failures are actionable.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let value = parse(text)?;
     validate_value(&value)
@@ -181,11 +181,10 @@ pub fn validate_json(text: &str) -> Result<(), String> {
 /// schema. Used by [`validate_json`] and by `wimi-trace` to check the
 /// snapshot embedded in a trace artifact without re-serialising it.
 pub fn validate_value(value: &Json) -> Result<(), String> {
-    let root = as_obj(value, "root")?;
     // Check the version stamp before anything else: a snapshot from a
     // newer writer should say "version mismatch", not complain about
     // whatever key happens to differ first.
-    match field(root, "schema") {
+    match value.get("schema") {
         Some(Json::Str(s)) if s == SCHEMA => {}
         Some(Json::Str(s)) => {
             return Err(format!(
@@ -194,8 +193,7 @@ pub fn validate_value(value: &Json) -> Result<(), String> {
         }
         _ => return Err(format!("\"schema\" must be the string \"{SCHEMA}\"")),
     }
-    expect_keys(
-        root,
+    value.expect_keys(
         &[
             "schema",
             "stages",
@@ -207,9 +205,7 @@ pub fn validate_value(value: &Json) -> Result<(), String> {
         "root",
     )?;
 
-    let Some(Json::Arr(stages)) = field(root, "stages") else {
-        return Err("\"stages\" must be an array".into());
-    };
+    let stages = value.arr_field("stages", "root")?;
     if stages.len() != StageId::ALL.len() {
         return Err(format!(
             "\"stages\" must have {} entries, found {}",
@@ -218,119 +214,67 @@ pub fn validate_value(value: &Json) -> Result<(), String> {
         ));
     }
     for (stage_id, entry) in StageId::ALL.iter().zip(stages) {
-        let obj = as_obj(entry, "stage entry")?;
-        expect_keys(obj, &["stage", "calls", "total_ns"], "stage entry")?;
-        match field(obj, "stage") {
-            Some(Json::Str(s)) if s == stage_id.name() => {}
-            _ => {
-                return Err(format!(
-                    "stage entries must appear in pipeline order; expected \"{}\"",
-                    stage_id.name()
-                ))
-            }
+        entry.expect_keys(&["stage", "calls", "total_ns"], "stage entry")?;
+        if entry.get("stage").and_then(Json::as_str) != Some(stage_id.name()) {
+            return Err(format!(
+                "stage entries must appear in pipeline order; expected \"{}\"",
+                stage_id.name()
+            ));
         }
-        expect_u64(field(obj, "calls"), "stage calls")?;
-        expect_u64(field(obj, "total_ns"), "stage total_ns")?;
+        entry.u64_field("calls", "stage entry")?;
+        entry.u64_field("total_ns", "stage entry")?;
     }
 
     let counter_names: Vec<&str> = CounterId::ALL.iter().map(|c| c.name()).collect();
-    expect_int_object(root, "counters", &counter_names)?;
+    expect_int_object(value, "counters", &counter_names)?;
     let gauge_names: Vec<&str> = GaugeId::ALL.iter().map(|g| g.name()).collect();
-    expect_int_object(root, "gauges", &gauge_names)?;
+    expect_int_object(value, "gauges", &gauge_names)?;
     let issue_names: Vec<&str> = IssueId::ALL.iter().map(|i| i.name()).collect();
-    expect_int_object(root, "issues", &issue_names)?;
+    expect_int_object(value, "issues", &issue_names)?;
 
-    let Some(Json::Obj(_)) = field(root, "histograms") else {
-        return Err("\"histograms\" must be an object".into());
-    };
-    let Some(hists) = field(root, "histograms").and_then(|v| match v {
-        Json::Obj(o) => Some(o),
-        _ => None,
-    }) else {
-        return Err("\"histograms\" must be an object".into());
-    };
-    expect_keys(hists, &["gamma", "dispersion", "attempts"], "histograms")?;
+    let hists = value.get("histograms").unwrap_or(&Json::Null);
+    hists.expect_keys(&["gamma", "dispersion", "attempts"], "\"histograms\"")?;
     for (name, labels) in [
         ("gamma", &GAMMA_LABELS[..]),
         ("dispersion", &DISPERSION_LABELS[..]),
         ("attempts", &ATTEMPT_LABELS[..]),
     ] {
-        let obj = as_obj(
-            field(hists, name).unwrap_or(&Json::Null),
-            &format!("histogram \"{name}\""),
-        )?;
-        expect_keys(obj, &["labels", "counts"], &format!("histogram \"{name}\""))?;
-        let Some(Json::Arr(found_labels)) = field(obj, "labels") else {
-            return Err(format!("histogram \"{name}\" labels must be an array"));
-        };
+        let what = format!("histogram \"{name}\"");
+        let hist = hists.get(name).unwrap_or(&Json::Null);
+        hist.expect_keys(&["labels", "counts"], &what)?;
+        let found_labels = hist.arr_field("labels", &what)?;
         if found_labels.len() != labels.len()
             || found_labels
                 .iter()
                 .zip(labels)
-                .any(|(v, want)| !matches!(v, Json::Str(s) if s == want))
+                .any(|(v, want)| v.as_str() != Some(want))
         {
             return Err(format!(
-                "histogram \"{name}\" labels differ from the canonical bucket set"
+                "{what} labels differ from the canonical bucket set"
             ));
         }
-        let Some(Json::Arr(counts)) = field(obj, "counts") else {
-            return Err(format!("histogram \"{name}\" counts must be an array"));
-        };
+        let counts = hist.arr_field("counts", &what)?;
         if counts.len() != labels.len() {
             return Err(format!(
-                "histogram \"{name}\" counts length {} != {} buckets",
+                "{what} counts length {} != {} buckets",
                 counts.len(),
                 labels.len()
             ));
         }
-        for c in counts {
-            expect_u64(Some(c), &format!("histogram \"{name}\" count"))?;
+        if counts.iter().any(|c| c.as_u64().is_none()) {
+            return Err(format!("{what} counts must be non-negative integers"));
         }
     }
     Ok(())
 }
 
-fn as_obj<'a>(v: &'a Json, what: &str) -> Result<&'a Vec<(String, Json)>, String> {
-    match v {
-        Json::Obj(o) => Ok(o),
-        _ => Err(format!("{what} must be a JSON object")),
-    }
-}
-
-fn expect_keys(obj: &[(String, Json)], want: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
-    if found != want {
-        return Err(format!(
-            "{what} keys must be exactly {want:?} in order, found {found:?}"
-        ));
-    }
-    Ok(())
-}
-
-fn expect_u64(v: Option<&Json>, what: &str) -> Result<u64, String> {
-    match v {
-        Some(&Json::Num { value, integral }) if integral && value >= 0.0 => {
-            if value > u64::MAX as f64 {
-                return Err(format!("{what} exceeds u64 range"));
-            }
-            Ok(value as u64)
+fn expect_int_object(root: &Json, name: &str, want_keys: &[&str]) -> Result<(), String> {
+    let what = format!("\"{name}\"");
+    let obj = root.get(name).unwrap_or(&Json::Null);
+    for (key, v) in obj.expect_keys(want_keys, &what)? {
+        if v.as_u64().is_none() {
+            return Err(format!("{what}.\"{key}\" must be a non-negative integer"));
         }
-        _ => Err(format!("{what} must be a non-negative integer")),
-    }
-}
-
-fn expect_int_object(
-    root: &[(String, Json)],
-    name: &str,
-    want_keys: &[&str],
-) -> Result<(), String> {
-    let obj = as_obj(
-        field(root, name).unwrap_or(&Json::Null),
-        &format!("\"{name}\""),
-    )?;
-    expect_keys(obj, want_keys, &format!("\"{name}\""))?;
-    for (key, v) in obj {
-        expect_u64(Some(v), &format!("\"{name}\".\"{key}\""))?;
     }
     Ok(())
 }

@@ -50,4 +50,4 @@ pub use fleet::{run_campaign_fleet, run_fleet, FleetConfig, FleetReport, Session
 pub use queue::{BoundedQueues, ShardTick};
 pub use retry::{attempt_capture_seed, measure_with_retry, MeasureOutcome, RetryPolicy, Trial};
 pub use session::{MeasureRequest, Session, SessionSpec};
-pub use summary::{summary_json, validate_summary, SUMMARY_SCHEMA};
+pub use summary::{parse_summary, summary_json, SUMMARY_SCHEMA};

@@ -3,10 +3,12 @@
 //! Rendering is hand-rolled with fixed field order, fixed whitespace and
 //! fixed number formatting, so two equal [`FleetReport`]s produce
 //! byte-identical text — the artifact CI diffs between `WIMI_THREADS`
-//! shapes. [`validate_summary`] is the fail-closed reader side: it parses
-//! the text back and checks the schema tag plus the accounting
-//! invariants (`responses = ok + failed`, `requests = responses + shed`).
+//! shapes. [`parse_summary`] is the one fail-closed reader: it parses the
+//! text back, checks the schema tag plus the accounting invariants
+//! (`responses = ok + failed`, `requests = responses + shed`) and returns
+//! the per-session rows the fleet report joins.
 
+use wimi_metrics::SessionRow;
 use wimi_obs::json::{self, Json};
 
 use crate::fleet::FleetReport;
@@ -83,41 +85,62 @@ pub fn summary_json(report: &FleetReport) -> String {
     out
 }
 
-fn int_field(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integral field \"{key}\""))
-}
+const ROW_KEYS: [&str; 11] = [
+    "id",
+    "truth",
+    "environment",
+    "material",
+    "ok",
+    "failed",
+    "shed",
+    "correct",
+    "rejected",
+    "salvaged",
+    "packets_spent",
+];
 
-/// Validates a `wimi-serve/1` summary: well-formed JSON, the right
-/// schema tag, a session record per reported session, and conserved
-/// accounting — fleet-wide (`responses = ok + failed`,
-/// `requests = responses + shed`) and per session (every session's
-/// `ok + failed + shed` must equal the fleet's `measurements`: every
-/// request a session was owed is accounted for as served or shed, so a
-/// fold that misattributes responses cannot pass). Fail-closed:
-/// anything unexpected is an error, not a skip.
-pub fn validate_summary(text: &str) -> Result<(), String> {
+/// Parses and validates a `wimi-serve/1` summary, returning its session
+/// rows: well-formed JSON, the right schema tag, exact key order, a
+/// session record per reported session, and conserved accounting —
+/// fleet-wide (`responses = ok + failed`, `requests = responses + shed`)
+/// and per session (every session's `ok + failed + shed` must equal the
+/// fleet's `measurements`: every request a session was owed is accounted
+/// for as served or shed, so a fold that misattributes responses cannot
+/// pass). Fail-closed: anything unexpected is an error, not a skip.
+pub fn parse_summary(text: &str) -> Result<Vec<SessionRow>, String> {
     let root = json::parse(text)?;
     match root.get("schema").and_then(Json::as_str) {
         Some(SUMMARY_SCHEMA) => {}
         Some(other) => return Err(format!("schema is \"{other}\", want \"{SUMMARY_SCHEMA}\"")),
         None => return Err("missing schema field".to_owned()),
     }
-    let fleet = root
-        .get("fleet")
-        .ok_or_else(|| "missing fleet object".to_owned())?;
-    let sessions = int_field(fleet, "sessions")?;
-    let measurements = int_field(fleet, "measurements")?;
-    let totals = root
-        .get("totals")
-        .ok_or_else(|| "missing totals object".to_owned())?;
-    let requests = int_field(totals, "requests")?;
-    let responses = int_field(totals, "responses")?;
-    let ok = int_field(totals, "ok")?;
-    let failed = int_field(totals, "failed")?;
-    let shed = int_field(totals, "shed")?;
-    let correct = int_field(totals, "correct")?;
+    root.expect_keys(
+        &["schema", "fleet", "totals", "counters", "sessions"],
+        "root",
+    )?;
+    let fleet = root.get("fleet").unwrap_or(&Json::Null);
+    fleet.expect_keys(&["sessions", "measurements", "seed"], "fleet")?;
+    let sessions = fleet.u64_field("sessions", "fleet")?;
+    let measurements = fleet.u64_field("measurements", "fleet")?;
+    fleet.u64_field("seed", "fleet")?;
+    let totals = root.get("totals").unwrap_or(&Json::Null);
+    totals.expect_keys(
+        &[
+            "requests",
+            "responses",
+            "ok",
+            "failed",
+            "shed",
+            "correct",
+            "accuracy",
+            "model_keys",
+            "queue_peak",
+        ],
+        "totals",
+    )?;
+    let total = |key| totals.u64_field(key, "totals");
+    let (requests, responses, ok) = (total("requests")?, total("responses")?, total("ok")?);
+    let (failed, shed, correct) = (total("failed")?, total("shed")?, total("correct")?);
     if responses != ok + failed {
         return Err(format!(
             "responses {responses} != ok {ok} + failed {failed}"
@@ -131,40 +154,52 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
     if correct > ok {
         return Err(format!("correct {correct} > ok {ok}"));
     }
-    match root.get("sessions") {
-        Some(Json::Arr(rows)) => {
-            if rows.len() as u64 != sessions {
-                return Err(format!(
-                    "{} session records for {} sessions",
-                    rows.len(),
-                    sessions
-                ));
-            }
-            for row in rows {
-                let id = int_field(row, "id")?;
-                let row_ok = int_field(row, "ok")?;
-                let row_failed = int_field(row, "failed")?;
-                let row_shed = int_field(row, "shed")?;
-                let row_correct = int_field(row, "correct")?;
-                if row_correct > row_ok {
-                    return Err(format!("session correct {row_correct} > ok {row_ok}"));
-                }
-                if row_ok + row_failed + row_shed != measurements {
-                    return Err(format!(
-                        "session {id}: ok {row_ok} + failed {row_failed} + shed {row_shed} \
-                         != measurements {measurements}"
-                    ));
-                }
-                for key in ["environment", "material"] {
-                    if row.get(key).and_then(Json::as_str).is_none() {
-                        return Err(format!("session {id}: missing or non-string \"{key}\""));
-                    }
-                }
-            }
-        }
-        _ => return Err("missing sessions array".to_owned()),
+    match root.get("counters") {
+        Some(Json::Obj(counters)) if counters.iter().all(|(_, v)| v.as_u64().is_some()) => {}
+        _ => return Err("\"counters\" must be an object of non-negative integers".to_owned()),
     }
-    Ok(())
+    let records = root.arr_field("sessions", "root")?;
+    if records.len() as u64 != sessions {
+        return Err(format!(
+            "{} session records for {} sessions",
+            records.len(),
+            sessions
+        ));
+    }
+    let mut rows = Vec::with_capacity(records.len());
+    for (i, record) in records.iter().enumerate() {
+        let what = format!("session record {i}");
+        record.expect_keys(&ROW_KEYS, &what)?;
+        let int = |key| record.u64_field(key, &what);
+        let text = |key| record.str_field(key, &what).map(str::to_owned);
+        let row = SessionRow {
+            id: int("id")?,
+            environment: text("environment")?,
+            material: text("material")?,
+            ok: int("ok")?,
+            failed: int("failed")?,
+            shed: int("shed")?,
+            correct: int("correct")?,
+            packets_spent: int("packets_spent")?,
+        };
+        for key in ["truth", "rejected", "salvaged"] {
+            int(key)?;
+        }
+        if row.correct > row.ok {
+            return Err(format!(
+                "session {}: correct {} > ok {}",
+                row.id, row.correct, row.ok
+            ));
+        }
+        if row.ok + row.failed + row.shed != measurements {
+            return Err(format!(
+                "session {}: ok {} + failed {} + shed {} != measurements {measurements}",
+                row.id, row.ok, row.failed, row.shed
+            ));
+        }
+        rows.push(row);
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -184,7 +219,9 @@ mod tests {
     #[test]
     fn summary_round_trips_through_the_validator() {
         let summary = summary_json(&tiny_report());
-        validate_summary(&summary).unwrap_or_else(|e| panic!("summary must validate: {e}"));
+        let rows = parse_summary(&summary).unwrap_or_else(|e| panic!("summary must validate: {e}"));
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|r| !r.environment.is_empty()));
     }
 
     #[test]
@@ -199,14 +236,21 @@ mod tests {
         let report = tiny_report();
         let summary = summary_json(&report);
         let wrong_schema = summary.replace("wimi-serve/1", "wimi-serve/0");
-        assert!(validate_summary(&wrong_schema).is_err());
+        assert!(parse_summary(&wrong_schema).is_err());
         let truncated = &summary[..summary.len() / 2];
-        assert!(validate_summary(truncated).is_err());
+        assert!(parse_summary(truncated).is_err());
         // Break conservation: responses ≠ ok + failed.
         let broken = summary.replace(
             &format!("\"responses\": {}", report.responses),
             &format!("\"responses\": {}", report.responses + 1),
         );
-        assert!(validate_summary(&broken).is_err());
+        assert!(parse_summary(&broken).is_err());
+        // A row missing its environment label, a stray key, an empty
+        // document.
+        let unlabelled = summary.replacen("\"environment\": ", "\"env\": ", 1);
+        assert!(parse_summary(&unlabelled).is_err());
+        let stray = summary.replacen("\"seed\": ", "\"junk\": 1, \"seed\": ", 1);
+        assert!(parse_summary(&stray).is_err());
+        assert!(parse_summary("{}").is_err());
     }
 }

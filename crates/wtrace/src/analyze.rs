@@ -1,5 +1,5 @@
-//! Artifact analysis: human summaries, first-divergence diffing, and
-//! deterministic work-counter budget gates.
+//! Artifact analysis: human summaries and deterministic work-counter
+//! budget gates.
 
 use std::fmt::Write as _;
 
@@ -115,78 +115,6 @@ fn describe(line: &crate::artifact::EventLine) -> String {
         "failed" => format!("FAILED at {} ({})", s("stage"), s("issue")),
         "svm_machine" => format!("svm machine {}x{}", n("class_a"), n("class_b")),
         other => other.to_string(),
-    }
-}
-
-/// Outcome of diffing two artifacts line-by-line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiffOutcome {
-    /// The artifacts are byte-identical.
-    Identical,
-    /// The artifacts first differ at 1-based `line_no`.
-    Diverged {
-        /// First differing line (1-based).
-        line_no: usize,
-        /// A human-readable report: the diverging line from each side
-        /// plus surrounding context.
-        report: String,
-    },
-}
-
-/// Compares two artifacts and reports the first diverging line with
-/// surrounding context. A missing line on one side (different lengths)
-/// also counts as divergence.
-pub fn diff(a: &str, b: &str) -> DiffOutcome {
-    if a == b {
-        return DiffOutcome::Identical;
-    }
-    let a_lines: Vec<&str> = a.lines().collect();
-    let b_lines: Vec<&str> = b.lines().collect();
-    let n = a_lines.len().max(b_lines.len());
-    for i in 0..n {
-        let la = a_lines.get(i).copied();
-        let lb = b_lines.get(i).copied();
-        if la == lb {
-            continue;
-        }
-        let mut report = String::new();
-        let _ = writeln!(report, "first divergence at line {}:", i + 1);
-        let ctx_start = i.saturating_sub(2);
-        for j in ctx_start..i {
-            if let Some(l) = a_lines.get(j) {
-                let _ = writeln!(report, "  {:>5}   {l}", j + 1);
-            }
-        }
-        let _ = writeln!(
-            report,
-            "  {:>5} A {}",
-            i + 1,
-            la.unwrap_or("<end of artifact>")
-        );
-        let _ = writeln!(
-            report,
-            "  {:>5} B {}",
-            i + 1,
-            lb.unwrap_or("<end of artifact>")
-        );
-        for j in (i + 1)..(i + 3) {
-            match (a_lines.get(j), b_lines.get(j)) {
-                (Some(l), _) | (None, Some(l)) => {
-                    let _ = writeln!(report, "  {:>5}   {l}", j + 1);
-                }
-                (None, None) => break,
-            }
-        }
-        return DiffOutcome::Diverged {
-            line_no: i + 1,
-            report,
-        };
-    }
-    // Unreachable in practice (a != b implies some line differs), but
-    // stay panic-free and conservative.
-    DiffOutcome::Diverged {
-        line_no: 0,
-        report: "artifacts differ only in trailing whitespace".into(),
     }
 }
 
@@ -320,39 +248,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("retries exhausted after 2"), "{text}");
-    }
-
-    #[test]
-    fn diff_identical_artifacts() {
-        let a = failing_artifact();
-        assert_eq!(diff(&a, &a.clone()), DiffOutcome::Identical);
-    }
-
-    #[test]
-    fn diff_reports_first_divergence_with_context() {
-        let a = failing_artifact();
-        let b = a.replacen("\"attempt\":2", "\"attempt\":3", 1);
-        match diff(&a, &b) {
-            DiffOutcome::Diverged { line_no, report } => {
-                assert!(line_no > 1);
-                assert!(report.contains("first divergence"), "{report}");
-                assert!(report.contains(" A "), "{report}");
-                assert!(report.contains(" B "), "{report}");
-            }
-            DiffOutcome::Identical => panic!("must diverge"),
-        }
-    }
-
-    #[test]
-    fn diff_handles_length_mismatch() {
-        let a = failing_artifact();
-        let b: String = a.lines().take(3).map(|l| format!("{l}\n")).collect();
-        match diff(&a, &b) {
-            DiffOutcome::Diverged { report, .. } => {
-                assert!(report.contains("<end of artifact>"), "{report}");
-            }
-            DiffOutcome::Identical => panic!("must diverge"),
-        }
     }
 
     #[test]

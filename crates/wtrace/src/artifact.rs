@@ -231,97 +231,96 @@ pub fn render_cell(log: &TraceLog, obs_json: Option<&str>, tag: Option<&Campaign
     out
 }
 
-fn get_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: \"{key}\" must be a non-negative integer"))
+/// `line N` for error messages, formatted only when a check fails.
+#[derive(Clone, Copy)]
+struct Line(usize);
+
+impl std::fmt::Display for Line {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line {}", self.0)
+    }
 }
 
-fn get_str<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: \"{key}\" must be a string"))
+const HEADER_KEYS: [&str; 6] = [
+    "schema",
+    "tasks",
+    "events",
+    "events_emitted",
+    "failures",
+    "tasks_truncated",
+];
+
+/// The campaign provenance a cell artifact's header may end with.
+const CAMPAIGN_KEYS: [&[&str]; 1] = [&["campaign", "cell", "cell_seed"]];
+
+/// The optional context suffix of an `issue` event, in render order.
+const CTX_KEYS: [&[&str]; 4] = [
+    &["packet"],
+    &["subcarrier"],
+    &["antenna"],
+    &["pair_a", "pair_b"],
+];
+
+/// The exact keys of each event type, `task`/`seq`/`ev` first.
+fn event_keys(ev: &str) -> Option<&'static [&'static str]> {
+    Some(match ev {
+        "enter" | "exit" => &["task", "seq", "ev", "stage"],
+        "count" => &["task", "seq", "ev", "counter", "delta"],
+        "issue" => &["task", "seq", "ev", "issue", "count"],
+        "salvage" => &["task", "seq", "ev", "action", "count"],
+        "attempt" => &["task", "seq", "ev", "attempt", "max"],
+        "retries_exhausted" => &["task", "seq", "ev", "attempts"],
+        "feature" => &[
+            "task",
+            "seq",
+            "ev",
+            "pairs",
+            "gamma_min",
+            "gamma_max",
+            "dispersion",
+        ],
+        "failed" => &["task", "seq", "ev", "stage", "issue"],
+        "svm_machine" => &["task", "seq", "ev", "class_a", "class_b", "rounds"],
+        _ => return None,
+    })
 }
 
-fn is_number(v: Option<&Json>) -> bool {
-    matches!(v, Some(Json::Num { .. }))
+/// Whether `v` is the name of one of `all`.
+fn named<T: Copy>(v: &Json, all: &[T], name: fn(T) -> &'static str) -> bool {
+    v.as_str()
+        .is_some_and(|s| all.iter().any(|&x| name(x) == s))
 }
 
-fn valid_stage(name: &str) -> bool {
-    StageId::ALL.iter().any(|s| s.name() == name)
-}
-
-fn valid_counter(name: &str) -> bool {
-    CounterId::ALL.iter().any(|c| c.name() == name)
-}
-
-fn valid_issue(name: &str) -> bool {
-    IssueId::ALL.iter().any(|i| i.name() == name)
+/// What an event field's value must be, when `v` is not that.
+fn field_error(key: &str, v: &Json) -> Option<&'static str> {
+    let (ok, want) = match key {
+        "task" | "ev" | "action" => (v.as_str().is_some(), "a string"),
+        "stage" => (named(v, &StageId::ALL, StageId::name), "a stage name"),
+        "counter" => (named(v, &CounterId::ALL, CounterId::name), "a counter name"),
+        "issue" => (named(v, &IssueId::ALL, IssueId::name), "an issue name"),
+        "gamma_min" | "gamma_max" => (matches!(v, Json::Num { .. }), "a number"),
+        "dispersion" => (
+            matches!(v, Json::Num { .. } | Json::Null),
+            "a number or null",
+        ),
+        _ => (v.as_u64().is_some(), "a non-negative integer"),
+    };
+    (!ok).then_some(want)
 }
 
 fn check_event_fields(line: &EventLine) -> Result<(), String> {
-    let what = format!("line {}", line.line_no);
-    let v = &line.value;
-    match line.ev.as_str() {
-        "enter" | "exit" | "failed" => {
-            let stage = get_str(v, "stage", &what)?;
-            if !valid_stage(stage) {
-                return Err(format!("{what}: unknown stage \"{stage}\""));
-            }
-            if line.ev == "failed" {
-                let issue = get_str(v, "issue", &what)?;
-                if !valid_issue(issue) {
-                    return Err(format!("{what}: unknown issue \"{issue}\""));
-                }
-            }
-        }
-        "count" => {
-            let counter = get_str(v, "counter", &what)?;
-            if !valid_counter(counter) {
-                return Err(format!("{what}: unknown counter \"{counter}\""));
-            }
-            get_u64(v, "delta", &what)?;
-        }
-        "issue" => {
-            let issue = get_str(v, "issue", &what)?;
-            if !valid_issue(issue) {
-                return Err(format!("{what}: unknown issue \"{issue}\""));
-            }
-            get_u64(v, "count", &what)?;
-        }
-        "salvage" => {
-            get_str(v, "action", &what)?;
-            get_u64(v, "count", &what)?;
-        }
-        "attempt" => {
-            get_u64(v, "attempt", &what)?;
-            get_u64(v, "max", &what)?;
-        }
-        "retries_exhausted" => {
-            get_u64(v, "attempts", &what)?;
-        }
-        "feature" => {
-            get_u64(v, "pairs", &what)?;
-            for key in ["gamma_min", "gamma_max"] {
-                if !is_number(v.get(key)) {
-                    return Err(format!("{what}: \"{key}\" must be a number"));
-                }
-            }
-            match v.get("dispersion") {
-                Some(Json::Num { .. } | Json::Null) => {}
-                _ => return Err(format!("{what}: \"dispersion\" must be a number or null")),
-            }
-        }
-        "svm_machine" => {
-            get_u64(v, "class_a", &what)?;
-            get_u64(v, "class_b", &what)?;
-            get_u64(v, "rounds", &what)?;
-        }
-        other => {
-            return Err(format!(
-                "{what}: unknown event type \"{other}\" (expected one of {:?})",
-                TraceEvent::NAMES
-            ))
+    let what = Line(line.line_no);
+    let Some(keys) = event_keys(&line.ev) else {
+        return Err(format!(
+            "{what}: unknown event type \"{}\" (expected one of {:?})",
+            line.ev,
+            TraceEvent::NAMES
+        ));
+    };
+    let optional: &[&[&str]] = if line.ev == "issue" { &CTX_KEYS } else { &[] };
+    for (key, value) in line.value.expect_keys_opt(keys, optional, what)? {
+        if let Some(want) = field_error(key, value) {
+            return Err(format!("{what}: \"{key}\" must be {want}"));
         }
     }
     Ok(())
@@ -348,19 +347,20 @@ pub fn parse_and_validate(text: &str) -> Result<Artifact, String> {
         }
         None => return Err(format!("header line: \"schema\" must be the string \"{SCHEMA}\"")),
     }
+    header_val.expect_keys_opt(&HEADER_KEYS, &CAMPAIGN_KEYS, "header")?;
     let header = Header {
-        tasks: get_u64(&header_val, "tasks", "header")?,
-        events: get_u64(&header_val, "events", "header")?,
-        events_emitted: get_u64(&header_val, "events_emitted", "header")?,
-        failures: get_u64(&header_val, "failures", "header")?,
-        tasks_truncated: get_u64(&header_val, "tasks_truncated", "header")?,
+        tasks: header_val.u64_field("tasks", "header")?,
+        events: header_val.u64_field("events", "header")?,
+        events_emitted: header_val.u64_field("events_emitted", "header")?,
+        failures: header_val.u64_field("failures", "header")?,
+        tasks_truncated: header_val.u64_field("tasks_truncated", "header")?,
     };
     let campaign = match header_val.get("campaign") {
         None => None,
         Some(_) => Some(CampaignTag {
-            campaign: get_str(&header_val, "campaign", "header")?.to_string(),
-            cell: get_u64(&header_val, "cell", "header")?,
-            cell_seed: get_u64(&header_val, "cell_seed", "header")?,
+            campaign: header_val.str_field("campaign", "header")?.to_string(),
+            cell: header_val.u64_field("cell", "header")?,
+            cell_seed: header_val.u64_field("cell_seed", "header")?,
         }),
     };
 
@@ -374,14 +374,15 @@ pub fn parse_and_validate(text: &str) -> Result<Artifact, String> {
             ));
         }
         let value = json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
+        let what = Line(line_no);
         if let Some(obs_val) = value.get("obs") {
+            value.expect_keys(&["obs"], what)?;
             obs = Some(obs_val.clone());
             continue;
         }
-        let what = format!("line {line_no}");
-        let task = get_str(&value, "task", &what)?.to_string();
-        let seq = get_u64(&value, "seq", &what)?;
-        let ev = get_str(&value, "ev", &what)?.to_string();
+        let task = value.str_field("task", what)?.to_string();
+        let seq = value.u64_field("seq", what)?;
+        let ev = value.str_field("ev", what)?.to_string();
         events.push(EventLine {
             line_no,
             task,
@@ -605,6 +606,58 @@ mod tests {
         let err = parse_and_validate(&bad).unwrap_err();
         assert!(err.contains("cell"), "{err}");
         assert!(!err.contains('\n'), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_stray_and_duplicate_keys() {
+        let obs = Recorder::enabled().snapshot().to_json();
+        let good = render(&sample_log(), Some(&obs));
+        parse_and_validate(&good).unwrap();
+        let attempt = "\"ev\":\"attempt\",\"attempt\":1,\"max\":4";
+        for (bad, why) in [
+            (
+                good.replacen("\"max\":4}", "\"max\":4,\"junk\":5}", 1),
+                "stray event key",
+            ),
+            (
+                good.replacen("{\"obs\":", "{\"zzz\":1,\"obs\":", 1),
+                "stray obs-line key",
+            ),
+            (
+                good.replacen(attempt, &format!("\"seq\":0,{attempt}"), 1),
+                "duplicated seq",
+            ),
+            (
+                good.replacen("\"tasks_truncated\":0", "\"tasks_truncated\":0,\"x\":1", 1),
+                "stray header key",
+            ),
+            (
+                good.replacen(
+                    ",\"pair_a\":0,\"pair_b\":2",
+                    ",\"pair_b\":2,\"pair_a\":0",
+                    1,
+                ),
+                "reordered issue context",
+            ),
+            (
+                good.replacen(",\"pair_b\":2", "", 1),
+                "half an antenna pair",
+            ),
+        ] {
+            assert_ne!(bad, good, "{why}: the tamper must change the text");
+            let err = parse_and_validate(&bad).expect_err(why);
+            assert!(err.contains("keys must be exactly"), "{why}: {err}");
+            assert!(!err.contains('\n'), "{why}: {err}");
+        }
+        // Every context subset the renderer writes is accepted.
+        let with_ctx = good.replacen(
+            ",\"pair_a\":0,\"pair_b\":2",
+            ",\"packet\":3,\"subcarrier\":7,\"antenna\":1,\"pair_a\":0,\"pair_b\":2",
+            1,
+        );
+        parse_and_validate(&with_ctx).unwrap();
+        let bad_ctx = with_ctx.replacen("\"packet\":3", "\"packet\":-3", 1);
+        assert!(parse_and_validate(&bad_ctx).is_err());
     }
 
     #[test]

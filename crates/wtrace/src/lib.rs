@@ -31,9 +31,9 @@
 //! [`artifact::render`] writes the `wimi-trace/1` JSONL format: a header
 //! line, one line per event, and a final line embedding the run's
 //! `wimi-obs/1` snapshot. [`artifact::parse_and_validate`] checks the
-//! whole contract; [`analyze`] adds summaries, first-divergence diffing
-//! and work-counter budget gates. The `wimi-trace` binary exposes all of
-//! it as `validate` / `summary` / `diff` / `budget` subcommands.
+//! whole contract; [`analyze`] adds summaries and work-counter budget
+//! gates. The experiments binary's `artifact validate|diff|summary` verb
+//! and `trace-report --check` expose them.
 //!
 //! ## Example
 //!

@@ -5,7 +5,7 @@
 //! - per-cell artifacts are byte-identical across `WIMI_THREADS` settings
 //!   and when a single cell is replayed in isolation from its seed;
 //! - malformed campaign text fails with single-line errors, mirroring the
-//!   obs-validate conventions.
+//!   `artifact validate` conventions.
 
 use wimi_campaign::{expand, parse};
 use wimi_experiments::campaign::{run_campaign, run_cell};

@@ -15,7 +15,7 @@ use wimi::phy::channel::Environment;
 use wimi::phy::material::Liquid;
 use wimi::phy::scenario::LiquidSpec;
 use wimi::serve::{
-    run_fleet, summary_json, validate_summary, Engine, FleetConfig, MeasureRequest, ModelCache,
+    parse_summary, run_fleet, summary_json, Engine, FleetConfig, MeasureRequest, ModelCache,
     ModelKey, RetryPolicy, ServeConfig, Session, SessionSpec,
 };
 
@@ -50,7 +50,7 @@ fn fleet_summary_is_byte_identical_across_fanout_shapes() {
     }
     wimi::core::par::set_thread_override(None);
     wimi::core::par::set_chunk_override(None);
-    validate_summary(&summaries[0]).expect("summary validates");
+    parse_summary(&summaries[0]).expect("summary validates");
     for s in &summaries[1..] {
         assert_eq!(
             &summaries[0], s,
@@ -86,7 +86,7 @@ fn tiny_queue_bound_degrades_to_counted_sheds() {
         .map(|&(_, v)| v);
     assert_eq!(shed_counter, Some(10));
     let summary = summary_json(&report);
-    validate_summary(&summary).expect("shedding summary still validates");
+    parse_summary(&summary).expect("shedding summary still validates");
 }
 
 #[test]
