@@ -10,6 +10,8 @@
 //! Wall-clock throughput, end to end and per layer, is measured by the
 //! benchmark in `wimibench/`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::time::Instant;
 use wimi_experiments::harness::{paper_liquids, run_identification, RunOptions};
 use wimi_serve::{run_fleet, FleetConfig};
@@ -20,6 +22,10 @@ fn median_seconds(threads: usize, work: &dyn Fn()) -> f64 {
     wimi_core::par::set_thread_override(Some(threads));
     let mut samples: Vec<f64> = (0..3)
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the fan-out floors are wall-clock speedups by definition"
+            )]
             let t0 = Instant::now();
             work();
             t0.elapsed().as_secs_f64()

@@ -101,6 +101,13 @@ fn reader_of(text: &str) -> Result<&'static Reader, String> {
     }
 }
 
+/// Validates one artifact's text with the reader its `"schema"` tag names,
+/// returning the tag and the reader's description, or a one-line error.
+pub fn validate_text(text: &str) -> Result<(&'static str, String), String> {
+    let reader = reader_of(text)?;
+    Ok((reader.tag, (reader.check)(text)?))
+}
+
 /// A failed verb: its exit code (1 invalid or different, 2 usage or I/O)
 /// and one-line message.
 struct Fail(i32, String);

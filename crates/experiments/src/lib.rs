@@ -13,6 +13,8 @@
 //! or a single figure, e.g. `-- fig15`. Pass `--quick` for a reduced-trial
 //! smoke run.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod ablation;
 pub mod accuracy;
 pub mod artifact;

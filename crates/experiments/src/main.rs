@@ -1,5 +1,7 @@
 //! CLI entry point: `cargo run -p wimi-experiments --release -- all`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use wimi_experiments::{artifact, campaign, fleet, obs, run_named, trace, Effort, ALL_EXPERIMENTS};
 
 fn usage() -> ! {
@@ -123,6 +125,10 @@ fn main() {
         return;
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the closing \"completed in\" line goes to stderr, never into a result"
+    )]
     let started = std::time::Instant::now();
     if names == ["all"] {
         for name in ALL_EXPERIMENTS {

@@ -23,6 +23,10 @@ pub struct WallClock {
 impl WallClock {
     /// Starts the clock at construction time.
     #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the opt-in `--obs-wall` clock; deterministic runs use the null clock"
+    )]
     pub fn new() -> Self {
         WallClock {
             start: std::time::Instant::now(),

@@ -2,13 +2,18 @@
 //! binary, over real rendered artifacts of all five schemas: each
 //! validates and self-diffs clean, a one-field tamper fails closed with
 //! one stderr line, and a one-field change is named by line and field
-//! path. Also pins the exit-2 convention for failed writes and the
-//! `trace-report --check` budget gate.
+//! path. Byte mutations of each artifact are rejected in one line and
+//! never panic a reader. Also pins the exit-2 convention for failed writes
+//! and the `trace-report --check` budget gate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::OnceLock;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use wimi_experiments::artifact;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_wimi-experiments"))
@@ -413,4 +418,71 @@ fn trace_report_check_gates_the_committed_trace_budgets() {
     let out = run(&["--quick", "trace-report", "--check", path_str(&tight)]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(stdout_of(&out).contains("OVER BUDGET"), "{out:?}");
+}
+
+/// Seeded mutations tried on each artifact.
+const MUTATIONS: usize = 200;
+
+/// One seeded byte mutation of `bytes`: overwrite, delete, insert or
+/// duplicate a byte, or cut the text short.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut StdRng) -> String {
+    let at = rng.gen_range(0..bytes.len());
+    let byte = rng.gen_range(0u32..256) as u8;
+    match rng.gen_range(0..5) {
+        0 => {
+            bytes[at] = byte;
+            format!("byte {at} := {byte:#04x}")
+        }
+        1 => {
+            bytes.remove(at);
+            format!("delete byte {at}")
+        }
+        2 => {
+            bytes.insert(at, byte);
+            format!("insert {byte:#04x} at {at}")
+        }
+        3 => {
+            bytes.insert(at, bytes[at]);
+            format!("duplicate byte {at}")
+        }
+        _ => {
+            bytes.truncate(at);
+            format!("truncate at {at}")
+        }
+    }
+}
+
+#[test]
+fn mutated_artifacts_are_rejected_in_one_line_and_never_panic() {
+    let dir = rendered();
+    for name in [
+        "obs.json",
+        "trace.jsonl",
+        "camp/demo-summary.json",
+        "fleet.json",
+        "metrics.jsonl",
+    ] {
+        let text = fs::read_to_string(dir.join(name)).expect("read artifact");
+        assert!(
+            artifact::validate_text(&text).is_ok(),
+            "{name} must validate"
+        );
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..MUTATIONS {
+            let mut bytes = text.clone().into_bytes();
+            let what = mutate(&mut bytes, &mut rng);
+            let Ok(mutated) = String::from_utf8(bytes) else {
+                continue;
+            };
+            let verdict = std::panic::catch_unwind(|| artifact::validate_text(&mutated));
+            match verdict {
+                Err(_) => panic!("{name}: the reader panicked on `{what}`"),
+                Ok(Err(e)) => assert!(
+                    !e.is_empty() && !e.contains(['\n', '\r']),
+                    "{name}: `{what}` was rejected with {e:?}"
+                ),
+                Ok(Ok(_)) => {}
+            }
+        }
+    }
 }

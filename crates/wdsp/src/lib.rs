@@ -17,6 +17,19 @@
 //! assert!((cleaned[20] - 1.0).abs() < 0.3);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 pub mod filters;
 pub mod outlier;
 pub mod stats;

@@ -16,6 +16,8 @@
 //! array-of-structs `Vec<Complex>` shape for single-frame construction and
 //! as the reference layout the equivalence tests compare against.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::complex::Complex;
 
 /// CSI for a single received packet: `n_antennas × n_subcarriers` complex

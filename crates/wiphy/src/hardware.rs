@@ -13,6 +13,8 @@
 //! noise bursts and outliers (paper Fig. 3), and Intel 5300-style 8-bit
 //! quantisation.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::channel::StandardNormal;
 use crate::complex::Complex;
 use crate::csi::CsiPacket;

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no registry access, so `wimi-lint` cannot use
 //! `syn`; instead it hand-rolls the small slice of lexing the rules need:
-//! identifiers, punctuation, numeric literals (with a float flag), and —
+//! identifiers, punctuation, numeric literals, and —
 //! crucially — *correct skipping* of strings, char literals, lifetimes and
 //! comments, so a banned identifier inside a string or doc comment never
 //! fires a rule. Line comments are additionally inspected for `wlint:`
@@ -16,11 +16,8 @@ pub enum Tok {
     /// Punctuation; multi-character operators (`==`, `!=`, `::`, `->`,
     /// `=>`, `..`, `&&`, `||`, `<=`, `>=`) arrive as one token.
     Punct(&'static str),
-    /// A numeric literal.
-    Num {
-        /// `true` for float literals (`1.0`, `1e9`, `2f64`).
-        is_float: bool,
-    },
+    /// A numeric literal (`1`, `2.5`, `1e-9`, `3f64`, `0x1E`).
+    Num,
     /// A string literal, carrying its raw content (escape sequences are
     /// left as written). The determinism-taint rule inspects `env::var`
     /// arguments through this token; no identifier rule matches inside it.
@@ -153,13 +150,12 @@ pub fn lex(source: &str) -> LexOutput {
                 line_has_code = true;
             }
             c if c.is_ascii_digit() => {
-                let (next, is_float) = lex_number(&bytes, i);
                 out.tokens.push(Token {
-                    kind: Tok::Num { is_float },
+                    kind: Tok::Num,
                     line,
                 });
                 line_has_code = true;
-                i = next;
+                i = skip_number(&bytes, i);
             }
             c if c.is_alphabetic() || c == '_' => {
                 let mut j = i;
@@ -431,60 +427,39 @@ fn skip_char_or_lifetime(bytes: &[char], i: usize, line: u32, out: &mut LexOutpu
     }
 }
 
-/// Lexes a numeric literal starting at `i`; returns (next index, is_float).
-fn lex_number(bytes: &[char], i: usize) -> (usize, bool) {
+/// Skips a numeric literal starting at `i`, returning the index after it.
+fn skip_number(bytes: &[char], i: usize) -> usize {
+    let is_word = |c: &char| c.is_alphanumeric() || *c == '_';
     let mut j = i;
-    let mut is_float = false;
-    let radix_prefix = bytes[j] == '0'
-        && matches!(
-            bytes.get(j + 1),
-            Some('x') | Some('o') | Some('b') | Some('X')
-        );
-    if radix_prefix {
+    if bytes[j] == '0' && matches!(bytes.get(j + 1), Some('x' | 'o' | 'b' | 'X')) {
         j += 2;
-        while j < bytes.len() && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
+        while bytes.get(j).is_some_and(is_word) {
             j += 1;
         }
-        return (j, false);
+        return j;
     }
-    while j < bytes.len() && (bytes[j].is_ascii_digit() || bytes[j] == '_') {
+    while bytes
+        .get(j)
+        .is_some_and(|c| c.is_ascii_digit() || *c == '_')
+    {
         j += 1;
     }
     // Decimal point: only when followed by a digit (so `0..n` ranges and
     // `1.max(2)` method calls stay intact).
     if bytes.get(j) == Some(&'.') && bytes.get(j + 1).is_some_and(|c| c.is_ascii_digit()) {
-        is_float = true;
         j += 1;
-        while j < bytes.len() && (bytes[j].is_ascii_digit() || bytes[j] == '_') {
-            j += 1;
-        }
     }
-    // Exponent.
-    if matches!(bytes.get(j), Some('e') | Some('E')) {
-        let mut k = j + 1;
-        if matches!(bytes.get(k), Some('+') | Some('-')) {
-            k += 1;
+    // The rest of the literal: fraction digits, exponent, type suffix.
+    while let Some(c) = bytes.get(j) {
+        let signed_exponent = matches!(c, '+' | '-')
+            && matches!(bytes[j - 1], 'e' | 'E')
+            && bytes[j - 2].is_ascii_digit();
+        if !is_word(c) && !signed_exponent {
+            break;
         }
-        if bytes.get(k).is_some_and(|c| c.is_ascii_digit()) {
-            is_float = true;
-            j = k;
-            while j < bytes.len() && (bytes[j].is_ascii_digit() || bytes[j] == '_') {
-                j += 1;
-            }
-        }
+        j += 1;
     }
-    // Type suffix (`f64`, `f32`, `u8`, ...).
-    if bytes.get(j).is_some_and(|c| c.is_alphabetic()) {
-        let start = j;
-        while j < bytes.len() && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
-            j += 1;
-        }
-        let suffix: String = bytes[start..j].iter().collect();
-        if suffix == "f64" || suffix == "f32" {
-            is_float = true;
-        }
-    }
-    (j, is_float)
+    j
 }
 
 #[cfg(test)]
@@ -534,26 +509,18 @@ mod tests {
     }
 
     #[test]
-    fn numbers_carry_float_flag() {
-        let out = lex("let a = 1; let b = 2.5; let c = 1e9; let d = 3f64; let e = 0x1E;");
-        let nums: Vec<bool> = out
-            .tokens
-            .iter()
-            .filter_map(|t| match t.kind {
-                Tok::Num { is_float } => Some(is_float),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(nums, vec![false, true, true, true, false]);
+    fn numbers_are_single_tokens() {
+        let out = lex("a = 1; b = 2.5; c = 1e-9; d = 3f64; e = 0x1E; f = 1.max(2);");
+        let nums = out.tokens.iter().filter(|t| t.kind == Tok::Num).count();
+        assert_eq!(nums, 7);
+        assert_eq!(idents("c = 1e-9; d = 3f64; g = 1usize-1;"), ["c", "d", "g"]);
+        assert!(idents("f = 1.max(2);").contains(&"max".to_string()));
     }
 
     #[test]
-    fn ranges_do_not_become_floats() {
+    fn ranges_stay_ranges() {
         let out = lex("for i in 0..10 {}");
-        assert!(out
-            .tokens
-            .iter()
-            .all(|t| !matches!(t.kind, Tok::Num { is_float: true })));
+        assert_eq!(out.tokens.iter().filter(|t| t.kind == Tok::Num).count(), 2);
         assert!(out.tokens.iter().any(|t| t.kind == Tok::Punct("..")));
     }
 
@@ -574,18 +541,18 @@ mod tests {
     #[test]
     fn pragma_parsing() {
         let src = "
-// wlint: allow(panic) — provably infallible: len checked above
-let x = v.pop(); // wlint: allow(float-eq) - exact sentinel comparison
-// wlint: allow(panic)
+// wlint: allow(panic-reach) — provably infallible: len checked above
+let x = v.pop(); // wlint: allow(hot-path-alloc) - exact sentinel comparison
+// wlint: allow(panic-reach)
 // wlint: bogus
 ";
         let out = lex(src);
         assert_eq!(out.pragmas.len(), 2);
         assert!(out.pragmas[0].standalone);
-        assert_eq!(out.pragmas[0].rule, "panic");
+        assert_eq!(out.pragmas[0].rule, "panic-reach");
         assert!(out.pragmas[0].reason.contains("infallible"));
         assert!(!out.pragmas[1].standalone);
-        assert_eq!(out.pragmas[1].rule, "float-eq");
+        assert_eq!(out.pragmas[1].rule, "hot-path-alloc");
         assert_eq!(out.bad_pragmas.len(), 2);
     }
 

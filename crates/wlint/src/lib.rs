@@ -1,21 +1,22 @@
 //! `wimi-lint` — the workspace static-analysis pass.
 //!
 //! The repo's correctness story rests on conventions the compiler does not
-//! check: bitwise-reproducible parallel fan-out (no wall clock, no ambient
-//! RNG, no hashed iteration order), panic-free library crates (errors flow
-//! through the `wimi_core::error` taxonomy), float hygiene, unit-safe
-//! public APIs, and allocation-free hot paths. This crate enforces them as
-//! named, individually suppressable rules over a hand-rolled token stream
-//! (std-only — no registry access, so no `syn`).
-//!
-//! v2 adds a workspace symbol index ([`index`]) and a conservative call
-//! graph ([`graph`]); the `hot-path-alloc`, `panic-reach` and
-//! `determinism-taint` rules trace *reachability* through it and print the
-//! full call path in each violation. See DESIGN.md §14.
+//! check. The site-level ones — no wall clock, no ambient RNG, no hashed
+//! iteration order, panic-free library crates, float hygiene — are clippy
+//! lints (root `clippy.toml` and crate-root lint levels, DESIGN.md §9).
+//! This crate enforces what clippy cannot see, as named, individually
+//! suppressable rules over a hand-rolled token stream (std-only — no
+//! registry access, so no `syn`): unit-safe public APIs, well-formed
+//! pragmas, and three rules that trace *reachability* through a workspace
+//! symbol index ([`index`]) and a conservative call graph ([`graph`]):
+//! `hot-path-alloc`, `panic-reach` and `determinism-taint`, each printing
+//! the full call path in its violations. See DESIGN.md §14.
 //!
 //! Run with `cargo run -p wimi-lint` (add `--json` or `--sarif` for
 //! machine output, `--graph` for the resolved call graph, `--explain
 //! <rule>` for a rule's rationale).
+
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod graph;
 pub mod index;
@@ -299,14 +300,14 @@ mod tests {
         let mut r = LintReport::default();
         r.files.push("crates/x/src/lib.rs".to_string());
         r.violations.push(Violation {
-            rule: Rule::Panic,
+            rule: Rule::PanicReach,
             file: "crates/x/src/lib.rs".to_string(),
             line: 3,
             message: "m".to_string(),
         });
         assert!(!r.is_clean());
-        assert_eq!(r.counts_by_rule().get("panic"), Some(&1));
-        assert!(r.render_text().contains("[panic]"));
+        assert_eq!(r.counts_by_rule().get("panic-reach"), Some(&1));
+        assert!(r.render_text().contains("[panic-reach]"));
         assert!(r.render_json().contains("\"clean\": false"));
     }
 

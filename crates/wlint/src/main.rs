@@ -6,6 +6,8 @@
 //! `--graph` dumps the resolved call graph, `--explain <rule>` prints a
 //! rule's rationale and suppression contract.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

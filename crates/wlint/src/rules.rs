@@ -1,5 +1,8 @@
-//! The lint rules: per-file token scans plus the interprocedural rules
-//! that run over the workspace call graph.
+//! The lint rules: the interprocedural rules that run over the workspace
+//! call graph, plus the two per-file checks clippy cannot make
+//! (`unit-newtype`, `bad-pragma`). The site-level determinism, panic and
+//! float rules are clippy lints (root `clippy.toml`, crate-root lint
+//! levels; DESIGN §9).
 //!
 //! Every rule is named, documented and individually suppressable with an
 //! inline pragma on (or immediately above) the offending line:
@@ -20,9 +23,9 @@ use crate::graph::{fn_label, CallGraph, DepMap};
 use crate::index::{crate_of, test_regions, TaintKind, WorkspaceIndex, MARKER_WINDOW};
 use crate::lexer::{lex, LexOutput, Pragma, Tok, Token};
 
-/// The library crates whose non-test code must stay panic-free and
-/// wall-clock-free: errors flow through the `wimi_core::error` taxonomy and
-/// results must be bitwise reproducible under any thread count.
+/// The library crates whose non-test code must stay panic-free: errors flow
+/// through the `wimi_core::error` taxonomy. Each crate root denies clippy's
+/// panic-family lints, so `panic-reach` leaves their panic sites to clippy.
 pub const LIBRARY_CRATES: [&str; 9] = [
     "wiphy",
     "wdsp",
@@ -42,10 +45,6 @@ pub const ENTRY_CRATES: [&str; 4] = ["wiphy", "wdsp", "wml", "core"];
 /// Crates whose public `f64` parameters must use the `units.rs` newtypes
 /// when dimensionally named.
 pub const UNIT_SAFE_CRATES: [&str; 2] = ["wiphy", "core"];
-
-/// The one module allowed to spawn OS threads (the deterministic scoped
-/// fan-out all parallel code must route through).
-pub const THREAD_SPAWN_ALLOWED: &str = "crates/wml/src/par.rs";
 
 /// Parameter-name segments (split on `_`) that denote a physical dimension
 /// and therefore demand a `Meters`/`Hertz`/`Seconds` newtype over raw `f64`.
@@ -76,55 +75,14 @@ const DIMENSIONAL_SEGMENTS: [&str; 24] = [
     "time",
 ];
 
-/// Integer types a bare `as` cast can silently truncate a float into.
-const INT_TYPES: [&str; 12] = [
-    "i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64", "i128", "u128", "isize", "usize",
-];
-
-/// Assert-family macros inside which exact float comparison is a contract
-/// check that fails loudly, not a silent logic fork — exempt from
-/// `float-eq`.
-const ASSERT_MACROS: [&str; 8] = [
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-    "prop_assert",
-    "prop_assert_eq",
-];
-
 /// Every rule the linter enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// `SystemTime` / `Instant::now` in library crates: wall-clock reads
-    /// break bitwise reproducibility of the parallel fan-out.
-    WallClock,
-    /// `thread_rng` / `OsRng` / `from_entropy`: ambient entropy escapes the
-    /// seeded-RNG discipline.
-    AmbientRng,
-    /// `HashMap` / `HashSet` anywhere: iteration order is unspecified, so
-    /// any fold over one is a determinism hazard; use `BTreeMap`/`BTreeSet`
-    /// or a sorted `Vec`.
-    HashCollections,
-    /// `thread::spawn` outside `wml::par`: unscoped threads bypass the
-    /// `WIMI_THREADS`-bounded deterministic fan-out.
-    ThreadSpawn,
-    /// `unwrap` / `expect` / `panic!` / `unreachable!` / `todo!` /
-    /// `unimplemented!` in library non-test code: failures must flow
-    /// through the `Stage`/`IssueKind` error taxonomy.
-    Panic,
-    /// `==` / `!=` against a float literal outside assert macros: exact
-    /// float comparison forks logic on representation noise.
-    FloatEq,
-    /// Bare `as` integer cast in the CSI quantisation paths: lossy
-    /// truncation must go through a checked helper.
-    FloatCast,
     /// A public `fn` in a unit-safe crate taking a dimensionally named raw
     /// `f64` parameter instead of a `units.rs` newtype.
     UnitNewtype,
-    /// A malformed `wlint:` pragma (bad syntax or missing justification).
+    /// A malformed `wlint:` pragma (bad syntax, an unknown rule name or a
+    /// missing justification).
     BadPragma,
     /// Heap allocation reachable from a `// wlint: hot` function: the hot
     /// path runs per packet/subcarrier and must reuse caller scratch.
@@ -141,13 +99,6 @@ impl Rule {
     /// The rule's stable name, used in pragmas and reports.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock",
-            Rule::AmbientRng => "ambient-rng",
-            Rule::HashCollections => "hash-collections",
-            Rule::ThreadSpawn => "thread-spawn",
-            Rule::Panic => "panic",
-            Rule::FloatEq => "float-eq",
-            Rule::FloatCast => "float-cast",
             Rule::UnitNewtype => "unit-newtype",
             Rule::BadPragma => "bad-pragma",
             Rule::HotPathAlloc => "hot-path-alloc",
@@ -162,14 +113,7 @@ impl Rule {
     }
 
     /// All rules, for `--list-rules` style reporting.
-    pub const ALL: [Rule; 12] = [
-        Rule::WallClock,
-        Rule::AmbientRng,
-        Rule::HashCollections,
-        Rule::ThreadSpawn,
-        Rule::Panic,
-        Rule::FloatEq,
-        Rule::FloatCast,
+    pub const ALL: [Rule; 5] = [
         Rule::UnitNewtype,
         Rule::BadPragma,
         Rule::HotPathAlloc,
@@ -180,15 +124,6 @@ impl Rule {
     /// One-line description of the invariant the rule protects.
     pub fn description(self) -> &'static str {
         match self {
-            Rule::WallClock => "no wall-clock reads (SystemTime/Instant::now) in library crates",
-            Rule::AmbientRng => {
-                "no ambient entropy (thread_rng/OsRng/from_entropy) in library crates"
-            }
-            Rule::HashCollections => "no HashMap/HashSet anywhere (unspecified iteration order)",
-            Rule::ThreadSpawn => "thread::spawn only inside wml::par",
-            Rule::Panic => "no unwrap/expect/panic!/unreachable! in library non-test code",
-            Rule::FloatEq => "no ==/!= against float literals outside assert macros",
-            Rule::FloatCast => "no bare `as` integer casts in CSI quantisation paths",
             Rule::UnitNewtype => "dimensional public fn params must use unit newtypes, not f64",
             Rule::BadPragma => "wlint pragmas must name a rule and give a justification",
             Rule::HotPathAlloc => {
@@ -206,58 +141,6 @@ impl Rule {
     /// The long-form rationale printed by `wimi-lint --explain <rule>`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::WallClock => {
-                "Library crates must be bitwise reproducible under any WIMI_THREADS \
-                 setting, and a wall-clock read (SystemTime::now, Instant::now) injects \
-                 scheduling-dependent values into results. Timing belongs in the bench \
-                 and experiments crates; library code takes logical clocks as inputs.\n\
-                 Suppress a provably result-inert read with\n\
-                 `// wlint: allow(wall-clock) — <why the value cannot reach a result>`.\n\
-                 Note: an allowed wall-clock read still counts as a `determinism-taint` \
-                 source — the taint rule must be suppressed separately if an artifact \
-                 renderer can reach it."
-            }
-            Rule::AmbientRng => {
-                "All randomness flows from explicit per-job seeds so any measurement can \
-                 be replayed exactly. thread_rng/OsRng/from_entropy read ambient entropy \
-                 the replay cannot reproduce. Thread seeded SmallRng (or the vendored \
-                 stand-in) through call arguments instead."
-            }
-            Rule::HashCollections => {
-                "std's HashMap/HashSet use randomized hashing, so iteration order differs \
-                 run to run; any fold, render, or fan-out over one silently breaks the \
-                 byte-identical artifact contract. Use BTreeMap/BTreeSet or a sorted Vec. \
-                 The `determinism-taint` rule additionally reports hash collections that \
-                 are *reachable* from artifact renderers through calls."
-            }
-            Rule::ThreadSpawn => {
-                "wml::par::map is the single sanctioned fan-out: it bounds workers by \
-                 WIMI_THREADS, assigns work deterministically, and joins in order. A raw \
-                 thread::spawn anywhere else escapes that discipline and the determinism \
-                 CI job's thread-count sweep."
-            }
-            Rule::Panic => {
-                "Library crates degrade gracefully: fallible paths return the \
-                 Stage/IssueKind error taxonomy so the pipeline can screen, remap, and \
-                 retry. unwrap/expect/panic! turn recoverable conditions into aborts. \
-                 This rule flags panic sites *where they are written*; `panic-reach` \
-                 complements it by tracing reachability from entry points through the \
-                 call graph. Suppress with a local impossibility proof:\n\
-                 `// wlint: allow(panic) — <why this cannot fire>` — that pragma also \
-                 vouches the site for `panic-reach`."
-            }
-            Rule::FloatEq => {
-                "Exact ==/!= against a float literal forks logic on representation noise \
-                 (the same value can arrive as 0.4999999...). Compare with an epsilon or \
-                 restructure around an ordering. Assert macros are exempt: there the \
-                 exactness IS the contract, and the failure is loud."
-            }
-            Rule::FloatCast => {
-                "The CSI quantisation paths (csi.rs, hardware.rs) model fixed-width ADC \
-                 behaviour; a bare `as iN` cast saturates/truncates silently and has \
-                 already produced off-by-one quantisation bugs. Route conversions through \
-                 the checked helpers that make the clamping explicit."
-            }
             Rule::UnitNewtype => {
                 "Public APIs in wiphy/core mix metres, hertz and seconds; a raw `f64` \
                  parameter named like a dimension (freq_hz, distance_m) invites silent \
@@ -268,7 +151,10 @@ impl Rule {
                 "Suppressions are part of the audit trail: every \
                  `// wlint: allow(<rule>)` must name a real rule and carry a \
                  justification after an em dash/hyphen/colon. A malformed pragma would \
-                 otherwise silently suppress nothing (or the wrong thing)."
+                 otherwise silently suppress nothing (or the wrong thing). Clippy lints \
+                 are not wlint rules: a sanctioned clippy site takes \
+                 `#[expect(clippy::<lint>, reason = \"...\")]`, which fails once it goes \
+                 stale."
             }
             Rule::HotPathAlloc => {
                 "Functions marked `// wlint: hot` run per packet/subcarrier in the \
@@ -283,15 +169,15 @@ impl Rule {
                  reported path (e.g. a one-time pool-growth helper)."
             }
             Rule::PanicReach => {
-                "Reachability version of `panic`: a panic!-family macro, .unwrap()/\
-                 .expect(), or slice-index site reachable from a `// wlint: hot` fn or a \
-                 public entry point of wiphy/wdsp/wml/core can abort the pipeline from a \
-                 caller that never sees the dangerous code. Sites inside library crates \
-                 are already flagged (or vouched) by the site-level `panic` rule, so this \
-                 rule reports: panic sites that leak in through non-library helper \
-                 crates, and slice-index sites reachable from hot fns (index panics in \
-                 the per-packet path are both a crash and a bounds-check cost). A site \
-                 pragma for `panic` or `panic-reach` vouches the site; a \
+                "A panic!-family macro, .unwrap()/.expect(), or slice-index site \
+                 reachable from a `// wlint: hot` fn or a public entry point of \
+                 wiphy/wdsp/wml/core can abort the pipeline from a caller that never sees \
+                 the dangerous code. Sites inside library crates are already flagged (or \
+                 vouched with #[expect]) by the clippy panic-family lints their crate \
+                 roots deny, so this rule reports: panic sites that leak in through \
+                 non-library helper crates, and slice-index sites reachable from hot fns \
+                 (index panics in the per-packet path are both a crash and a bounds-check \
+                 cost). A site pragma for `panic-reach` vouches the site; a \
                  `// wlint: allow(panic-reach) — <reason>` on/above any fn on the \
                  reported path vouches the whole path (use for kernels whose indices are \
                  pinned by asserted invariants at the fn boundary)."
@@ -303,8 +189,9 @@ impl Rule {
                  nondeterminism sources reachable from any artifact renderer: \
                  Instant::now/SystemTime::now, env::var outside the WIMI_THREADS/\
                  WIMI_CHUNK allowlist, thread::current (thread IDs), and HashMap/HashSet \
-                 (iteration order). Deliberately asymmetric with the site rules: an \
-                 `allow(wall-clock)` pragma does NOT vouch a source for this rule — a \
+                 (iteration order). Deliberately asymmetric with clippy: an \
+                 `#[expect(clippy::disallowed_methods)]` does NOT vouch a source for this \
+                 rule — a \
                  read may be harmless where it happens yet fatal once a renderer can \
                  reach it. Suppress with `allow(determinism-taint)` at the source or \
                  on/above any fn on the reported path."
@@ -426,171 +313,36 @@ pub fn lint_files(files: &[(String, String)], deps: &DepMap) -> WorkspaceLint {
     }
 }
 
-/// The per-file token rules (everything that needs no call graph).
+/// The per-file rules: malformed or unknown pragmas and `unit-newtype`.
+/// The lexer does not know the rules, so pragma names are checked here.
 fn scan_file(rel_path: &str, lexed: &LexOutput) -> Vec<Violation> {
-    let tokens = &lexed.tokens;
-    let krate = crate_of(rel_path);
-    let is_lib = LIBRARY_CRATES.contains(&krate);
-    let is_unit_safe = UNIT_SAFE_CRATES.contains(&krate);
-    let file_name = rel_path.rsplit('/').next().unwrap_or(rel_path);
-    let is_quant_path = file_name == "csi.rs" || file_name == "hardware.rs";
-
-    let regions = test_regions(tokens);
-    let in_test = |line: u32| regions.iter().any(|&(a, b)| line >= a && line <= b);
-    let asserts = assert_spans(tokens);
-    let in_assert = |idx: usize| asserts.iter().any(|&(a, b)| idx >= a && idx <= b);
-
-    let mut found: Vec<Violation> = Vec::new();
-    let mut push = |rule: Rule, line: u32, message: String| {
-        found.push(Violation {
-            rule,
-            file: rel_path.to_string(),
-            line,
-            message,
-        });
+    let bad_pragma = |line: u32, message: String| Violation {
+        rule: Rule::BadPragma,
+        file: rel_path.to_string(),
+        line,
+        message,
     };
-
-    for (line, msg) in &lexed.bad_pragmas {
-        push(Rule::BadPragma, *line, msg.clone());
-    }
-
-    for idx in 0..tokens.len() {
-        let t = &tokens[idx];
-        let line = t.line;
-        let next = tokens.get(idx + 1);
-        let next2 = tokens.get(idx + 2);
-        match &t.kind {
-            Tok::Ident(s) => {
-                let s = s.as_str();
-                // Determinism: wall clock and ambient entropy in library
-                // crates (test code included — timed or entropy-seeded
-                // tests are exactly the flaky kind CI's determinism job
-                // exists to prevent).
-                if is_lib {
-                    if s == "SystemTime" {
-                        push(
-                            Rule::WallClock,
-                            line,
-                            "`SystemTime` read in a library crate".to_string(),
-                        );
-                    }
-                    if s == "Instant"
-                        && matches!(next.map(|t| &t.kind), Some(Tok::Punct("::")))
-                        && matches!(next2.map(|t| &t.kind), Some(Tok::Ident(n)) if n == "now")
-                    {
-                        push(
-                            Rule::WallClock,
-                            line,
-                            "`Instant::now()` in a library crate".to_string(),
-                        );
-                    }
-                    if s == "thread_rng" || s == "OsRng" || s == "from_entropy" {
-                        push(
-                            Rule::AmbientRng,
-                            line,
-                            format!("ambient entropy source `{s}` in a library crate"),
-                        );
-                    }
-                }
-                // Determinism: hashed collections everywhere.
-                if s == "HashMap" || s == "HashSet" {
-                    push(
-                        Rule::HashCollections,
-                        line,
-                        format!("`{s}` has unspecified iteration order; use BTreeMap/BTreeSet or a sorted Vec"),
-                    );
-                }
-                // Determinism: thread::spawn outside wml::par.
-                if s == "thread"
-                    && matches!(next.map(|t| &t.kind), Some(Tok::Punct("::")))
-                    && matches!(next2.map(|t| &t.kind), Some(Tok::Ident(n)) if n == "spawn")
-                    && !rel_path.ends_with(THREAD_SPAWN_ALLOWED)
-                {
-                    push(
-                        Rule::ThreadSpawn,
-                        line,
-                        "`thread::spawn` outside `wml::par` bypasses the deterministic fan-out"
-                            .to_string(),
-                    );
-                }
-                // Panic-freedom in library non-test code.
-                if is_lib && !in_test(line) {
-                    let is_macro_bang = matches!(next.map(|t| &t.kind), Some(Tok::Punct("!")));
-                    if (s == "panic" || s == "unreachable" || s == "todo" || s == "unimplemented")
-                        && is_macro_bang
-                    {
-                        push(
-                            Rule::Panic,
-                            line,
-                            format!(
-                                "`{s}!` in library non-test code; return a taxonomy error instead"
-                            ),
-                        );
-                    }
-                }
-                // Lossy casts in quantisation paths.
-                if is_quant_path
-                    && !in_test(line)
-                    && s == "as"
-                    && matches!(next.map(|t| &t.kind), Some(Tok::Ident(ty)) if INT_TYPES.contains(&ty.as_str()))
-                {
-                    let ty = match next.map(|t| &t.kind) {
-                        Some(Tok::Ident(ty)) => ty.clone(),
-                        _ => String::new(),
-                    };
-                    push(
-                        Rule::FloatCast,
-                        line,
-                        format!("bare `as {ty}` cast in a quantisation path; use a checked helper"),
-                    );
-                }
-            }
-            Tok::Punct(".") => {
-                // `.unwrap()` / `.expect(` in library non-test code.
-                match next.map(|t| &t.kind) {
-                    Some(Tok::Ident(m))
-                        if (m == "unwrap" || m == "expect") && is_lib && !in_test(line) =>
-                    {
-                        push(
-                            Rule::Panic,
-                            line,
-                            format!(
-                                "`.{m}()` in library non-test code; return a taxonomy error instead"
-                            ),
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            Tok::Punct(op @ ("==" | "!=")) => {
-                if in_test(line) || in_assert(idx) {
-                    continue;
-                }
-                let prev_float =
-                    idx > 0 && matches!(tokens[idx - 1].kind, Tok::Num { is_float: true });
-                let next_float = match next.map(|t| &t.kind) {
-                    Some(Tok::Num { is_float }) => *is_float,
-                    Some(Tok::Punct("-")) => {
-                        matches!(next2.map(|t| &t.kind), Some(Tok::Num { is_float: true }))
-                    }
-                    _ => false,
-                };
-                if prev_float || next_float {
-                    push(
-                        Rule::FloatEq,
-                        line,
-                        format!("`{op}` against a float literal; compare with a tolerance or an ordering"),
-                    );
-                }
-            }
-            _ => {}
+    let mut found: Vec<Violation> = lexed
+        .bad_pragmas
+        .iter()
+        .map(|(line, msg)| bad_pragma(*line, msg.clone()))
+        .collect();
+    for p in &lexed.pragmas {
+        if Rule::from_name(&p.rule).is_none() {
+            found.push(bad_pragma(
+                p.line,
+                format!(
+                    "`allow({})` names no wimi-lint rule (see --list-rules); clippy lints take `#[expect(clippy::…, reason = \"…\")]`",
+                    p.rule
+                ),
+            ));
         }
     }
-
-    if is_unit_safe {
-        scan_unit_newtype(rel_path, tokens, &in_test, &mut found);
+    if UNIT_SAFE_CRATES.contains(&crate_of(rel_path)) {
+        let regions = test_regions(&lexed.tokens);
+        let in_test = |line: u32| regions.iter().any(|&(a, b)| line >= a && line <= b);
+        scan_unit_newtype(rel_path, &lexed.tokens, &in_test, &mut found);
     }
-
     found
 }
 
@@ -720,7 +472,7 @@ fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
 
     // --- panic-reach ---
     // Sinks: panic sites in non-library crates (library sites are governed
-    // by the site-level `panic` rule), plus slice-index sites for hot roots
+    // by clippy's panic-family lints), plus slice-index sites for hot roots
     // only. Hot roots win attribution over pub entry points.
     let mut panic_best: BTreeMap<(usize, u32, &str), (bool, u32, usize)> = BTreeMap::new();
     for (order, s) in hot_searches.iter().chain(pub_searches.iter()).enumerate() {
@@ -826,19 +578,15 @@ fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
 /// standalone pragma covers the next 3 lines, a trailing pragma its own
 /// line — or, for interprocedural findings, (b) a matching pragma bound to
 /// any function on the reported call path (standalone immediately above the
-/// fn item, or trailing on the `fn` line). For `panic-reach`, a site-level
-/// `allow(panic)` also vouches (its justification is a local impossibility
-/// proof that holds on every path). The reverse asymmetry is deliberate:
-/// `allow(wall-clock)` does NOT vouch a source for `determinism-taint`.
+/// fn item, or trailing on the `fn` line). A clippy `#[expect]` vouches
+/// nothing here: an expected `disallowed_methods` read is still a
+/// `determinism-taint` source.
 fn apply_suppressions(
     ix: &WorkspaceIndex,
     findings: Vec<Finding>,
 ) -> (Vec<Violation>, Vec<Suppression>) {
     let pragmas_of =
         |file: &str| -> &[Pragma] { ix.meta(file).map(|m| m.pragmas.as_slice()).unwrap_or(&[]) };
-    let site_rule_matches = |p: &Pragma, rule: Rule| {
-        p.rule == rule.name() || (rule == Rule::PanicReach && p.rule == Rule::Panic.name())
-    };
 
     let mut violations = Vec::new();
     let mut suppressed = Vec::new();
@@ -851,7 +599,7 @@ fn apply_suppressions(
             } else {
                 v.line == p.line
             };
-            if covers && site_rule_matches(p, v.rule) {
+            if covers && p.rule == v.rule.name() {
                 suppressed.push(Suppression {
                     rule: v.rule,
                     file: v.file,
@@ -886,46 +634,6 @@ fn apply_suppressions(
         violations.push(v);
     }
     (violations, suppressed)
-}
-
-/// Token-index spans lying inside assert-family macro invocations.
-fn assert_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i + 2 < tokens.len() {
-        let is_assert =
-            matches!(&tokens[i].kind, Tok::Ident(s) if ASSERT_MACROS.contains(&s.as_str()));
-        if is_assert && tokens[i + 1].kind == Tok::Punct("!") {
-            let open = &tokens[i + 2].kind;
-            let (o, c) = match open {
-                Tok::Punct("(") => ("(", ")"),
-                Tok::Punct("[") => ("[", "]"),
-                Tok::Punct("{") => ("{", "}"),
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            };
-            let mut depth = 0usize;
-            let mut j = i + 2;
-            while j < tokens.len() {
-                if tokens[j].kind == Tok::Punct(o) {
-                    depth += 1;
-                } else if tokens[j].kind == Tok::Punct(c) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            spans.push((i, j));
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    spans
 }
 
 /// Scans for `pub fn` signatures taking dimensionally named raw `f64`
@@ -1092,38 +800,16 @@ mod tests {
     const APP: &str = "crates/experiments/src/fake.rs";
 
     #[test]
-    fn unwrap_flagged_in_lib_not_in_tests() {
-        let src = "
-fn f(v: Vec<u32>) -> u32 { v.first().unwrap() + 1 }
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { let _ = \"x\".parse::<u32>().unwrap(); }
-}
-";
-        let r = lint_source(LIB, src);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, Rule::Panic);
-        assert_eq!(r.violations[0].line, 2);
-        // Same code in a non-library crate is fine.
-        assert!(lint_source(APP, src).violations.is_empty());
-    }
-
-    #[test]
-    fn hash_collections_flagged_everywhere() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(lint_source(APP, src).violations.len(), 1);
-        assert_eq!(lint_source(LIB, src).violations.len(), 1);
-    }
-
-    #[test]
     fn pragma_suppresses_and_is_recorded() {
         let src = "
-// wlint: allow(panic) — slice is non-empty by construction
-fn f(v: &[u32]) -> u32 { *v.first().unwrap() }
+// wlint: hot
+fn f(v: &[u32]) -> u32 {
+    // wlint: allow(panic-reach) — slice is non-empty by construction
+    v[0]
+}
 ";
-        let r = lint_source(LIB, src);
-        assert!(r.violations.is_empty());
+        let r = lint_source(APP, src);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.suppressed.len(), 1);
         assert!(r.suppressed[0].reason.contains("non-empty"));
     }
@@ -1131,24 +817,33 @@ fn f(v: &[u32]) -> u32 { *v.first().unwrap() }
     #[test]
     fn pragma_without_reason_is_a_violation() {
         let src = "
-// wlint: allow(panic)
-fn f(v: &[u32]) -> u32 { *v.first().unwrap() }
+// wlint: hot
+fn f(v: &[u32]) -> u32 {
+    // wlint: allow(panic-reach)
+    v[0]
+}
 ";
-        let r = lint_source(LIB, src);
+        let r = lint_source(APP, src);
         let rules: Vec<Rule> = r.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&Rule::BadPragma));
-        assert!(rules.contains(&Rule::Panic));
+        assert!(rules.contains(&Rule::PanicReach));
     }
 
     #[test]
-    fn float_eq_exempt_inside_asserts() {
+    fn pragma_naming_an_unknown_rule_is_a_violation() {
+        // A typo, and a rule that moved to clippy: both suppress nothing.
         let src = "
-fn f(x: f64) -> bool { x == 0.5 }
-fn g(x: f64) { assert!(x == 0.5, \"exact\"); }
+// wlint: allow(panik) — typo
+fn f() {}
+// wlint: allow(float-eq) — exact sentinel
+fn g() {}
 ";
-        let r = lint_source(APP, src);
-        assert_eq!(r.violations.len(), 1);
+        let r = lint_source(LIB, src);
+        assert_eq!(r.violations.len(), 2, "{:?}", r.violations);
+        assert!(r.violations.iter().all(|v| v.rule == Rule::BadPragma));
         assert_eq!(r.violations[0].line, 2);
+        assert!(r.violations[0].message.contains("`allow(panik)`"));
+        assert!(r.violations[1].message.contains("#[expect(clippy::"));
     }
 
     #[test]
@@ -1161,23 +856,6 @@ fn g(x: f64) { assert!(x == 0.5, \"exact\"); }
         assert!(lint_source("crates/wml/src/fake.rs", src)
             .violations
             .is_empty());
-    }
-
-    #[test]
-    fn thread_spawn_allowed_only_in_par() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(lint_source(APP, src).violations.len(), 1);
-        assert!(lint_source("crates/wml/src/par.rs", src)
-            .violations
-            .is_empty());
-    }
-
-    #[test]
-    fn wall_clock_and_rng_only_in_lib_crates() {
-        let src = "fn f() { let _ = std::time::Instant::now(); let _ = rand::thread_rng(); }\n";
-        let r = lint_source(LIB, src);
-        assert_eq!(r.violations.len(), 2);
-        assert!(lint_source(APP, src).violations.is_empty());
     }
 
     #[test]
@@ -1360,26 +1038,6 @@ fn pick(v: &[f64]) -> f64 {
     }
 
     #[test]
-    fn panic_reach_site_vouched_by_allow_panic() {
-        let src = "
-// wlint: hot
-fn hot(v: &[f64]) -> f64 {
-    pick(v)
-}
-fn pick(v: &[f64]) -> f64 {
-    // wlint: allow(panic) — caller guarantees at least one sample
-    v.first().copied().unwrap()
-}
-";
-        let r = lint_source(APP, src);
-        assert!(
-            !r.violations.iter().any(|v| v.rule == Rule::PanicReach),
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
     fn determinism_taint_reaches_through_calls() {
         let src = "
 // wlint: artifact
@@ -1430,13 +1088,13 @@ fn render(out: &mut String) {
     }
 
     #[test]
-    fn allow_wall_clock_does_not_vouch_determinism_taint() {
-        // The asymmetry: a site-suppressed wall-clock read is still a taint
-        // source for artifact renderers.
+    fn clippy_expect_does_not_vouch_determinism_taint() {
+        // The asymmetry: a wall-clock read clippy was told to expect is
+        // still a taint source for artifact renderers.
         let src = "
 // wlint: artifact
 fn render(out: &mut String) {
-    // wlint: allow(wall-clock) — value is logged, never rendered (stale claim)
+    #[expect(clippy::disallowed_methods, reason = \"logged, never rendered (stale claim)\")]
     let t = std::time::Instant::now();
     let _ = (t, out);
 }
@@ -1449,16 +1107,6 @@ fn render(out: &mut String) {
             "{:?}",
             r.violations
         );
-    }
-
-    #[test]
-    fn float_cast_scoped_to_quantisation_files() {
-        let src = "fn q(x: f64) -> i8 { x as i8 }\n";
-        assert_eq!(
-            lint_source("crates/wiphy/src/csi.rs", src).violations.len(),
-            1
-        );
-        assert!(lint_source(LIB, src).violations.is_empty());
     }
 
     #[test]

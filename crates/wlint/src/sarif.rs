@@ -107,13 +107,13 @@ mod tests {
         let mut r = LintReport::default();
         r.files.push("crates/x/src/lib.rs".to_string());
         r.violations.push(Violation {
-            rule: Rule::Panic,
+            rule: Rule::PanicReach,
             file: "crates/x/src/lib.rs".to_string(),
             line: 3,
             message: "msg with \"quotes\"".to_string(),
         });
         r.suppressed.push(Suppression {
-            rule: Rule::WallClock,
+            rule: Rule::HotPathAlloc,
             file: "crates/x/src/lib.rs".to_string(),
             line: 9,
             reason: "why".to_string(),
@@ -135,7 +135,7 @@ mod tests {
                 rule.name()
             );
         }
-        assert!(s.contains("\"ruleId\": \"panic\""));
+        assert!(s.contains("\"ruleId\": \"panic-reach\""));
         assert!(s.contains("msg with \\\"quotes\\\""));
         assert!(s.contains("\"kind\": \"inSource\""));
         assert!(s.contains("\"startLine\": 3"));

@@ -2,3 +2,5 @@
 fn a() {}
 // wlint: suppress(everything)
 fn b() {}
+// wlint: allow(panik) — typo
+fn c() {}

@@ -1,6 +1,4 @@
-// wlint: allow(hash-collections) — ordering is irrelevant for this scratch set
-use std::collections::HashSet as Scratch;
-
-fn a() -> Scratch<u32> {
-    Scratch::new()
+// wlint: allow(unit-newtype) — mirrors a C driver API that takes raw seconds
+pub fn settle(delay_s: f64) -> f64 {
+    delay_s
 }

@@ -342,13 +342,13 @@ pub fn parse_and_validate(text: &str) -> Result<Timeline, String> {
         ticks,
     };
 
-    let Some((_, agg_line)) = lines.next() else {
+    let Some((idx, agg_line)) = lines.next() else {
         return Err("truncated artifact: missing the {\"agg\": ...} line".into());
     };
-    let expected = render_agg(&timeline);
-    if agg_line != expected {
+    if agg_line != render_agg(&timeline) {
         return Err(format!(
-            "aggregate line does not match the recomputation from the ticks: {agg_line}"
+            "line {}: the aggregate line does not match the recomputation from the ticks",
+            idx + 1
         ));
     }
 
@@ -453,6 +453,17 @@ mod tests {
             1
         ))
         .is_err());
+        // A carriage return inside the aggregate line is named by line
+        // number, not echoed into the one-line diagnostic.
+        let err = parse_and_validate(&text.replacen("\"last\"", "\"l\rast\"", 1))
+            .expect_err("mangled aggregate");
+        assert_eq!(
+            err,
+            format!(
+                "line {}: the aggregate line does not match the recomputation from the ticks",
+                lines.len() - 1
+            )
+        );
     }
 
     #[test]

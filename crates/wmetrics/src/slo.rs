@@ -118,7 +118,7 @@ pub fn parse_policy(text: &str) -> Result<SloPolicy, String> {
             }
             _ => {
                 return Err(format!(
-                    "line {line_no}: unknown or malformed directive \"{line}\""
+                    "line {line_no}: unknown or malformed directive {line:?}"
                 ))
             }
         }
@@ -293,6 +293,11 @@ mod tests {
         // Diagnostics carry the line number.
         let err = parse_policy("max_queue_peak 3\nbogus\n").expect_err("bogus line");
         assert!(err.starts_with("line 2:"), "{err}");
+        // A carriage return inside a directive is escaped, not echoed: the
+        // diagnostic stays one line.
+        let err = parse_policy("max_queue\rpeak 8\n").expect_err("mangled directive");
+        assert!(!err.contains('\r'), "{err:?}");
+        assert!(err.contains("\"max_queue\\rpeak 8\""), "{err}");
     }
 
     #[test]

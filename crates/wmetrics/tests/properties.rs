@@ -6,7 +6,9 @@
 //! 2. the validator is total — byte mutations of a valid artifact never
 //!    panic, only `Err` (or validate, when the mutation is benign);
 //! 3. windowed aggregates always agree with a direct recomputation over
-//!    the retained ticks.
+//!    the retained ticks;
+//! 4. the `.slo` parser is total too — byte mutations of the shipped
+//!    policies never panic, and every rejection is one line.
 //!
 //! The vendored proptest shim has no struct strategies, so the timeline
 //! generator draws a random valid run directly from the test RNG: shard
@@ -18,8 +20,8 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 use wimi_metrics::{
-    parse_and_validate, render, ShardSample, TickCollector, TickSample, Timeline, WindowStats,
-    SERIES,
+    parse_and_validate, parse_policy, render, ShardSample, TickCollector, TickSample, Timeline,
+    WindowStats, SERIES,
 };
 
 fn sample_tick(rng: &mut TestRng, tick: u64, shards: usize) -> TickSample {
@@ -107,6 +109,35 @@ proptest! {
         }
         if let Ok(text) = String::from_utf8(bytes) {
             let _ = parse_and_validate(&text);
+        }
+    }
+
+    // The policy parser is total over byte mutations of the shipped
+    // policies: no panic, and a rejection never spans lines.
+    #[test]
+    fn mutated_slo_policies_never_panic(
+        which in 0usize..2,
+        pos in 0usize..1 << 20,
+        byte in 0u32..256,
+        kind in 0usize..3,
+    ) {
+        let policy = [
+            include_str!("../../../slo/fleet.slo"),
+            include_str!("../../../slo/breach.slo"),
+        ][which];
+        let mut bytes = policy.as_bytes().to_vec();
+        let i = pos % bytes.len();
+        match kind {
+            0 => bytes[i] = byte as u8,
+            1 => {
+                bytes.remove(i);
+            }
+            _ => bytes.insert(i, byte as u8),
+        }
+        if let Ok(text) = String::from_utf8(bytes) {
+            if let Err(e) = parse_policy(&text) {
+                prop_assert!(!e.contains(['\n', '\r']), "{e:?}");
+            }
         }
     }
 

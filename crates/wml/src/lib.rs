@@ -23,6 +23,19 @@
 //! assert_eq!(model.predict(&[0.135]), 0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 pub mod cv;
 pub mod dataset;
 pub mod knn;

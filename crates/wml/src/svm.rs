@@ -104,10 +104,12 @@ impl BinarySvm {
     ) -> Self {
         assert!(!xs.is_empty(), "cannot train on an empty set");
         assert_eq!(xs.len(), ys.len(), "features/labels length mismatch");
-        assert!(
-            ys.iter().all(|&y| y == 1.0 || y == -1.0),
-            "labels must be exactly ±1"
-        );
+        #[expect(
+            clippy::float_cmp,
+            reason = "labels are the exact constants ±1 that callers assign, never computed values"
+        )]
+        let labels_ok = ys.iter().all(|&y| y == 1.0 || y == -1.0);
+        assert!(labels_ok, "labels must be exactly ±1");
         assert!(
             ys.iter().any(|&y| y > 0.0) && ys.iter().any(|&y| y < 0.0),
             "training set must contain both classes"
@@ -163,6 +165,10 @@ impl BinarySvm {
                 }
                 let e_j = f(&alpha, b, &k, j) - ys[j];
                 let (a_i_old, a_j_old) = (alpha[i], alpha[j]);
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "labels are checked to be exactly ±1 above, so this compares two exact constants"
+                )]
                 let (lo, hi) = if ys[i] != ys[j] {
                     (
                         (alpha[j] - alpha[i]).max(0.0),

@@ -1,6 +1,6 @@
 //! Injected monotonic clocks.
 //!
-//! Library crates must not read the wall clock (the `wall-clock` lint):
+//! Library crates must not read the wall clock (clippy.toml bans it):
 //! a wall-clock read is ambient, nondeterministic input, and WiMi results
 //! must be bitwise reproducible under any thread count. Span timing is
 //! therefore parameterised over a [`Clock`] trait. The default

@@ -19,8 +19,8 @@
 //!   histograms updated with commutative atomic adds — never ordered event
 //!   logs. A snapshot taken after the parallel fan-out joins is identical
 //!   for any worker count.
-//! * **No ambient wall clock.** The project's `wall-clock` lint bans
-//!   `Instant::now`/`SystemTime` in library crates (this one included).
+//! * **No ambient wall clock.** The root `clippy.toml` bans
+//!   `Instant::now`/`SystemTime::now` in every crate, this one included.
 //!   Span timing goes through an *injected* [`Clock`] trait; the default
 //!   [`NullClock`] reads nothing, so library code never touches the wall
 //!   clock. A real clock implementation lives in the (non-library)
@@ -29,9 +29,9 @@
 //!   branch on [`Recorder::is_enabled`] before any atomic traffic; the
 //!   pipeline carries an `Option<Arc<Recorder>>` so the common path is a
 //!   `None` check.
-//! * **Panic-free.** As a library crate under `wimi-lint`, nothing here
-//!   unwraps or panics in non-test code; the JSON validator returns
-//!   `Result` all the way down.
+//! * **Panic-free.** This crate's root denies clippy's `unwrap_used`,
+//!   `expect_used` and `panic` family outside tests; the JSON validator
+//!   returns `Result` all the way down.
 //!
 //! ## Example
 //!
@@ -50,6 +50,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 pub mod clock;
 pub mod json;

@@ -35,6 +35,18 @@
 //! under any `WIMI_THREADS`/`WIMI_CHUNK` setting, and CI diffs it.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 pub mod cache;
 pub mod engine;

@@ -1,4 +1,7 @@
 //! WiMi facade crate: re-exports the full WiMi stack.
+
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub use wimi_campaign as campaign;
 pub use wimi_core as core;
 pub use wimi_dsp as dsp;

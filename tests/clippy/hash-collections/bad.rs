@@ -1,6 +1,6 @@
 use std::collections::{HashMap, HashSet};
 
-fn tally(keys: &[u32]) -> HashMap<u32, usize> {
+pub fn tally(keys: &[u32]) -> HashMap<u32, usize> {
     let mut seen: HashSet<u32> = HashSet::new();
     let mut m = HashMap::new();
     for &k in keys {

@@ -1,6 +1,6 @@
 use std::time::{Instant, SystemTime};
 
-fn elapsed_wall() -> f64 {
+pub fn elapsed_wall() -> f64 {
     let t0 = Instant::now();
     let _epoch = SystemTime::now();
     t0.elapsed().as_secs_f64()
