@@ -71,14 +71,25 @@ impl AmplitudeConfig {
     /// `cols` series (sample `m` of series `c` at `m·cols + c`): the 3σ
     /// repair per column, then the denoiser over all columns at once.
     /// Each column comes out bit for bit as its series cleaned alone.
+    ///
+    /// The 3σ statistics of every column run row by row
+    /// ([`sigma_screen`]); only a column with a sample outside its
+    /// `[μ − 3σ, μ + 3σ]` is gathered and repaired. Any other column is
+    /// one the repair leaves as it is.
     // wlint: hot
+    // wlint: allow(panic-reach) — sigma_screen leaves 2·cols statistics, so cols + c < 2·cols and the gathered series starts at 2·cols
     fn clean_columns(&self, plane: &mut Vec<f64>, cols: usize, scratch: &mut CleanScratch) {
         if self.reject_outliers {
+            let stats = &mut scratch.column;
+            sigma_screen(plane, cols, stats);
             for c in 0..cols {
-                scratch.column.clear();
-                scratch.column.extend(plane.iter().skip(c).step_by(cols));
+                if stats[cols + c] >= 0.0 {
+                    continue;
+                }
+                stats.truncate(2 * cols);
+                stats.extend(plane.iter().skip(c).step_by(cols));
                 reject_outliers_into(
-                    &scratch.column,
+                    &stats[2 * cols..],
                     3.0,
                     &mut scratch.outlier,
                     &mut scratch.rejected,
@@ -100,12 +111,56 @@ impl AmplitudeConfig {
     }
 }
 
+/// The 3σ statistics of every column of a sample-major plane, in
+/// row-major passes: `stats[..cols]` gets each column's mean and
+/// `stats[cols..2·cols]` its bound `3σ`, or `−∞` when a sample `x` of the
+/// column fails `|x − μ| ≤ 3σ` (a NaN bound fails every sample).
+///
+/// Each column's sums start from `-0.0` and add its samples in row order,
+/// as `Iterator::sum` does over the gathered series, so `μ`, `σ` and the
+/// flags are the bits `reject_outliers_into` computes for that column.
+fn sigma_screen(plane: &[f64], cols: usize, stats: &mut Vec<f64>) {
+    let rows = plane.len() / cols;
+    let n = rows as f64;
+    stats.clear();
+    // Room for the gathered series too, so a repair does not regrow it.
+    stats.reserve(2 * cols + rows);
+    stats.resize(2 * cols, -0.0);
+    let (mean, bound) = stats.split_at_mut(cols);
+    for row in plane.chunks_exact(cols) {
+        for (m, &x) in mean.iter_mut().zip(row) {
+            *m += x;
+        }
+    }
+    for m in mean.iter_mut() {
+        *m /= n;
+    }
+    for row in plane.chunks_exact(cols) {
+        for ((q, &m), &x) in bound.iter_mut().zip(&*mean).zip(row) {
+            *q += (x - m) * (x - m);
+        }
+    }
+    for q in bound.iter_mut() {
+        *q = 3.0 * (*q / n).sqrt();
+    }
+    for row in plane.chunks_exact(cols) {
+        for ((b, &m), &x) in bound.iter_mut().zip(&*mean).zip(row) {
+            *b = if (x - m).abs() <= *b {
+                *b
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+    }
+}
+
 /// Scratch buffers for [`AmplitudeConfig::clean_series_into`] and
 /// [`CleanedAmplitudes::compute_with`].
 #[derive(Debug, Clone, Default)]
 pub struct CleanScratch {
-    /// One series gathered out of the plane for the 3σ repair, and its
-    /// repaired copy.
+    /// The per-column 3σ statistics of [`sigma_screen`] followed by one
+    /// flagged series gathered out of the plane for repair, and
+    /// (`rejected`) its repaired copy.
     column: Vec<f64>,
     rejected: Vec<f64>,
     outlier: OutlierScratch,
@@ -297,16 +352,10 @@ impl AmplitudeRatioProfile {
     /// Mean ratio variance across subcarriers — the pair-stability score
     /// for antenna selection (paper Fig. 10b).
     pub fn mean_variance(&self) -> f64 {
-        let finite: Vec<f64> = self
-            .variance
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        if finite.is_empty() {
-            f64::NAN
-        } else {
-            finite.iter().sum::<f64>() / finite.len() as f64
+        let finite = || self.variance.iter().filter(|v| v.is_finite());
+        match finite().count() {
+            0 => f64::NAN,
+            n => finite().sum::<f64>() / n as f64,
         }
     }
 }
@@ -683,6 +732,88 @@ mod tests {
     fn rejects_same_antenna() {
         let cap = capture();
         let _ = AmplitudeRatioProfile::compute(&cap, 2, 2, &AmplitudeConfig::default());
+    }
+
+    #[test]
+    fn sigma_screen_matches_per_column_statistics_bitwise() {
+        use wimi_dsp::outlier::sigma_mask;
+        let rows = 20;
+        let mut columns: Vec<Vec<f64>> = (0..6)
+            .map(|c| {
+                (0..rows)
+                    .map(|m| 1.0 + 0.01 * ((m * 7 + c * 3) as f64 * 0.37).sin())
+                    .collect()
+            })
+            .collect();
+        columns[1][4] = 9.0; // one outlier
+        columns[2] = vec![-0.0; rows]; // constant, σ = 0
+        columns[3][0] = f64::NAN;
+        columns[4][9] = f64::INFINITY;
+        columns[5][rows - 1] = -1e300; // overflowing squares
+        let cols = columns.len();
+        let plane: Vec<f64> = (0..rows)
+            .flat_map(|m| columns.iter().map(move |col| col[m]))
+            .collect();
+        let mut stats = Vec::new();
+        sigma_screen(&plane, cols, &mut stats);
+        assert_eq!(stats.len(), 2 * cols);
+        for (c, col) in columns.iter().enumerate() {
+            assert_eq!(
+                stats[c].to_bits(),
+                mean(col).to_bits(),
+                "mean of column {c}"
+            );
+            let flagged = sigma_mask(col, 3.0).iter().any(|&keep| !keep);
+            assert_eq!(stats[cols + c] < 0.0, flagged, "flag of column {c}");
+            if !flagged {
+                let bound = 3.0 * wimi_dsp::stats::std_dev(col);
+                assert_eq!(
+                    stats[cols + c].to_bits(),
+                    bound.to_bits(),
+                    "bound of column {c}"
+                );
+            }
+        }
+        assert!(stats[cols + 1] < 0.0 && stats[cols + 2] >= 0.0);
+    }
+
+    #[test]
+    fn mean_variance_matches_collected_form_bitwise() {
+        /// `mean_variance` before it stopped collecting the finite entries.
+        fn reference(variance: &[f64]) -> f64 {
+            let finite: Vec<f64> = variance.iter().copied().filter(|v| v.is_finite()).collect();
+            if finite.is_empty() {
+                f64::NAN
+            } else {
+                finite.iter().sum::<f64>() / finite.len() as f64
+            }
+        }
+        let cap = capture();
+        let mut profiles = vec![
+            AmplitudeRatioProfile::compute(&cap, 0, 1, &AmplitudeConfig::default()),
+            AmplitudeRatioProfile::compute(&cap, 2, 0, &AmplitudeConfig::raw()),
+        ];
+        for variance in [
+            vec![0.5, f64::NAN, 0.25, f64::INFINITY, 1e-3, f64::NEG_INFINITY],
+            vec![-0.0],
+            vec![-0.0, f64::NAN],
+            vec![f64::NAN, f64::NAN],
+            Vec::new(),
+        ] {
+            profiles.push(AmplitudeRatioProfile {
+                pair: (0, 1),
+                mean: vec![1.0; variance.len()],
+                variance,
+            });
+        }
+        for prof in &profiles {
+            assert_eq!(
+                prof.mean_variance().to_bits(),
+                reference(&prof.variance).to_bits(),
+                "{:?}",
+                prof.variance
+            );
+        }
     }
 
     #[test]

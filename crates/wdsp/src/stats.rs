@@ -44,8 +44,258 @@ pub fn rms(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
+/// Longest slice the sorting networks take; [`sort_total`] hands longer
+/// ones to the standard library, where a network's `O(n log² n)`
+/// comparators stop paying for their missing branches.
+const NETWORK_MAX: usize = 64;
+
+/// Writes the comparators of Batcher's merge-exchange network for `n`
+/// inputs (Knuth, TAOCP §5.2.2, Algorithm M) into `out`, starting at
+/// position `at`, and returns the position after the last one. A
+/// comparator `[i, j]` has `i < j` and leaves the smaller key at `i`.
+/// Positions past the end of `out` are counted but not written.
+const fn merge_exchange(n: usize, out: &mut [[u8; 2]], mut at: usize) -> usize {
+    if n < 2 {
+        return at;
+    }
+    let top = 1usize << (usize::BITS - (n - 1).leading_zeros() - 1);
+    let mut p = top;
+    while p > 0 {
+        let (mut q, mut r, mut d) = (top, 0, p);
+        loop {
+            let mut i = 0;
+            while i + d < n {
+                if i & p == r {
+                    if at < out.len() {
+                        out[at] = [i as u8, (i + d) as u8];
+                    }
+                    at += 1;
+                }
+                i += 1;
+            }
+            if q == p {
+                break;
+            }
+            d = q - p;
+            q >>= 1;
+            r = p;
+        }
+        p >>= 1;
+    }
+    at
+}
+
+/// Comparators of every network up to [`NETWORK_MAX`] inputs together.
+const COMPARATORS: usize = {
+    let (mut at, mut n) = (0, 0);
+    while n <= NETWORK_MAX {
+        at = merge_exchange(n, &mut [], at);
+        n += 1;
+    }
+    at
+};
+
+/// The merge-exchange networks for 0..=[`NETWORK_MAX`] inputs, back to
+/// back, built at compile time: the network for `n` inputs is
+/// `pairs[start[n]..start[n + 1]]`.
+struct Networks {
+    pairs: [[u8; 2]; COMPARATORS],
+    start: [u16; NETWORK_MAX + 2],
+}
+
+static NETWORKS: Networks = {
+    let mut nets = Networks {
+        pairs: [[0; 2]; COMPARATORS],
+        start: [0; NETWORK_MAX + 2],
+    };
+    let mut n = 0;
+    while n <= NETWORK_MAX {
+        let at = nets.start[n] as usize;
+        nets.start[n + 1] = merge_exchange(n, &mut nets.pairs, at) as u16;
+        n += 1;
+    }
+    nets
+};
+
+/// The comparators of the merge-exchange network for `n ≤ NETWORK_MAX`
+/// inputs.
+// wlint: allow(panic-reach) — callers pass n ≤ NETWORK_MAX, so n + 1 indexes start and start[n] ≤ start[n + 1] ≤ COMPARATORS
+fn network(n: usize) -> &'static [[u8; 2]] {
+    &NETWORKS.pairs[usize::from(NETWORKS.start[n])..usize::from(NETWORKS.start[n + 1])]
+}
+
+/// One comparator: the smaller key to `i`, the larger to `j`, with no
+/// data-dependent branch.
+// wlint: allow(panic-reach) — every comparator of a network for k.len() inputs indexes below k.len()
+#[inline(always)]
+fn exchange<T: Ord + Copy>(k: &mut [T], i: usize, j: usize) {
+    let (a, b) = (k[i], k[j]);
+    k[i] = a.min(b);
+    k[j] = a.max(b);
+}
+
+/// Defines a sorter for exactly `$n` keys that runs the listed
+/// comparators straight-line, plus the comparator list for the test that
+/// pins it to [`network`]`($n)`.
+macro_rules! unrolled_network {
+    ($sort:ident, $pairs:ident, $n:literal: $(($i:literal $j:literal))*) => {
+        fn $sort<T: Ord + Copy>(k: &mut [T; $n]) {
+            $(exchange(k, $i, $j);)*
+        }
+
+        #[cfg(test)]
+        const $pairs: &[[u8; 2]] = &[$([$i, $j]),*];
+    };
+}
+
+// The merge-exchange networks for the capture lengths the pipeline sees
+// most: 8, 10 and 20 packets.
+unrolled_network!(sort_8, PAIRS_8, 8:
+    (0 4) (1 5) (2 6) (3 7)
+    (0 2) (1 3) (4 6) (5 7)
+    (2 4) (3 5)
+    (0 1) (2 3) (4 5) (6 7)
+    (1 4) (3 6)
+    (1 2) (3 4) (5 6)
+);
+unrolled_network!(sort_10, PAIRS_10, 10:
+    (0 8) (1 9)
+    (0 4) (1 5) (2 6) (3 7) (4 8) (5 9)
+    (0 2) (1 3) (4 6) (5 7)
+    (2 8) (3 9)
+    (2 4) (3 5) (6 8) (7 9)
+    (0 1) (2 3) (4 5) (6 7) (8 9)
+    (1 8)
+    (1 4) (3 6) (5 8)
+    (1 2) (3 4) (5 6) (7 8)
+);
+unrolled_network!(sort_20, PAIRS_20, 20:
+    (0 16) (1 17) (2 18) (3 19)
+    (0 8) (1 9) (2 10) (3 11) (4 12) (5 13) (6 14) (7 15)
+    (8 16) (9 17) (10 18) (11 19)
+    (0 4) (1 5) (2 6) (3 7) (8 12) (9 13) (10 14) (11 15)
+    (4 16) (5 17) (6 18) (7 19)
+    (4 8) (5 9) (6 10) (7 11) (12 16) (13 17) (14 18) (15 19)
+    (0 2) (1 3) (4 6) (5 7) (8 10) (9 11) (12 14) (13 15) (16 18) (17 19)
+    (2 16) (3 17)
+    (2 8) (3 9) (6 12) (7 13) (10 16) (11 17)
+    (2 4) (3 5) (6 8) (7 9) (10 12) (11 13) (14 16) (15 17)
+    (0 1) (2 3) (4 5) (6 7) (8 9) (10 11) (12 13) (14 15) (16 17) (18 19)
+    (1 16) (3 18)
+    (1 8) (3 10) (5 12) (7 14) (9 16) (11 18)
+    (1 4) (3 6) (5 8) (7 10) (9 12) (11 14) (13 16) (15 18)
+    (1 2) (3 4) (5 6) (7 8) (9 10) (11 12) (13 14) (15 16) (17 18)
+);
+
+/// Sorts at most [`NETWORK_MAX`] keys ascending: straight-line for the
+/// unrolled lengths, through the comparator table otherwise.
+fn sort_keys<T: Ord + Copy>(k: &mut [T]) {
+    if let Ok(k) = <&mut [T; 20]>::try_from(&mut *k) {
+        sort_20(k);
+    } else if let Ok(k) = <&mut [T; 10]>::try_from(&mut *k) {
+        sort_10(k);
+    } else if let Ok(k) = <&mut [T; 8]>::try_from(&mut *k) {
+        sort_8(k);
+    } else {
+        for &[i, j] in network(k.len()) {
+            exchange(k, usize::from(i), usize::from(j));
+        }
+    }
+}
+
+/// The integer [`f64::total_cmp`] compares: the bits as a signed
+/// integer, with the magnitude bits of negative values flipped. It is its
+/// own inverse (see [`from_total_key`]).
+#[inline]
+fn total_key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ ((((b >> 63) as u64) >> 1) as i64)
+}
+
+/// Inverse of [`total_key`]: the map keeps the sign bit, so applying it
+/// again restores the bits.
+#[inline]
+fn from_total_key(k: i64) -> f64 {
+    f64::from_bits((k ^ ((((k >> 63) as u64) >> 1) as i64)) as u64)
+}
+
+/// Sorts `xs` into exactly the order `xs.sort_by(f64::total_cmp)` gives,
+/// without allocating.
+///
+/// `total_cmp` is a total order under which two values are equal only
+/// when their bits are, so every correct sort, stable or not, yields the
+/// same sequence. Up to 64 values are mapped to the integers `total_cmp`
+/// compares, on the stack, and sorted by a merge-exchange network of
+/// branch-free `min`/`max`; longer slices take `sort_unstable_by`.
+// wlint: hot
+// wlint: allow(panic-reach) — the early return leaves xs.len() ≤ NETWORK_MAX, the length of keys
+pub fn sort_total(xs: &mut [f64]) {
+    if xs.len() > NETWORK_MAX {
+        xs.sort_unstable_by(f64::total_cmp);
+        return;
+    }
+    let mut keys = [0i64; NETWORK_MAX];
+    let keys = &mut keys[..xs.len()];
+    for (k, &x) in keys.iter_mut().zip(xs.iter()) {
+        *k = total_key(x);
+    }
+    sort_keys(keys);
+    for (x, &k) in xs.iter_mut().zip(keys.iter()) {
+        *x = from_total_key(k);
+    }
+}
+
+/// Fills `order` with the indices of `devs` in the order a stable
+/// `sort_by` on `|dev|` under [`f64::total_cmp`] puts them, and returns
+/// that prefix; `None` (with `order` untouched) for more than
+/// [`NETWORK_MAX`] values.
+///
+/// `|dev|` has a clear sign bit, so the unsigned order of its bits is the
+/// `total_cmp` order. The network sorts those bits with the low six
+/// replaced by the sample's index, so keys that tie there come out in
+/// index order. A run of such ties is then put in order of the full bits,
+/// by an insertion sort that keeps equal bits in index order: the stable
+/// sort's order.
+// wlint: allow(panic-reach) — n ≤ NETWORK_MAX bounds keys[..n] and order[..n]; k & INDEX < NETWORK_MAX indexes bits; run ≤ j - 1 < j < end ≤ n in the fix-up
+fn stable_abs_order(
+    devs: impl ExactSizeIterator<Item = f64>,
+    order: &mut [u8; NETWORK_MAX],
+) -> Option<&[u8]> {
+    const INDEX: u64 = NETWORK_MAX as u64 - 1;
+    let n = devs.len();
+    if n > NETWORK_MAX {
+        return None;
+    }
+    let (mut bits, mut keys) = ([0u64; NETWORK_MAX], [0u64; NETWORK_MAX]);
+    for (i, ((b, k), d)) in bits.iter_mut().zip(keys.iter_mut()).zip(devs).enumerate() {
+        *b = d.abs().to_bits();
+        *k = (*b & !INDEX) | i as u64;
+    }
+    let keys = &mut keys[..n];
+    sort_keys(keys);
+    let full = |k: u64| bits[(k & INDEX) as usize];
+    let mut run = 0;
+    for end in 1..=n {
+        if end < n && keys[end] | INDEX == keys[run] | INDEX {
+            continue;
+        }
+        for i in run + 1..end {
+            let mut j = i;
+            while j > run && full(keys[j - 1]) > full(keys[j]) {
+                keys.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        run = end;
+    }
+    for (o, &k) in order.iter_mut().zip(keys.iter()) {
+        *o = (k & INDEX) as u8;
+    }
+    Some(&order[..n])
+}
+
 /// Median (interpolated for even lengths). Returns `NaN` for an empty
-/// slice. `O(n log n)`.
+/// slice. Sorts a copy with [`sort_total`].
 pub fn median(xs: &[f64]) -> f64 {
     median_in_place(&mut xs.to_vec())
 }
@@ -60,13 +310,14 @@ pub fn median_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
 }
 
 /// [`median`] of a buffer the caller no longer needs in its original
-/// order: sorts `xs` in place. Returns `NaN` for an empty slice.
+/// order: sorts `xs` in place with [`sort_total`]. Returns `NaN` for an
+/// empty slice.
 // wlint: allow(panic-reach) — n/2 and n/2-1 are in bounds: the slice is non-empty and the n%2 branch guards the even case
 pub fn median_in_place(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    xs.sort_by(f64::total_cmp);
+    sort_total(xs);
     let n = xs.len();
     if n % 2 == 1 {
         xs[n / 2]
@@ -80,58 +331,17 @@ pub fn mad(xs: &[f64]) -> f64 {
     mad_in(xs, &mut Vec::new())
 }
 
-/// [`mad`] through a caller-owned scratch buffer, with one sort.
-///
-/// Over the sorted series `s`, `s_i − med` rounds monotonically, so the
-/// absolute deviations form two sorted runs that meet at the median: the
-/// negative ones descending, the rest ascending. Merging the two runs up
-/// to the middle yields the same order statistics, so the same bits, as
-/// sorting the deviations. Input with a non-finite value (where `∞ − ∞`
-/// can make a deviation NaN) takes the sort of the deviations instead.
+/// [`mad`] through a caller-owned scratch buffer: the median of the
+/// series, then the median of the absolute deviations from it.
 // wlint: hot
-// wlint: allow(panic-reach) — the merge cursors stay inside buf: lo < split ≤ hi, and it takes at most n/2 + 1 < n + 1 steps
 fn mad_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
     let med = median_in(xs, buf);
-    if !xs.iter().all(|x| x.is_finite()) {
-        buf.clear();
-        buf.extend(xs.iter().map(|x| (x - med).abs()));
-        return median_in_place(buf);
-    }
-    let n = buf.len();
-    let split = buf.partition_point(|&x| x - med < 0.0);
-    // `lo` walks the negative run down from the median, `hi` the rest up.
-    let (mut lo, mut hi) = (split, split);
-    let mut next = || {
-        let below = (lo > 0).then(|| (buf[lo - 1] - med).abs());
-        let above = (hi < n).then(|| (buf[hi] - med).abs());
-        match (below, above) {
-            (Some(b), Some(a)) if b <= a => {
-                lo -= 1;
-                b
-            }
-            (_, Some(a)) => {
-                hi += 1;
-                a
-            }
-            (Some(b), None) => {
-                lo -= 1;
-                b
-            }
-            (None, None) => f64::NAN,
-        }
-    };
-    let mut lower = next();
-    for _ in 0..(n - 1) / 2 {
-        lower = next();
-    }
-    if n % 2 == 1 {
-        lower
-    } else {
-        (lower + next()) / 2.0
-    }
+    buf.clear();
+    buf.extend(xs.iter().map(|x| (x - med).abs()));
+    median_in_place(buf)
 }
 
 /// Robust standard-deviation estimate from the MAD of `xs`:
@@ -178,9 +388,16 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 /// Wraps an angle to `(−π, π]`.
+///
+/// Within one turn `theta % τ` is exact and returns `theta` itself, sign
+/// of zero included, so the remainder is taken only outside it.
 pub fn wrap_to_pi(theta: f64) -> f64 {
     let tau = std::f64::consts::TAU;
-    let mut t = theta % tau;
+    let mut t = if theta.abs() < tau {
+        theta
+    } else {
+        theta % tau
+    };
     if t > std::f64::consts::PI {
         t -= tau;
     } else if t <= -std::f64::consts::PI {
@@ -239,34 +456,13 @@ pub fn angular_spread_deg(angles: &[f64]) -> f64 {
 
 /// Robust circular mean: computes the circular mean, drops the
 /// `trim_fraction` of samples most deviant from it (impulse-noise hits),
-/// and recomputes on the survivors.
+/// and recomputes on the survivors: the mean half of [`phase_summary`].
 ///
 /// # Panics
 ///
 /// Panics if `trim_fraction` is not within `[0, 0.5]`.
 pub fn trimmed_circular_mean(angles: &[f64], trim_fraction: f64) -> f64 {
-    assert!(
-        (0.0..=0.5).contains(&trim_fraction),
-        "trim fraction must be within [0, 0.5]"
-    );
-    if angles.is_empty() {
-        return f64::NAN;
-    }
-    let first = circular_mean(angles);
-    let n_drop = ((angles.len() as f64) * trim_fraction).floor() as usize;
-    if n_drop == 0 || angles.len() - n_drop < 2 {
-        return first;
-    }
-    let mut dev: Vec<(f64, f64)> = angles
-        .iter()
-        .map(|&a| (wrap_to_pi(a - first).abs(), a))
-        .collect();
-    dev.sort_by(|x, y| x.0.total_cmp(&y.0));
-    let kept: Vec<f64> = dev[..angles.len() - n_drop]
-        .iter()
-        .map(|&(_, a)| a)
-        .collect();
-    circular_mean(&kept)
+    phase_summary(angles, trim_fraction, &mut PhaseSummaryScratch::default()).0
 }
 
 /// Variance of phase readings computed the paper's way (Eq. 7): linear
@@ -290,6 +486,13 @@ struct AngleSample {
     dev: f64,
 }
 
+/// The sums of `sin` and of `cos` over `samples`, in their order.
+fn sin_cos_sums<'a>(samples: impl IntoIterator<Item = &'a AngleSample>) -> (f64, f64) {
+    samples
+        .into_iter()
+        .fold((0.0, 0.0), |(s, c), x| (s + x.sin, c + x.cos))
+}
+
 /// Caller-owned scratch for [`phase_summary`]: one [`AngleSample`] per
 /// angle, grown once and reused across calls.
 #[derive(Debug, Clone, Default)]
@@ -302,14 +505,16 @@ pub struct PhaseSummaryScratch {
 /// caller-owned scratch.
 ///
 /// Each angle's `sin`/`cos` and its wrapped deviation from the mean are
-/// evaluated once and carried through the stable deviation sort into the
-/// trimmed sum, returning exactly the bits the two separate calls would:
-/// every sum runs in the same order over the same values.
+/// evaluated once. The trimmed sum takes the angles in the order a stable
+/// sort by `|deviation|` leaves them: a sorting network for up to 64
+/// angles, `sort_by` above. That order decides the sum's bits, since two
+/// angles at deviations `+x` and `−x` tie on `|x|` but differ in `sin`.
 ///
 /// # Panics
 ///
 /// Panics if `trim_fraction` is not within `[0, 0.5]`.
 // wlint: hot
+// wlint: allow(panic-reach) — keep = n - n_drop ≤ n = samples.len(), and every index stable_abs_order returns is below n
 pub fn phase_summary(
     angles: &[f64],
     trim_fraction: f64,
@@ -341,11 +546,15 @@ pub fn phase_summary(
     if n_drop == 0 || angles.len() - n_drop < 2 {
         return (first, variance);
     }
-    samples.sort_by(|x, y| x.dev.abs().total_cmp(&y.dev.abs()));
-    let (s, c) = samples
-        .iter()
-        .take(angles.len() - n_drop)
-        .fold((0.0, 0.0), |(s, c), x| (s + x.sin, c + x.cos));
+    let keep = angles.len() - n_drop;
+    let mut order = [0; NETWORK_MAX];
+    let (s, c) = match stable_abs_order(samples.iter().map(|x| x.dev), &mut order) {
+        Some(order) => sin_cos_sums(order[..keep].iter().map(|&i| &samples[usize::from(i)])),
+        None => {
+            samples.sort_by(|x, y| x.dev.abs().total_cmp(&y.dev.abs()));
+            sin_cos_sums(&samples[..keep])
+        }
+    };
     (s.atan2(c), variance)
 }
 
@@ -502,19 +711,31 @@ mod tests {
         assert!(robust_std_in(&[], &mut buf).is_nan());
     }
 
-    /// Verbatim copy of the two-sort `mad`: sort the series for its
-    /// median, then sort the absolute deviations for theirs.
+    /// The median through the standard library's `sort_by(total_cmp)`.
+    fn reference_median(xs: &[f64]) -> f64 {
+        let mut s = xs.to_vec();
+        s.sort_by(f64::total_cmp);
+        let n = s.len();
+        match n {
+            0 => f64::NAN,
+            _ if n % 2 == 1 => s[n / 2],
+            _ => (s[n / 2 - 1] + s[n / 2]) / 2.0,
+        }
+    }
+
+    /// The two-sort MAD through the standard library: sort the series for
+    /// its median, then sort the absolute deviations for theirs.
     fn reference_mad(xs: &[f64]) -> f64 {
         if xs.is_empty() {
             return f64::NAN;
         }
-        let med = median(xs);
+        let med = reference_median(xs);
         let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-        median(&dev)
+        reference_median(&dev)
     }
 
     #[test]
-    fn one_sort_mad_matches_two_sort_reference_bitwise() {
+    fn mad_matches_two_sort_reference_bitwise() {
         let mut buf = Vec::new();
         let mut check = |xs: &[f64], what: &str| {
             let want = reference_mad(xs);
@@ -661,5 +882,185 @@ mod tests {
         let angles: Vec<f64> = (0..200).map(|i| sigma * ((i as f64 * 0.7).sin())).collect();
         let spread = angular_spread_deg(&angles);
         assert!(spread > 8.0 && spread < 25.0, "spread = {spread}");
+    }
+
+    #[test]
+    fn unrolled_networks_are_the_table_networks() {
+        assert_eq!(PAIRS_8, network(8));
+        assert_eq!(PAIRS_10, network(10));
+        assert_eq!(PAIRS_20, network(20));
+        assert!(network(0).is_empty() && network(1).is_empty());
+        assert_eq!(network(NETWORK_MAX).len(), 543);
+        assert_eq!(COMPARATORS, 14_691);
+    }
+
+    #[test]
+    fn networks_sort_every_zero_one_input() {
+        // By the 0-1 principle a comparator network sorts every input iff
+        // it sorts every sequence of zeros and ones.
+        for n in (0..=14).chain([20]) {
+            let mut keys = vec![0u8; n];
+            for bits in 0u32..1 << n {
+                for (i, k) in keys.iter_mut().enumerate() {
+                    *k = ((bits >> i) & 1) as u8;
+                }
+                sort_keys(&mut keys);
+                assert!(keys.is_sorted(), "n={n} input {bits:#b}");
+            }
+        }
+    }
+
+    /// Values built to break a sort that is not exactly `total_cmp`'s: NaN
+    /// of both signs with several payloads, signed zeros, infinities,
+    /// subnormals, extremes, and a small pool that repeats so runs of
+    /// duplicates form.
+    struct Adversarial;
+
+    impl proptest::strategy::Strategy for Adversarial {
+        type Value = f64;
+
+        fn sample(&self, rng: &mut proptest::TestRng) -> f64 {
+            const SPECIAL: [f64; 14] = [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+                f64::MAX,
+                f64::MIN,
+                1.0,
+                -1.0,
+                0.5,
+                -2.5,
+                f64::EPSILON,
+                -f64::EPSILON,
+            ];
+            let word = rng.next_u64();
+            match rng.next_u64() % 8 {
+                // NaN: random sign and a payload from a small set, so equal
+                // NaNs repeat too.
+                0 => f64::from_bits((word & (1 << 63)) | 0x7FF0_0000_0000_0000 | (word % 5 + 1)),
+                // Subnormals of either sign.
+                1 => f64::from_bits((word & (1 << 63)) | (word % 9 + 1)),
+                2 | 3 => SPECIAL[(word % SPECIAL.len() as u64) as usize],
+                // Raw bit patterns: any finite value, NaN or infinity.
+                4 => f64::from_bits(word),
+                _ => (rng.unit_f64() * 8.0).round() / 2.0 - 2.0,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sort_total_matches_total_cmp_sort(
+            xs in proptest::collection::vec(Adversarial, 0..81),
+        ) {
+            let mut got = xs.clone();
+            sort_total(&mut got);
+            let mut want = xs.clone();
+            want.sort_by(f64::total_cmp);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "input {:?}", xs);
+            let (mut buf, mut sorted) = (Vec::new(), xs.clone());
+            let want = reference_median(&xs).to_bits();
+            proptest::prop_assert_eq!(median_in(&xs, &mut buf).to_bits(), want);
+            proptest::prop_assert_eq!(median_in_place(&mut sorted).to_bits(), want);
+            proptest::prop_assert_eq!(mad(&xs).to_bits(), reference_mad(&xs).to_bits());
+        }
+
+        #[test]
+        fn stable_abs_order_matches_stable_sort(
+            devs in proptest::collection::vec(Adversarial, 0..81),
+        ) {
+            let mut order = [0u8; NETWORK_MAX];
+            let got = stable_abs_order(devs.iter().copied(), &mut order);
+            if devs.len() > NETWORK_MAX {
+                proptest::prop_assert!(got.is_none());
+            } else {
+                let mut want: Vec<usize> = (0..devs.len()).collect();
+                want.sort_by(|&i, &j| devs[i].abs().total_cmp(&devs[j].abs()));
+                let got: Vec<usize> = got.unwrap_or_default().iter().map(|&i| i.into()).collect();
+                proptest::prop_assert_eq!(got, want, "input {:?}", devs);
+            }
+        }
+    }
+
+    #[test]
+    fn phase_summary_keeps_mirrored_ties_in_stable_order() {
+        // Adjacent ±x pairs cancel exactly in the sine sum, so the circular
+        // mean is exactly 0 and every deviation is exactly ±x: |dev| ties
+        // across each pair and across the repeated 0.9s, and at 20% trim
+        // the kept count ends inside the run of 0.9s. Only the stable order
+        // keeps the right two and sums them in the right order.
+        let mut scratch = PhaseSummaryScratch::default();
+        let mut dev = Vec::new();
+        let pairs = [0.1, -0.4, 0.2, -0.7, 0.3, 0.5, -0.6, 0.9, -0.9, 0.9];
+        for n_pairs in [4usize, 5, 6, 10] {
+            let angles: Vec<f64> = pairs[pairs.len() - n_pairs..]
+                .iter()
+                .flat_map(|&x| [x, -x])
+                .collect();
+            assert_eq!(circular_mean(&angles).to_bits(), 0.0f64.to_bits());
+            for trim in [0.1, 0.2, 0.3] {
+                let (m, v) = phase_summary(&angles, trim, &mut scratch);
+                let (m_ref, v_ref) = reference_phase_summary(&angles, trim, &mut dev);
+                let what = format!("{} angles, trim {trim}", angles.len());
+                assert_eq!(m.to_bits(), m_ref.to_bits(), "mean: {what}");
+                assert_eq!(v.to_bits(), v_ref.to_bits(), "variance: {what}");
+                assert_eq!(m.to_bits(), trimmed_circular_mean(&angles, trim).to_bits());
+                assert_eq!(v.to_bits(), phase_variance(&angles).to_bits());
+            }
+        }
+    }
+
+    /// `wrap_to_pi` before it skipped the remainder within one turn.
+    fn reference_wrap_to_pi(theta: f64) -> f64 {
+        let tau = std::f64::consts::TAU;
+        let mut t = theta % tau;
+        if t > PI {
+            t -= tau;
+        } else if t <= -PI {
+            t += tau;
+        }
+        t
+    }
+
+    #[test]
+    fn wrap_to_pi_matches_remainder_form_bitwise() {
+        let tau = std::f64::consts::TAU;
+        let check = |theta: f64| {
+            assert_eq!(
+                wrap_to_pi(theta).to_bits(),
+                reference_wrap_to_pi(theta).to_bits(),
+                "theta = {theta:e} ({:#x})",
+                theta.to_bits()
+            );
+        };
+        for theta in [
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            tau,
+            -tau,
+            tau.next_down(),
+            -tau.next_down(),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            check(theta);
+        }
+        let mut state = 0x0DDB_1A5E_5BAD_5EEDu64;
+        for _ in 0..100_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Uniform in (−2π, 2π]: 1 − u with u in [0, 1) lies in (0, 1].
+            let u = 1.0 - (state >> 11) as f64 / (1u64 << 53) as f64;
+            check(2.0 * tau * u - tau);
+        }
     }
 }
