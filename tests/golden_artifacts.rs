@@ -1,0 +1,117 @@
+//! Golden bytes of every artifact schema.
+//!
+//! Each of the five schemas — `wimi-obs/1`, `wimi-trace/1`,
+//! `wimi-campaign/1` (summary plus one cell artifact), `wimi-serve/1` and
+//! `wimi-metrics/1` — is rendered from a small fixed run and hashed with
+//! FNV-1a over its bytes. CI's `cmp` steps compare two runs of one binary,
+//! so they cannot see a byte change between commits; these constants can.
+//! A refactor that claims to keep every artifact's bytes must leave them
+//! unchanged. A deliberate format or numerics change re-records the
+//! affected constants and says so.
+
+use std::sync::Arc;
+
+use wimi::obs::Recorder;
+use wimi::phy::material::Liquid;
+use wimi::serve::{run_fleet, summary_json, FleetConfig, ServeConfig};
+use wimi::trace::{artifact, TraceSink};
+use wimi_experiments::campaign::{run_campaign, summary_json as campaign_summary_json};
+use wimi_experiments::harness::{run_identification, Material, RunOptions};
+
+const OBS: u64 = 0xa7d0_decc_7673_d98e;
+const TRACE: u64 = 0xa96e_15e2_9c6d_c6f3;
+const CAMPAIGN: u64 = 0xd957_1237_950f_e9e7;
+const CELL: u64 = 0x4953_47fd_9000_b164;
+const SERVE: u64 = 0x466a_abc9_299c_8bf5;
+const METRICS: u64 = 0xd86b_8000_9f25_a231;
+
+/// A four-cell campaign with a scheduled fault step.
+const CAMPAIGN_TEXT: &str = "campaign golden\n\
+                             seed 0x601D\n\
+                             fault_seed 0xFA17\n\
+                             train 2\n\
+                             test 2\n\
+                             axis materials = PureWater+Honey, Milk+Oil\n\
+                             axis packets = 8\n\
+                             axis intensity = 0, 0.2\n\
+                             at 1 fault 0.4\n";
+
+/// FNV-1a over bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every schema's rendered text, labelled with its pinned fingerprint.
+fn rendered() -> Vec<(&'static str, String, u64)> {
+    // One traced identification run gives the obs snapshot and the trace.
+    let recorder = Arc::new(Recorder::enabled());
+    let sink = TraceSink::enabled();
+    let materials: Vec<Material> = [Liquid::PureWater, Liquid::Milk, Liquid::Oil]
+        .into_iter()
+        .map(Material::catalog)
+        .collect();
+    run_identification(
+        &materials,
+        &RunOptions {
+            n_train: 2,
+            n_test: 2,
+            packets: 8,
+            seed: 0x601D,
+            recorder: Some(Arc::clone(&recorder)),
+            trace: Some(Arc::clone(&sink)),
+            ..RunOptions::default()
+        },
+    );
+    let obs = recorder.snapshot().to_json();
+    let trace = artifact::render(&sink.flush(), Some(&obs));
+
+    let campaign = wimi::campaign::parse(CAMPAIGN_TEXT).expect("golden campaign parses");
+    let outcome = run_campaign(&campaign);
+    assert_eq!(outcome.cells.len(), 4);
+    let cell = outcome.cells[3].artifact.clone();
+    let summary = campaign_summary_json(&outcome);
+
+    let report = run_fleet(&FleetConfig {
+        sessions: 4,
+        measurements: 3,
+        packets: 8,
+        serve: ServeConfig {
+            shards: 2,
+            queue_bound: 1,
+            train_per_class: 2,
+            ..ServeConfig::default()
+        },
+        ..FleetConfig::default()
+    });
+    let serve = summary_json(&report);
+    let metrics = wimi::metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
+
+    vec![
+        ("wimi-obs/1", obs, OBS),
+        ("wimi-trace/1", trace, TRACE),
+        ("wimi-campaign/1", summary, CAMPAIGN),
+        ("wimi-trace/1 campaign cell", cell, CELL),
+        ("wimi-serve/1", serve, SERVE),
+        ("wimi-metrics/1", metrics, METRICS),
+    ]
+}
+
+#[test]
+fn every_artifact_schema_matches_its_golden_fingerprint() {
+    let mut changed = Vec::new();
+    for (schema, text, golden) in rendered() {
+        let tag = schema.split(' ').next().unwrap_or(schema);
+        assert!(text.contains(tag), "{schema} artifact lacks its tag");
+        let got = fnv1a(&text);
+        if got != golden {
+            changed.push(format!("{schema}: {got:#018x}, golden {golden:#018x}"));
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "artifact bytes changed:\n{}",
+        changed.join("\n")
+    );
+}
