@@ -3,7 +3,7 @@
 //! text to that schema's fail-closed reader, which stays in its crate:
 //! `wimi_obs::validate_json`, `wimi_trace::artifact::parse_and_validate`,
 //! `campaign::validate_summary`, `wimi_serve::parse_summary` or
-//! `wimi_metrics::parse_and_validate`.
+//! `wimi_serve::metrics::parse_and_validate`.
 //!
 //! `diff` validates both sides and calls them identical only when their
 //! bytes are, the contract CI's `cmp` steps rely on. Otherwise it names
@@ -59,10 +59,10 @@ const READERS: [Reader; 5] = [
         check: |text| wimi_serve::parse_summary(text).map(|r| format!("{} sessions", r.len())),
     },
     Reader {
-        tag: wimi_metrics::SCHEMA,
+        tag: wimi_serve::metrics::SCHEMA,
         jsonl: true,
         check: |text| {
-            let tl = wimi_metrics::parse_and_validate(text)?;
+            let tl = wimi_serve::metrics::parse_and_validate(text)?;
             Ok(format!(
                 "{} ticks retained, {} evicted, {} shards",
                 tl.ticks.len(),
@@ -264,7 +264,7 @@ pub fn run(args: &[&str]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wimi_metrics::{ShardSample, TickCollector, TickSample, Timeline};
+    use wimi_serve::metrics::{ShardSample, TickCollector, TickSample, Timeline};
 
     fn sample_timeline() -> Timeline {
         let mut c = TickCollector::new(2, 8);
@@ -299,12 +299,12 @@ mod tests {
         b.ticks[1].shards[0].shed = 0;
         b.ticks[1].shards[1].shed = 1;
         let (ta, tb) = (
-            wimi_metrics::render(&a, None),
-            wimi_metrics::render(&b, None),
+            wimi_serve::metrics::render(&a, None),
+            wimi_serve::metrics::render(&b, None),
         );
         for text in [&ta, &tb] {
             let reader = reader_of(text).unwrap();
-            assert_eq!(reader.tag, wimi_metrics::SCHEMA);
+            assert_eq!(reader.tag, wimi_serve::metrics::SCHEMA);
             (reader.check)(text).unwrap();
         }
         assert_eq!(

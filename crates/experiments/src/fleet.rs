@@ -9,7 +9,7 @@
 //! committed `fleet_budgets` and `metrics_budgets` ceilings, fail-closed
 //! like the campaign gate.
 
-use wimi_metrics::Timeline;
+use wimi_serve::metrics::{self, Timeline};
 use wimi_serve::{parse_summary, run_campaign_fleet, run_fleet, summary_json, FleetConfig};
 use wimi_trace::analyze;
 
@@ -120,9 +120,8 @@ pub fn fleet_run(
 
     // The timeline artifact, self-validated like the summary: a render
     // the validator rejects must never reach CI's byte-compare.
-    let timeline_text =
-        wimi_metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
-    if let Err(e) = wimi_metrics::parse_and_validate(&timeline_text) {
+    let timeline_text = metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
+    if let Err(e) = metrics::parse_and_validate(&timeline_text) {
         eprintln!("fleet: timeline failed validation: {e}");
         std::process::exit(1);
     }
@@ -139,16 +138,14 @@ pub fn fleet_run(
     // each rule is visible in one run.
     if let Some(policy_path) = slo {
         let policy_text = crate::read_or_exit("fleet", policy_path);
-        let policy = match wimi_metrics::parse_policy(&policy_text) {
+        let policy = match metrics::parse_policy(&policy_text) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("fleet: {policy_path}: {e}");
                 std::process::exit(1);
             }
         };
-        let rows: Vec<wimi_metrics::SessionRow> =
-            report.per_session.iter().map(|s| s.metrics_row()).collect();
-        let breaches = wimi_metrics::slo::evaluate(&policy, &report.timeline, &rows);
+        let breaches = metrics::slo::evaluate(&policy, &report.timeline, &report.per_session);
         if breaches.is_empty() {
             eprintln!("fleet: SLO check OK against {policy_path}");
         } else {
@@ -184,7 +181,7 @@ pub fn fleet_report(summary_path: &str, metrics_path: Option<&str>) {
         }
     };
     let timeline = metrics_path.map(|path| {
-        match wimi_metrics::parse_and_validate(&crate::read_or_exit("fleet-report", path)) {
+        match metrics::parse_and_validate(&crate::read_or_exit("fleet-report", path)) {
             Ok(tl) => tl,
             Err(e) => {
                 eprintln!("fleet-report: {path}: {e}");
@@ -192,7 +189,7 @@ pub fn fleet_report(summary_path: &str, metrics_path: Option<&str>) {
             }
         }
     });
-    print!("{}", wimi_metrics::render_report(&rows, timeline.as_ref()));
+    print!("{}", metrics::render_report(&rows, timeline.as_ref()));
 }
 
 #[cfg(test)]

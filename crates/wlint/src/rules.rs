@@ -26,7 +26,7 @@ use crate::lexer::{lex, LexOutput, Pragma, Tok, Token};
 /// The library crates whose non-test code must stay panic-free: errors flow
 /// through the `wimi_core::error` taxonomy. Each crate root denies clippy's
 /// panic-family lints, so `panic-reach` leaves their panic sites to clippy.
-pub const LIBRARY_CRATES: [&str; 9] = [
+pub const LIBRARY_CRATES: [&str; 8] = [
     "wiphy",
     "wdsp",
     "wml",
@@ -35,7 +35,6 @@ pub const LIBRARY_CRATES: [&str; 9] = [
     "wtrace",
     "wcampaign",
     "wserve",
-    "wmetrics",
 ];
 
 /// The crates whose *public* functions count as library entry points for

@@ -439,6 +439,26 @@ impl Parser<'_> {
     }
 }
 
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and control characters. The one string escaper every artifact
+/// renderer writes names through, so any name [`parse`]s back.
+pub fn escape(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Renders a ratio of small integers (an accuracy, a fault intensity)
 /// with six fixed decimals: exact enough to be stable, and identical on
 /// every platform, so summaries that embed it stay byte-comparable.

@@ -32,7 +32,8 @@ use wimi_phy::scenario::LiquidSpec;
 use wimi_trace::TaskKey;
 
 use crate::cache::{ModelCache, ModelKey};
-use crate::queue::{BoundedQueues, ShardTick};
+use crate::metrics::ShardSample;
+use crate::queue::BoundedQueues;
 use crate::retry::{measure_with_retry, MeasureOutcome, Trial};
 use crate::session::{MeasureRequest, Session};
 
@@ -92,22 +93,6 @@ pub struct ServeResponse {
     pub attempts: usize,
 }
 
-/// One shard's activity over one submit/drain tick, handed to the
-/// telemetry collector by [`Engine::take_tick_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTickStats {
-    /// Requests accepted onto the shard this tick.
-    pub submitted: u64,
-    /// Requests shed at the shard's bound this tick.
-    pub shed: u64,
-    /// Highest depth the shard reached this tick.
-    pub peak: u64,
-    /// Depth when the drain began (gauge).
-    pub depth: u64,
-    /// Responses the shard produced this tick.
-    pub completed: u64,
-}
-
 /// Test seam: invoked once per request inside the owning worker, with
 /// the session id. Lets fault tests inject a panic into a worker and
 /// assert it is forwarded, not swallowed.
@@ -120,7 +105,6 @@ pub struct Engine {
     specs: BTreeMap<String, LiquidSpec>,
     cache: ModelCache,
     queues: BoundedQueues,
-    tick_completed: Vec<u64>,
     recorder: Arc<Recorder>,
     probe: Option<RequestProbe>,
 }
@@ -137,7 +121,6 @@ impl Engine {
         recorder: Arc<Recorder>,
     ) -> Engine {
         let queues = BoundedQueues::new(cfg.shards, cfg.queue_bound);
-        let tick_completed = vec![0; queues.shard_count()];
         // Gauges are last-write-wins; setting them here and from serial
         // drain code (never inside the parallel fan-out) keeps snapshots
         // deterministic.
@@ -148,7 +131,6 @@ impl Engine {
             specs: catalog.into_iter().collect(),
             cache: ModelCache::new(),
             queues,
-            tick_completed,
             recorder,
             probe: None,
         }
@@ -185,23 +167,10 @@ impl Engine {
         self.queues.shard_count()
     }
 
-    /// Hands over (and resets) each shard's submit/drain deltas since
-    /// the previous call — the telemetry timeline's per-shard samples.
-    pub fn take_tick_stats(&mut self) -> Vec<ShardTickStats> {
-        let completed =
-            std::mem::replace(&mut self.tick_completed, vec![0; self.queues.shard_count()]);
-        self.queues
-            .take_tick()
-            .into_iter()
-            .zip(completed)
-            .map(|(t, completed): (ShardTick, u64)| ShardTickStats {
-                submitted: t.submitted,
-                shed: t.shed,
-                peak: t.peak,
-                depth: t.depth,
-                completed,
-            })
-            .collect()
+    /// Hands over (and resets) each shard's submit/drain sample since
+    /// the previous call — the telemetry timeline's per-shard breakdown.
+    pub fn take_tick(&mut self) -> Vec<ShardSample> {
+        self.queues.take_tick()
     }
 
     /// Requests shed at the queue bound so far.
@@ -323,7 +292,7 @@ impl Engine {
             })
             .collect();
         for r in &responses {
-            self.tick_completed[self.queues.shard_of(r.session)] += 1;
+            self.queues.complete(self.queues.shard_of(r.session));
         }
         responses.sort_by_key(|r| (r.session, r.seq));
         responses

@@ -13,13 +13,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wimi_campaign::{derive_cell_seed, expand, fault_plan, lower, state_at, Campaign};
-use wimi_metrics::{SessionRow, ShardSample, TickCollector, TickSample, Timeline};
 use wimi_obs::{CounterId, Recorder, Snapshot};
 use wimi_phy::channel::Environment;
 use wimi_phy::material::LIQUIDS;
 use wimi_phy::scenario::LiquidSpec;
 
 use crate::engine::{Engine, ServeConfig, ServeResponse};
+use crate::metrics::{SessionRow, TickCollector, TickSample, Timeline};
 use crate::retry::RetryPolicy;
 use crate::session::{MeasureRequest, Session, SessionSpec};
 
@@ -67,49 +67,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Per-session tallies folded from the response stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SessionStat {
-    /// Session id.
-    pub id: u64,
-    /// Ground-truth label.
-    pub truth: usize,
-    /// Environment name the session ran in.
-    pub environment: String,
-    /// Ground-truth material name (`catalog[truth]`).
-    pub material: String,
-    /// Responses with a predicted label.
-    pub ok: u64,
-    /// Responses without one (retries exhausted or key untrainable).
-    pub failed: u64,
-    /// Requests shed before reaching this session's shard.
-    pub shed: u64,
-    /// Correct predictions among `ok`.
-    pub correct: u64,
-    /// Attempts rejected across all measurements.
-    pub rejected: u64,
-    /// Measurements that needed salvage.
-    pub salvaged: u64,
-    /// Packets actually spent across all measurements.
-    pub packets_spent: u64,
-}
-
-impl SessionStat {
-    /// This session as a `wimi-metrics` report row.
-    pub fn metrics_row(&self) -> SessionRow {
-        SessionRow {
-            id: self.id,
-            environment: self.environment.clone(),
-            material: self.material.clone(),
-            ok: self.ok,
-            failed: self.failed,
-            shed: self.shed,
-            correct: self.correct,
-            packets_spent: self.packets_spent,
-        }
-    }
-}
-
 /// Everything a fleet run produced, ready for summary rendering.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -121,22 +78,22 @@ pub struct FleetReport {
     pub seed: u64,
     /// Requests submitted (sessions × measurements).
     pub requests: u64,
-    /// Responses produced (requests − shed).
+    /// Responses produced (requests − shed): the rows' `ok + failed`.
     pub responses: u64,
-    /// Responses with a predicted label.
+    /// Responses with a predicted label, summed over the rows.
     pub ok: u64,
-    /// Responses without one.
+    /// Responses without one, summed over the rows.
     pub failed: u64,
-    /// Requests shed at the queue bound.
+    /// Requests shed at the queue bound, summed over the rows.
     pub shed: u64,
-    /// Correct predictions among `ok`.
+    /// Correct predictions among `ok`, summed over the rows.
     pub correct: u64,
     /// Distinct model keys trained.
     pub model_keys: usize,
     /// Highest single-shard queue depth observed.
     pub queue_peak: usize,
-    /// Per-session tallies, session order.
-    pub per_session: Vec<SessionStat>,
+    /// Per-session tallies, session order: the `wimi-serve/1` rows.
+    pub per_session: Vec<SessionRow>,
     /// Fleet-wide counters (engine + every session, summed), canonical
     /// [`CounterId::ALL`] order.
     pub counters: Vec<(&'static str, u64)>,
@@ -182,42 +139,31 @@ fn build_sessions(cfg: &FleetConfig) -> (Vec<Session>, Vec<(String, LiquidSpec)>
     (sessions, catalog)
 }
 
-/// Folds one drain's responses into the running stats. `pos_of` maps
-/// session *ids* (what responses carry) to positions in `stats` — the
+/// Folds one drain's responses into the session rows. `pos_of` maps
+/// session *ids* (what responses carry) to positions in `rows` — the
 /// two differ whenever ids are sparse (campaign fleets with skipped
 /// cells), and indexing by id silently misattributed tallies before the
 /// summary grew its per-session conservation check.
-fn fold(
-    responses: &[ServeResponse],
-    pos_of: &BTreeMap<u64, usize>,
-    stats: &mut [SessionStat],
-) -> (u64, u64, u64) {
-    let (mut ok, mut failed, mut correct) = (0u64, 0u64, 0u64);
+fn fold(responses: &[ServeResponse], pos_of: &BTreeMap<u64, usize>, rows: &mut [SessionRow]) {
     for r in responses {
-        let Some(stat) = pos_of.get(&r.session).and_then(|&p| stats.get_mut(p)) else {
+        let Some(row) = pos_of.get(&r.session).and_then(|&p| rows.get_mut(p)) else {
             continue;
         };
-        stat.rejected += r.rejected as u64;
-        stat.packets_spent += r.packets_spent as u64;
+        row.rejected += r.rejected as u64;
+        row.packets_spent += r.packets_spent as u64;
         if r.salvaged {
-            stat.salvaged += 1;
+            row.salvaged += 1;
         }
         match r.label {
             Some(label) => {
-                stat.ok += 1;
-                ok += 1;
+                row.ok += 1;
                 if label == r.truth {
-                    stat.correct += 1;
-                    correct += 1;
+                    row.correct += 1;
                 }
             }
-            None => {
-                stat.failed += 1;
-                failed += 1;
-            }
+            None => row.failed += 1,
         }
     }
-    (ok, failed, correct)
 }
 
 /// Reads one named counter out of a snapshot (0 when absent).
@@ -230,54 +176,37 @@ fn counter_of(snap: &Snapshot, name: &str) -> u64 {
 /// ticks. Each tick's service, cache and retry deltas are sampled into
 /// the report's timeline (bounded to `metrics_window` ticks).
 fn drive(mut engine: Engine, measurements: u64, seed: u64, metrics_window: usize) -> FleetReport {
-    let mut stats: Vec<SessionStat> = engine
+    let mut rows: Vec<SessionRow> = engine
         .sessions()
         .iter()
-        .map(|s| SessionStat {
+        .map(|s| SessionRow {
             id: s.id,
-            truth: s.truth,
+            truth: s.truth as u64,
             environment: s.environment.name().to_owned(),
             material: s.catalog.get(s.truth).cloned().unwrap_or_default(),
-            ..SessionStat::default()
+            ..SessionRow::default()
         })
         .collect();
-    let pos_of: BTreeMap<u64, usize> = stats.iter().enumerate().map(|(p, s)| (s.id, p)).collect();
-    let session_count = stats.len();
+    let pos_of: BTreeMap<u64, usize> = rows.iter().enumerate().map(|(p, s)| (s.id, p)).collect();
     let mut collector = TickCollector::new(engine.shard_count(), metrics_window);
-    let (mut requests, mut ok, mut failed, mut correct) = (0u64, 0u64, 0u64, 0u64);
+    // Every session submits once per tick.
+    let tick_requests = rows.len() as u64;
     for seq in 0..measurements {
         let before = engine.recorder().snapshot();
-        let mut tick_requests = 0u64;
-        for (session, stat) in stats.iter_mut().enumerate() {
-            requests += 1;
-            tick_requests += 1;
+        for (session, row) in rows.iter_mut().enumerate() {
             if engine.submit(&[MeasureRequest { session, seq }]) == 0 {
-                stat.shed += 1;
+                row.shed += 1;
             }
         }
         let responses = engine.drain();
         let after = engine.recorder().snapshot();
-        let (o, f, c) = fold(&responses, &pos_of, &mut stats);
-        ok += o;
-        failed += f;
-        correct += c;
+        fold(&responses, &pos_of, &mut rows);
 
         // One TickSample per tick: cache/batch deltas come from the
         // engine recorder (serial snapshot diff), retry and work-cost
         // deltas fold over this tick's responses, the shard breakdown
         // comes from the queues. All deterministic — no wall clock.
         let delta = |name: &str| counter_of(&after, name) - counter_of(&before, name);
-        let shards: Vec<ShardSample> = engine
-            .take_tick_stats()
-            .into_iter()
-            .map(|s| ShardSample {
-                depth: s.depth,
-                peak: s.peak,
-                submitted: s.submitted,
-                completed: s.completed,
-                shed: s.shed,
-            })
-            .collect();
         collector.push(TickSample {
             tick: seq,
             requests: tick_requests,
@@ -296,7 +225,7 @@ fn drive(mut engine: Engine, measurements: u64, seed: u64, metrics_window: usize
                 .filter(|r| !r.measured)
                 .map(|r| r.session)
                 .collect(),
-            shards,
+            shards: engine.take_tick(),
         });
     }
     // Queue peak is monotone across the run; record it once so the
@@ -316,20 +245,21 @@ fn drive(mut engine: Engine, measurements: u64, seed: u64, metrics_window: usize
         }
     }
 
-    let shed: u64 = stats.iter().map(|s| s.shed).sum();
+    let total = |field: fn(&SessionRow) -> u64| rows.iter().map(field).sum::<u64>();
+    let (ok, failed) = (total(|r| r.ok), total(|r| r.failed));
     FleetReport {
-        sessions: session_count,
+        sessions: rows.len(),
         measurements,
         seed,
-        requests,
+        requests: tick_requests * measurements,
         responses: ok + failed,
         ok,
         failed,
-        shed,
-        correct,
+        shed: total(|r| r.shed),
+        correct: total(|r| r.correct),
         model_keys: engine.cache().len(),
         queue_peak: engine.queue_peak(),
-        per_session: stats,
+        per_session: rows,
         counters,
         timeline: collector.finish(),
         engine_snapshot,
@@ -434,8 +364,9 @@ mod tests {
         assert_eq!(report.timeline.evicted, 0);
         // Render with the embedded engine snapshot and run the full
         // fail-closed validation, including the counter cross-checks.
-        let text = wimi_metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
-        let parsed = wimi_metrics::parse_and_validate(&text)
+        let text =
+            crate::metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
+        let parsed = crate::metrics::parse_and_validate(&text)
             .unwrap_or_else(|e| panic!("fleet timeline must validate: {e}"));
         assert_eq!(parsed, report.timeline);
         // The timeline's queue peak is the report's (and the counter's).
@@ -448,15 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn session_stats_carry_environment_and_material() {
+    fn session_rows_carry_environment_and_material() {
         let report = run_fleet(&tiny());
-        for (i, stat) in report.per_session.iter().enumerate() {
+        for (i, row) in report.per_session.iter().enumerate() {
             let want_env = if i % 2 == 0 { "Lab" } else { "Hall" };
-            assert_eq!(stat.environment, want_env);
-            assert!(!stat.material.is_empty());
-            let row = stat.metrics_row();
-            assert_eq!(row.environment, stat.environment);
-            assert_eq!(row.material, stat.material);
+            assert_eq!(row.environment, want_env);
+            assert!(!row.material.is_empty());
         }
     }
 
@@ -472,8 +400,9 @@ mod tests {
         assert_eq!(report.timeline.first_tick(), Some(3));
         // Windowed timelines still validate (the counter cross-check
         // self-gates on eviction).
-        let text = wimi_metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
-        wimi_metrics::parse_and_validate(&text).unwrap_or_else(|e| panic!("{e}"));
+        let text =
+            crate::metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
+        crate::metrics::parse_and_validate(&text).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

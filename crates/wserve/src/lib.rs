@@ -24,6 +24,9 @@
 //! * [`run_fleet`] / [`run_campaign_fleet`] — the deterministic
 //!   synthetic-fleet driver behind the fleet benchmark, rendering the
 //!   byte-stable `wimi-serve/1` summary ([`summary_json`]).
+//! * [`metrics`] — the fleet's tick-resolved telemetry: the ordered
+//!   per-tick timeline the driver samples, its byte-stable
+//!   `wimi-metrics/1` artifact, SLO gates and the cross-fleet report.
 //!
 //! # Determinism contract
 //!
@@ -31,8 +34,9 @@
 //! pure function of the request stream and configuration. Requests shard
 //! by session id (never thread count), shards are processed serially
 //! inside `par` workers, counters are commutative sums, and training
-//! seeds derive from model keys. The fleet summary is byte-identical
-//! under any `WIMI_THREADS`/`WIMI_CHUNK` setting, and CI diffs it.
+//! seeds derive from model keys. The fleet summary and the telemetry
+//! timeline are byte-identical under any `WIMI_THREADS`/`WIMI_CHUNK`
+//! setting, and CI diffs both.
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -51,15 +55,16 @@
 pub mod cache;
 pub mod engine;
 pub mod fleet;
+pub mod metrics;
 pub mod queue;
 pub mod retry;
 pub mod session;
 pub mod summary;
 
 pub use cache::{ModelCache, ModelKey};
-pub use engine::{Engine, ServeConfig, ServeResponse, ShardTickStats};
-pub use fleet::{run_campaign_fleet, run_fleet, FleetConfig, FleetReport, SessionStat};
-pub use queue::{BoundedQueues, ShardTick};
+pub use engine::{Engine, ServeConfig, ServeResponse};
+pub use fleet::{run_campaign_fleet, run_fleet, FleetConfig, FleetReport};
+pub use queue::BoundedQueues;
 pub use retry::{attempt_capture_seed, measure_with_retry, MeasureOutcome, RetryPolicy, Trial};
 pub use session::{MeasureRequest, Session, SessionSpec};
 pub use summary::{parse_summary, summary_json, SUMMARY_SCHEMA};

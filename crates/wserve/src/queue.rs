@@ -9,21 +9,8 @@
 
 use std::collections::VecDeque;
 
+use crate::metrics::ShardSample;
 use crate::session::MeasureRequest;
-
-/// One shard's queue activity since the last [`BoundedQueues::take_tick`]:
-/// the per-tick deltas the telemetry timeline samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTick {
-    /// Requests accepted onto this shard this tick.
-    pub submitted: u64,
-    /// Requests shed at this shard's bound this tick.
-    pub shed: u64,
-    /// Highest depth this shard reached this tick.
-    pub peak: u64,
-    /// Depth when the last drain began (gauge).
-    pub depth: u64,
-}
 
 /// Fixed set of bounded FIFO queues, one per shard.
 #[derive(Debug)]
@@ -32,7 +19,7 @@ pub struct BoundedQueues {
     shards: Vec<VecDeque<MeasureRequest>>,
     peak: usize,
     shard_peaks: Vec<usize>,
-    tick: Vec<ShardTick>,
+    tick: Vec<ShardSample>,
     shed: u64,
 }
 
@@ -47,7 +34,7 @@ impl BoundedQueues {
             shards: (0..shards).map(|_| VecDeque::new()).collect(),
             peak: 0,
             shard_peaks: vec![0; shards],
-            tick: vec![ShardTick::default(); shards],
+            tick: vec![ShardSample::default(); shards],
             shed: 0,
         }
     }
@@ -81,7 +68,7 @@ impl BoundedQueues {
 
     /// Takes every queued request, emptying the queues: one FIFO `Vec`
     /// per shard, shard order. Each shard's pre-drain depth is sampled
-    /// into its current [`ShardTick`].
+    /// into its current [`ShardSample`].
     pub fn take(&mut self) -> Vec<Vec<MeasureRequest>> {
         self.shards
             .iter_mut()
@@ -93,12 +80,19 @@ impl BoundedQueues {
             .collect()
     }
 
-    /// Hands over (and resets) the per-shard deltas accumulated since
+    /// Counts one response `shard` produced into its current
+    /// [`ShardSample`].
+    pub fn complete(&mut self, shard: usize) {
+        let shard = shard % self.shards.len();
+        self.tick[shard].completed += 1;
+    }
+
+    /// Hands over (and resets) the per-shard samples accumulated since
     /// the previous call, shard order.
-    pub fn take_tick(&mut self) -> Vec<ShardTick> {
+    pub fn take_tick(&mut self) -> Vec<ShardSample> {
         std::mem::replace(
             &mut self.tick,
-            vec![ShardTick::default(); self.shards.len()],
+            vec![ShardSample::default(); self.shards.len()],
         )
     }
 
@@ -202,13 +196,18 @@ mod tests {
         }
         q.push(1, req(1, 0));
         let _ = q.take();
+        q.complete(0);
+        q.complete(0);
+        q.complete(1);
         let tick = q.take_tick();
         assert_eq!(tick[0].submitted, 2);
+        assert_eq!(tick[0].completed, 2);
         assert_eq!(tick[0].shed, 1);
         assert_eq!(tick[0].peak, 2);
         assert_eq!(tick[0].depth, 2);
         assert_eq!(tick[1].submitted, 1);
         assert_eq!(tick[1].shed, 0);
+        assert_eq!(tick[1].completed, 1);
         // The next tick starts from zero; cumulative counters persist.
         q.push(0, req(0, 3));
         let _ = q.take();
@@ -216,6 +215,7 @@ mod tests {
         assert_eq!(tick[0].submitted, 1);
         assert_eq!(tick[0].shed, 0);
         assert_eq!(tick[0].peak, 1);
+        assert_eq!(tick[0].completed, 0);
         assert_eq!(q.shed(), 1);
         assert_eq!(q.shard_peaks(), &[2, 1]);
     }

@@ -6,12 +6,13 @@
 //! shapes. [`parse_summary`] is the one fail-closed reader: it parses the
 //! text back, checks the schema tag plus the accounting invariants
 //! (`responses = ok + failed`, `requests = responses + shed`) and returns
-//! the per-session rows the fleet report joins.
+//! the per-session rows the fleet report joins. Environment and material
+//! names go through [`json::escape`], so any name round-trips.
 
-use wimi_metrics::SessionRow;
 use wimi_obs::json::{self, Json};
 
 use crate::fleet::FleetReport;
+use crate::metrics::SessionRow;
 
 /// Schema tag stamped into every fleet summary.
 pub const SUMMARY_SCHEMA: &str = "wimi-serve/1";
@@ -69,8 +70,8 @@ pub fn summary_json(report: &FleetReport) -> String {
              \"correct\": {}, \"rejected\": {}, \"salvaged\": {}, \"packets_spent\": {}}}{comma}",
             s.id,
             s.truth,
-            s.environment,
-            s.material,
+            json::escape(&s.environment),
+            json::escape(&s.material),
             s.ok,
             s.failed,
             s.shed,
@@ -100,13 +101,14 @@ const ROW_KEYS: [&str; 11] = [
 ];
 
 /// Parses and validates a `wimi-serve/1` summary, returning its session
-/// rows: well-formed JSON, the right schema tag, exact key order, a
-/// session record per reported session, and conserved accounting —
-/// fleet-wide (`responses = ok + failed`, `requests = responses + shed`)
-/// and per session (every session's `ok + failed + shed` must equal the
-/// fleet's `measurements`: every request a session was owed is accounted
-/// for as served or shed, so a fold that misattributes responses cannot
-/// pass). Fail-closed: anything unexpected is an error, not a skip.
+/// rows with every field: well-formed JSON, the right schema tag, exact
+/// key order, a session record per reported session, and conserved
+/// accounting — fleet-wide (`responses = ok + failed`, `requests =
+/// responses + shed`) and per session (every session's `ok + failed +
+/// shed` must equal the fleet's `measurements`: every request a session
+/// was owed is accounted for as served or shed, so a fold that
+/// misattributes responses cannot pass). Fail-closed: anything
+/// unexpected is an error, not a skip.
 pub fn parse_summary(text: &str) -> Result<Vec<SessionRow>, String> {
     let root = json::parse(text)?;
     match root.get("schema").and_then(Json::as_str) {
@@ -174,17 +176,17 @@ pub fn parse_summary(text: &str) -> Result<Vec<SessionRow>, String> {
         let text = |key| record.str_field(key, &what).map(str::to_owned);
         let row = SessionRow {
             id: int("id")?,
+            truth: int("truth")?,
             environment: text("environment")?,
             material: text("material")?,
             ok: int("ok")?,
             failed: int("failed")?,
             shed: int("shed")?,
             correct: int("correct")?,
+            rejected: int("rejected")?,
+            salvaged: int("salvaged")?,
             packets_spent: int("packets_spent")?,
         };
-        for key in ["truth", "rejected", "salvaged"] {
-            int(key)?;
-        }
         if row.correct > row.ok {
             return Err(format!(
                 "session {}: correct {} > ok {}",
@@ -218,10 +220,13 @@ mod tests {
 
     #[test]
     fn summary_round_trips_through_the_validator() {
-        let summary = summary_json(&tiny_report());
+        let mut report = tiny_report();
+        // Names are escaped, so even hostile ones read back.
+        report.per_session[1].material = "Sea \"salt\" \\ water".to_owned();
+        report.per_session[2].environment = "tab\there\nline".to_owned();
+        let summary = summary_json(&report);
         let rows = parse_summary(&summary).unwrap_or_else(|e| panic!("summary must validate: {e}"));
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| !r.environment.is_empty()));
+        assert_eq!(rows, report.per_session, "every row field round-trips");
     }
 
     #[test]

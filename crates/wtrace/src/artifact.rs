@@ -88,22 +88,6 @@ pub struct Artifact {
     pub obs: Json,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn write_ctx(out: &mut String, ctx: &Ctx) {
     if let Some(p) = ctx.packet {
         let _ = write!(out, ",\"packet\":{p}");
@@ -137,7 +121,11 @@ fn write_event(out: &mut String, task: &str, seq: u64, ev: &TraceEvent) {
             write_ctx(out, ctx);
         }
         TraceEvent::Salvage { action, count } => {
-            let _ = write!(out, ",\"action\":\"{}\",\"count\":{count}", esc(action));
+            let _ = write!(
+                out,
+                ",\"action\":\"{}\",\"count\":{count}",
+                json::escape(action)
+            );
         }
         TraceEvent::Attempt { attempt, max } => {
             let _ = write!(out, ",\"attempt\":{attempt},\"max\":{max}");
@@ -210,7 +198,7 @@ pub fn render_cell(log: &TraceLog, obs_json: Option<&str>, tag: Option<&Campaign
         let _ = write!(
             out,
             ",\"campaign\":\"{}\",\"cell\":{},\"cell_seed\":{}",
-            esc(&tag.campaign),
+            json::escape(&tag.campaign),
             tag.cell,
             tag.cell_seed
         );

@@ -50,7 +50,7 @@ impl TaskKey {
     /// The parser is strict — ids must be bare decimal digits (no sign,
     /// no leading `+`), svm class halves must fit 32 bits, and unknown
     /// group labels (`g<n>:<id>`) return `None` — so readers that
-    /// cross-link artifacts through labels (the `wimi-metrics` timeline's
+    /// cross-link artifacts through labels (the `wimi-metrics/1` timeline's
     /// exhausted-session lists) fail closed on anything `Display` could
     /// not have written.
     pub fn from_label(label: &str) -> Option<TaskKey> {

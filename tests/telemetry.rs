@@ -12,7 +12,7 @@
 //!   per-environment × per-material rows.
 
 use std::sync::Mutex;
-use wimi::metrics::{parse_and_validate, parse_policy, render, render_report, slo, SessionRow};
+use wimi::metrics::{parse_and_validate, parse_policy, render, render_report, slo};
 use wimi::serve::{run_campaign_fleet, run_fleet, FleetConfig, FleetReport, ServeConfig};
 
 /// Serialises tests that twiddle the process-global fan-out overrides.
@@ -126,22 +126,22 @@ fn slo_breaches_name_the_first_breaching_tick() {
         ..tiny_fleet()
     };
     let report = run_fleet(&cfg);
-    let rows: Vec<SessionRow> = report.per_session.iter().map(|s| s.metrics_row()).collect();
+    let rows = &report.per_session;
 
     let policy = parse_policy("max_shed_fraction 0.1\nmax_queue_peak 64\n").expect("policy");
-    let breaches = slo::evaluate(&policy, &report.timeline, &rows);
+    let breaches = slo::evaluate(&policy, &report.timeline, rows);
     assert_eq!(breaches.len(), 1, "{breaches:?}");
     assert_eq!(breaches[0].rule, "max_shed_fraction");
     assert_eq!(breaches[0].tick, Some(0), "first breaching tick");
 
     // A policy the run satisfies reports no breaches at all.
     let policy = parse_policy("max_shed_fraction 1.0\nmax_queue_peak 64\n").expect("policy");
-    assert!(slo::evaluate(&policy, &report.timeline, &rows).is_empty());
+    assert!(slo::evaluate(&policy, &report.timeline, rows).is_empty());
 
     // An accuracy floor for an environment the fleet never ran is a
     // breach, not a silent pass: the gate fails closed.
     let policy = parse_policy("min_accuracy Cellar 0.5\n").expect("policy");
-    let breaches = slo::evaluate(&policy, &report.timeline, &rows);
+    let breaches = slo::evaluate(&policy, &report.timeline, rows);
     assert_eq!(breaches.len(), 1);
     assert_eq!(breaches[0].rule, "min_accuracy");
 }
@@ -149,13 +149,13 @@ fn slo_breaches_name_the_first_breaching_tick() {
 #[test]
 fn fleet_report_joins_sessions_and_timeline() {
     let report = run_fleet(&tiny_fleet());
-    let rows: Vec<SessionRow> = report.per_session.iter().map(|s| s.metrics_row()).collect();
-    let rendered = render_report(&rows, Some(&report.timeline));
+    let rows = &report.per_session;
+    let rendered = render_report(rows, Some(&report.timeline));
     assert!(rendered.contains("environment/material"), "{rendered}");
     assert!(rendered.contains("Lab/"), "{rendered}");
     assert!(rendered.contains("Hall/"), "{rendered}");
     assert!(rendered.contains("total"), "{rendered}");
     assert!(rendered.contains("queue_peak"), "timeline join: {rendered}");
     // Synthesis is a pure function of its inputs.
-    assert_eq!(rendered, render_report(&rows, Some(&report.timeline)));
+    assert_eq!(rendered, render_report(rows, Some(&report.timeline)));
 }
