@@ -25,7 +25,7 @@ use wimi_ml::scale::StandardScaler;
 use wimi_ml::svm::SvmParams;
 use wimi_obs::{CounterId, IssueId, Recorder, StageId};
 use wimi_phy::csi::CsiCapture;
-use wimi_trace::{Ctx, TraceEvent, TraceSink};
+use wimi_trace::{Ctx, SalvageAction, TraceEvent, TraceSink};
 
 /// An antenna whose rows are all-zero in more than this fraction of a
 /// capture's finite packets is treated as dead and dropped for the whole
@@ -726,13 +726,13 @@ fn trace_measurement(trace: &Arc<TraceSink>, m: &Measurement) {
     });
     if dropped > 0 {
         trace.emit(TraceEvent::Salvage {
-            action: "drop_bad_packets",
+            action: SalvageAction::DropBadPackets,
             count: dropped,
         });
     }
     if !q.antennas_dropped.is_empty() {
         trace.emit(TraceEvent::Salvage {
-            action: "drop_dead_antenna",
+            action: SalvageAction::DropDeadAntenna,
             count: q.antennas_dropped.len() as u64,
         });
     }

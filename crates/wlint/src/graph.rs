@@ -276,22 +276,28 @@ impl<'a> Resolver<'a> {
             .unwrap_or_default()
     }
 
-    /// `.m(..)` with an unknown receiver: every method named `m` in the
-    /// caller's crate or its transitive dependency closure.
+    /// `.m(..)` with an unknown receiver: every method named `m` the
+    /// caller can see, in the caller's crate or its transitive dependency
+    /// closure. A private inherent method is visible only inside its own
+    /// module, so a dependency's private helper never captures a call
+    /// that merely shares its name.
     fn resolve_method(&self, caller: usize, name: &str) -> Vec<usize> {
         let f = &self.ix.fns[caller];
         let hits = match self.methods_by_name.get(name) {
             Some(h) => h,
             None => return Vec::new(),
         };
-        match self.deps.closure(&f.crate_dir) {
-            Some(allowed) => hits
-                .iter()
-                .copied()
-                .filter(|&i| allowed.contains(&self.ix.fns[i].crate_dir))
-                .collect(),
-            None => hits.clone(),
-        }
+        let allowed = self.deps.closure(&f.crate_dir);
+        hits.iter()
+            .copied()
+            .filter(|&i| {
+                let m = &self.ix.fns[i];
+                let visible = m.is_pub
+                    || m.in_trait
+                    || (m.crate_dir == f.crate_dir && f.module_path.starts_with(&m.module_path));
+                visible && allowed.as_ref().is_none_or(|a| a.contains(&m.crate_dir))
+            })
+            .collect()
     }
 }
 

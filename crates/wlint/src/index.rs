@@ -80,6 +80,9 @@ pub struct FnDef {
     pub item_line: u32,
     /// `pub` (including `pub(crate)` etc.) visibility.
     pub is_pub: bool,
+    /// Declared in a `trait` or an `impl Trait for Type` block: callable
+    /// wherever the trait is, with no `pub` of its own.
+    pub in_trait: bool,
     /// Bound to a `// wlint: hot` marker.
     pub is_hot: bool,
     /// Bound to a `// wlint: artifact` marker.
@@ -302,6 +305,7 @@ fn index_file(rel_path: &str, lexed: &LexOutput, out: &mut WorkspaceIndex) {
         meta: &mut meta,
         fns: &mut out.fns,
         item_starts: &mut item_starts,
+        in_trait: false,
     };
     let file_mod = walker.meta.module_path.clone();
     walker.items(0, tokens.len(), &file_mod, None);
@@ -354,6 +358,8 @@ struct Walker<'a> {
     meta: &'a mut FileMeta,
     fns: &'a mut Vec<FnDef>,
     item_starts: &'a mut Vec<(u32, String, Option<usize>)>,
+    /// Walking the items of a `trait` or `impl Trait for` block.
+    in_trait: bool,
 }
 
 impl Walker<'_> {
@@ -525,7 +531,9 @@ impl Walker<'_> {
                     after_for.or(last_path_ident)
                 };
                 let close = self.match_braces_from(j);
+                let outer = std::mem::replace(&mut self.in_trait, kw == "trait" || saw_for);
                 self.items(j + 1, close, module_path, ty.as_deref());
+                self.in_trait = outer;
                 close + 1
             }
             "struct" | "enum" | "union" | "type" | "const" | "static" => {
@@ -619,6 +627,7 @@ impl Walker<'_> {
             decl_line,
             item_line,
             is_pub,
+            in_trait: self.in_trait,
             is_hot: false,
             is_artifact: false,
             in_test: (self.in_test)(decl_line),

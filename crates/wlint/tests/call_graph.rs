@@ -137,3 +137,32 @@ fn trait_dispatch_over_approximates_and_cycles_terminate() {
     );
     assert!(via_cycle.message.contains(".to_vec()"));
 }
+
+#[test]
+fn receiver_calls_never_reach_a_dependencys_private_method() {
+    let report = lint("collide");
+    let hpa: Vec<&str> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == Rule::HotPathAlloc)
+        .map(|v| v.message.as_str())
+        .collect();
+    // `.value()` names the caller's own accessor; the dependency's
+    // private `Parser::value` shares the name but is not callable here.
+    assert!(
+        hpa.iter().all(|m| !m.contains("Parser::value")),
+        "name-collision edge: {hpa:#?}"
+    );
+    // Public and trait methods stay over-approximated by name.
+    assert_eq!(hpa.len(), 2, "violations: {:#?}", report.violations);
+    assert!(
+        hpa.iter()
+            .any(|m| m.contains("hot `hot_entry` → `Shared::grow_shared`")),
+        "{hpa:#?}"
+    );
+    assert!(
+        hpa.iter()
+            .any(|m| m.contains("hot `hot_entry` → `Shared::fill`")),
+        "{hpa:#?}"
+    );
+}

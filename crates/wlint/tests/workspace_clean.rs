@@ -117,6 +117,8 @@ fn clippy_lint_levels_are_wired_to_the_right_crate_roots() {
         "std::time::Instant::now",
         "std::time::SystemTime::now",
         "std::thread::spawn",
+        "std::thread::current",
+        "std::env::var",
     ] {
         assert!(
             config.contains(&format!("path = \"{path}\"")),

@@ -38,13 +38,29 @@
 //! balancing. Chunking only changes how indices are handed out — outputs
 //! are identical for any chunk size.
 //!
+//! # Nesting
+//!
+//! A map reached from inside a worker of another map runs serially on
+//! that worker's thread. The outer map already keeps every worker busy,
+//! so nested spawning only adds threads that compete for the same cores:
+//! `WiMi::measure` fans out over antenna pairs and is itself called from
+//! the harness's, the campaign runner's and the serving engine's workers.
+//! The outputs are the same either way; only the thread count changes.
+//!
 //! # Panics
 //!
 //! A panic inside a worker is forwarded to the caller (the scope joins all
 //! workers first), so `map` behaves like the equivalent serial loop.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Set on the threads [`map_chunked`] spawns, so a map nested inside
+    /// one of its jobs runs serially instead of spawning again.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Parses one fan-out environment value. `None` — unset, empty, or
 /// unparseable — means "use the documented default"; a parsed `0` clamps
@@ -68,10 +84,18 @@ static CHUNK_ENV: OnceLock<Option<usize>> = OnceLock::new();
 static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "WIMI_THREADS selects the fan-out shape only; outputs are thread-count invariant"
+)]
 fn threads_env() -> Option<usize> {
     *THREADS_ENV.get_or_init(|| parse_fanout_env(std::env::var("WIMI_THREADS").ok().as_deref()))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "WIMI_CHUNK selects the fan-out shape only; outputs are chunk-size invariant"
+)]
 fn chunk_env() -> Option<usize> {
     *CHUNK_ENV.get_or_init(|| parse_fanout_env(std::env::var("WIMI_CHUNK").ok().as_deref()))
 }
@@ -139,7 +163,9 @@ where
 
 /// The deterministic core of [`map`], with explicit worker count and chunk
 /// size ([`map`] fills both in from the environment). Outputs are
-/// identical for every `(workers, chunk)` combination.
+/// identical for every `(workers, chunk)` combination. Called from inside
+/// another map's worker it runs serially on that thread (see the module's
+/// "Nesting" section).
 pub fn map_chunked<T, R, F>(items: &[T], workers: usize, chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -148,7 +174,7 @@ where
 {
     let n = items.len();
     let workers = workers.min(n);
-    if workers <= 1 {
+    if workers <= 1 || IN_WORKER.with(Cell::get) {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = chunk.max(1);
@@ -159,6 +185,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
                     let mut out = Vec::new();
                     loop {
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -343,6 +370,36 @@ mod tests {
         assert_eq!(parse_fanout_env(Some("\t2\n")), Some(2));
         // `0` still clamps to 1 rather than disabling the pool.
         assert_eq!(parse_fanout_env(Some("0")), Some(1));
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test checks which thread ran each item; no result depends on it"
+    )]
+    fn nested_map_runs_serially_on_its_worker() {
+        // Every inner map reached from an outer worker must stay on that
+        // worker's thread and still return the serial output.
+        let outer: Vec<usize> = (0..8).collect();
+        let inner: Vec<usize> = (0..16).collect();
+        let results = map_chunked(&outer, 4, 1, |_, &o| {
+            let me = std::thread::current().id();
+            let out = map_chunked(&inner, 4, 1, |_, &x| (std::thread::current().id(), x * o));
+            let spawned = out.iter().filter(|(id, _)| *id != me).count();
+            (spawned, out.into_iter().map(|(_, v)| v).collect::<Vec<_>>())
+        });
+        for (o, (spawned, out)) in results.into_iter().enumerate() {
+            assert_eq!(spawned, 0, "outer item {o}: the inner map spawned threads");
+            assert_eq!(out, inner.iter().map(|x| x * o).collect::<Vec<_>>());
+        }
+        // The flag lives on the spawned workers only: the caller's own
+        // thread keeps fanning out.
+        let here = std::thread::current().id();
+        let ids = map_chunked(&inner, 4, 1, |_, _| std::thread::current().id());
+        assert!(
+            ids.iter().any(|id| *id != here),
+            "a top-level map must spawn"
+        );
     }
 
     #[test]

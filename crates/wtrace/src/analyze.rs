@@ -5,7 +5,8 @@ use std::fmt::Write as _;
 
 use wimi_obs::json::Json;
 
-use crate::artifact::parse_and_validate;
+use crate::artifact::{parse_and_validate, EventLine};
+use crate::event::{TaskKey, TraceEvent};
 
 /// Renders a deterministic human-readable summary of an artifact:
 /// header totals, event-type mix, per-stage span balance, issue tallies,
@@ -23,9 +24,10 @@ pub fn summary(text: &str) -> Result<String, String> {
 
     let mut by_ev: Vec<(&str, u64)> = Vec::new();
     for line in &artifact.events {
-        match by_ev.iter_mut().find(|(name, _)| *name == line.ev) {
+        let name = line.event.name();
+        match by_ev.iter_mut().find(|(n, _)| *n == name) {
             Some((_, n)) => *n += 1,
-            None => by_ev.push((&line.ev, 1)),
+            None => by_ev.push((name, 1)),
         }
     }
     by_ev.sort();
@@ -36,13 +38,10 @@ pub fn summary(text: &str) -> Result<String, String> {
 
     let mut issues: Vec<(&str, u64)> = Vec::new();
     for line in &artifact.events {
-        if line.ev == "issue" {
-            if let Some(name) = line.value.get("issue").and_then(Json::as_str) {
-                let count = line.value.get("count").and_then(Json::as_u64).unwrap_or(0);
-                match issues.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, total)) => *total += count,
-                    None => issues.push((name, count)),
-                }
+        if let TraceEvent::Issue { issue, count, .. } = line.event {
+            match issues.iter_mut().find(|(n, _)| *n == issue.name()) {
+                Some((_, total)) => *total += count,
+                None => issues.push((issue.name(), count)),
             }
         }
     }
@@ -59,62 +58,46 @@ pub fn summary(text: &str) -> Result<String, String> {
         // A task counts as failing when its *last* outcome event is a
         // failure — a rejected attempt that a later retry recovered from
         // (failed … feature) is not a failing task.
-        let mut outcomes: Vec<(&str, bool)> = Vec::new();
+        let mut outcomes: Vec<(TaskKey, bool)> = Vec::new();
         for line in &artifact.events {
-            let failing = match line.ev.as_str() {
-                "failed" | "retries_exhausted" => true,
-                "feature" => false,
+            let failing = match line.event {
+                TraceEvent::Failed { .. } | TraceEvent::RetriesExhausted { .. } => true,
+                TraceEvent::Feature { .. } => false,
                 _ => continue,
             };
             match outcomes.iter_mut().find(|(t, _)| *t == line.task) {
                 Some((_, f)) => *f = failing,
-                None => outcomes.push((line.task.as_str(), failing)),
+                None => outcomes.push((line.task, failing)),
             }
         }
-        let failing: Vec<&str> = outcomes
-            .iter()
-            .filter(|(_, f)| *f)
-            .map(|(t, _)| *t)
-            .collect();
-        for task in dedup_in_order(&failing) {
-            let tail: Vec<&crate::artifact::EventLine> =
-                artifact.events.iter().filter(|l| l.task == task).collect();
+        for &(task, _) in outcomes.iter().filter(|(_, f)| *f) {
+            let tail: Vec<&EventLine> = artifact.events.iter().filter(|l| l.task == task).collect();
             let start = tail.len().saturating_sub(5);
             let _ = writeln!(out, "  {task}:");
             for line in &tail[start..] {
-                let _ = writeln!(out, "    seq {:>4}  {}", line.seq, describe(line));
+                let _ = writeln!(out, "    seq {:>4}  {}", line.seq, describe(&line.event));
             }
         }
     }
     Ok(out)
 }
 
-fn dedup_in_order<'a>(items: &[&'a str]) -> Vec<&'a str> {
-    let mut seen: Vec<&str> = Vec::new();
-    for &it in items {
-        if !seen.contains(&it) {
-            seen.push(it);
+fn describe(event: &TraceEvent) -> String {
+    match *event {
+        TraceEvent::Enter { stage } => format!("enter {}", stage.name()),
+        TraceEvent::Exit { stage } => format!("exit {}", stage.name()),
+        TraceEvent::Count { counter, delta } => format!("count {} +{delta}", counter.name()),
+        TraceEvent::Issue { issue, count, .. } => format!("issue {} x{count}", issue.name()),
+        TraceEvent::Salvage { action, count } => format!("salvage {} x{count}", action.name()),
+        TraceEvent::Attempt { attempt, max } => format!("attempt {attempt}/{max}"),
+        TraceEvent::RetriesExhausted { attempts } => format!("retries exhausted after {attempts}"),
+        TraceEvent::Feature { pairs, .. } => format!("feature from {pairs} pairs"),
+        TraceEvent::Failed { stage, issue } => {
+            format!("FAILED at {} ({})", stage.name(), issue.name())
         }
-    }
-    seen
-}
-
-fn describe(line: &crate::artifact::EventLine) -> String {
-    let v = &line.value;
-    let s = |key: &str| v.get(key).and_then(Json::as_str).unwrap_or("?");
-    let n = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-    match line.ev.as_str() {
-        "enter" => format!("enter {}", s("stage")),
-        "exit" => format!("exit {}", s("stage")),
-        "count" => format!("count {} +{}", s("counter"), n("delta")),
-        "issue" => format!("issue {} x{}", s("issue"), n("count")),
-        "salvage" => format!("salvage {} x{}", s("action"), n("count")),
-        "attempt" => format!("attempt {}/{}", n("attempt"), n("max")),
-        "retries_exhausted" => format!("retries exhausted after {}", n("attempts")),
-        "feature" => format!("feature from {} pairs", n("pairs")),
-        "failed" => format!("FAILED at {} ({})", s("stage"), s("issue")),
-        "svm_machine" => format!("svm machine {}x{}", n("class_a"), n("class_b")),
-        other => other.to_string(),
+        TraceEvent::SvmMachine {
+            class_a, class_b, ..
+        } => format!("svm machine {class_a}x{class_b}"),
     }
 }
 
@@ -207,7 +190,7 @@ pub fn budget_table(rows: &[BudgetRow]) -> String {
 mod tests {
     use super::*;
     use crate::artifact::render;
-    use crate::event::{Ctx, TaskKey, TraceEvent};
+    use crate::event::Ctx;
     use crate::sink::{task_scope, TraceSink};
     use wimi_obs::{CounterId, IssueId, Recorder, StageId};
 

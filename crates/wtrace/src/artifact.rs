@@ -14,13 +14,14 @@
 //! deterministic [`TraceLog`] renders to byte-identical text — `diff`
 //! between `WIMI_THREADS` settings is a plain string comparison.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use wimi_obs::json::{self, Json};
 use wimi_obs::{CounterId, IssueId, StageId};
 
-use crate::event::{Ctx, TraceEvent};
-use crate::sink::TraceLog;
+use crate::event::{Ctx, SalvageAction, TaskKey, TraceEvent};
+use crate::sink::{TaskStream, TraceLog};
 
 /// Schema identifier stamped into every artifact header.
 pub const SCHEMA: &str = "wimi-trace/1";
@@ -40,19 +41,15 @@ pub struct Header {
     pub tasks_truncated: u64,
 }
 
-/// One parsed event line.
+/// One event line, read back into the sink's own typed form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLine {
-    /// 1-based line number in the artifact.
-    pub line_no: usize,
-    /// Task label (e.g. `"meas:1042"`).
-    pub task: String,
+    /// The task the event belongs to.
+    pub task: TaskKey,
     /// Per-task logical clock value.
     pub seq: u64,
-    /// Event type name.
-    pub ev: String,
-    /// The full parsed object, for detail fields.
-    pub value: Json,
+    /// The event.
+    pub event: TraceEvent,
 }
 
 /// Campaign provenance stamped into a per-cell artifact header by the
@@ -88,6 +85,31 @@ pub struct Artifact {
     pub obs: Json,
 }
 
+impl Artifact {
+    /// The event lines regrouped into the flushed log they were rendered
+    /// from: `render_cell(&a.to_log(), obs, a.campaign.as_ref())` gives
+    /// back the artifact's text, given the obs line's payload.
+    pub fn to_log(&self) -> TraceLog {
+        let mut tasks: Vec<TaskStream> = Vec::new();
+        for line in &self.events {
+            match tasks.last_mut() {
+                Some(stream) if stream.key == line.task => stream.events.push(line.event.clone()),
+                _ => tasks.push(TaskStream {
+                    key: line.task,
+                    first_seq: line.seq,
+                    events: vec![line.event.clone()],
+                }),
+            }
+        }
+        TraceLog {
+            tasks,
+            events_emitted: self.header.events_emitted,
+            failures: self.header.failures,
+            tasks_truncated: self.header.tasks_truncated,
+        }
+    }
+}
+
 fn write_ctx(out: &mut String, ctx: &Ctx) {
     if let Some(p) = ctx.packet {
         let _ = write!(out, ",\"packet\":{p}");
@@ -121,11 +143,7 @@ fn write_event(out: &mut String, task: &str, seq: u64, ev: &TraceEvent) {
             write_ctx(out, ctx);
         }
         TraceEvent::Salvage { action, count } => {
-            let _ = write!(
-                out,
-                ",\"action\":\"{}\",\"count\":{count}",
-                json::escape(action)
-            );
+            let _ = write!(out, ",\"action\":\"{}\",\"count\":{count}", action.name());
         }
         TraceEvent::Attempt { attempt, max } => {
             let _ = write!(out, ",\"attempt\":{attempt},\"max\":{max}");
@@ -273,50 +291,190 @@ fn event_keys(ev: &str) -> Option<&'static [&'static str]> {
     })
 }
 
-/// Whether `v` is the name of one of `all`.
-fn named<T: Copy>(v: &Json, all: &[T], name: fn(T) -> &'static str) -> bool {
-    v.as_str()
-        .is_some_and(|s| all.iter().any(|&x| name(x) == s))
+/// `key` of `v` as one of the names `all` carries, or the error naming
+/// what it must be.
+fn named_field<T: Copy>(
+    v: &Json,
+    key: &str,
+    all: &[T],
+    name: fn(T) -> &'static str,
+    want: &str,
+    what: Line,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .and_then(|s| all.iter().copied().find(|&x| name(x) == s))
+        .ok_or_else(|| format!("{what}: \"{key}\" must be {want}"))
 }
 
-/// What an event field's value must be, when `v` is not that.
-fn field_error(key: &str, v: &Json) -> Option<&'static str> {
-    let (ok, want) = match key {
-        "task" | "ev" | "action" => (v.as_str().is_some(), "a string"),
-        "stage" => (named(v, &StageId::ALL, StageId::name), "a stage name"),
-        "counter" => (named(v, &CounterId::ALL, CounterId::name), "a counter name"),
-        "issue" => (named(v, &IssueId::ALL, IssueId::name), "an issue name"),
-        "gamma_min" | "gamma_max" => (matches!(v, Json::Num { .. }), "a number"),
-        "dispersion" => (
-            matches!(v, Json::Num { .. } | Json::Null),
-            "a number or null",
-        ),
-        _ => (v.as_u64().is_some(), "a non-negative integer"),
-    };
-    (!ok).then_some(want)
+/// `key` of `v` as a non-negative integer that fits 32 bits.
+fn u32_field(v: &Json, key: &str, what: Line) -> Result<u32, String> {
+    let n = v.u64_field(key, what)?;
+    u32::try_from(n).map_err(|_| format!("{what}: \"{key}\" must fit in 32 bits"))
 }
 
-fn check_event_fields(line: &EventLine) -> Result<(), String> {
-    let what = Line(line.line_no);
-    let Some(keys) = event_keys(&line.ev) else {
+/// `key` of `v` as a 32-bit signed integer.
+fn i32_field(v: &Json, key: &str, what: Line) -> Result<i32, String> {
+    match v.get(key) {
+        Some(&Json::Num { value, .. })
+            if value.fract() == 0.0
+                && (f64::from(i32::MIN)..=f64::from(i32::MAX)).contains(&value) =>
+        {
+            Ok(value as i32)
+        }
+        _ => Err(format!("{what}: \"{key}\" must be a 32-bit integer")),
+    }
+}
+
+/// An optional context field of an `issue` line, present or absent.
+fn ctx_field(v: &Json, key: &str, what: Line) -> Result<Option<u32>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(_) => u32_field(v, key, what).map(Some),
+    }
+}
+
+/// Checks one event line against its type's exact key list and reads it
+/// into the sink's typed form. Fields are read in key order, so the error
+/// names the first field that breaks the schema.
+fn decode(v: &Json, task: &str, ev: &str, what: Line) -> Result<(TaskKey, TraceEvent), String> {
+    let Some(keys) = event_keys(ev) else {
         return Err(format!(
-            "{what}: unknown event type \"{}\" (expected one of {:?})",
-            line.ev,
+            "{what}: unknown event type {ev:?} (expected one of {:?})",
             TraceEvent::NAMES
         ));
     };
-    let optional: &[&[&str]] = if line.ev == "issue" { &CTX_KEYS } else { &[] };
-    for (key, value) in line.value.expect_keys_opt(keys, optional, what)? {
-        if let Some(want) = field_error(key, value) {
-            return Err(format!("{what}: \"{key}\" must be {want}"));
+    let optional: &[&[&str]] = if ev == "issue" { &CTX_KEYS } else { &[] };
+    v.expect_keys_opt(keys, optional, what)?;
+    let task = TaskKey::from_label(task).ok_or_else(|| {
+        format!("{what}: \"task\" must be a task label (run, meas:N, svm:AxB or sess:N), found {task:?}")
+    })?;
+    let stage = |key: &str| named_field(v, key, &StageId::ALL, StageId::name, "a stage name", what);
+    let issue =
+        |key: &str| named_field(v, key, &IssueId::ALL, IssueId::name, "an issue name", what);
+    let u64_of = |key: &str| v.u64_field(key, what);
+    let u32_of = |key: &str| u32_field(v, key, what);
+    let event = match ev {
+        "enter" => TraceEvent::Enter {
+            stage: stage("stage")?,
+        },
+        "exit" => TraceEvent::Exit {
+            stage: stage("stage")?,
+        },
+        "count" => TraceEvent::Count {
+            counter: named_field(
+                v,
+                "counter",
+                &CounterId::ALL,
+                CounterId::name,
+                "a counter name",
+                what,
+            )?,
+            delta: u64_of("delta")?,
+        },
+        "issue" => TraceEvent::Issue {
+            issue: issue("issue")?,
+            count: u64_of("count")?,
+            ctx: Ctx {
+                packet: ctx_field(v, "packet", what)?,
+                subcarrier: ctx_field(v, "subcarrier", what)?,
+                antenna: ctx_field(v, "antenna", what)?,
+                pair: match ctx_field(v, "pair_a", what)? {
+                    Some(a) => Some((a, u32_of("pair_b")?)),
+                    None => None,
+                },
+            },
+        },
+        "salvage" => TraceEvent::Salvage {
+            action: named_field(
+                v,
+                "action",
+                &SalvageAction::ALL,
+                SalvageAction::name,
+                "a salvage action name",
+                what,
+            )?,
+            count: u64_of("count")?,
+        },
+        "attempt" => TraceEvent::Attempt {
+            attempt: u32_of("attempt")?,
+            max: u32_of("max")?,
+        },
+        "retries_exhausted" => TraceEvent::RetriesExhausted {
+            attempts: u32_of("attempts")?,
+        },
+        "feature" => TraceEvent::Feature {
+            pairs: u32_of("pairs")?,
+            gamma_min: i32_field(v, "gamma_min", what)?,
+            gamma_max: i32_field(v, "gamma_max", what)?,
+            dispersion: match v.get("dispersion") {
+                Some(&Json::Num { value, .. }) => value,
+                Some(Json::Null) => f64::NAN,
+                _ => return Err(format!("{what}: \"dispersion\" must be a number or null")),
+            },
+        },
+        "failed" => TraceEvent::Failed {
+            stage: stage("stage")?,
+            issue: issue("issue")?,
+        },
+        _ => TraceEvent::SvmMachine {
+            class_a: u32_of("class_a")?,
+            class_b: u32_of("class_b")?,
+            rounds: u64_of("rounds")?,
+        },
+    };
+    Ok((task, event))
+}
+
+/// Per-task logical-clock continuity: within a task's (contiguous) block
+/// `seq` advances by exactly 1, and a task must not reappear after its
+/// block.
+#[derive(Default)]
+struct Continuity {
+    closed: BTreeSet<TaskKey>,
+    current: Option<(TaskKey, u64)>,
+}
+
+impl Continuity {
+    fn advance(&mut self, task: TaskKey, seq: u64, line_no: usize) -> Result<(), String> {
+        match self.current {
+            Some((open, last)) if open == task => {
+                if last.checked_add(1) != Some(seq) {
+                    return Err(format!(
+                        "line {line_no}: task \"{task}\" seq jumps {last} -> {seq} (logical clock must advance by 1)"
+                    ));
+                }
+            }
+            other => {
+                if let Some((open, _)) = other {
+                    self.closed.insert(open);
+                }
+                if self.closed.contains(&task) {
+                    return Err(format!(
+                        "line {line_no}: task \"{task}\" reappears after its block ended"
+                    ));
+                }
+            }
         }
+        self.current = Some((task, seq));
+        Ok(())
     }
-    Ok(())
+
+    fn tasks(&self) -> usize {
+        self.closed.len() + usize::from(self.current.is_some())
+    }
 }
 
 /// Parses and fully validates a `wimi-trace/1` artifact: header schema
-/// and counts, per-line structure, known stage/counter/issue names,
-/// per-task logical-clock continuity, and the embedded snapshot.
+/// and counts, per-line structure, known stage/counter/issue/action
+/// names, per-task logical-clock continuity, and the embedded snapshot.
+///
+/// The reader holds one line's parsed JSON at a time: each event line is
+/// checked and kept only in its typed form ([`EventLine`]), so the
+/// retained heap is about the size of the text, not a JSON tree of it.
+/// Errors keep the precedence of a whole-artifact pass: a malformed line
+/// or a missing obs line anywhere is reported before the first field
+/// error, and the first field error before the first clock error.
 ///
 /// Truncated input and a mismatched schema version each produce a
 /// distinct one-line message, mirroring the `wimi-obs` validator.
@@ -352,7 +510,15 @@ pub fn parse_and_validate(text: &str) -> Result<Artifact, String> {
         }),
     };
 
-    let mut events: Vec<EventLine> = Vec::new();
+    // Sized once from the header, capped by the lines actually present so
+    // a lying header cannot reserve more than the text could fill.
+    let lines_left = text.bytes().filter(|&b| b == b'\n').count();
+    let mut events: Vec<EventLine> = Vec::with_capacity(
+        usize::try_from(header.events).map_or(lines_left, |n| n.min(lines_left)),
+    );
+    let mut clock = Continuity::default();
+    let mut field_err: Option<String> = None;
+    let mut clock_err: Option<String> = None;
     let mut obs: Option<Json> = None;
     for (idx, line) in lines {
         let line_no = idx + 1;
@@ -363,60 +529,36 @@ pub fn parse_and_validate(text: &str) -> Result<Artifact, String> {
         }
         let value = json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
         let what = Line(line_no);
-        if let Some(obs_val) = value.get("obs") {
+        if value.get("obs").is_some() {
             value.expect_keys(&["obs"], what)?;
-            obs = Some(obs_val.clone());
+            if let Json::Obj(entries) = value {
+                obs = entries.into_iter().next().map(|(_, v)| v);
+            }
             continue;
         }
-        let task = value.str_field("task", what)?.to_string();
+        let task = value.str_field("task", what)?;
         let seq = value.u64_field("seq", what)?;
-        let ev = value.str_field("ev", what)?.to_string();
-        events.push(EventLine {
-            line_no,
-            task,
-            seq,
-            ev,
-            value,
-        });
+        let ev = value.str_field("ev", what)?;
+        if field_err.is_some() {
+            continue;
+        }
+        match decode(&value, task, ev, what) {
+            Err(e) => field_err = Some(e),
+            Ok(_) if clock_err.is_some() => {}
+            Ok((task, event)) => match clock.advance(task, seq, line_no) {
+                Ok(()) => events.push(EventLine { task, seq, event }),
+                Err(e) => clock_err = Some(e),
+            },
+        }
     }
     let Some(obs) = obs else {
         return Err("truncated artifact: missing the final {\"obs\": ...} line".into());
     };
-
-    for line in &events {
-        check_event_fields(line)?;
+    if let Some(e) = field_err.or(clock_err) {
+        return Err(e);
     }
 
-    // Logical-clock continuity: within a task's (contiguous) block, seq
-    // advances by exactly 1; a task must not reappear after its block.
-    let mut closed: Vec<&str> = Vec::new();
-    let mut current: Option<(&str, u64)> = None;
-    for line in &events {
-        match current {
-            Some((task, last_seq)) if task == line.task => {
-                if line.seq != last_seq + 1 {
-                    return Err(format!(
-                        "line {}: task \"{}\" seq jumps {} -> {} (logical clock must advance by 1)",
-                        line.line_no, line.task, last_seq, line.seq
-                    ));
-                }
-                current = Some((task, line.seq));
-            }
-            other => {
-                if let Some((task, _)) = other {
-                    closed.push(task);
-                }
-                if closed.contains(&line.task.as_str()) {
-                    return Err(format!(
-                        "line {}: task \"{}\" reappears after its block ended",
-                        line.line_no, line.task
-                    ));
-                }
-                current = Some((&line.task, line.seq));
-            }
-        }
-    }
-    let task_count = closed.len() + usize::from(current.is_some());
+    let task_count = clock.tasks();
     if events.len() as u64 != header.events {
         return Err(format!(
             "header declares {} events but the artifact has {}",
@@ -474,7 +616,7 @@ mod tests {
                 ctx: Ctx::pair(0, 2),
             });
             sink.emit(TraceEvent::Salvage {
-                action: "drop_dead_antenna",
+                action: SalvageAction::DropDeadAntenna,
                 count: 1,
             });
             sink.emit(TraceEvent::Feature {

@@ -148,6 +148,33 @@ impl Ctx {
     }
 }
 
+/// A salvage action screening takes, named in `salvage` events. The
+/// reader knows every name, so an unknown action is rejected like an
+/// unknown stage or counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SalvageAction {
+    /// Packets that failed screening were dropped from the capture.
+    DropBadPackets,
+    /// A dead receive antenna was dropped from the pair set.
+    DropDeadAntenna,
+}
+
+impl SalvageAction {
+    /// Every action, canonical order.
+    pub const ALL: [SalvageAction; 2] = [
+        SalvageAction::DropBadPackets,
+        SalvageAction::DropDeadAntenna,
+    ];
+
+    /// Stable snake_case name (the `"action"` field).
+    pub fn name(self) -> &'static str {
+        match self {
+            SalvageAction::DropBadPackets => "drop_bad_packets",
+            SalvageAction::DropDeadAntenna => "drop_dead_antenna",
+        }
+    }
+}
+
 /// One flight-recorder event. Everything a `Recorder` aggregates plus
 /// the ordered, per-measurement detail the aggregates throw away.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,8 +207,8 @@ pub enum TraceEvent {
     },
     /// A salvage action was taken during screening.
     Salvage {
-        /// Stable action name (e.g. `"drop_dead_antenna"`).
-        action: &'static str,
+        /// Which action.
+        action: SalvageAction,
         /// How many items it affected.
         count: u64,
     },
@@ -308,7 +335,7 @@ mod tests {
                 ctx: Ctx::NONE,
             },
             TraceEvent::Salvage {
-                action: "x",
+                action: SalvageAction::DropBadPackets,
                 count: 1,
             },
             TraceEvent::Attempt { attempt: 1, max: 4 },

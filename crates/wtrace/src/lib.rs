@@ -22,9 +22,11 @@
 //! * the artifact orders events by `(task, seq)`, never by arrival.
 //!
 //! The thread-local current task is installed with [`task_scope`] at the
-//! top of each fan-out job. Nested fan-outs do *not* inherit it, so code
-//! inside an inner `par::map` must stay silent and let the caller emit
-//! per-item events after the join (in deterministic item order).
+//! top of each fan-out job. A `par::map` nested inside a job runs
+//! serially on the job's thread, so it stays inside the job's scope; a
+//! top-level `par::map`'s workers do *not* inherit it. Code that may run
+//! under either (an inner map of `WiMi::measure`) lets the caller emit
+//! per-item events after the join, in deterministic item order.
 //!
 //! ## Artifact
 //!
@@ -72,5 +74,5 @@ pub mod artifact;
 pub mod event;
 pub mod sink;
 
-pub use event::{Ctx, TaskKey, TraceEvent};
+pub use event::{Ctx, SalvageAction, TaskKey, TraceEvent};
 pub use sink::{task_scope, TaskScope, TraceLog, TraceSink, TraceSpan};
