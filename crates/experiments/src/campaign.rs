@@ -317,7 +317,6 @@ pub fn work_totals(outcome: &CampaignOutcome) -> Vec<(String, u64)> {
 /// identity, aggregated work totals, and one record per cell with its
 /// seed, scores and artifact name. Field order and formatting are fixed,
 /// so equal outcomes render byte-identically.
-// wlint: artifact
 pub fn summary_json(outcome: &CampaignOutcome) -> String {
     use std::fmt::Write as _;
     let c = &outcome.campaign;

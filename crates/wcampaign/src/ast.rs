@@ -249,7 +249,6 @@ impl Campaign {
     /// Renders the canonical campaign-file form: every directive and axis
     /// explicit (defaults included), fixed order, no comments. Parsing the
     /// result reproduces `self` exactly.
-    // wlint: artifact
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "campaign {}", self.name);

@@ -269,7 +269,8 @@ proptest! {
     }
 
     // Seed law: derived per-cell seeds are collision-free under any root
-    // and fit exactly into an f64-backed JSON number.
+    // and fit exactly into an f64. The readers no longer need that bound;
+    // it stays because changing it would re-seed every cell.
     #[test]
     fn derived_seeds_are_unique_and_f64_exact(root in 0u64..u64::MAX, n in 1u64..2048) {
         let mut seeds: Vec<u64> = (0..n).map(|i| derive_cell_seed(root, i)).collect();

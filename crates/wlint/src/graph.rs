@@ -474,9 +474,6 @@ pub fn graph_dump(ix: &WorkspaceIndex, graph: &CallGraph) -> String {
         if f.is_hot {
             tags.push("hot");
         }
-        if f.is_artifact {
-            tags.push("artifact");
-        }
         if f.is_pub {
             tags.push("pub");
         }

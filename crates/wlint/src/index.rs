@@ -13,8 +13,8 @@
 
 use crate::lexer::{lex, LexOutput, Pragma, Tok, Token};
 
-/// How many lines below a `// wlint: hot` / `// wlint: artifact` marker the
-/// marked `fn` item may start (attributes and visibility sit in between).
+/// How many lines below a `// wlint: hot` marker the marked `fn` item may
+/// start (attributes and visibility sit in between).
 pub const MARKER_WINDOW: u32 = 5;
 
 /// One rule-relevant location inside a function body.
@@ -24,19 +24,6 @@ pub struct Site {
     pub line: u32,
     /// Short description of what occurs there (`vec!`, `.unwrap()`, ...).
     pub what: String,
-}
-
-/// What kind of nondeterminism a taint site introduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaintKind {
-    /// `Instant::now()` / `SystemTime::now()` wall-clock read.
-    WallClock,
-    /// `env::var` outside the `WIMI_THREADS`/`WIMI_CHUNK` allowlist.
-    EnvVar,
-    /// `thread::current()` (thread IDs are scheduling-dependent).
-    ThreadId,
-    /// `HashMap`/`HashSet` (unspecified iteration order).
-    HashIter,
 }
 
 /// A call reference found in a function body, before resolution.
@@ -85,8 +72,6 @@ pub struct FnDef {
     pub in_trait: bool,
     /// Bound to a `// wlint: hot` marker.
     pub is_hot: bool,
-    /// Bound to a `// wlint: artifact` marker.
-    pub is_artifact: bool,
     /// Declared inside a `#[test]`/`#[cfg(test)]` region.
     pub in_test: bool,
     /// Calls found in the body, in source order.
@@ -97,8 +82,6 @@ pub struct FnDef {
     pub panic_sites: Vec<Site>,
     /// Slice-index sites (`x[i]` — panics when out of bounds).
     pub index_sites: Vec<Site>,
-    /// Nondeterminism sources in the body.
-    pub taint_sites: Vec<(Site, TaintKind)>,
 }
 
 impl FnDef {
@@ -142,9 +125,9 @@ pub struct WorkspaceIndex {
     pub fns: Vec<FnDef>,
     /// Per-file metadata, in walk order.
     pub files: Vec<(String, FileMeta)>,
-    /// `// wlint: hot`/`artifact` markers that did not bind to a `fn`:
-    /// (file, marker line, marker kind, kind of the item actually found).
-    pub unbound_markers: Vec<(String, u32, &'static str, String)>,
+    /// `// wlint: hot` markers that did not bind to a `fn`:
+    /// (file, marker line, kind of the item actually found).
+    pub unbound_markers: Vec<(String, u32, String)>,
 }
 
 impl WorkspaceIndex {
@@ -310,37 +293,20 @@ fn index_file(rel_path: &str, lexed: &LexOutput, out: &mut WorkspaceIndex) {
     let file_mod = walker.meta.module_path.clone();
     walker.items(0, tokens.len(), &file_mod, None);
 
-    // Bind hot/artifact markers to the first item starting after them.
-    for (markers, marker_kind) in [
-        (&lexed.hot_markers, "hot"),
-        (&lexed.artifact_markers, "artifact"),
-    ] {
-        for &marker in markers.iter() {
-            let hit = item_starts.iter().find(|(line, _, _)| *line > marker);
-            match hit {
-                Some((line, kw, Some(fn_idx))) if kw == "fn" && *line <= marker + MARKER_WINDOW => {
-                    if marker_kind == "hot" {
-                        out.fns[*fn_idx].is_hot = true;
-                    } else {
-                        out.fns[*fn_idx].is_artifact = true;
-                    }
-                }
-                Some((line, kw, _)) if *line <= marker + MARKER_WINDOW => {
-                    out.unbound_markers.push((
-                        rel_path.to_string(),
-                        marker,
-                        marker_kind,
-                        kw.clone(),
-                    ));
-                }
-                _ => {
-                    out.unbound_markers.push((
-                        rel_path.to_string(),
-                        marker,
-                        marker_kind,
-                        "nothing".to_string(),
-                    ));
-                }
+    // Bind hot markers to the first item starting after them.
+    for &marker in &lexed.hot_markers {
+        let hit = item_starts.iter().find(|(line, _, _)| *line > marker);
+        match hit {
+            Some((line, kw, Some(fn_idx))) if kw == "fn" && *line <= marker + MARKER_WINDOW => {
+                out.fns[*fn_idx].is_hot = true;
+            }
+            Some((line, kw, _)) if *line <= marker + MARKER_WINDOW => {
+                out.unbound_markers
+                    .push((rel_path.to_string(), marker, kw.clone()));
+            }
+            _ => {
+                out.unbound_markers
+                    .push((rel_path.to_string(), marker, "nothing".to_string()));
             }
         }
     }
@@ -446,7 +412,7 @@ impl Walker<'_> {
                 }
                 Some(Tok::Ident(s)) if s == "extern" => {
                     i += 1;
-                    if matches!(self.kind(i), Some(Tok::Str(_))) {
+                    if matches!(self.kind(i), Some(Tok::Str)) {
                         i += 1;
                     }
                     // `extern "C" { ... }` block: skip wholesale.
@@ -629,13 +595,11 @@ impl Walker<'_> {
             is_pub,
             in_trait: self.in_trait,
             is_hot: false,
-            is_artifact: false,
             in_test: (self.in_test)(decl_line),
             calls: Vec::new(),
             alloc_sites: Vec::new(),
             panic_sites: Vec::new(),
             index_sites: Vec::new(),
-            taint_sites: Vec::new(),
         };
         let next = match body_open {
             Some(open) => {
@@ -793,10 +757,6 @@ pub const ALLOC_METHODS: [&str; 4] = ["collect", "to_vec", "to_owned", "to_strin
 /// Macros that unconditionally panic.
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-/// `env::var` keys that are part of the deterministic contract (they select
-/// the fan-out shape, and CI diffs artifacts across their settings).
-pub const ENV_ALLOWLIST: [&str; 2] = ["WIMI_THREADS", "WIMI_CHUNK"];
-
 /// Extracts calls and rule-relevant sites from a body span `[open..=close]`.
 fn extract_body(tokens: &[Token], open: usize, close: usize, def: &mut FnDef) {
     let kind = |i: usize| tokens.get(i).map(|t| &t.kind);
@@ -833,71 +793,6 @@ fn extract_body(tokens: &[Token], open: usize, close: usize, def: &mut FnDef) {
                             line,
                             what: format!("{s}::{m}()"),
                         });
-                    }
-                }
-            }
-            // ---- Taint sources ----
-            Tok::Ident(s) if s == "Instant" || s == "SystemTime" => {
-                if let (Some(Tok::Punct("::")), Some(Tok::Ident(m))) =
-                    (kind(idx + 1), kind(idx + 2))
-                {
-                    if m == "now" {
-                        def.taint_sites.push((
-                            Site {
-                                line,
-                                what: format!("{s}::now()"),
-                            },
-                            TaintKind::WallClock,
-                        ));
-                    }
-                }
-            }
-            Tok::Ident(s) if s == "HashMap" || s == "HashSet" => {
-                def.taint_sites.push((
-                    Site {
-                        line,
-                        what: s.clone(),
-                    },
-                    TaintKind::HashIter,
-                ));
-            }
-            Tok::Ident(s) if s == "env" => {
-                if let (Some(Tok::Punct("::")), Some(Tok::Ident(m)), Some(Tok::Punct("("))) =
-                    (kind(idx + 1), kind(idx + 2), kind(idx + 3))
-                {
-                    if m == "var" || m == "var_os" {
-                        let allowed = matches!(
-                            kind(idx + 4),
-                            Some(Tok::Str(key)) if ENV_ALLOWLIST.contains(&key.as_str())
-                        );
-                        if !allowed {
-                            let key = match kind(idx + 4) {
-                                Some(Tok::Str(k)) => format!("\"{k}\""),
-                                _ => "<dynamic>".to_string(),
-                            };
-                            def.taint_sites.push((
-                                Site {
-                                    line,
-                                    what: format!("env::{m}({key})"),
-                                },
-                                TaintKind::EnvVar,
-                            ));
-                        }
-                    }
-                }
-            }
-            Tok::Ident(s) if s == "thread" => {
-                if let (Some(Tok::Punct("::")), Some(Tok::Ident(m))) =
-                    (kind(idx + 1), kind(idx + 2))
-                {
-                    if m == "current" {
-                        def.taint_sites.push((
-                            Site {
-                                line,
-                                what: "thread::current()".to_string(),
-                            },
-                            TaintKind::ThreadId,
-                        ));
                     }
                 }
             }
@@ -1140,10 +1035,7 @@ fn f() {
 fn f(v: &[f64], i: usize) -> f64 {
     let a = vec![0.0];
     let b: Vec<f64> = v.iter().map(|x| x + 1.0).collect();
-    let t = std::time::Instant::now();
-    let k = std::env::var(\"HOSTNAME\");
-    let ok = std::env::var(\"WIMI_THREADS\");
-    let _ = (a, b, t, k, ok);
+    let _ = (a, b);
     v[i] + v.first().unwrap()
 }
 ";
@@ -1152,10 +1044,6 @@ fn f(v: &[f64], i: usize) -> f64 {
         assert_eq!(f.alloc_sites.len(), 2, "{:?}", f.alloc_sites);
         assert_eq!(f.panic_sites.len(), 1, "{:?}", f.panic_sites);
         assert_eq!(f.index_sites.len(), 1, "{:?}", f.index_sites);
-        let taints: Vec<&str> = f.taint_sites.iter().map(|(s, _)| s.what.as_str()).collect();
-        assert!(taints.contains(&"Instant::now()"), "{taints:?}");
-        assert!(taints.contains(&"env::var(\"HOSTNAME\")"), "{taints:?}");
-        assert_eq!(f.taint_sites.len(), 2, "allowlisted key exempt: {taints:?}");
     }
 
     #[test]
@@ -1209,8 +1097,7 @@ impl Foo {
         assert_eq!(marked, vec!["marked"]);
         assert_eq!(ix.unbound_markers.len(), 1);
         assert_eq!(ix.unbound_markers[0].1, 5);
-        assert_eq!(ix.unbound_markers[0].2, "hot");
-        assert_eq!(ix.unbound_markers[0].3, "impl");
+        assert_eq!(ix.unbound_markers[0].2, "impl");
     }
 
     #[test]

@@ -18,10 +18,9 @@ pub enum Tok {
     Punct(&'static str),
     /// A numeric literal (`1`, `2.5`, `1e-9`, `3f64`, `0x1E`).
     Num,
-    /// A string literal, carrying its raw content (escape sequences are
-    /// left as written). The determinism-taint rule inspects `env::var`
-    /// arguments through this token; no identifier rule matches inside it.
-    Str(String),
+    /// A string literal (content irrelevant to the rules: no identifier
+    /// rule matches inside it).
+    Str,
     /// A lifetime such as `'a` (content irrelevant to the rules).
     Lifetime,
 }
@@ -62,10 +61,6 @@ pub struct LexOutput {
     /// Lines holding a `// wlint: hot` marker: the next `fn` is a hot-path
     /// function whose body must not allocate (see `hot-path-alloc`).
     pub hot_markers: Vec<u32>,
-    /// Lines holding a `// wlint: artifact` marker: the next `fn` renders a
-    /// byte-stable artifact (`wimi-obs/1`, `wimi-trace/1`, `wimi-campaign/1`)
-    /// and must not reach ambient nondeterminism (see `determinism-taint`).
-    pub artifact_markers: Vec<u32>,
 }
 
 /// Tokenizes `source`, folding away comments, strings and char literals.
@@ -122,11 +117,8 @@ pub fn lex(source: &str) -> LexOutput {
             '"' => {
                 let start_line = line;
                 let end = skip_string(&bytes, i, &mut line);
-                let lo = (i + 1).min(bytes.len());
-                let hi = end.saturating_sub(1).clamp(lo, bytes.len());
-                let content: String = bytes[lo..hi].iter().collect();
                 out.tokens.push(Token {
-                    kind: Tok::Str(content),
+                    kind: Tok::Str,
                     line: start_line,
                 });
                 i = end;
@@ -135,11 +127,8 @@ pub fn lex(source: &str) -> LexOutput {
             'r' | 'b' if starts_raw_or_byte_string(&bytes, i) => {
                 let start_line = line;
                 let end = skip_raw_or_byte_string(&bytes, i, &mut line);
-                // Content fidelity only matters for the `env::var` allowlist
-                // check, which never uses raw/byte strings; an empty payload
-                // keeps the token present without delimiter bookkeeping.
                 out.tokens.push(Token {
-                    kind: Tok::Str(String::new()),
+                    kind: Tok::Str,
                     line: start_line,
                 });
                 i = end;
@@ -253,12 +242,6 @@ fn scan_pragma(text: &str, line: u32, standalone: bool, out: &mut LexOutput) {
         // `// wlint: hot` marks the next `fn` as a hot-path function:
         // the hot-path-alloc rule bans heap allocation inside its body.
         out.hot_markers.push(line);
-        return;
-    }
-    if rest == "artifact" {
-        // `// wlint: artifact` marks the next `fn` as an artifact renderer:
-        // the determinism-taint rule bans reachable nondeterminism sources.
-        out.artifact_markers.push(line);
         return;
     }
     let Some(inner) = rest.strip_prefix("allow(") else {

@@ -7,10 +7,10 @@
 //! This crate enforces what clippy cannot see, as named, individually
 //! suppressable rules over a hand-rolled token stream (std-only — no
 //! registry access, so no `syn`): unit-safe public APIs, well-formed
-//! pragmas, and three rules that trace *reachability* through a workspace
+//! pragmas, and two rules that trace *reachability* through a workspace
 //! symbol index ([`index`]) and a conservative call graph ([`graph`]):
-//! `hot-path-alloc`, `panic-reach` and `determinism-taint`, each printing
-//! the full call path in its violations. See DESIGN.md §14.
+//! `hot-path-alloc` and `panic-reach`, each printing the full call path in
+//! its violations. See DESIGN.md §14.
 //!
 //! Run with `cargo run -p wimi-lint` (add `--json` or `--sarif` for
 //! machine output, `--graph` for the resolved call graph, `--explain

@@ -12,15 +12,15 @@
 //! ```
 //!
 //! The justification is mandatory; a pragma without one is itself reported.
-//! For the interprocedural rules (`hot-path-alloc`, `panic-reach`,
-//! `determinism-taint`) a pragma also suppresses by *path*: placed on the
+//! For the interprocedural rules (`hot-path-alloc`, `panic-reach`) a
+//! pragma also suppresses by *path*: placed on the
 //! line of (or immediately above) any function on the reported call path,
 //! it vouches for every violation routed through that function.
 
 use std::collections::BTreeMap;
 
 use crate::graph::{fn_label, CallGraph, DepMap};
-use crate::index::{crate_of, test_regions, TaintKind, WorkspaceIndex, MARKER_WINDOW};
+use crate::index::{crate_of, test_regions, WorkspaceIndex, MARKER_WINDOW};
 use crate::lexer::{lex, LexOutput, Pragma, Tok, Token};
 
 /// The library crates whose non-test code must stay panic-free: errors flow
@@ -89,9 +89,6 @@ pub enum Rule {
     /// A panic site (`panic!`-family, `.unwrap()`, `.expect(`, slice index)
     /// reachable from a hot fn or a public library entry point.
     PanicReach,
-    /// An ambient-nondeterminism source reachable from a
-    /// `// wlint: artifact` renderer: artifacts must be byte-stable.
-    DeterminismTaint,
 }
 
 impl Rule {
@@ -102,7 +99,6 @@ impl Rule {
             Rule::BadPragma => "bad-pragma",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::PanicReach => "panic-reach",
-            Rule::DeterminismTaint => "determinism-taint",
         }
     }
 
@@ -112,12 +108,11 @@ impl Rule {
     }
 
     /// All rules, for `--list-rules` style reporting.
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 4] = [
         Rule::UnitNewtype,
         Rule::BadPragma,
         Rule::HotPathAlloc,
         Rule::PanicReach,
-        Rule::DeterminismTaint,
     ];
 
     /// One-line description of the invariant the rule protects.
@@ -130,9 +125,6 @@ impl Rule {
             }
             Rule::PanicReach => {
                 "no panic site reachable from hot fns or public library entry points"
-            }
-            Rule::DeterminismTaint => {
-                "no nondeterminism source reachable from a `// wlint: artifact` renderer"
             }
         }
     }
@@ -180,20 +172,6 @@ impl Rule {
                  `// wlint: allow(panic-reach) — <reason>` on/above any fn on the \
                  reported path vouches the whole path (use for kernels whose indices are \
                  pinned by asserted invariants at the fn boundary)."
-            }
-            Rule::DeterminismTaint => {
-                "Functions marked `// wlint: artifact` render the byte-identical \
-                 wimi-obs/1, wimi-trace/1 and wimi-campaign/1 artifacts that CI diffs \
-                 across runs and WIMI_THREADS settings. This rule flags ambient \
-                 nondeterminism sources reachable from any artifact renderer: \
-                 Instant::now/SystemTime::now, env::var outside the WIMI_THREADS/\
-                 WIMI_CHUNK allowlist, thread::current (thread IDs), and HashMap/HashSet \
-                 (iteration order). Deliberately asymmetric with clippy: an \
-                 `#[expect(clippy::disallowed_methods)]` does NOT vouch a source for this \
-                 rule — a \
-                 read may be harmless where it happens yet fatal once a renderer can \
-                 reach it. Suppress with `allow(determinism-taint)` at the source or \
-                 on/above any fn on the reported path."
             }
         }
     }
@@ -361,18 +339,13 @@ struct RootSearch {
     pred: Vec<usize>,
 }
 
-/// Runs the three graph rules and the marker-binding diagnostics.
+/// Runs the two graph rules and the marker-binding diagnostic.
 fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
     let mut findings: Vec<Finding> = Vec::new();
 
-    // A hot/artifact marker that bound to no `fn` is a misplaced contract:
-    // report rather than silently covering nothing (or the wrong item).
-    for (file, line, marker, found_kind) in &ix.unbound_markers {
-        let rule = if *marker == "hot" {
-            Rule::HotPathAlloc
-        } else {
-            Rule::DeterminismTaint
-        };
+    // A hot marker that bound to no `fn` is a misplaced contract: report
+    // rather than silently covering nothing (or the wrong item).
+    for (file, line, found_kind) in &ix.unbound_markers {
         let found_what = if found_kind == "nothing" {
             String::new()
         } else {
@@ -380,11 +353,11 @@ fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
         };
         findings.push(Finding {
             v: Violation {
-                rule,
+                rule: Rule::HotPathAlloc,
                 file: file.clone(),
                 line: *line,
                 message: format!(
-                    "`// wlint: {marker}` marker does not precede a `fn` within {MARKER_WINDOW} lines{found_what}"
+                    "`// wlint: hot` marker does not precede a `fn` within {MARKER_WINDOW} lines{found_what}"
                 ),
             },
             path: Vec::new(),
@@ -392,9 +365,6 @@ fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
     }
 
     let hot_roots: Vec<usize> = (0..ix.fns.len()).filter(|&i| ix.fns[i].is_hot).collect();
-    let artifact_roots: Vec<usize> = (0..ix.fns.len())
-        .filter(|&i| ix.fns[i].is_artifact)
-        .collect();
     let pub_roots: Vec<usize> = (0..ix.fns.len())
         .filter(|&i| {
             let f = &ix.fns[i];
@@ -417,7 +387,6 @@ fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
             .collect()
     };
     let hot_searches = search(&hot_roots, true);
-    let artifact_searches = search(&artifact_roots, false);
     let pub_searches = search(&pub_roots, false);
 
     // --- hot-path-alloc (transitive) ---
@@ -519,55 +488,6 @@ fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
         });
     }
 
-    // --- determinism-taint ---
-    let mut taint_best: BTreeMap<(usize, u32, &str), (u32, usize)> = BTreeMap::new();
-    for (order, s) in artifact_searches.iter().enumerate() {
-        for (fn_idx, f) in ix.fns.iter().enumerate() {
-            if s.dist[fn_idx] == u32::MAX || f.in_test {
-                continue;
-            }
-            for (site, _) in &f.taint_sites {
-                let key = (fn_idx, site.line, site.what.as_str());
-                let cand = (s.dist[fn_idx], order);
-                let slot = taint_best.entry(key).or_insert(cand);
-                if cand < *slot {
-                    *slot = cand;
-                }
-            }
-        }
-    }
-    for ((fn_idx, line, what), (_, order)) in &taint_best {
-        let s = &artifact_searches[*order];
-        let path = graph.path(s.root, *fn_idx, &s.pred);
-        let f = &ix.fns[*fn_idx];
-        let kind = f
-            .taint_sites
-            .iter()
-            .find(|(site, _)| site.line == *line && site.what == *what)
-            .map(|(_, k)| *k)
-            .unwrap_or(TaintKind::WallClock);
-        let hint = match kind {
-            TaintKind::WallClock => "take a logical clock as input",
-            TaintKind::EnvVar => "only WIMI_THREADS/WIMI_CHUNK may steer results",
-            TaintKind::ThreadId => "thread identity is scheduling-dependent",
-            TaintKind::HashIter => "iteration order is unspecified; use BTreeMap/BTreeSet",
-        };
-        let message = format!(
-            "artifact {}: nondeterministic `{what}` at {}:{line} can taint a byte-stable artifact; {hint}",
-            render_path(ix, &path),
-            f.file
-        );
-        findings.push(Finding {
-            v: Violation {
-                rule: Rule::DeterminismTaint,
-                file: f.file.clone(),
-                line: *line,
-                message,
-            },
-            path,
-        });
-    }
-
     findings
 }
 
@@ -578,8 +498,7 @@ fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
 /// line — or, for interprocedural findings, (b) a matching pragma bound to
 /// any function on the reported call path (standalone immediately above the
 /// fn item, or trailing on the `fn` line). A clippy `#[expect]` vouches
-/// nothing here: an expected `disallowed_methods` read is still a
-/// `determinism-taint` source.
+/// nothing here.
 fn apply_suppressions(
     ix: &WorkspaceIndex,
     findings: Vec<Finding>,
@@ -1033,78 +952,6 @@ fn pick(v: &[f64]) -> f64 {
             pr[0].message.contains("`hot` → `step` → `pick`"),
             "{}",
             pr[0].message
-        );
-    }
-
-    #[test]
-    fn determinism_taint_reaches_through_calls() {
-        let src = "
-// wlint: artifact
-fn render(out: &mut String) {
-    stamp(out);
-}
-fn stamp(out: &mut String) {
-    let id = std::env::var(\"HOSTNAME\").unwrap_or_default();
-    out.push_str(&id);
-}
-";
-        let r = lint_source(APP, src);
-        let dt: Vec<&Violation> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::DeterminismTaint)
-            .collect();
-        assert_eq!(dt.len(), 1, "{:?}", r.violations);
-        assert!(
-            dt[0].message.contains("env::var(\"HOSTNAME\")"),
-            "{}",
-            dt[0].message
-        );
-        assert!(
-            dt[0].message.contains("`render` → `stamp`"),
-            "{}",
-            dt[0].message
-        );
-    }
-
-    #[test]
-    fn determinism_taint_allows_the_env_allowlist() {
-        let src = "
-// wlint: artifact
-fn render(out: &mut String) {
-    let t = std::env::var(\"WIMI_THREADS\").unwrap_or_default();
-    out.push_str(&t);
-}
-";
-        let r = lint_source(APP, src);
-        assert!(
-            !r.violations
-                .iter()
-                .any(|v| v.rule == Rule::DeterminismTaint),
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
-    fn clippy_expect_does_not_vouch_determinism_taint() {
-        // The asymmetry: a wall-clock read clippy was told to expect is
-        // still a taint source for artifact renderers.
-        let src = "
-// wlint: artifact
-fn render(out: &mut String) {
-    #[expect(clippy::disallowed_methods, reason = \"logged, never rendered (stale claim)\")]
-    let t = std::time::Instant::now();
-    let _ = (t, out);
-}
-";
-        let r = lint_source(LIB, src);
-        assert!(
-            r.violations
-                .iter()
-                .any(|v| v.rule == Rule::DeterminismTaint),
-            "{:?}",
-            r.violations
         );
     }
 

@@ -61,29 +61,6 @@ fn panic_reach_crosses_two_hops_from_a_hot_root() {
 }
 
 #[test]
-fn determinism_taint_crosses_crates_from_an_artifact_root() {
-    let report = lint("taint2");
-    let dt: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == Rule::DeterminismTaint)
-        .collect();
-    assert_eq!(dt.len(), 1, "violations: {:#?}", report.violations);
-    let v = dt[0];
-    assert!(
-        v.message
-            .contains("artifact `render_summary` → `append_header` → `uptime_label`"),
-        "full call path missing from: {}",
-        v.message
-    );
-    assert!(
-        v.message.contains("Instant::now()"),
-        "sink detail: {}",
-        v.message
-    );
-}
-
-#[test]
 fn path_level_pragma_suppresses_the_whole_chain() {
     let report = lint("suppressed");
     assert!(

@@ -5,6 +5,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use wimi_lint::Rule;
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_wimi-lint")
 }
@@ -50,12 +52,20 @@ fn explain_unknown_rule_exits_2() {
 }
 
 #[test]
-fn list_rules_includes_the_interprocedural_rules() {
+fn list_rules_prints_every_rule_and_each_explains() {
     let out = run(&["--list-rules"], None);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
-    for rule in ["hot-path-alloc", "panic-reach", "determinism-taint"] {
-        assert!(text.contains(rule), "missing {rule} in: {text}");
+    assert_eq!(text.lines().count(), Rule::ALL.len(), "got: {text}");
+    for (line, rule) in text.lines().zip(Rule::ALL) {
+        let name = rule.name();
+        assert!(line.starts_with(name), "missing {name} in: {text}");
+        let explain = run(&["--explain", name], None);
+        assert!(
+            explain.status.success(),
+            "--explain {name}: {:?}",
+            explain.status
+        );
     }
 }
 

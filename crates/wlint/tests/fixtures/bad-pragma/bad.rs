@@ -4,3 +4,6 @@ fn a() {}
 fn b() {}
 // wlint: allow(panik) — typo
 fn c() {}
+// The retired artifact marker (any spacing after `wlint:`):
+// wlint:  artifact
+fn d() {}

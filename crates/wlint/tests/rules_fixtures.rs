@@ -21,7 +21,7 @@ fn fixture(rule: &str, kind: &str) -> String {
 fn virtual_path(rule: Rule) -> &'static str {
     match rule {
         // App crate: `panic-reach` leaves library panic sites to clippy.
-        Rule::PanicReach | Rule::DeterminismTaint => "crates/experiments/src/fixture.rs",
+        Rule::PanicReach => "crates/experiments/src/fixture.rs",
         _ => "crates/wiphy/src/fixture.rs",
     }
 }
@@ -50,11 +50,19 @@ fn check_rule(rule: Rule) {
 #[test]
 fn bad_pragma_fires_on_an_unknown_rule_name() {
     let bad = lint_source(virtual_path(Rule::BadPragma), &fixture("bad-pragma", "bad"));
-    assert!(
+    let fired = |line: u32, text: &str| {
         bad.violations
             .iter()
-            .any(|v| v.rule == Rule::BadPragma && v.line == 5 && v.message.contains("panik")),
+            .any(|v| v.rule == Rule::BadPragma && v.line == line && v.message.contains(text))
+    };
+    assert!(
+        fired(5, "panik"),
         "the `allow(panik)` typo must be reported; got {:?}",
+        bad.violations
+    );
+    assert!(
+        fired(8, "unrecognised wlint pragma"),
+        "the retired artifact marker must be reported; got {:?}",
         bad.violations
     );
 }
@@ -77,11 +85,6 @@ fn hot_path_alloc_fixture() {
 #[test]
 fn panic_reach_fixture() {
     check_rule(Rule::PanicReach);
-}
-
-#[test]
-fn determinism_taint_fixture() {
-    check_rule(Rule::DeterminismTaint);
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! reports with.
 //!
 //! The parser keeps insertion order for object keys (schema checks care
-//! about canonical field order) and remembers whether each number's source
-//! text was integral, so integer schema checks need no float comparisons.
+//! about canonical field order) and keeps each non-negative integer
+//! literal's exact `u64`, so integer schema checks need no float
+//! comparisons and lose no bits above 2^53.
 
 use std::fmt::Display;
 
@@ -16,13 +17,14 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number; `integral` is true when the source had no `.`/exponent
-    /// and no minus sign.
+    /// A number; `exact` holds the integer when the source had no
+    /// `.`/exponent, no minus sign and fits a `u64`.
     Num {
-        /// Parsed value.
+        /// Parsed value (rounded to the nearest `f64`).
         value: f64,
-        /// Whether the source text was a non-negative integer literal.
-        integral: bool,
+        /// The exact value of a non-negative integer literal that fits a
+        /// `u64`.
+        exact: Option<u64>,
     },
     /// A string.
     Str(String),
@@ -44,11 +46,7 @@ impl Json {
     /// The value as a non-negative integer, when it parsed as one.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
-            Json::Num { value, integral }
-                if integral && value >= 0.0 && value <= u64::MAX as f64 =>
-            {
-                Some(value as u64)
-            }
+            Json::Num { exact, .. } => exact,
             _ => None,
         }
     }
@@ -187,6 +185,7 @@ fn brief(v: Option<&Json>) -> String {
     brief_or(v.map(|v| match v {
         Json::Null => "null".to_owned(),
         Json::Bool(b) => b.to_string(),
+        Json::Num { exact: Some(n), .. } => n.to_string(),
         Json::Num { value, .. } => value.to_string(),
         Json::Str(s) => format!("{s:?}"),
         Json::Arr(items) => format!("[{} items]", items.len()),
@@ -435,7 +434,8 @@ impl Parser<'_> {
         if !value.is_finite() {
             return Err(self.fail("number overflows f64 (NaN/Infinity are not valid JSON)"));
         }
-        Ok(Json::Num { value, integral })
+        let exact = if integral { text.parse().ok() } else { None };
+        Ok(Json::Num { value, exact })
     }
 }
 
@@ -510,7 +510,7 @@ mod tests {
             Ok(Json::Arr(vec![
                 Json::Num {
                     value: 1.0,
-                    integral: true
+                    exact: Some(1)
                 },
                 Json::Str("a".into())
             ]))
@@ -612,6 +612,11 @@ mod tests {
             (r#"{"s": "x"}"#, r#"{"s": null}"#, r#"$.s: "x" vs null"#),
             ("[[1]]", r#"[{"k": 0}]"#, "$[0]: [1 items] vs {1 keys}"),
             ("0.5", "0.25", "$: 0.5 vs 0.25"),
+            (
+                "9007199254740993",
+                "9007199254740992",
+                "$: 9007199254740993 vs 9007199254740992",
+            ),
         ] {
             let (x, y) = (parse(x).unwrap(), parse(y).unwrap());
             assert_eq!(first_difference(&x, &y).as_deref(), Some(want));
@@ -631,5 +636,15 @@ mod tests {
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("12").unwrap().as_u64(), Some(12));
+        // Exact past f64's 53-bit mantissa, and no saturation past u64.
+        assert_eq!(
+            parse("9007199254740993").unwrap().as_u64(),
+            Some(9_007_199_254_740_993)
+        );
+        assert_eq!(
+            parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
     }
 }

@@ -75,7 +75,6 @@ impl Snapshot {
     /// Serialises to the versioned JSON export. Field order, whitespace
     /// and integer formatting are all fixed, so equal snapshots produce
     /// byte-identical text.
-    // wlint: artifact
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

@@ -94,7 +94,6 @@ fn render_agg(timeline: &Timeline) -> String {
 /// Renders a timeline to `wimi-metrics/1` JSONL text. `obs_json`, when
 /// given, must be the engine recorder's `wimi-obs/1` snapshot export; it
 /// is compacted onto the final line (`{"obs":null}` otherwise).
-// wlint: artifact
 pub fn render(timeline: &Timeline, obs_json: Option<&str>) -> String {
     let mut out = String::new();
     let _ = writeln!(

@@ -91,7 +91,6 @@ fn write_cell(out: &mut String, label: &str, c: &Cell) {
 /// environment × material cell (lexicographic order), a totals row, and
 /// — when a timeline is supplied — the windowed min/max/mean/last of
 /// every telemetry series. Deterministic: plain functions of the rows.
-// wlint: artifact
 pub fn render_report(rows: &[SessionRow], timeline: Option<&Timeline>) -> String {
     let mut cells: BTreeMap<(String, String), Cell> = BTreeMap::new();
     let mut total = Cell::default();

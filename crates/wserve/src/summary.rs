@@ -19,7 +19,6 @@ pub const SUMMARY_SCHEMA: &str = "wimi-serve/1";
 
 /// Renders the fleet summary JSON (`wimi-serve/1`): fleet identity,
 /// service totals, fleet-wide counters, and one record per session.
-// wlint: artifact
 pub fn summary_json(report: &FleetReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

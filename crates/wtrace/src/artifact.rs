@@ -192,14 +192,12 @@ fn write_event(out: &mut String, task: &str, seq: u64, ev: &TraceEvent) {
 /// Renders a flushed log to `wimi-trace/1` JSONL text. `obs_json`, when
 /// given, must be a `wimi-obs/1` snapshot export; it is compacted onto
 /// the final line. Equal logs render to byte-identical text.
-// wlint: artifact
 pub fn render(log: &TraceLog, obs_json: Option<&str>) -> String {
     render_cell(log, obs_json, None)
 }
 
 /// Like [`render`], with campaign provenance appended to the header when
 /// `tag` is given. [`render`] is `render_cell(log, obs, None)`.
-// wlint: artifact
 pub fn render_cell(log: &TraceLog, obs_json: Option<&str>, tag: Option<&CampaignTag>) -> String {
     let total_events: usize = log.tasks.iter().map(|t| t.events.len()).sum();
     let mut out = String::new();

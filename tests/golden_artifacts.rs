@@ -1,16 +1,20 @@
-//! Golden bytes of every artifact schema.
+//! Golden bytes of every artifact renderer.
 //!
 //! Each of the five schemas — `wimi-obs/1`, `wimi-trace/1`,
 //! `wimi-campaign/1` (summary plus one cell artifact), `wimi-serve/1` and
-//! `wimi-metrics/1` — is rendered from a small fixed run and hashed with
-//! FNV-1a over its bytes. CI's `cmp` steps compare two runs of one binary,
-//! so they cannot see a byte change between commits; these constants can.
+//! `wimi-metrics/1` — plus the canonical campaign file and the fleet
+//! report is rendered from a small fixed run and hashed with FNV-1a over
+//! its bytes. CI's `cmp` steps compare two runs of one binary, so they
+//! cannot see a byte change between commits; these constants can. They
+//! also catch a nondeterminism source reaching a renderer by any route,
+//! `dyn` dispatch included.
 //! A refactor that claims to keep every artifact's bytes must leave them
 //! unchanged. A deliberate format or numerics change re-records the
 //! affected constants and says so.
 
 use std::sync::Arc;
 
+use wimi::metrics::render_report;
 use wimi::obs::Recorder;
 use wimi::phy::material::Liquid;
 use wimi::serve::{run_fleet, summary_json, FleetConfig, ServeConfig};
@@ -24,6 +28,8 @@ const CAMPAIGN: u64 = 0xd957_1237_950f_e9e7;
 const CELL: u64 = 0x4953_47fd_9000_b164;
 const SERVE: u64 = 0x466a_abc9_299c_8bf5;
 const METRICS: u64 = 0xd86b_8000_9f25_a231;
+const CAMPAIGN_FILE: u64 = 0xfd14_a5da_59a1_32f1;
+const FLEET_REPORT: u64 = 0xc762_426d_c59f_b7de;
 
 /// A four-cell campaign with a scheduled fault step.
 const CAMPAIGN_TEXT: &str = "campaign golden\n\
@@ -43,7 +49,7 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Every schema's rendered text, labelled with its pinned fingerprint.
+/// Every renderer's text, labelled with its pinned fingerprint.
 fn rendered() -> Vec<(&'static str, String, u64)> {
     // One traced identification run gives the obs snapshot and the trace.
     let recorder = Arc::new(Recorder::enabled());
@@ -87,6 +93,7 @@ fn rendered() -> Vec<(&'static str, String, u64)> {
     });
     let serve = summary_json(&report);
     let metrics = wimi::metrics::render(&report.timeline, Some(&report.engine_snapshot.to_json()));
+    let fleet_report = render_report(&report.per_session, Some(&report.timeline));
 
     vec![
         ("wimi-obs/1", obs, OBS),
@@ -95,6 +102,8 @@ fn rendered() -> Vec<(&'static str, String, u64)> {
         ("wimi-trace/1 campaign cell", cell, CELL),
         ("wimi-serve/1", serve, SERVE),
         ("wimi-metrics/1", metrics, METRICS),
+        ("campaign file", campaign.render(), CAMPAIGN_FILE),
+        ("fleet report", fleet_report, FLEET_REPORT),
     ]
 }
 

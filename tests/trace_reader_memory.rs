@@ -170,10 +170,10 @@ fn pick(rng: &mut TestRng, n: usize) -> usize {
     (rng.next_u64() % n as u64) as usize
 }
 
-/// A count (or a campaign cell's derived seed) as JSON carries it
-/// exactly: an integer below 2^53.
+/// A count (or a campaign cell's derived seed): any `u64`, which the
+/// reader must carry exactly, above 2^53 too.
 fn count(rng: &mut TestRng) -> u64 {
-    rng.next_u64() >> 11
+    rng.next_u64()
 }
 
 fn small(rng: &mut TestRng) -> u32 {
