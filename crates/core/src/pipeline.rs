@@ -18,14 +18,13 @@ use crate::subcarrier::SubcarrierSelection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
-use std::sync::Arc;
 use wimi_ml::dataset::Dataset;
 use wimi_ml::multiclass::MulticlassSvm;
 use wimi_ml::scale::StandardScaler;
 use wimi_ml::svm::SvmParams;
-use wimi_obs::{CounterId, IssueId, Recorder, StageId};
+use wimi_obs::{CounterId, IssueId, StageId};
 use wimi_phy::csi::CsiCapture;
-use wimi_trace::{Ctx, SalvageAction, TraceEvent, TraceSink};
+use wimi_trace::{Ctx, Observer, SalvageAction, TraceEvent};
 
 /// An antenna whose rows are all-zero in more than this fraction of a
 /// capture's finite packets is treated as dead and dropped for the whole
@@ -150,15 +149,11 @@ pub struct WiMi {
     class_names: Vec<String>,
     scaler: Option<StandardScaler>,
     model: Option<MulticlassSvm>,
-    /// Optional observability sink; stage spans and counters flow here.
-    /// `None` (the default) costs one branch per measurement. Recording
-    /// never changes any pipeline output.
-    recorder: Option<Arc<Recorder>>,
-    /// Optional flight-recorder sink; ordered per-task events flow here.
-    /// Events are only emitted from calling-thread code — never from
-    /// inside the pair fan-out — so traces stay deterministic under any
-    /// `WIMI_THREADS` setting. Tracing never changes any pipeline output.
-    trace: Option<Arc<TraceSink>>,
+    /// Where stage spans, counters and ordered events go. Events are
+    /// only emitted from calling-thread code — never from inside the
+    /// pair fan-out — so traces stay deterministic under any
+    /// `WIMI_THREADS` setting. Observing never changes any output.
+    obs: Observer,
 }
 
 impl WiMi {
@@ -169,34 +164,17 @@ impl WiMi {
             class_names: Vec::new(),
             scaler: None,
             model: None,
-            recorder: None,
-            trace: None,
+            obs: Observer::default(),
         }
     }
 
-    /// Attaches (or detaches) an observability recorder. Measurements,
+    /// Attaches an observer (the default observes nothing). Measurements,
     /// training, and classification then report stage spans, counters,
-    /// histograms, and quality issues; outputs stay bit-identical.
-    pub fn set_recorder(&mut self, recorder: Option<Arc<Recorder>>) {
-        self.recorder = recorder;
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// Attaches (or detaches) a flight-recorder trace sink. Measurements,
-    /// training, and classification then emit ordered events into the
-    /// caller's current [`wimi_trace::TaskKey`] scope; outputs stay
-    /// bit-identical.
-    pub fn set_trace(&mut self, trace: Option<Arc<TraceSink>>) {
-        self.trace = trace;
-    }
-
-    /// The attached trace sink, if any.
-    pub fn trace(&self) -> Option<&Arc<TraceSink>> {
-        self.trace.as_ref()
+    /// histograms and quality issues to its recorder, and ordered events
+    /// to its sink in the caller's current [`wimi_trace::TaskKey`]
+    /// scope; outputs stay bit-identical.
+    pub fn set_observer(&mut self, obs: Observer) {
+        self.obs = obs;
     }
 
     /// The active configuration.
@@ -249,12 +227,7 @@ impl WiMi {
     /// pre-salvage pipeline produced.
     pub fn measure(&self, baseline: &CsiCapture, target: &CsiCapture) -> Measurement {
         let m = self.measure_inner(baseline, target);
-        if let Some(rec) = &self.recorder {
-            record_measurement(rec, &m);
-        }
-        if let Some(trace) = &self.trace {
-            trace_measurement(trace, &m);
-        }
+        observe_measurement(&self.obs, &m);
         m
     }
 
@@ -280,8 +253,7 @@ impl WiMi {
         }
 
         let screened = {
-            let _span = self.recorder.as_ref().map(|r| r.span(StageId::Screening));
-            let _trace_span = self.trace.as_ref().map(|t| t.span(StageId::Screening));
+            let _span = self.obs.span(StageId::Screening);
             match screen(baseline, target, &mut quality) {
                 Ok(s) => s,
                 Err(e) => return failed(quality, e),
@@ -316,7 +288,7 @@ impl WiMi {
                 let (result, diag) = self.extract_joint(base, tar, rejected);
                 quality.pairs_attempted = diag.pairs_attempted;
                 quality.pairs_resolved = diag.pairs_resolved;
-                if let Some(rec) = &self.recorder {
+                if let Some(rec) = self.obs.recorder() {
                     rec.add(CounterId::PairsUsable, diag.pairs_usable as u64);
                     rec.add(
                         CounterId::PairsSkippedDegenerate,
@@ -414,10 +386,7 @@ impl WiMi {
         // than inside the workers) also keeps the work deterministic per
         // antenna regardless of thread count.
         let amp_cache = {
-            let _span = self
-                .recorder
-                .as_ref()
-                .map(|r| r.span(StageId::AmplitudeDenoising));
+            let _span = self.obs.stage(StageId::AmplitudeDenoising);
             self.clean_amplitudes(baseline, target)
         };
         let profiles = crate::par::map(&pairs, |_, &(a, b)| {
@@ -443,14 +412,7 @@ impl WiMi {
                 }
             })
             .collect();
-        let _span = self
-            .recorder
-            .as_ref()
-            .map(|r| r.span(StageId::GammaResolution));
-        let _trace_span = self
-            .trace
-            .as_ref()
-            .map(|t| t.span(StageId::GammaResolution));
+        let _span = self.obs.span(StageId::GammaResolution);
         MaterialFeature::extract_joint_with_diag(&inputs, &self.config.feature)
     }
 
@@ -487,9 +449,8 @@ impl WiMi {
         AmplitudeRatioProfile,
         Vec<usize>,
     ) {
-        let rec = self.recorder.as_ref();
         let (phase_base, phase_tar) = {
-            let _span = rec.map(|r| r.span(StageId::PhaseCalibration));
+            let _span = self.obs.stage(StageId::PhaseCalibration);
             let mut scratch = PhaseScratch::default();
             (
                 PhaseDifferenceProfile::compute_with(baseline, a, b, &mut scratch),
@@ -497,13 +458,13 @@ impl WiMi {
             )
         };
         let selected = {
-            let _span = rec.map(|r| r.span(StageId::SubcarrierSelection));
+            let _span = self.obs.stage(StageId::SubcarrierSelection);
             self.config
                 .subcarriers
                 .resolve_excluding(&phase_base, &phase_tar, rejected)
         };
         let (amp_base, amp_tar) = {
-            let _span = rec.map(|r| r.span(StageId::AmplitudeDenoising));
+            let _span = self.obs.stage(StageId::AmplitudeDenoising);
             let owned;
             let (clean_base, clean_tar) = match amps {
                 Some(cached) => cached,
@@ -532,10 +493,7 @@ impl WiMi {
     ) -> Result<MaterialFeature, FeatureError> {
         let (phase_base, phase_tar, amp_base, amp_tar, selected) =
             self.pair_profiles(baseline, target, a, b, rejected, amps);
-        let _span = self
-            .recorder
-            .as_ref()
-            .map(|r| r.span(StageId::GammaResolution));
+        let _span = self.obs.stage(StageId::GammaResolution);
         MaterialFeature::extract_excluding(
             &phase_base,
             &phase_tar,
@@ -571,13 +529,7 @@ impl WiMi {
             scaled.push(scaler.transform_one(x), y);
         }
         let mut rng = StdRng::seed_from_u64(self.config.train_seed);
-        let model = MulticlassSvm::train_observed(
-            &scaled,
-            &self.config.svm,
-            &mut rng,
-            self.recorder.as_deref(),
-            self.trace.as_deref(),
-        );
+        let model = MulticlassSvm::train_observed(&scaled, &self.config.svm, &mut rng, &self.obs);
         self.class_names = ds.class_names().to_vec();
         self.scaler = Some(scaler);
         self.model = Some(model);
@@ -597,11 +549,7 @@ impl WiMi {
         let model = self.model.as_ref().ok_or(IdentifyError::NotTrained)?;
         let scaler = self.scaler.as_ref().ok_or(IdentifyError::NotTrained)?;
         let feature = self.extract_feature(baseline, target)?;
-        let _span = self
-            .recorder
-            .as_ref()
-            .map(|r| r.span(StageId::Classification));
-        let _trace_span = self.trace.as_ref().map(|t| t.span(StageId::Classification));
+        let _span = self.obs.span(StageId::Classification);
         let label = model.predict(&scaler.transform_one(&feature.as_vector()));
         Ok(Identification {
             material: self.class_names[label].clone(),
@@ -618,11 +566,7 @@ impl WiMi {
     pub fn classify_feature(&self, feature: &MaterialFeature) -> Result<usize, IdentifyError> {
         let model = self.model.as_ref().ok_or(IdentifyError::NotTrained)?;
         let scaler = self.scaler.as_ref().ok_or(IdentifyError::NotTrained)?;
-        let _span = self
-            .recorder
-            .as_ref()
-            .map(|r| r.span(StageId::Classification));
-        let _trace_span = self.trace.as_ref().map(|t| t.span(StageId::Classification));
+        let _span = self.obs.span(StageId::Classification);
         Ok(model.predict(&scaler.transform_one(&feature.as_vector())))
     }
 
@@ -642,11 +586,7 @@ impl WiMi {
     ) -> Result<Vec<usize>, IdentifyError> {
         let model = self.model.as_ref().ok_or(IdentifyError::NotTrained)?;
         let scaler = self.scaler.as_ref().ok_or(IdentifyError::NotTrained)?;
-        let _span = self
-            .recorder
-            .as_ref()
-            .map(|r| r.span(StageId::Classification));
-        let _trace_span = self.trace.as_ref().map(|t| t.span(StageId::Classification));
+        let _span = self.obs.span(StageId::Classification);
         let scaled: Vec<Vec<f64>> = features
             .iter()
             .map(|f| scaler.transform_one(&f.as_vector()))
@@ -655,111 +595,82 @@ impl WiMi {
     }
 }
 
-/// Folds one finished measurement into the recorder: outcome counters,
+/// Folds one finished measurement into the observer: outcome counters,
 /// packet/antenna/pair accounting, per-issue tallies, and the γ and Ω̄
-/// dispersion histograms on success.
-fn record_measurement(rec: &Recorder, m: &Measurement) {
-    let q = &m.quality;
-    rec.incr(CounterId::MeasurementsAttempted);
-    rec.incr(if m.is_ok() {
-        CounterId::MeasurementsOk
-    } else {
-        CounterId::MeasurementsFailed
-    });
-    if q.salvaged() {
-        rec.incr(CounterId::MeasurementsSalvaged);
-    }
-    let total = (q.baseline_packets_total + q.target_packets_total) as u64;
-    let kept = (q.baseline_packets_kept + q.target_packets_kept) as u64;
-    rec.add(CounterId::PacketsKept, kept);
-    rec.add(CounterId::PacketsDropped, total.saturating_sub(kept));
-    rec.add(CounterId::AntennasDropped, q.antennas_dropped.len() as u64);
-    rec.add(
-        CounterId::SubcarriersRejected,
-        q.subcarriers_rejected as u64,
-    );
-    rec.add(CounterId::PairsAttempted, q.pairs_attempted as u64);
-    rec.add(CounterId::PairsResolved, q.pairs_resolved as u64);
-    for issue in &q.issues {
-        rec.issue(issue_id(&issue.kind), 1);
-    }
-    if let Ok(f) = &m.feature {
-        rec.record_gamma(f.gamma);
-        rec.record_dispersion(f.dispersion);
-    }
-}
-
-/// Folds one finished measurement into the flight recorder as *ordered*
-/// events, mirroring [`record_measurement`]'s aggregates plus the
+/// dispersion histograms on success — plus, as *ordered* events, the
 /// locating context the aggregates throw away (which antenna died, how
 /// many packets a triage decision dropped, where extraction failed).
 ///
 /// Runs on the calling thread after the pair fan-out has joined, so
 /// every event lands in the caller's current task scope in a
 /// deterministic order regardless of `WIMI_THREADS`.
-fn trace_measurement(trace: &Arc<TraceSink>, m: &Measurement) {
+fn observe_measurement(obs: &Observer, m: &Measurement) {
     let q = &m.quality;
-    trace.emit(TraceEvent::Count {
-        counter: CounterId::MeasurementsAttempted,
-        delta: 1,
-    });
-    trace.emit(TraceEvent::Count {
-        counter: if m.is_ok() {
+    let rec = obs.recorder();
+    obs.count(CounterId::MeasurementsAttempted, 1);
+    obs.count(
+        if m.is_ok() {
             CounterId::MeasurementsOk
         } else {
             CounterId::MeasurementsFailed
         },
-        delta: 1,
-    });
+        1,
+    );
     if q.salvaged() {
-        trace.emit(TraceEvent::Count {
-            counter: CounterId::MeasurementsSalvaged,
-            delta: 1,
-        });
+        obs.count(CounterId::MeasurementsSalvaged, 1);
     }
     let total = (q.baseline_packets_total + q.target_packets_total) as u64;
     let kept = (q.baseline_packets_kept + q.target_packets_kept) as u64;
     let dropped = total.saturating_sub(kept);
-    trace.emit(TraceEvent::Count {
-        counter: CounterId::PacketsKept,
-        delta: kept,
-    });
+    obs.count(CounterId::PacketsKept, kept);
+    if let Some(rec) = rec {
+        rec.add(CounterId::PacketsDropped, dropped);
+        rec.add(CounterId::AntennasDropped, q.antennas_dropped.len() as u64);
+        rec.add(
+            CounterId::SubcarriersRejected,
+            q.subcarriers_rejected as u64,
+        );
+    }
     if dropped > 0 {
-        trace.emit(TraceEvent::Salvage {
+        obs.emit(TraceEvent::Salvage {
             action: SalvageAction::DropBadPackets,
             count: dropped,
         });
     }
     if !q.antennas_dropped.is_empty() {
-        trace.emit(TraceEvent::Salvage {
+        obs.emit(TraceEvent::Salvage {
             action: SalvageAction::DropDeadAntenna,
             count: q.antennas_dropped.len() as u64,
         });
     }
-    trace.emit(TraceEvent::Count {
-        counter: CounterId::PairsAttempted,
-        delta: q.pairs_attempted as u64,
-    });
-    trace.emit(TraceEvent::Count {
-        counter: CounterId::PairsResolved,
-        delta: q.pairs_resolved as u64,
-    });
+    obs.count(CounterId::PairsAttempted, q.pairs_attempted as u64);
+    obs.count(CounterId::PairsResolved, q.pairs_resolved as u64);
     for issue in &q.issues {
+        let id = issue_id(&issue.kind);
+        if let Some(rec) = rec {
+            rec.issue(id, 1);
+        }
         let (count, ctx) = issue_detail(&issue.kind);
-        trace.emit(TraceEvent::Issue {
-            issue: issue_id(&issue.kind),
+        obs.emit(TraceEvent::Issue {
+            issue: id,
             count,
             ctx,
         });
     }
     match &m.feature {
-        Ok(f) => trace.emit(TraceEvent::Feature {
-            pairs: q.pairs_resolved as u32,
-            gamma_min: f.gamma,
-            gamma_max: f.gamma,
-            dispersion: f.dispersion,
-        }),
-        Err(e) => trace.emit(TraceEvent::Failed {
+        Ok(f) => {
+            if let Some(rec) = rec {
+                rec.record_gamma(f.gamma);
+                rec.record_dispersion(f.dispersion);
+            }
+            obs.emit(TraceEvent::Feature {
+                pairs: q.pairs_resolved as u32,
+                gamma_min: f.gamma,
+                gamma_max: f.gamma,
+                dispersion: f.dispersion,
+            });
+        }
+        Err(e) => obs.emit(TraceEvent::Failed {
             stage: stage_to_id(stage_of(e)),
             issue: IssueId::Extraction,
         }),

@@ -27,7 +27,7 @@ use wimi_phy::scenario::{Beaker, LiquidSpec};
 use wimi_phy::units::Meters;
 use wimi_serve::measure_with_retry;
 use wimi_trace::artifact::{cell_artifact_name, render_cell, CampaignTag};
-use wimi_trace::{analyze, TaskKey, TraceSink};
+use wimi_trace::{analyze, Observer, TaskKey, TraceSink};
 
 use crate::harness::RunOptions;
 
@@ -154,9 +154,9 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
     let specs: Vec<LiquidSpec> = refs.iter().map(|m| m.spec()).collect();
     let k = specs.len();
 
+    let obs = Observer::new(Some(Arc::clone(&recorder)), Some(Arc::clone(&sink)));
     let mut extractor = WiMi::new(WiMiConfig::default());
-    extractor.set_recorder(Some(Arc::clone(&recorder)));
-    extractor.set_trace(Some(Arc::clone(&sink)));
+    extractor.set_observer(obs.clone());
 
     let mut dropped = 0usize;
     let mut rejected = 0usize;
@@ -190,8 +190,7 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
 
     let trained = if train.is_trainable() {
         let mut wimi = WiMi::new(WiMiConfig::default());
-        wimi.set_recorder(Some(Arc::clone(&recorder)));
-        wimi.set_trace(Some(Arc::clone(&sink)));
+        wimi.set_observer(obs);
         wimi.train_on_dataset(&train);
         Some(wimi)
     } else {

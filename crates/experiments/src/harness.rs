@@ -11,7 +11,7 @@ use wimi_phy::fault::FaultPlan;
 use wimi_phy::material::{Liquid, SaltwaterConcentration, LIQUIDS};
 use wimi_phy::scenario::{LiquidSpec, ScenarioBuilder};
 use wimi_serve::{measure_with_retry, RetryPolicy, Trial};
-use wimi_trace::{TaskKey, TraceSink};
+use wimi_trace::{Observer, TaskKey, TraceSink};
 
 /// A material under test: display name plus its dielectric spec.
 #[derive(Debug, Clone)]
@@ -101,6 +101,12 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
+    /// The handle over `recorder` and `trace` that the run's pipeline,
+    /// simulators and retry protocol report to.
+    fn observer(&self) -> Observer {
+        Observer::new(self.recorder.clone(), self.trace.clone())
+    }
+
     /// The trial measuring `spec` under these options (`None` measures
     /// the empty scenario, as campaign `target removed` windows do).
     pub fn trial<'a>(&'a self, spec: Option<&'a LiquidSpec>) -> Trial<'a> {
@@ -111,8 +117,7 @@ impl RunOptions {
             retry: &self.retry,
             fault: self.fault.as_ref(),
             modify: self.modify.as_ref(),
-            recorder: self.recorder.as_ref(),
-            trace: self.trace.as_ref(),
+            obs: self.observer(),
         }
     }
 }
@@ -146,8 +151,7 @@ impl RunResult {
 /// makes the confusion matrix bitwise identical for any thread count.
 pub fn run_identification(materials: &[Material], opts: &RunOptions) -> RunResult {
     let mut extractor = WiMi::new(opts.config.clone());
-    extractor.set_recorder(opts.recorder.clone());
-    extractor.set_trace(opts.trace.clone());
+    extractor.set_observer(opts.observer());
     let class_names: Vec<String> = materials.iter().map(|m| m.name.clone()).collect();
 
     let mut dropped = 0usize;
@@ -189,8 +193,7 @@ pub fn run_identification(materials: &[Material], opts: &RunOptions) -> RunResul
     // trial counts as dropped.
     let test_jobs = jobs(opts.seed + 900_000, opts.n_test, 137);
     let mut wimi = WiMi::new(opts.config.clone());
-    wimi.set_recorder(opts.recorder.clone());
-    wimi.set_trace(opts.trace.clone());
+    wimi.set_observer(opts.observer());
     let measured = if train.is_trainable() {
         wimi.train_on_dataset(&train);
         wimi_core::par::map(&test_jobs, |_, job| measure(job))

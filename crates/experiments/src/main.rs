@@ -19,56 +19,101 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Splits `args` into value-flag assignments and positional names. The
-/// obs and trace layers share this one surface: every `--flag PATH` pair
-/// listed in `value_flags` is consumed uniformly.
-fn parse_args<'a>(
-    args: &'a [String],
-    value_flags: &[&str],
-) -> (Vec<(&'a str, &'a str)>, Vec<&'a str>) {
-    let mut values = Vec::new();
-    let mut names = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if value_flags.contains(&a.as_str()) {
-            match it.next() {
-                Some(v) => values.push((a.as_str(), v.as_str())),
-                None => usage(),
-            }
-        } else if !a.starts_with("--") {
-            names.push(a.as_str());
-        }
-    }
-    (values, names)
-}
+/// Flags that take the next argument as their value.
+const VALUE_FLAGS: [&str; 12] = [
+    "--obs-json",
+    "--trace-out",
+    "--campaign-out",
+    "--cell",
+    "--check",
+    "--sessions",
+    "--measurements",
+    "--campaign",
+    "--fleet-out",
+    "--metrics-out",
+    "--slo",
+    "--metrics",
+];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let obs_wall = args.iter().any(|a| a == "--obs-wall");
-    let effort = if quick {
-        Effort::quick()
-    } else {
-        Effort::full()
-    };
+/// Subcommands: the first name picks one and the rest are its operands.
+const SUBCOMMANDS: [&str; 5] = [
+    "artifact",
+    "campaign-validate",
+    "campaign-run",
+    "fleet-report",
+    "fleet",
+];
 
-    let (values, names) = parse_args(
-        &args,
-        &[
-            "--obs-json",
-            "--trace-out",
-            "--campaign-out",
-            "--cell",
-            "--check",
+/// The flags `command` reads; any other experiment name reads `--quick`.
+fn flags_read(command: &str) -> &'static [&'static str] {
+    match command {
+        "artifact" | "campaign-validate" => &[],
+        "campaign-run" => &["--campaign-out", "--cell", "--check"],
+        "fleet-report" => &["--metrics"],
+        "fleet" => &[
             "--sessions",
             "--measurements",
             "--campaign",
             "--fleet-out",
             "--metrics-out",
             "--slo",
-            "--metrics",
+            "--check",
         ],
-    );
+        "obs-report" => &["--quick", "--obs-json", "--obs-wall"],
+        "trace-report" => &["--quick", "--trace-out", "--check"],
+        _ => &["--quick"],
+    }
+}
+
+/// Splits `args` into value-flag assignments, every flag given, and
+/// positional names. Each `--flag VALUE` pair in [`VALUE_FLAGS`] is
+/// consumed uniformly.
+fn parse_args(args: &[String]) -> (Vec<(&str, &str)>, Vec<&str>, Vec<&str>) {
+    let mut values = Vec::new();
+    let mut flags = Vec::new();
+    let mut names = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            match it.next() {
+                Some(v) => values.push((a.as_str(), v.as_str())),
+                None => usage(),
+            }
+        }
+        if a.starts_with("--") {
+            flags.push(a.as_str());
+        } else {
+            names.push(a.as_str());
+        }
+    }
+    (values, flags, names)
+}
+
+/// Exits 2 with one stderr line on the first flag that no chosen
+/// command reads, before anything runs.
+fn reject_unread_flags(flags: &[&str], names: &[&str]) {
+    let commands = if SUBCOMMANDS.contains(&names[0]) {
+        &names[..1]
+    } else {
+        names
+    };
+    for &f in flags {
+        if !commands.iter().any(|c| flags_read(c).contains(&f)) {
+            eprintln!("{f} is not a flag of {}", commands.join(" "));
+            std::process::exit(2);
+        }
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (values, flags, names) = parse_args(&args);
+    let obs_wall = flags.contains(&"--obs-wall");
+    let effort = if flags.contains(&"--quick") {
+        Effort::quick()
+    } else {
+        Effort::full()
+    };
     let flag = |name: &str| values.iter().find(|(f, _)| *f == name).map(|&(_, v)| v);
     let obs_json = flag("--obs-json");
     let trace_out = flag("--trace-out");
@@ -76,6 +121,7 @@ fn main() {
     if names.is_empty() || names == ["help"] {
         usage();
     }
+    reject_unread_flags(&flags, &names);
 
     // Subcommands that run no experiments.
     if names[0] == "artifact" {

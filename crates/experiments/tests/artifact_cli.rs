@@ -360,6 +360,13 @@ fn mixed_schema_diff_and_non_trace_summary_are_rejected() {
 
 #[test]
 fn usage_and_io_errors_exit_two() {
+    // Flags no chosen command reads are rejected before anything runs.
+    let campaign = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../campaigns/degradation.campaign"
+    );
+    let tmp = rendered();
+    let (t1, obs) = (tmp.join("unread-t1.jsonl"), tmp.join("unread-obs.json"));
     for args in [
         vec!["artifact"],
         vec!["artifact", "validate"],
@@ -367,6 +374,16 @@ fn usage_and_io_errors_exit_two() {
         vec!["artifact", "frobnicate", "x"],
         vec!["artifact", "validate", "/nonexistent/nope.json"],
         vec!["artifact", "summary", "/nonexistent/nope.jsonl"],
+        vec!["--bogus", "campaign-validate", campaign],
+        vec!["--obs-json", path_str(&obs), "campaign-validate", campaign],
+        vec![
+            "--quick",
+            "--trace-out",
+            path_str(&t1),
+            "--obs-json",
+            path_str(&obs),
+            "trace-report",
+        ],
     ] {
         let out = run(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");

@@ -5,7 +5,7 @@
 //! fault intensities — plus per-cell *schedules*: ordered condition
 //! changes at test-trial boundaries (fault ramps, environment swaps,
 //! target swap/removal, antenna-dropout windows). This crate owns the
-//! format: the hand-rolled lexer/parser/validator ([`parse`]), the
+//! format: the hand-rolled lexer/parser/validator ([`parse()`]), the
 //! canonical renderer ([`Campaign::render`]), deterministic grid
 //! expansion ([`expand`]) with derived per-cell seeds
 //! ([`derive_cell_seed`]), and schedule lowering onto the wiphy

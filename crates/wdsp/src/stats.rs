@@ -493,7 +493,7 @@ fn sin_cos_sums<'a>(samples: impl IntoIterator<Item = &'a AngleSample>) -> (f64,
         .fold((0.0, 0.0), |(s, c), x| (s + x.sin, c + x.cos))
 }
 
-/// Caller-owned scratch for [`phase_summary`]: one [`AngleSample`] per
+/// Caller-owned scratch for [`phase_summary`]: one `AngleSample` per
 /// angle, grown once and reused across calls.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseSummaryScratch {

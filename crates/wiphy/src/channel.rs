@@ -306,8 +306,9 @@ impl MultipathChannel {
     /// `out[k·n + s] = gain_s · e^{−jβ_k·(d_tx→s + d_s→rx)}` for `n`
     /// scatterers, with `β_k = wavenumbers[k]` (see
     /// [`free_space_wavenumber`]). These depend only on the (fixed)
-    /// geometry, so a caller generating many packets computes them once
-    /// and combines each packet's jitter with [`Self::response_from_gains`].
+    /// geometry, so a caller generating many packets computes them once,
+    /// folds them ([`Self::fold_static`]) and combines each packet's jitter
+    /// with [`Self::response_from_folded`].
     /// The path length does not depend on frequency, so it is computed
     /// once per scatterer rather than once per (scatterer, subcarrier).
     ///

@@ -404,12 +404,10 @@ pub struct Simulator {
     /// Monotonic capture counter, used as the fault-plan nonce so each
     /// capture under one plan sees an independent, reproducible stream.
     captures_taken: u64,
-    /// Optional observability sink; `None` costs nothing on the packet
-    /// path. Never influences simulation output.
-    recorder: Option<std::sync::Arc<wimi_obs::Recorder>>,
-    /// Optional flight-recorder sink mirroring `recorder` as ordered
-    /// events (same zero-cost-when-`None` contract).
-    trace: Option<std::sync::Arc<wimi_trace::TraceSink>>,
+    /// Where capture spans and counters go; the default observes
+    /// nothing and costs nothing on the packet path. Never influences
+    /// simulation output.
+    obs: wimi_trace::Observer,
     /// Reusable per-packet jitter scratch: the capture loop draws into
     /// this instead of allocating a fresh multiplier vector per packet.
     /// Pure scratch — never read across packets, so it is excluded from
@@ -518,27 +516,19 @@ impl Simulator {
             perturb_sigmas,
             fault: None,
             captures_taken: 0,
-            recorder: None,
-            trace: None,
+            obs: wimi_trace::Observer::default(),
             jitter_scratch: crate::channel::PacketJitter::empty(),
             perturb_scratch: Vec::new(),
             corrupt_scratch: Vec::new(),
         }
     }
 
-    /// Attaches (or detaches) an observability recorder. Captures then
-    /// report [`wimi_obs::StageId::Capture`] spans plus packet/capture
-    /// counters; simulation output is bit-identical either way.
-    pub fn set_recorder(&mut self, recorder: Option<std::sync::Arc<wimi_obs::Recorder>>) {
-        self.recorder = recorder;
-    }
-
-    /// Attaches (or detaches) a flight-recorder trace sink. Captures then
-    /// emit ordered capture span and counter events against the calling
-    /// thread's current task; simulation output is bit-identical either
-    /// way.
-    pub fn set_trace(&mut self, trace: Option<std::sync::Arc<wimi_trace::TraceSink>>) {
-        self.trace = trace;
+    /// Attaches an observer. Captures then report
+    /// [`wimi_obs::StageId::Capture`] spans plus packet/capture counters,
+    /// as aggregates and as ordered events against the calling thread's
+    /// current task; simulation output is bit-identical either way.
+    pub fn set_observer(&mut self, obs: wimi_trace::Observer) {
+        self.obs = obs;
     }
 
     /// The scenario being simulated.
@@ -598,7 +588,7 @@ impl Simulator {
 
     /// Captures one CSI packet (materialised into the array-of-structs
     /// [`CsiPacket`] shape; the capture loop writes into a [`CsiCapture`]'s
-    /// flat planes directly via [`Simulator::packet_into`]).
+    /// flat planes directly via `Simulator::packet_into`).
     pub fn packet(&mut self) -> CsiPacket {
         let n_ant = self.scenario.n_antennas;
         let n_sub = self.band.freqs.len();
@@ -739,14 +729,10 @@ impl Simulator {
 
 impl CsiSource for Simulator {
     fn capture(&mut self, n_packets: usize) -> CsiCapture {
-        // Clone the Arc so the span's borrow does not pin `self` while
+        // Clone the handle so the span's borrow does not pin `self` while
         // the packet loop needs it mutably.
-        let recorder = self.recorder.clone();
-        let _span = recorder
-            .as_ref()
-            .map(|r| r.span(wimi_obs::StageId::Capture));
-        let trace = self.trace.clone();
-        let _trace_span = trace.as_ref().map(|t| t.span(wimi_obs::StageId::Capture));
+        let obs = self.obs.clone();
+        let _span = obs.span(wimi_obs::StageId::Capture);
         let n_ant = self.scenario.n_antennas;
         let n_sub = self.band.freqs.len();
         let mut clean = CsiCapture::zeros(n_packets, n_ant, n_sub);
@@ -758,20 +744,8 @@ impl CsiSource for Simulator {
         }
         let nonce = self.captures_taken;
         self.captures_taken = self.captures_taken.wrapping_add(1);
-        if let Some(rec) = &self.recorder {
-            rec.incr(wimi_obs::CounterId::CapturesTaken);
-            rec.add(wimi_obs::CounterId::PacketsSimulated, n_packets as u64);
-        }
-        if let Some(t) = &self.trace {
-            t.emit(wimi_trace::TraceEvent::Count {
-                counter: wimi_obs::CounterId::CapturesTaken,
-                delta: 1,
-            });
-            t.emit(wimi_trace::TraceEvent::Count {
-                counter: wimi_obs::CounterId::PacketsSimulated,
-                delta: n_packets as u64,
-            });
-        }
+        obs.count(wimi_obs::CounterId::CapturesTaken, 1);
+        obs.count(wimi_obs::CounterId::PacketsSimulated, n_packets as u64);
         match &self.fault {
             Some(plan) if !plan.is_identity() => plan.apply(&clean, nonce),
             _ => clean,

@@ -4,6 +4,7 @@ use crate::dataset::Dataset;
 use crate::svm::{BinarySvm, SvmParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wimi_trace::Observer;
 
 /// A multiclass SVM built from `k(k−1)/2` one-vs-one binary machines with
 /// majority voting (decision values break ties).
@@ -50,32 +51,17 @@ impl MulticlassSvm {
     ///
     /// Panics if the dataset has fewer than two populated classes.
     pub fn train<R: Rng + ?Sized>(ds: &Dataset, params: &SvmParams, rng: &mut R) -> Self {
-        Self::train_recorded(ds, params, rng, None)
+        Self::train_observed(ds, params, rng, &Observer::default())
     }
 
-    /// Like [`MulticlassSvm::train`], but reports a
-    /// [`wimi_obs::StageId::Classification`] span and the number of binary
-    /// machines trained to `recorder`. Training output is bit-identical
-    /// with or without a recorder.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`MulticlassSvm::train`].
-    pub fn train_recorded<R: Rng + ?Sized>(
-        ds: &Dataset,
-        params: &SvmParams,
-        rng: &mut R,
-        recorder: Option<&wimi_obs::Recorder>,
-    ) -> Self {
-        Self::train_observed(ds, params, rng, recorder, None)
-    }
-
-    /// Like [`MulticlassSvm::train_recorded`], but additionally emits one
-    /// ordered [`wimi_trace::TraceEvent::SvmMachine`] per one-vs-one
-    /// machine into `trace`. Each machine's events are scoped to its own
+    /// Like [`MulticlassSvm::train`], but reports to `obs`: an
+    /// aggregate-only [`wimi_obs::StageId::Classification`] span, the
+    /// number of binary machines trained, and one ordered
+    /// [`wimi_trace::TraceEvent::SvmMachine`] per one-vs-one machine.
+    /// Each machine's events are scoped to its own
     /// [`wimi_trace::TaskKey`] (keyed by the class pair), so the rendered
     /// trace is byte-identical under any `WIMI_THREADS` setting. Training
-    /// output is bit-identical with or without observers.
+    /// output is bit-identical however `obs` is attached.
     ///
     /// # Panics
     ///
@@ -84,10 +70,9 @@ impl MulticlassSvm {
         ds: &Dataset,
         params: &SvmParams,
         rng: &mut R,
-        recorder: Option<&wimi_obs::Recorder>,
-        trace: Option<&wimi_trace::TraceSink>,
+        obs: &Observer,
     ) -> Self {
-        let _span = recorder.map(|r| r.span(wimi_obs::StageId::Classification));
+        let _span = obs.stage(wimi_obs::StageId::Classification);
         assert!(
             ds.is_trainable(),
             "multiclass training needs at least two populated classes"
@@ -107,8 +92,9 @@ impl MulticlassSvm {
             // Each machine is one deterministic trace task: scoping by
             // the class pair (not the worker thread) keeps the rendered
             // trace identical under any WIMI_THREADS setting.
-            let _task =
-                trace.map(|_| wimi_trace::task_scope(wimi_trace::TaskKey::svm_machine(a, b)));
+            let _task = obs
+                .sink()
+                .map(|_| wimi_trace::task_scope(wimi_trace::TaskKey::svm_machine(a, b)));
             // Borrowed feature views: the one-vs-one subset is gathered
             // without cloning any sample.
             let mut xs: Vec<&[f64]> = Vec::with_capacity(counts[a] + counts[b]);
@@ -125,27 +111,17 @@ impl MulticlassSvm {
             }
             let mut machine_rng = StdRng::seed_from_u64(seed);
             let machine = BinarySvm::train(&xs, &ys, params, &mut machine_rng);
-            if let Some(t) = trace {
-                t.emit(wimi_trace::TraceEvent::SvmMachine {
-                    class_a: a as u32,
-                    class_b: b as u32,
-                    rounds: machine.iterations() as u64,
-                });
-            }
+            obs.emit(wimi_trace::TraceEvent::SvmMachine {
+                class_a: a as u32,
+                class_b: b as u32,
+                rounds: machine.iterations() as u64,
+            });
             (a, b, machine)
         });
-        if let Some(rec) = recorder {
-            rec.add(
-                wimi_obs::CounterId::SvmMachinesTrained,
-                machines.len() as u64,
-            );
-        }
-        if let Some(t) = trace {
-            t.emit(wimi_trace::TraceEvent::Count {
-                counter: wimi_obs::CounterId::SvmMachinesTrained,
-                delta: machines.len() as u64,
-            });
-        }
+        obs.count(
+            wimi_obs::CounterId::SvmMachinesTrained,
+            machines.len() as u64,
+        );
         MulticlassSvm {
             machines,
             n_classes: k,

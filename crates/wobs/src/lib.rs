@@ -27,8 +27,8 @@
 //!   experiments binary and is opt-in.
 //! * **~Zero cost when disabled.** Every recording method is a single
 //!   branch on [`Recorder::is_enabled`] before any atomic traffic; the
-//!   pipeline carries an `Option<Arc<Recorder>>` so the common path is a
-//!   `None` check.
+//!   pipeline holds the recorder as an option inside one
+//!   `wimi_trace::Observer`, so the common path is a `None` check.
 //! * **Panic-free.** This crate's root denies clippy's `unwrap_used`,
 //!   `expect_used` and `panic` family outside tests; the JSON validator
 //!   returns `Result` all the way down.

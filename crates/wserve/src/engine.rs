@@ -29,7 +29,7 @@ use wimi_ml::dataset::Dataset;
 use wimi_obs::{CounterId, GaugeId, Recorder};
 use wimi_phy::channel::Environment;
 use wimi_phy::scenario::LiquidSpec;
-use wimi_trace::TaskKey;
+use wimi_trace::{Observer, TaskKey};
 
 use crate::cache::{ModelCache, ModelKey};
 use crate::metrics::ShardSample;
@@ -324,8 +324,9 @@ impl Engine {
             .copied()
             .find(|e| e.name() == key.environment)
             .unwrap_or(Environment::Lab);
+        let obs = Observer::new(Some(Arc::clone(&self.recorder)), None);
         let mut extractor = WiMi::new(self.cfg.config.clone());
-        extractor.set_recorder(Some(Arc::clone(&self.recorder)));
+        extractor.set_observer(obs.clone());
         let mut ds = Dataset::new(key.catalog.clone());
         for trial in 0..self.cfg.train_per_class.max(1) {
             for (label, name) in key.catalog.iter().enumerate() {
@@ -336,7 +337,7 @@ impl Engine {
                 };
                 let mseed = derive_cell_seed(seed, (trial * key.catalog.len() + label) as u64);
                 let clean = Trial {
-                    recorder: Some(&self.recorder),
+                    obs: obs.clone(),
                     ..Trial::clean(Some(spec), environment, key.packets)
                 };
                 let out =
@@ -350,7 +351,7 @@ impl Engine {
             train_seed: seed,
             ..self.cfg.config.clone()
         });
-        model.set_recorder(Some(Arc::clone(&self.recorder)));
+        model.set_observer(obs);
         if ds.is_trainable() {
             model.train_on_dataset(&ds);
         }

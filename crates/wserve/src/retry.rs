@@ -8,17 +8,15 @@
 //! model training all call it, so a measurement means the same thing
 //! wherever it is taken.
 
-use std::sync::Arc;
-
 use rand::{Rng, SeedableRng};
 use wimi_core::{MaterialFeature, WiMi};
-use wimi_obs::{CounterId, Recorder};
+use wimi_obs::CounterId;
 use wimi_phy::channel::Environment;
 use wimi_phy::csi::{CsiCapture, CsiSource};
 use wimi_phy::fault::FaultPlan;
 use wimi_phy::scenario::{LiquidSpec, Scenario, ScenarioBuilder, Simulator};
 use wimi_phy::units::Meters;
-use wimi_trace::{task_scope, TaskKey, TraceEvent, TraceSink};
+use wimi_trace::{task_scope, Observer, TaskKey, TraceEvent};
 
 /// Bounded retry policy for the re-seat-and-retry measurement protocol.
 ///
@@ -142,15 +140,14 @@ pub struct Trial<'a> {
     /// Extra scenario customisation applied after environment and
     /// placement.
     pub modify: &'a (dyn Fn(&mut ScenarioBuilder) + Sync),
-    /// Recorder for simulator work and the protocol's retry counters.
-    pub recorder: Option<&'a Arc<Recorder>>,
-    /// Flight-recorder sink for captures and attempt events.
-    pub trace: Option<&'a Arc<TraceSink>>,
+    /// Where simulator work, the protocol's retry counters and its
+    /// attempt events go.
+    pub obs: Observer,
 }
 
 impl<'a> Trial<'a> {
     /// A clean trial: default retry policy, no fault, no scenario
-    /// customisation and no sinks.
+    /// customisation and no observer.
     pub fn clean(spec: Option<&'a LiquidSpec>, environment: Environment, packets: usize) -> Self {
         Trial {
             spec,
@@ -159,8 +156,7 @@ impl<'a> Trial<'a> {
             retry: &DEFAULT_POLICY,
             fault: None,
             modify: &no_modify,
-            recorder: None,
-            trace: None,
+            obs: Observer::default(),
         }
     }
 
@@ -177,8 +173,7 @@ impl<'a> Trial<'a> {
         if let Some(plan) = self.fault {
             sim.set_fault_plan(Some(plan.clone().with_seed(plan.seed() ^ capture_seed)));
         }
-        sim.set_recorder(self.recorder.cloned());
-        sim.set_trace(self.trace.cloned());
+        sim.set_observer(self.obs.clone());
         let baseline = sim.capture(self.packets);
         sim.set_liquid(self.spec.cloned());
         let target = sim.capture(self.packets);
@@ -226,7 +221,8 @@ pub fn measure_with_retry(
     task: TaskKey,
 ) -> MeasureOutcome {
     let mut placement = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let _task = trial.trace.map(|_| task_scope(task));
+    let obs = &trial.obs;
+    let _task = obs.sink().map(|_| task_scope(task));
     // The nominal-cost attempt cap, reported as `max` in traces.
     let planned = trial.retry.allowed_attempts(trial.packets);
     let mut out = MeasureOutcome::default();
@@ -234,12 +230,10 @@ pub fn measure_with_retry(
         .retry
         .allows_another(out.attempts, out.packets_spent, trial.packets)
     {
-        if let Some(t) = trial.trace {
-            t.emit(TraceEvent::Attempt {
-                attempt: out.attempts as u32 + 1,
-                max: planned as u32,
-            });
-        }
+        obs.emit(TraceEvent::Attempt {
+            attempt: out.attempts as u32 + 1,
+            max: planned as u32,
+        });
         let offset_cm = 1.0 + placement.gen_range(-0.5..0.5);
         let (base, tar) = trial.capture_pair(attempt_capture_seed(seed, out.attempts), offset_cm);
         let m = extractor.measure(&base, &tar);
@@ -254,7 +248,7 @@ pub fn measure_with_retry(
             Err(_) => out.rejected += 1,
         }
     }
-    if let Some(rec) = trial.recorder {
+    if let Some(rec) = obs.recorder() {
         rec.add(CounterId::Retries, out.attempts.saturating_sub(1) as u64);
         rec.record_attempts(out.attempts as u64);
         if out.feature.is_none() {
@@ -262,10 +256,10 @@ pub fn measure_with_retry(
         }
     }
     if out.feature.is_none() {
-        if let Some(t) = trial.trace {
-            t.emit(TraceEvent::RetriesExhausted {
-                attempts: out.attempts as u32,
-            });
+        obs.emit(TraceEvent::RetriesExhausted {
+            attempts: out.attempts as u32,
+        });
+        if let Some(t) = obs.sink() {
             t.mark_failure();
         }
     }

@@ -16,7 +16,7 @@ use wimi_obs::Recorder;
 use wimi_phy::channel::Environment;
 use wimi_phy::fault::FaultPlan;
 use wimi_phy::scenario::LiquidSpec;
-use wimi_trace::{TaskKey, TraceSink};
+use wimi_trace::{Observer, TaskKey, TraceSink};
 
 use crate::retry::{measure_with_retry, MeasureOutcome, RetryPolicy, Trial};
 
@@ -58,7 +58,9 @@ pub struct Session {
     pub recorder: Arc<Recorder>,
     /// Optional per-session trace sink.
     pub trace: Option<Arc<TraceSink>>,
-    /// The session's feature extractor (recorder/trace already attached).
+    /// The handle over `recorder` and `trace` that measurements report to.
+    obs: Observer,
+    /// The session's feature extractor (`obs` already attached).
     extractor: WiMi,
 }
 
@@ -96,9 +98,9 @@ impl Session {
     pub fn new(spec: SessionSpec) -> Session {
         let recorder = Arc::new(Recorder::enabled());
         let trace = spec.trace.then(TraceSink::enabled);
+        let obs = Observer::new(Some(Arc::clone(&recorder)), trace.clone());
         let mut extractor = WiMi::new(spec.config);
-        extractor.set_recorder(Some(Arc::clone(&recorder)));
-        extractor.set_trace(trace.clone());
+        extractor.set_observer(obs.clone());
         Session {
             id: spec.id,
             seed: spec.seed,
@@ -111,6 +113,7 @@ impl Session {
             fault: spec.fault,
             recorder,
             trace,
+            obs,
             extractor,
         }
     }
@@ -128,8 +131,7 @@ impl Session {
         let trial = Trial {
             retry: &self.retry,
             fault: self.fault.as_ref(),
-            recorder: Some(&self.recorder),
-            trace: self.trace.as_ref(),
+            obs: self.obs.clone(),
             ..Trial::clean(Some(&self.spec), self.environment, self.packets)
         };
         measure_with_retry(

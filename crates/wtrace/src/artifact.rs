@@ -598,13 +598,16 @@ mod tests {
 
     fn sample_log() -> TraceLog {
         let sink = TraceSink::enabled();
-        {
-            let _span = sink.span(StageId::Capture);
-            sink.emit(TraceEvent::Count {
-                counter: CounterId::CapturesTaken,
-                delta: 1,
-            });
-        }
+        sink.emit(TraceEvent::Enter {
+            stage: StageId::Capture,
+        });
+        sink.emit(TraceEvent::Count {
+            counter: CounterId::CapturesTaken,
+            delta: 1,
+        });
+        sink.emit(TraceEvent::Exit {
+            stage: StageId::Capture,
+        });
         {
             let _scope = crate::sink::task_scope(TaskKey::measurement(11));
             sink.emit(TraceEvent::Attempt { attempt: 1, max: 4 });

@@ -28,6 +28,15 @@
 //! under either (an inner map of `WiMi::measure`) lets the caller emit
 //! per-item events after the join, in deterministic item order.
 //!
+//! ## One handle
+//!
+//! Instrumented types carry one [`Observer`]: an optional recorder plus
+//! an optional sink. A stage seam makes one call — [`Observer::span`] or
+//! [`Observer::count`] — that feeds the aggregates and, with a sink
+//! attached, emits the matching events. Seams inside the pair fan-out
+//! use the aggregate-only [`Observer::stage`], since an event there
+//! would depend on the thread count.
+//!
 //! ## Artifact
 //!
 //! [`artifact::render`] writes the `wimi-trace/1` JSONL format: a header
@@ -72,7 +81,9 @@
 pub mod analyze;
 pub mod artifact;
 pub mod event;
+pub mod observer;
 pub mod sink;
 
 pub use event::{Ctx, SalvageAction, TaskKey, TraceEvent};
-pub use sink::{task_scope, TaskScope, TraceLog, TraceSink, TraceSpan};
+pub use observer::Observer;
+pub use sink::{task_scope, TaskScope, TraceLog, TraceSink};

@@ -190,16 +190,6 @@ impl TraceSink {
         ring.next_seq += 1;
     }
 
-    /// Opens a stage span: emits `Enter` now and `Exit` when the guard
-    /// drops, both against the current task.
-    pub fn span(self: &Arc<Self>, stage: wimi_obs::StageId) -> TraceSpan {
-        self.emit(TraceEvent::Enter { stage });
-        TraceSpan {
-            sink: Arc::clone(self),
-            stage,
-        }
-    }
-
     /// Records that a measurement failed for good (its retry budget is
     /// exhausted). Harnesses use a nonzero count to trigger
     /// dump-on-failure.
@@ -251,23 +241,10 @@ impl TraceSink {
     }
 }
 
-/// An open trace span; dropping it emits the `Exit` event.
-#[must_use = "a span emits Exit on drop; binding it to `_` drops immediately"]
-pub struct TraceSpan {
-    sink: Arc<TraceSink>,
-    stage: wimi_obs::StageId,
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        self.sink.emit(TraceEvent::Exit { stage: self.stage });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wimi_obs::{CounterId, StageId};
+    use wimi_obs::CounterId;
 
     fn count(n: u64) -> TraceEvent {
         TraceEvent::Count {
@@ -361,28 +338,6 @@ mod tests {
         assert_eq!(keys, vec![TaskKey::measurement(1), TaskKey::measurement(3)]);
         assert_eq!(log.tasks_truncated, 2);
         assert_eq!(log.events_emitted, 4);
-    }
-
-    #[test]
-    fn span_emits_enter_and_exit_in_order() {
-        let sink = TraceSink::enabled();
-        {
-            let _span = sink.span(StageId::Screening);
-            sink.emit(count(1));
-        }
-        let log = sink.flush();
-        assert_eq!(
-            log.tasks[0].events,
-            vec![
-                TraceEvent::Enter {
-                    stage: StageId::Screening
-                },
-                count(1),
-                TraceEvent::Exit {
-                    stage: StageId::Screening
-                },
-            ]
-        );
     }
 
     #[test]

@@ -3,46 +3,38 @@
 
 use rand::{Rng, SeedableRng};
 use wimi::core::{FeatureError, MaterialDatabase, MaterialFeature, WiMi, WiMiConfig};
+use wimi::phy::channel::Environment;
 use wimi::phy::csi::CsiSource;
 use wimi::phy::material::{ContainerMaterial, Liquid};
-use wimi::phy::scenario::{Beaker, LiquidSpec, Scenario, Simulator};
+use wimi::phy::scenario::{Beaker, LiquidSpec, Scenario, ScenarioBuilder, Simulator};
 use wimi::phy::units::Meters;
-use wimi::serve::RetryPolicy;
+use wimi::serve::{measure_with_retry, Trial};
+use wimi::trace::TaskKey;
 
+/// One 20-packet Lab measurement through the shared re-seat-and-retry
+/// protocol, everything derived from `seed`.
 fn measure(
     extractor: &WiMi,
     spec: &LiquidSpec,
     seed: u64,
-    rng: &mut rand::rngs::StdRng,
-    modify: impl Fn(&mut wimi::phy::scenario::ScenarioBuilder),
+    modify: &(dyn Fn(&mut ScenarioBuilder) + Sync),
 ) -> Option<MaterialFeature> {
-    // Bounded by the shared retry policy (its default packet budget allows
-    // the same four attempts the old hard-coded loop made at 20 packets).
-    for attempt in 0..RetryPolicy::default().allowed_attempts(20) as u64 {
-        let mut builder = Scenario::builder();
-        builder.target_offset(Meters::from_cm(1.0 + rng.gen_range(-0.5..0.5)));
-        modify(&mut builder);
-        let mut sim = Simulator::new(builder.build(), seed * 127 + attempt * 7919);
-        let baseline = sim.capture(20);
-        sim.set_liquid(Some(spec.clone()));
-        let target = sim.capture(20);
-        if let Ok(f) = extractor.extract_feature(&baseline, &target) {
-            return Some(f);
-        }
-    }
-    None
+    let trial = Trial {
+        modify,
+        ..Trial::clean(Some(spec), Environment::Lab, 20)
+    };
+    measure_with_retry(extractor, &trial, seed, TaskKey::measurement(seed)).feature
 }
 
 #[test]
 fn three_distinct_liquids_classify_reliably() {
     let liquids = [Liquid::PureWater, Liquid::Honey, Liquid::Oil];
     let extractor = WiMi::new(WiMiConfig::default());
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 
     let mut db = MaterialDatabase::new();
     for trial in 0..10u64 {
         for liquid in liquids {
-            if let Some(f) = measure(&extractor, &liquid.into(), 100 + trial, &mut rng, |_| {}) {
+            if let Some(f) = measure(&extractor, &liquid.into(), 100 + trial, &|_| {}) {
                 db.add(liquid.name(), f);
             }
         }
@@ -54,7 +46,7 @@ fn three_distinct_liquids_classify_reliably() {
     let mut total = 0usize;
     for trial in 0..8u64 {
         for liquid in liquids {
-            if let Some(f) = measure(&extractor, &liquid.into(), 9_000 + trial, &mut rng, |_| {}) {
+            if let Some(f) = measure(&extractor, &liquid.into(), 9_000 + trial, &|_| {}) {
                 total += 1;
                 let label = wimi.classify_feature(&f).expect("trained");
                 correct += (db.name(label) == liquid.name()) as usize;
@@ -73,29 +65,16 @@ fn feature_is_size_independent_across_beakers() {
     // size 1 vs size 2); medians guard against the occasional wrong-wrap
     // accept that slips past the consistency gates.
     let extractor = WiMi::new(WiMiConfig::default());
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
 
     let mut big = Vec::new();
     let mut small = Vec::new();
     for trial in 0..12u64 {
-        if let Some(f) = measure(
-            &extractor,
-            &Liquid::Milk.into(),
-            50 + trial,
-            &mut rng,
-            |_| {},
-        ) {
+        if let Some(f) = measure(&extractor, &Liquid::Milk.into(), 50 + trial, &|_| {}) {
             big.push(f.omega_mean());
         }
-        if let Some(f) = measure(
-            &extractor,
-            &Liquid::Milk.into(),
-            500 + trial,
-            &mut rng,
-            |b| {
-                b.beaker(Beaker::paper_default().with_diameter(Meters::from_cm(11.0)));
-            },
-        ) {
+        if let Some(f) = measure(&extractor, &Liquid::Milk.into(), 500 + trial, &|b| {
+            b.beaker(Beaker::paper_default().with_diameter(Meters::from_cm(11.0)));
+        }) {
             small.push(f.omega_mean());
         }
     }
@@ -189,18 +168,11 @@ fn two_antenna_receiver_still_works() {
         ..WiMiConfig::default()
     };
     let extractor = WiMi::new(config);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let mut got = 0usize;
     for trial in 0..8u64 {
-        if let Some(f) = measure(
-            &extractor,
-            &Liquid::Honey.into(),
-            80 + trial,
-            &mut rng,
-            |b| {
-                b.antennas(2, Meters::from_cm(2.9));
-            },
-        ) {
+        if let Some(f) = measure(&extractor, &Liquid::Honey.into(), 80 + trial, &|b| {
+            b.antennas(2, Meters::from_cm(2.9));
+        }) {
             assert!(f.omega_mean().is_finite());
             got += 1;
         }
