@@ -2,24 +2,29 @@
 //!
 //! With `p` receive antennas there are `p(p−1)/2` usable pairs, and their
 //! phase-difference / amplitude-ratio stability differs (each pair sees
-//! different multipath). WiMi scores each pair on the baseline capture
-//! and uses the most stable one.
+//! different multipath). [`score_pairs`] reports that stability per pair
+//! (the paper's Fig. 10); it is a report, not a selector. The pipeline
+//! does not pick one pair by score: with three or more antennas
+//! [`WiMi::measure`](crate::pipeline::WiMi::measure) resolves γ jointly
+//! over every pair and keeps the pair with the strongest phase
+//! differential, with two it measures the one pair there is, and
+//! [`PairSelection::Fixed`] names the pair outright.
 
 use crate::amplitude::{AmplitudeConfig, AmplitudeRatioProfile, CleanedAmplitudes};
 use crate::phase::PhaseDifferenceProfile;
 use wimi_phy::csi::CsiCapture;
 
-/// How the pipeline chooses which antenna pair(s) to use.
+/// How the pipeline chooses which antenna pair to report the feature of.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum PairSelection {
-    /// Score all pairs on the baseline capture and use the most stable
-    /// (the paper's method).
+    /// Let the antennas screening leaves decide: three or more go to
+    /// joint γ resolution over every pair, two to the single-pair
+    /// extractor.
     #[default]
     Best,
-    /// Use one explicit pair.
+    /// Use one explicit pair; the order of the two antennas does not
+    /// matter.
     Fixed(usize, usize),
-    /// Use every pair and concatenate their features (ablation).
-    All,
 }
 
 /// Stability score of one antenna pair.
@@ -78,36 +83,6 @@ pub fn score_pairs(capture: &CsiCapture, amp_config: &AmplitudeConfig) -> Vec<Pa
         .collect()
 }
 
-impl PairSelection {
-    /// Resolves the strategy to the concrete list of pairs to use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fixed pair is invalid (equal or out of range) or the
-    /// capture has fewer than two antennas.
-    pub fn resolve(
-        &self,
-        capture: &CsiCapture,
-        amp_config: &AmplitudeConfig,
-    ) -> Vec<(usize, usize)> {
-        let n = capture.n_antennas();
-        assert!(n >= 2, "pair selection needs at least two antennas");
-        match self {
-            PairSelection::Best => {
-                let mut scores = score_pairs(capture, amp_config);
-                scores.sort_by(|x, y| x.combined().total_cmp(&y.combined()));
-                vec![scores[0].pair]
-            }
-            PairSelection::Fixed(a, b) => {
-                assert!(a != b, "fixed pair must use distinct antennas");
-                assert!(*a < n && *b < n, "fixed pair out of range");
-                vec![(*a.min(b), *a.max(b))]
-            }
-            PairSelection::All => enumerate_pairs(n),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,42 +111,6 @@ mod tests {
             assert!(s.amplitude_variance.is_finite() && s.amplitude_variance >= 0.0);
             assert!(s.combined() >= s.phase_variance);
         }
-    }
-
-    #[test]
-    fn best_picks_lowest_combined() {
-        let cap = capture();
-        let cfg = AmplitudeConfig::default();
-        let best = PairSelection::Best.resolve(&cap, &cfg);
-        assert_eq!(best.len(), 1);
-        let scores = score_pairs(&cap, &cfg);
-        let min = scores
-            .iter()
-            .map(PairScore::combined)
-            .fold(f64::INFINITY, f64::min);
-        let best_score = scores.iter().find(|s| s.pair == best[0]).unwrap();
-        assert!((best_score.combined() - min).abs() < 1e-15);
-    }
-
-    #[test]
-    fn fixed_normalises_order() {
-        let cap = capture();
-        let cfg = AmplitudeConfig::default();
-        assert_eq!(PairSelection::Fixed(2, 0).resolve(&cap, &cfg), vec![(0, 2)]);
-    }
-
-    #[test]
-    fn all_returns_every_pair() {
-        let cap = capture();
-        let cfg = AmplitudeConfig::default();
-        assert_eq!(PairSelection::All.resolve(&cap, &cfg).len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct antennas")]
-    fn fixed_rejects_equal() {
-        let cap = capture();
-        let _ = PairSelection::Fixed(1, 1).resolve(&cap, &AmplitudeConfig::default());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use wimi_obs::StageId;
 
 /// Errors from feature extraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +35,14 @@ pub enum FeatureError {
         /// The dead antenna's index in the original capture.
         antenna: usize,
     },
+    /// A fixed antenna pair names one antenna twice, or an antenna the
+    /// capture does not have.
+    InvalidPair {
+        /// The configured pair, in ascending order.
+        pair: (usize, usize),
+        /// Antennas in the capture.
+        antennas: usize,
+    },
 }
 
 impl fmt::Display for FeatureError {
@@ -65,43 +74,19 @@ impl fmt::Display for FeatureError {
             FeatureError::AntennaFailed { antenna } => {
                 write!(f, "antenna {antenna} is dead (all-zero CSI)")
             }
+            FeatureError::InvalidPair {
+                pair: (a, b),
+                antennas,
+            } => write!(
+                f,
+                "antenna pair ({a}, {b}) is not two distinct antennas of a \
+                 {antennas}-antenna capture"
+            ),
         }
     }
 }
 
 impl Error for FeatureError {}
-
-/// The pipeline stage an issue was detected in — the paper's Fig. 5
-/// workflow plus the capture screening that precedes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// Capture screening: finite checks, dead-antenna and dropout triage.
-    Screening,
-    /// Cross-antenna phase calibration (phase differencing).
-    PhaseCalibration,
-    /// Good-subcarrier selection.
-    SubcarrierSelection,
-    /// Amplitude outlier rejection and wavelet denoising.
-    AmplitudeDenoising,
-    /// Phase-wrap (γ) resolution and Ω̄ consistency gating.
-    GammaResolution,
-    /// SVM classification.
-    Classification,
-}
-
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Stage::Screening => "screening",
-            Stage::PhaseCalibration => "phase calibration",
-            Stage::SubcarrierSelection => "subcarrier selection",
-            Stage::AmplitudeDenoising => "amplitude denoising",
-            Stage::GammaResolution => "gamma resolution",
-            Stage::Classification => "classification",
-        };
-        f.write_str(name)
-    }
-}
 
 /// What went wrong (or was salvaged around) at one stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,21 +162,21 @@ impl fmt::Display for IssueKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageIssue {
     /// The stage that detected the issue.
-    pub stage: Stage,
+    pub stage: StageId,
     /// What happened.
     pub kind: IssueKind,
 }
 
 impl StageIssue {
     /// Convenience constructor.
-    pub fn new(stage: Stage, kind: IssueKind) -> Self {
+    pub fn new(stage: StageId, kind: IssueKind) -> Self {
         StageIssue { stage, kind }
     }
 }
 
 impl fmt::Display for StageIssue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.stage, self.kind)
+        write!(f, "{}: {}", self.stage.name(), self.kind)
     }
 }
 

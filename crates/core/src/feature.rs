@@ -92,7 +92,16 @@ impl MaterialFeature {
     }
 
     /// Extracts the feature from baseline/target phase and amplitude
-    /// profiles restricted to `subcarriers`.
+    /// profiles restricted to `subcarriers` — the single-pair extractor
+    /// the pipeline uses when screening leaves two antennas or the
+    /// configuration names one pair.
+    ///
+    /// Subcarriers in `rejected` (triage-found unusable: zero amplitude on
+    /// a surviving antenna; pass `&[]` for none) are excluded from the
+    /// *band-level* estimates — the band-median `ln ΔΨ` and the
+    /// frequency-slope phase-unwrap anchor. A zeroed subcarrier reads a
+    /// bogus constant phase (the argument of complex zero), which would
+    /// otherwise corrupt the unwrap chain running across the band.
     ///
     /// # Errors
     ///
@@ -106,41 +115,8 @@ impl MaterialFeature {
     ///
     /// Panics if the profiles cover different antenna pairs or subcarrier
     /// counts, or `subcarriers` is empty.
-    pub fn extract(
-        phase_base: &PhaseDifferenceProfile,
-        phase_tar: &PhaseDifferenceProfile,
-        amp_base: &AmplitudeRatioProfile,
-        amp_tar: &AmplitudeRatioProfile,
-        subcarriers: &[usize],
-        config: &FeatureConfig,
-    ) -> Result<MaterialFeature, FeatureError> {
-        Self::extract_excluding(
-            phase_base,
-            phase_tar,
-            amp_base,
-            amp_tar,
-            subcarriers,
-            &[],
-            config,
-        )
-    }
-
-    /// Like [`MaterialFeature::extract`], but subcarriers in `rejected`
-    /// (triage-found unusable: zero amplitude on a surviving antenna) are
-    /// excluded from the *band-level* estimates — the band-median `ln ΔΨ`
-    /// and the frequency-slope phase-unwrap anchor. A zeroed subcarrier
-    /// reads a bogus constant phase (the argument of complex zero), which
-    /// would otherwise corrupt the unwrap chain running across the band.
-    ///
-    /// # Errors
-    ///
-    /// Same error contract as [`MaterialFeature::extract`].
-    ///
-    /// # Panics
-    ///
-    /// Same panic contract as [`MaterialFeature::extract`].
     #[allow(clippy::too_many_arguments)]
-    pub fn extract_excluding(
+    pub fn extract(
         phase_base: &PhaseDifferenceProfile,
         phase_tar: &PhaseDifferenceProfile,
         amp_base: &AmplitudeRatioProfile,
@@ -190,8 +166,8 @@ impl MaterialFeature {
         // γ resolution for a single pair: a low-loss liquid cannot have
         // wrapped (γ = 0); a lossy one picks the γ whose unwrapped phase
         // best matches the frequency-slope estimate. (The joint
-        // multi-pair extraction in [`Self::extract_joint`] is more robust;
-        // this single-pair path serves two-antenna hardware.)
+        // multi-pair extraction in [`Self::extract_joint_with_diag`] is
+        // more robust; this single-pair path serves two antennas.)
         let mut best_dispersion_any = f64::INFINITY;
         let mut best: Option<GammaCandidate> = None;
         if ln_psi_band.abs() < LOW_LOSS_LN_PSI {
@@ -280,26 +256,17 @@ impl MaterialFeature {
     ///
     /// This is the multi-antenna leverage the paper's §III-F points to.
     ///
+    /// Returns the extraction result together with how many pairs were
+    /// attempted, usable, and resolved — the pipeline's
+    /// [quality report](crate::pipeline::QualityReport) is built from the
+    /// latter.
+    ///
     /// # Errors
     ///
-    /// [`FeatureError::NoConsistentFeature`] when the resolved pairs still
-    /// disagree (blocked LoS, moving liquid);
+    /// The result is [`FeatureError::NoConsistentFeature`] when the
+    /// resolved pairs still disagree (blocked LoS, moving liquid), and
     /// [`FeatureError::DegenerateAmplitude`] when every pair's amplitudes
     /// are unusable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    pub fn extract_joint(
-        inputs: &[PairMeasurement<'_>],
-        config: &FeatureConfig,
-    ) -> Result<MaterialFeature, FeatureError> {
-        Self::extract_joint_with_diag(inputs, config).0
-    }
-
-    /// Like [`MaterialFeature::extract_joint`], additionally reporting how
-    /// many pairs were attempted, usable, and resolved — the pipeline's
-    /// [quality report](crate::pipeline::QualityReport) is built from this.
     ///
     /// # Panics
     ///
@@ -434,8 +401,8 @@ impl MaterialFeature {
         // single noise-dominated pair (tiny ΔΘ and ln ΔΨ both near the
         // noise floor) then sails through with a fabricated Ω̄. Refuse
         // instead — the operator re-seats the beaker and retakes. The
-        // single-pair case is still served by [`Self::extract`] for
-        // genuine two-antenna hardware.
+        // pipeline hands two-antenna measurements to [`Self::extract`]
+        // instead.
         let min_resolved = if inputs.len() >= 2 { 2 } else { 1 };
         diag.pairs_resolved = resolved.len();
         if resolved.len() < min_resolved {
@@ -661,7 +628,7 @@ fn shifted_mean(xs: &[f64], shift: f64) -> f64 {
 }
 
 /// Largest-pair `|ln ΔΨ|` below which the liquid is treated as low-loss
-/// (γ = 0 everywhere; see [`MaterialFeature::extract_joint`]).
+/// (γ = 0 everywhere; see [`MaterialFeature::extract_joint_with_diag`]).
 const LOW_LOSS_LN_PSI: f64 = 0.25;
 /// Mean-Ω̄ floor used in the low-loss branch, where the amplitude term is
 /// pure noise around zero.
@@ -795,7 +762,7 @@ pub struct JointDiagnostics {
 }
 
 /// One antenna pair's measurement inputs for
-/// [`MaterialFeature::extract_joint`].
+/// [`MaterialFeature::extract_joint_with_diag`].
 #[derive(Debug, Clone, Copy)]
 pub struct PairMeasurement<'a> {
     /// Baseline phase-difference profile.
@@ -1138,9 +1105,16 @@ mod tests {
     fn recovers_omega_without_wrapping() {
         // Oil-like: ΔΘ < π, γ = 0.
         let (pb, pt, ab, at) = synthetic(0.007, 2.8, 65.0, 4);
-        let feat =
-            MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &FeatureConfig::default())
-                .unwrap();
+        let feat = MaterialFeature::extract(
+            &pb,
+            &pt,
+            &ab,
+            &at,
+            &[0, 1, 2, 3],
+            &[],
+            &FeatureConfig::default(),
+        )
+        .unwrap();
         assert_eq!(feat.gamma, 0);
         let expect = 2.8 / 65.0;
         assert!(
@@ -1155,9 +1129,16 @@ mod tests {
         // Water-like: ΔD·(β−β₀) ≈ 6.1 rad of phase *drop* → the wrapped
         // measurement needs γ = −1 to recover the true −6.1 rad.
         let (pb, pt, ab, at) = synthetic(0.0073, 110.0, 830.0, 4);
-        let feat =
-            MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &FeatureConfig::default())
-                .unwrap();
+        let feat = MaterialFeature::extract(
+            &pb,
+            &pt,
+            &ab,
+            &at,
+            &[0, 1, 2, 3],
+            &[],
+            &FeatureConfig::default(),
+        )
+        .unwrap();
         assert_eq!(feat.gamma, -1);
         let expect = 110.0 / 830.0;
         assert!(
@@ -1173,8 +1154,10 @@ mod tests {
         let (pb1, pt1, ab1, at1) = synthetic(0.004, 110.0, 830.0, 4);
         let (pb2, pt2, ab2, at2) = synthetic(0.009, 110.0, 830.0, 4);
         let cfg = FeatureConfig::default();
-        let f1 = MaterialFeature::extract(&pb1, &pt1, &ab1, &at1, &[0, 1, 2, 3], &cfg).unwrap();
-        let f2 = MaterialFeature::extract(&pb2, &pt2, &ab2, &at2, &[0, 1, 2, 3], &cfg).unwrap();
+        let f1 =
+            MaterialFeature::extract(&pb1, &pt1, &ab1, &at1, &[0, 1, 2, 3], &[], &cfg).unwrap();
+        let f2 =
+            MaterialFeature::extract(&pb2, &pt2, &ab2, &at2, &[0, 1, 2, 3], &[], &cfg).unwrap();
         assert!(
             (f1.omega_mean() - f2.omega_mean()).abs() / f1.omega_mean() < 0.05,
             "size leak: {} vs {}",
@@ -1188,9 +1171,16 @@ mod tests {
         // Antenna 2's chord longer than antenna 1's: both ΔΘ and ln ΔΨ flip
         // sign; Ω̄ must come out the same.
         let (pb, pt, ab, at) = synthetic(-0.006, 110.0, 830.0, 4);
-        let feat =
-            MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &FeatureConfig::default())
-                .unwrap();
+        let feat = MaterialFeature::extract(
+            &pb,
+            &pt,
+            &ab,
+            &at,
+            &[0, 1, 2, 3],
+            &[],
+            &FeatureConfig::default(),
+        )
+        .unwrap();
         let expect = 110.0 / 830.0;
         assert!(
             (feat.omega_mean() - expect).abs() / expect < 0.05,
@@ -1229,7 +1219,7 @@ mod tests {
             gamma_search: 3,
             max_dispersion: 0.3,
         };
-        let res = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &cfg);
+        let res = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &[], &cfg);
         assert!(matches!(res, Err(FeatureError::NoConsistentFeature { .. })));
     }
 
@@ -1237,17 +1227,31 @@ mod tests {
     fn rejects_degenerate_amplitude() {
         let (pb, pt, ab, mut at) = synthetic(0.007, 2.8, 65.0, 4);
         at.mean[2] = 0.0;
-        let res =
-            MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &FeatureConfig::default());
+        let res = MaterialFeature::extract(
+            &pb,
+            &pt,
+            &ab,
+            &at,
+            &[0, 1, 2, 3],
+            &[],
+            &FeatureConfig::default(),
+        );
         assert_eq!(res, Err(FeatureError::DegenerateAmplitude));
     }
 
     #[test]
     fn as_vector_matches_omega() {
         let (pb, pt, ab, at) = synthetic(0.007, 2.8, 65.0, 3);
-        let feat =
-            MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2], &FeatureConfig::default())
-                .unwrap();
+        let feat = MaterialFeature::extract(
+            &pb,
+            &pt,
+            &ab,
+            &at,
+            &[0, 1, 2],
+            &[],
+            &FeatureConfig::default(),
+        )
+        .unwrap();
         assert_eq!(feat.as_vector(), feat.omega);
         assert_eq!(feat.as_vector().len(), 3);
         assert!(feat.dispersion < 0.1);
@@ -1258,9 +1262,9 @@ mod tests {
         // Water-like vs oil-like targets must yield clearly different Ω̄.
         let cfg = FeatureConfig::default();
         let (pb, pt, ab, at) = synthetic(0.007, 110.0, 830.0, 4);
-        let water = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &cfg).unwrap();
+        let water = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &[], &cfg).unwrap();
         let (pb, pt, ab, at) = synthetic(0.007, 2.8, 65.0, 4);
-        let oil = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &cfg).unwrap();
+        let oil = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &[], &cfg).unwrap();
         assert!((water.omega_mean() - oil.omega_mean()).abs() > 0.05);
     }
 }

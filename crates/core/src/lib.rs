@@ -93,14 +93,16 @@ pub mod subcarrier;
 ///
 /// The implementation lives in `wimi_ml::par` so the SVM trainer below
 /// this crate in the dependency graph can share it; it is re-exported
-/// here because the extraction pipeline and the experiment harness are
-/// its other consumers.
+/// here for the layers above, which fan whole measurements out over it
+/// (the experiment harness, the campaign runner, the serving engine).
+/// [`WiMi::measure`] itself starts no thread: it runs start to end on
+/// its caller's thread.
 pub use wimi_ml::par;
 
 pub use amplitude::{AmplitudeConfig, AmplitudeRatioProfile};
 pub use antenna::{PairScore, PairSelection};
 pub use database::MaterialDatabase;
-pub use error::{FeatureError, IdentifyError, IssueKind, Stage, StageIssue};
+pub use error::{FeatureError, IdentifyError, IssueKind, StageIssue};
 pub use feature::{FeatureConfig, JointDiagnostics, MaterialFeature};
 pub use phase::PhaseDifferenceProfile;
 pub use pipeline::{Identification, Measurement, QualityReport, WiMi, WiMiConfig};

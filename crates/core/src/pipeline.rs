@@ -11,7 +11,7 @@ use crate::amplitude::{
 };
 use crate::antenna::PairSelection;
 use crate::database::MaterialDatabase;
-use crate::error::{FeatureError, IdentifyError, IssueKind, Stage, StageIssue};
+use crate::error::{FeatureError, IdentifyError, IssueKind, StageIssue};
 use crate::feature::{FeatureConfig, MaterialFeature};
 use crate::phase::{PhaseDifferenceProfile, PhaseScratch};
 use crate::subcarrier::SubcarrierSelection;
@@ -149,10 +149,11 @@ pub struct WiMi {
     class_names: Vec<String>,
     scaler: Option<StandardScaler>,
     model: Option<MulticlassSvm>,
-    /// Where stage spans, counters and ordered events go. Events are
-    /// only emitted from calling-thread code — never from inside the
-    /// pair fan-out — so traces stay deterministic under any
-    /// `WIMI_THREADS` setting. Observing never changes any output.
+    /// Where stage spans, counters and ordered events go. A measurement
+    /// starts no thread, so its events land in the caller's task scope in
+    /// program order; training's per-machine events carry their own task
+    /// keys. Traces are thus the same under any `WIMI_THREADS` setting,
+    /// and observing never changes any output.
     obs: Observer,
 }
 
@@ -187,24 +188,14 @@ impl WiMi {
         self.model.is_some()
     }
 
-    /// Extracts the material feature from a baseline/target capture pair.
-    ///
-    /// Pair handling follows the strategy:
-    ///
-    /// - [`PairSelection::Best`]: features are extracted for *every*
-    ///   antenna pair and the one with the lowest Ω̄ dispersion wins —
-    ///   a stronger version of the paper's §III-F pair selection that
-    ///   judges pairs by the quality of the feature they actually produce.
-    /// - [`PairSelection::Fixed`]: that pair only.
-    /// - [`PairSelection::All`]: every pair must extract successfully; the
-    ///   per-pair Ω̄ vectors are concatenated in ascending pair order so
-    ///   the classifier input keeps a fixed layout.
+    /// Extracts the material feature from a baseline/target capture pair
+    /// (see [`WiMi::measure`] for how the antenna pair is chosen).
     ///
     /// # Errors
     ///
     /// Propagates [`FeatureError`] values: empty/mismatched captures, too
-    /// few antennas, degenerate amplitudes, or no physically consistent
-    /// feature (blocked/moving target).
+    /// few antennas, an invalid fixed pair, degenerate amplitudes, or no
+    /// physically consistent feature (blocked/moving target).
     pub fn extract_feature(
         &self,
         baseline: &CsiCapture,
@@ -215,16 +206,28 @@ impl WiMi {
 
     /// Full measurement: screening, salvage, extraction, and a
     /// [`QualityReport`] — the graceful-degradation entry point that
-    /// [`WiMi::extract_feature`] wraps.
+    /// [`WiMi::extract_feature`] wraps. It runs start to end on the
+    /// caller's thread.
     ///
     /// Screening discards packets holding NaN/Inf CSI, drops antennas
     /// whose rows are all-zero in too many packets (a dead RF chain), and
     /// then discards remaining packets with all-zero rows on a surviving
-    /// antenna. Extraction runs on the survivors; with three antennas a
-    /// dead chain costs two of the three pairs yet the measurement still
-    /// goes through on the remaining one. On clean captures screening is
-    /// a strict no-op: the extracted feature is bit-identical to what the
-    /// pre-salvage pipeline produced.
+    /// antenna. On clean captures screening is a strict no-op: the
+    /// extracted feature is bit-identical to what the pre-salvage
+    /// pipeline produced. Extraction then takes one of two routes, chosen
+    /// by what screening leaves:
+    ///
+    /// - three or more antennas: joint γ resolution over every pair
+    ///   ([`MaterialFeature::extract_joint_with_diag`]), which reports the
+    ///   pair with the strongest phase differential;
+    /// - two antennas — native two-antenna hardware, or three with one
+    ///   dead chain: the single-pair extractor
+    ///   ([`MaterialFeature::extract`]) on that pair.
+    ///
+    /// [`PairSelection::Fixed`] measures its one pair through the
+    /// single-pair extractor. The pair's order does not matter, and a
+    /// pair naming one antenna twice or an antenna the capture lacks
+    /// fails with [`FeatureError::InvalidPair`] before screening.
     pub fn measure(&self, baseline: &CsiCapture, target: &CsiCapture) -> Measurement {
         let m = self.measure_inner(baseline, target);
         observe_measurement(&self.obs, &m);
@@ -252,6 +255,25 @@ impl WiMi {
             return failed(quality, FeatureError::NeedTwoAntennas);
         }
 
+        // A fixed pair is checked against the capture before screening,
+        // in ascending order: the feature of (b, a) is that of (a, b).
+        let fixed = match self.config.pairs {
+            PairSelection::Fixed(a, b) => {
+                let pair = (a.min(b), a.max(b));
+                if pair.0 == pair.1 || pair.1 >= baseline.n_antennas() {
+                    return failed(
+                        quality,
+                        FeatureError::InvalidPair {
+                            pair,
+                            antennas: baseline.n_antennas(),
+                        },
+                    );
+                }
+                Some(pair)
+            }
+            PairSelection::Best => None,
+        };
+
         let screened = {
             let _span = self.obs.span(StageId::Screening);
             match screen(baseline, target, &mut quality) {
@@ -264,91 +286,44 @@ impl WiMi {
         let survivors = &screened.survivors;
         let rejected = &screened.rejected_subcarriers;
 
-        let feature = match &self.config.pairs {
-            PairSelection::Fixed(a, b) => {
-                quality.pairs_attempted = 1;
-                let result = remap_fixed_pair(*a, *b, survivors)
-                    .and_then(|(ra, rb)| self.extract_for_pair(base, tar, ra, rb, rejected, None));
-                quality.pairs_resolved = result.is_ok() as usize;
-                result
+        // The single-pair extractor takes a fixed pair and a capture that
+        // screening left with two antennas: joint resolution's cross-pair
+        // gate would have nothing to compare one pair against.
+        let single = match fixed {
+            Some((a, b)) => Some(remap_fixed_pair(a, b, survivors)),
+            None if base.n_antennas() == 2 => Some(Ok((0, 1))),
+            None => None,
+        };
+        let feature = if let Some(pair) = single {
+            quality.pairs_attempted = 1;
+            let result = pair.and_then(|(a, b)| self.extract_for_pair(base, tar, a, b, rejected));
+            quality.pairs_resolved = result.is_ok() as usize;
+            result
+        } else {
+            let (result, diag) = self.extract_joint(base, tar, rejected);
+            quality.pairs_attempted = diag.pairs_attempted;
+            quality.pairs_resolved = diag.pairs_resolved;
+            if let Some(rec) = self.obs.recorder() {
+                rec.add(CounterId::PairsUsable, diag.pairs_usable as u64);
+                rec.add(
+                    CounterId::PairsSkippedDegenerate,
+                    diag.pairs_skipped_degenerate as u64,
+                );
+                rec.add(
+                    CounterId::PairsSkippedBandUnusable,
+                    diag.pairs_skipped_band_unusable as u64,
+                );
             }
-            PairSelection::Best
-                if base.n_antennas() == 2 && !quality.antennas_dropped.is_empty() =>
-            {
-                // Salvage left a single pair: the joint extractor's
-                // cross-pair ambiguity gate has nothing to compare against
-                // and would refuse; the single-pair path (built for
-                // two-antenna hardware) handles this.
-                quality.pairs_attempted = 1;
-                let result = self.extract_for_pair(base, tar, 0, 1, rejected, None);
-                quality.pairs_resolved = result.is_ok() as usize;
-                result
+            if diag.pairs_resolved < diag.pairs_attempted {
+                quality.issues.push(StageIssue::new(
+                    StageId::GammaResolution,
+                    IssueKind::PairsUnresolved {
+                        attempted: diag.pairs_attempted,
+                        resolved: diag.pairs_resolved,
+                    },
+                ));
             }
-            PairSelection::Best => {
-                let (result, diag) = self.extract_joint(base, tar, rejected);
-                quality.pairs_attempted = diag.pairs_attempted;
-                quality.pairs_resolved = diag.pairs_resolved;
-                if let Some(rec) = self.obs.recorder() {
-                    rec.add(CounterId::PairsUsable, diag.pairs_usable as u64);
-                    rec.add(
-                        CounterId::PairsSkippedDegenerate,
-                        diag.pairs_skipped_degenerate as u64,
-                    );
-                    rec.add(
-                        CounterId::PairsSkippedBandUnusable,
-                        diag.pairs_skipped_band_unusable as u64,
-                    );
-                }
-                if diag.pairs_resolved < diag.pairs_attempted {
-                    quality.issues.push(StageIssue::new(
-                        Stage::GammaResolution,
-                        IssueKind::PairsUnresolved {
-                            attempted: diag.pairs_attempted,
-                            resolved: diag.pairs_resolved,
-                        },
-                    ));
-                }
-                result
-            }
-            PairSelection::All => {
-                // Every pair extracts independently, so fan out across
-                // workers; errors surface in ascending pair order exactly
-                // as the serial loop reported them.
-                let pairs = crate::antenna::enumerate_pairs(base.n_antennas());
-                quality.pairs_attempted = pairs.len();
-                // Shared cleaned-amplitude cache, built before the fan-out
-                // (see `extract_joint`).
-                let amp_cache = self.clean_amplitudes(base, tar);
-                let extracted = crate::par::map(&pairs, |_, &(a, b)| {
-                    self.extract_for_pair(
-                        base,
-                        tar,
-                        a,
-                        b,
-                        rejected,
-                        Some((&amp_cache.0, &amp_cache.1)),
-                    )
-                });
-                quality.pairs_resolved = extracted.iter().filter(|f| f.is_ok()).count();
-                let mut combined: Result<Option<MaterialFeature>, FeatureError> = Ok(None);
-                for f in extracted {
-                    combined = combined.and_then(|acc| {
-                        let f = f?;
-                        Ok(Some(match acc {
-                            None => f,
-                            Some(mut c) => {
-                                c.omega.extend(f.omega);
-                                c.dispersion = c.dispersion.max(f.dispersion);
-                                c
-                            }
-                        }))
-                    });
-                    if combined.is_err() {
-                        break;
-                    }
-                }
-                combined.and_then(|c| c.ok_or(FeatureError::NeedTwoAntennas))
-            }
+            result
         };
 
         match feature {
@@ -366,7 +341,7 @@ impl WiMi {
     }
 
     /// Joint extraction over every antenna pair with cross-pair γ
-    /// resolution (see [`MaterialFeature::extract_joint`]).
+    /// resolution (see [`MaterialFeature::extract_joint_with_diag`]).
     fn extract_joint(
         &self,
         baseline: &CsiCapture,
@@ -376,29 +351,27 @@ impl WiMi {
         Result<MaterialFeature, FeatureError>,
         crate::feature::JointDiagnostics,
     ) {
-        // The per-pair profile computation (phase differencing, subcarrier
-        // ranking, amplitude denoising) is the hot path of every
-        // measurement and is independent across pairs — fan it out.
         let pairs = crate::antenna::enumerate_pairs(baseline.n_antennas());
-        // Clean every antenna's amplitude series once, before the fan-out:
-        // each antenna appears in several pairs, and the cleaning chain is
-        // the most expensive per-pair stage. Running it up front (rather
-        // than inside the workers) also keeps the work deterministic per
-        // antenna regardless of thread count.
+        // Clean every antenna's amplitude series once, up front: each
+        // antenna appears in several pairs, and the cleaning chain is the
+        // most expensive per-pair stage.
         let amp_cache = {
             let _span = self.obs.stage(StageId::AmplitudeDenoising);
             self.clean_amplitudes(baseline, target)
         };
-        let profiles = crate::par::map(&pairs, |_, &(a, b)| {
-            self.pair_profiles(
-                baseline,
-                target,
-                a,
-                b,
-                rejected,
-                Some((&amp_cache.0, &amp_cache.1)),
-            )
-        });
+        let profiles: Vec<_> = pairs
+            .iter()
+            .map(|&(a, b)| {
+                self.pair_profiles(
+                    baseline,
+                    target,
+                    a,
+                    b,
+                    rejected,
+                    Some((&amp_cache.0, &amp_cache.1)),
+                )
+            })
+            .collect();
         let inputs: Vec<crate::feature::PairMeasurement<'_>> = profiles
             .iter()
             .map(|(phase_base, phase_tar, amp_base, amp_tar, selected)| {
@@ -489,12 +462,11 @@ impl WiMi {
         a: usize,
         b: usize,
         rejected: &[usize],
-        amps: Option<(&CleanedAmplitudes, &CleanedAmplitudes)>,
     ) -> Result<MaterialFeature, FeatureError> {
         let (phase_base, phase_tar, amp_base, amp_tar, selected) =
-            self.pair_profiles(baseline, target, a, b, rejected, amps);
+            self.pair_profiles(baseline, target, a, b, rejected, None);
         let _span = self.obs.stage(StageId::GammaResolution);
-        MaterialFeature::extract_excluding(
+        MaterialFeature::extract(
             &phase_base,
             &phase_tar,
             &amp_base,
@@ -601,9 +573,12 @@ impl WiMi {
 /// locating context the aggregates throw away (which antenna died, how
 /// many packets a triage decision dropped, where extraction failed).
 ///
-/// Runs on the calling thread after the pair fan-out has joined, so
-/// every event lands in the caller's current task scope in a
-/// deterministic order regardless of `WIMI_THREADS`.
+/// Runs once per measurement, after extraction, on the caller's thread
+/// — as all of [`WiMi::measure`] does — so every event lands in the
+/// caller's current task scope in a deterministic order regardless of
+/// `WIMI_THREADS`. The per-pair seams inside extraction book aggregate
+/// spans only ([`Observer::stage`]): an event there would add to every
+/// trace artifact.
 fn observe_measurement(obs: &Observer, m: &Measurement) {
     let q = &m.quality;
     let rec = obs.recorder();
@@ -671,7 +646,7 @@ fn observe_measurement(obs: &Observer, m: &Measurement) {
             });
         }
         Err(e) => obs.emit(TraceEvent::Failed {
-            stage: stage_to_id(stage_of(e)),
+            stage: stage_of(e),
             issue: IssueId::Extraction,
         }),
     }
@@ -695,18 +670,6 @@ fn issue_detail(kind: &IssueKind) -> (u64, Ctx) {
             (1, Ctx::antenna(*antenna as u32))
         }
         IssueKind::Extraction(_) => (1, Ctx::NONE),
-    }
-}
-
-/// The observability stage id a pipeline [`Stage`] maps to.
-fn stage_to_id(stage: Stage) -> StageId {
-    match stage {
-        Stage::Screening => StageId::Screening,
-        Stage::PhaseCalibration => StageId::PhaseCalibration,
-        Stage::SubcarrierSelection => StageId::SubcarrierSelection,
-        Stage::AmplitudeDenoising => StageId::AmplitudeDenoising,
-        Stage::GammaResolution => StageId::GammaResolution,
-        Stage::Classification => StageId::Classification,
     }
 }
 
@@ -737,15 +700,16 @@ fn failed(mut quality: QualityReport, err: FeatureError) -> Measurement {
 }
 
 /// The pipeline stage a [`FeatureError`] originates from.
-fn stage_of(err: &FeatureError) -> Stage {
+fn stage_of(err: &FeatureError) -> StageId {
     match err {
         FeatureError::EmptyCapture
         | FeatureError::DimensionMismatch
         | FeatureError::NeedTwoAntennas
         | FeatureError::InsufficientPackets { .. }
-        | FeatureError::AntennaFailed { .. } => Stage::Screening,
-        FeatureError::DegenerateAmplitude => Stage::AmplitudeDenoising,
-        FeatureError::NoConsistentFeature { .. } => Stage::GammaResolution,
+        | FeatureError::AntennaFailed { .. }
+        | FeatureError::InvalidPair { .. } => StageId::Screening,
+        FeatureError::DegenerateAmplitude => StageId::AmplitudeDenoising,
+        FeatureError::NoConsistentFeature { .. } => StageId::GammaResolution,
     }
 }
 
@@ -835,7 +799,7 @@ fn screen<'a>(
     let non_finite = (baseline.len() - scan_b.n_finite) + (target.len() - scan_t.n_finite);
     if non_finite > 0 {
         quality.issues.push(StageIssue::new(
-            Stage::Screening,
+            StageId::Screening,
             IssueKind::NonFinitePackets {
                 dropped: non_finite,
             },
@@ -875,7 +839,7 @@ fn screen<'a>(
     dropped_antennas.sort_unstable();
     for &a in &dropped_antennas {
         quality.issues.push(StageIssue::new(
-            Stage::Screening,
+            StageId::Screening,
             IssueKind::DeadAntenna { antenna: a },
         ));
     }
@@ -898,7 +862,7 @@ fn screen<'a>(
     let dropout_dropped = (scan_b.n_finite - kept_b) + (scan_t.n_finite - kept_t);
     if dropout_dropped > 0 {
         quality.issues.push(StageIssue::new(
-            Stage::Screening,
+            StageId::Screening,
             IssueKind::PartialDropout {
                 dropped: dropout_dropped,
             },
@@ -920,7 +884,7 @@ fn screen<'a>(
         // A deliberately short clean capture is the caller's choice;
         // note it and let extraction decide.
         quality.issues.push(StageIssue::new(
-            Stage::Screening,
+            StageId::Screening,
             IssueKind::ShortCapture {
                 kept: kept_min,
                 needed: MIN_SCREENED_PACKETS,
@@ -964,7 +928,7 @@ fn screen<'a>(
         if !rejected_subcarriers.is_empty() {
             quality.subcarriers_rejected = rejected_subcarriers.len();
             quality.issues.push(StageIssue::new(
-                Stage::SubcarrierSelection,
+                StageId::SubcarrierSelection,
                 IssueKind::RejectedSubcarriers {
                     count: rejected_subcarriers.len(),
                 },
@@ -1115,22 +1079,6 @@ mod tests {
             correct as f64 >= 0.9 * total as f64,
             "water-vs-oil should be nearly perfect: {correct}/{total}"
         );
-    }
-
-    #[test]
-    fn all_pairs_concatenates_features() {
-        let cfg = WiMiConfig {
-            pairs: PairSelection::All,
-            ..WiMiConfig::default()
-        };
-        let wimi = WiMi::new(cfg);
-        let (base, tar) = capture_pair(Liquid::Milk, 6, 40);
-        if let Ok(feat) = wimi.extract_feature(&base, &tar) {
-            // 3 pairs × 4 subcarriers when every pair extracts cleanly;
-            // at minimum the best pair's 4.
-            assert!(feat.omega.len() >= 4);
-            assert_eq!(feat.omega.len() % 4, 0);
-        }
     }
 
     /// Returns a copy of the capture with `antenna`'s rows zeroed in every
@@ -1287,6 +1235,58 @@ mod tests {
             .issues
             .iter()
             .any(|i| matches!(i.kind, IssueKind::DeadAntenna { antenna: 1 })));
+    }
+
+    fn fixed(a: usize, b: usize) -> WiMi {
+        WiMi::new(WiMiConfig {
+            pairs: PairSelection::Fixed(a, b),
+            ..WiMiConfig::default()
+        })
+    }
+
+    #[test]
+    fn fixed_pair_order_does_not_matter() {
+        let (base, tar) = measurable_milk_pair();
+        let ordered = fixed(0, 2).measure(&base, &tar);
+        let swapped = fixed(2, 0).measure(&base, &tar);
+        let f = ordered.feature.as_ref().expect("pair (0, 2) measures");
+        assert_eq!(f.pair, (0, 2));
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // renderings mean equal bits.
+        assert_eq!(format!("{swapped:?}"), format!("{ordered:?}"));
+    }
+
+    #[test]
+    fn fixed_pair_naming_one_antenna_twice_is_an_error() {
+        let (base, tar) = measurable_milk_pair();
+        let m = fixed(1, 1).measure(&base, &tar);
+        let err = FeatureError::InvalidPair {
+            pair: (1, 1),
+            antennas: 3,
+        };
+        assert_eq!(m.feature, Err(err.clone()));
+        assert_eq!(
+            m.quality.issues,
+            vec![StageIssue::new(
+                StageId::Screening,
+                IssueKind::Extraction(err)
+            )]
+        );
+    }
+
+    #[test]
+    fn fixed_pair_beyond_the_capture_is_invalid_not_a_dead_antenna() {
+        let (base, tar) = measurable_milk_pair();
+        let m = fixed(0, 7).measure(&base, &tar);
+        assert_eq!(
+            m.feature,
+            Err(FeatureError::InvalidPair {
+                pair: (0, 7),
+                antennas: 3
+            })
+        );
+        assert_eq!(m.quality.issues[0].stage, StageId::Screening);
+        assert!(m.feature.unwrap_err().to_string().contains("(0, 7)"));
     }
 
     #[test]

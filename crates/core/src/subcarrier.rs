@@ -30,25 +30,11 @@ impl SubcarrierSelection {
     /// Resolves the strategy to concrete subcarrier indices (ascending),
     /// given variance profiles from the baseline and target captures.
     /// Variances of the two phases of the measurement are summed so a
-    /// subcarrier must be clean in *both* to win.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profiles disagree in length, a fixed index is out of
-    /// range, or the requested count is zero or exceeds the subcarrier
-    /// count.
-    pub fn resolve(
-        &self,
-        baseline: &PhaseDifferenceProfile,
-        target: &PhaseDifferenceProfile,
-    ) -> Vec<usize> {
-        self.resolve_excluding(baseline, target, &[])
-    }
-
-    /// Like [`SubcarrierSelection::resolve`], but subcarriers in
+    /// subcarrier must be clean in *both* to win. Subcarriers in
     /// `rejected` (indices triage found unusable — e.g. a zeroed
     /// subcarrier on a surviving antenna) are excluded from
-    /// [`SubcarrierSelection::BestByVariance`] ranking.
+    /// [`SubcarrierSelection::BestByVariance`] ranking; pass `&[]` to rank
+    /// every subcarrier.
     ///
     /// The exclusion matters because an unusable subcarrier can *win* the
     /// variance ranking: a zeroed subcarrier has constant (zero) phase,
@@ -65,8 +51,9 @@ impl SubcarrierSelection {
     ///
     /// # Panics
     ///
-    /// Same contract as [`SubcarrierSelection::resolve`]: profile length
-    /// mismatch, out-of-range fixed index, or a zero/oversized count.
+    /// Panics if the profiles disagree in length, a fixed index is out of
+    /// range, or the requested count is zero or exceeds the subcarrier
+    /// count.
     pub fn resolve_excluding(
         &self,
         baseline: &PhaseDifferenceProfile,
@@ -143,7 +130,7 @@ mod tests {
     fn best_by_variance_picks_smallest() {
         let base = profile(vec![0.5, 0.1, 0.9, 0.05, 0.3]);
         let tar = profile(vec![0.4, 0.1, 0.8, 0.05, 0.3]);
-        let chosen = SubcarrierSelection::BestByVariance(2).resolve(&base, &tar);
+        let chosen = SubcarrierSelection::BestByVariance(2).resolve_excluding(&base, &tar, &[]);
         assert_eq!(chosen, vec![1, 3]);
     }
 
@@ -153,7 +140,7 @@ mod tests {
         // lose to subcarrier 2 which is decent in both.
         let base = profile(vec![0.01, 0.5, 0.10]);
         let tar = profile(vec![0.90, 0.5, 0.12]);
-        let chosen = SubcarrierSelection::BestByVariance(1).resolve(&base, &tar);
+        let chosen = SubcarrierSelection::BestByVariance(1).resolve_excluding(&base, &tar, &[]);
         assert_eq!(chosen, vec![2]);
     }
 
@@ -161,7 +148,8 @@ mod tests {
     fn fixed_selection_passes_through_sorted_dedup() {
         let base = profile(vec![0.0; 10]);
         let tar = profile(vec![0.0; 10]);
-        let chosen = SubcarrierSelection::Fixed(vec![7, 2, 7, 5]).resolve(&base, &tar);
+        let chosen =
+            SubcarrierSelection::Fixed(vec![7, 2, 7, 5]).resolve_excluding(&base, &tar, &[]);
         assert_eq!(chosen, vec![2, 5, 7]);
     }
 
@@ -201,17 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_rejection_set_matches_resolve() {
-        let base = profile(vec![0.5, 0.1, 0.9, 0.05, 0.3]);
-        let tar = profile(vec![0.4, 0.1, 0.8, 0.05, 0.3]);
-        let sel = SubcarrierSelection::BestByVariance(3);
-        assert_eq!(
-            sel.resolve(&base, &tar),
-            sel.resolve_excluding(&base, &tar, &[])
-        );
-    }
-
-    #[test]
     fn rank_is_total_and_sorted() {
         let base = profile(vec![0.3, 0.1, 0.2]);
         let tar = profile(vec![0.0, 0.0, 0.0]);
@@ -234,7 +211,7 @@ mod tests {
     fn rejects_oversized_p() {
         let base = profile(vec![0.0; 3]);
         let tar = profile(vec![0.0; 3]);
-        let _ = SubcarrierSelection::BestByVariance(4).resolve(&base, &tar);
+        let _ = SubcarrierSelection::BestByVariance(4).resolve_excluding(&base, &tar, &[]);
     }
 
     #[test]
@@ -242,6 +219,6 @@ mod tests {
     fn rejects_bad_fixed_index() {
         let base = profile(vec![0.0; 3]);
         let tar = profile(vec![0.0; 3]);
-        let _ = SubcarrierSelection::Fixed(vec![5]).resolve(&base, &tar);
+        let _ = SubcarrierSelection::Fixed(vec![5]).resolve_excluding(&base, &tar, &[]);
     }
 }

@@ -67,68 +67,51 @@ pub(crate) fn enforce_budgets(cmd: &str, bench_path: &str, gates: &[Gate<'_>]) {
     eprintln!("{cmd}: budget check OK against {bench_path}");
 }
 
+/// An experiment's entry point, run at a given effort.
+pub type Experiment = fn(Effort);
+
+/// Every experiment, in report order: `all` runs them in this order.
+pub const EXPERIMENTS: [(&str, Experiment); 26] = [
+    ("fig2", |_| microbench::fig2()),
+    ("fig3", |_| microbench::fig3()),
+    ("fig6", |_| microbench::fig6()),
+    ("fig7", |_| microbench::fig7()),
+    ("fig8", |_| microbench::fig8()),
+    ("fig9", |_| features::fig9()),
+    ("fig10", |_| features::fig10()),
+    ("fig12", |_| microbench::fig12()),
+    ("fig13", accuracy::fig13),
+    ("fig14", accuracy::fig14),
+    ("fig15", accuracy::fig15),
+    ("fig16", accuracy::fig16),
+    ("fig17", accuracy::fig17),
+    ("fig18", accuracy::fig18),
+    ("fig19", accuracy::fig19),
+    ("fig20", accuracy::fig20),
+    ("fig21", accuracy::fig21),
+    ("anatomy", |_| features::feature_anatomy()),
+    ("ablation-p", ablation::ablation_subcarrier_count),
+    ("ablation-wavelet", ablation::ablation_wavelet_family),
+    ("ablation-classifier", ablation::ablation_classifier),
+    ("flow", |_| ablation::robustness_flowing_liquid()),
+    ("degradation", degradation::degradation),
+    ("obs-report", |effort| obs::obs_report(effort, None, false)),
+    ("trace-report", |effort| {
+        trace::trace_report(effort, None, None)
+    }),
+    ("environments", ablation::environments),
+];
+
 /// Runs one named experiment; returns false for unknown names.
 pub fn run_named(name: &str, effort: Effort) -> bool {
-    match name {
-        "fig2" => microbench::fig2(),
-        "fig3" => microbench::fig3(),
-        "fig6" => microbench::fig6(),
-        "fig7" => microbench::fig7(),
-        "fig8" => microbench::fig8(),
-        "fig9" => features::fig9(),
-        "fig10" => features::fig10(),
-        "fig12" => microbench::fig12(),
-        "fig13" => accuracy::fig13(effort),
-        "fig14" => accuracy::fig14(effort),
-        "fig15" => accuracy::fig15(effort),
-        "fig16" => accuracy::fig16(effort),
-        "fig17" => accuracy::fig17(effort),
-        "fig18" => accuracy::fig18(effort),
-        "fig19" => accuracy::fig19(effort),
-        "fig20" => accuracy::fig20(effort),
-        "fig21" => accuracy::fig21(effort),
-        "anatomy" => features::feature_anatomy(),
-        "ablation-p" => ablation::ablation_subcarrier_count(effort),
-        "ablation-wavelet" => ablation::ablation_wavelet_family(effort),
-        "ablation-classifier" => ablation::ablation_classifier(effort),
-        "flow" => ablation::robustness_flowing_liquid(),
-        "degradation" => degradation::degradation(effort),
-        "obs-report" => obs::obs_report(effort, None, false),
-        "trace-report" => trace::trace_report(effort, None, None),
-        "environments" => ablation::environments(effort),
-        _ => return false,
+    match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+        Some((_, run)) => {
+            run(effort);
+            true
+        }
+        None => false,
     }
-    true
 }
-
-/// Every experiment name, in report order.
-pub const ALL_EXPERIMENTS: [&str; 25] = [
-    "fig2",
-    "fig3",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "anatomy",
-    "ablation-p",
-    "ablation-wavelet",
-    "ablation-classifier",
-    "flow",
-    "degradation",
-    "obs-report",
-    "trace-report",
-];
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use wimi_experiments::{artifact, campaign, fleet, obs, run_named, trace, Effort, ALL_EXPERIMENTS};
+use wimi_experiments::{artifact, campaign, fleet, obs, run_named, trace, Effort, EXPERIMENTS};
 
 fn usage() -> ! {
     eprintln!(
@@ -15,8 +15,13 @@ fn usage() -> ! {
 [--fleet-out PATH] [--metrics-out PATH] [--slo POLICY] [--check BENCH]\n       \
          wimi-experiments fleet-report SUMMARY [--metrics TIMELINE]"
     );
-    eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
+    eprintln!("experiments: {}", experiment_names());
     std::process::exit(2);
+}
+
+/// The experiment names, comma-separated in report order.
+fn experiment_names() -> String {
+    EXPERIMENTS.map(|(name, _)| name).join(", ")
 }
 
 /// Flags that take the next argument as their value.
@@ -177,10 +182,9 @@ fn main() {
     )]
     let started = std::time::Instant::now();
     if names == ["all"] {
-        for name in ALL_EXPERIMENTS {
-            assert!(run_named(name, effort), "unknown experiment {name}");
+        for (_, run) in EXPERIMENTS {
+            run(effort);
         }
-        assert!(run_named("environments", effort));
     } else {
         for name in &names {
             // The obs and trace reports take CLI-only options (export
@@ -195,7 +199,7 @@ fn main() {
             }
             if !run_named(name, effort) {
                 eprintln!("unknown experiment: {name}");
-                eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
+                eprintln!("experiments: {}", experiment_names());
                 std::process::exit(2);
             }
         }

@@ -443,8 +443,8 @@ struct BandCache {
 }
 
 impl BandCache {
-    /// The one builder of the realisation caches, shared by
-    /// [`Simulator::new`] and [`Simulator::invalidate_caches`]. Path
+    /// The one builder of the realisation caches, used by
+    /// [`Simulator::new`]. Path
     /// lengths are computed once per (antenna, scatterer) and wavenumbers
     /// once per subcarrier; every value is the same expression the
     /// per-frequency formulas evaluate.
@@ -540,18 +540,6 @@ impl Simulator {
     /// baseline beaker. Invalidates the cached insertion factors.
     pub fn set_liquid(&mut self, liquid: Option<LiquidSpec>) {
         self.liquid = liquid;
-        self.insertions_cache = None;
-    }
-
-    /// Drops every cached invariant so the next packet recomputes from
-    /// scratch: the per-subcarrier frequencies, the free-space LoS
-    /// responses, the static multipath path gains, and the target
-    /// insertion factors (everything that used to be recomputed per
-    /// packet). Caches repopulate automatically and results are
-    /// identical; this exists so benchmarks can measure the uncached
-    /// path.
-    pub fn invalidate_caches(&mut self) {
-        self.band = BandCache::build(&self.scenario, &self.multipath);
         self.insertions_cache = None;
     }
 
@@ -986,8 +974,9 @@ mod tests {
     #[test]
     fn cached_insertions_match_forced_recompute() {
         // One simulator rides the insertion cache across packets; its twin
-        // recomputes from scratch before every packet. The captures must be
-        // bitwise identical (cache invalidation draws nothing from the RNG).
+        // recomputes the insertions before every packet (`set_liquid`
+        // clears them). The captures must be bitwise identical (cache
+        // invalidation draws nothing from the RNG).
         let mut builder = Scenario::builder();
         builder.flow_noise(0.3);
         let scenario = builder.build();
@@ -996,7 +985,7 @@ mod tests {
         cached.set_liquid(Some(Liquid::Milk.into()));
         uncached.set_liquid(Some(Liquid::Milk.into()));
         for _ in 0..5 {
-            uncached.invalidate_caches();
+            uncached.set_liquid(Some(Liquid::Milk.into()));
             assert_eq!(cached.packet(), uncached.packet());
         }
     }

@@ -3,9 +3,10 @@
 //! The build environment cannot pull external crates (no rayon), so this
 //! module provides the one primitive the workspace needs: an order-
 //! preserving parallel map over a slice, built on [`std::thread::scope`].
-//! It is used by the one-vs-one SVM trainer in this crate, re-exported as
-//! `wimi_core::par` for the extraction pipeline, and consumed by the
-//! experiment harness for the (trial × material) measurement fan-out.
+//! It is used by the one-vs-one SVM trainer in this crate, and
+//! re-exported as `wimi_core::par` for the layers that fan whole
+//! measurements out: the experiment harness (trial × material), the
+//! campaign runner (cells) and the serving engine (shards).
 //!
 //! # Thread count
 //!
@@ -42,10 +43,10 @@
 //!
 //! A map reached from inside a worker of another map runs serially on
 //! that worker's thread. The outer map already keeps every worker busy,
-//! so nested spawning only adds threads that compete for the same cores:
-//! `WiMi::measure` fans out over antenna pairs and is itself called from
-//! the harness's, the campaign runner's and the serving engine's workers.
-//! The outputs are the same either way; only the thread count changes.
+//! so nested spawning would only add threads that compete for the same
+//! cores: the SVM trainer's map over class pairs, for one, runs inside
+//! each campaign cell's worker. The outputs are the same either way;
+//! only the thread count changes.
 //!
 //! # Panics
 //!
@@ -213,16 +214,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Like [`map`] over a range of indices `0..n` with no backing slice.
-pub fn map_indices<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    map(&indices, |_, &i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,11 +233,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(map(&empty, |_, &x| x).is_empty());
         assert_eq!(map(&[41], |_, &x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn map_indices_counts() {
-        assert_eq!(map_indices(4, |i| i * i), vec![0, 1, 4, 9]);
     }
 
     #[test]

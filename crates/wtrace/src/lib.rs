@@ -24,18 +24,18 @@
 //! The thread-local current task is installed with [`task_scope`] at the
 //! top of each fan-out job. A `par::map` nested inside a job runs
 //! serially on the job's thread, so it stays inside the job's scope; a
-//! top-level `par::map`'s workers do *not* inherit it. Code that may run
-//! under either (an inner map of `WiMi::measure`) lets the caller emit
-//! per-item events after the join, in deterministic item order.
+//! top-level `par::map`'s workers do *not* inherit it. Instrumented
+//! pipeline code (`WiMi::measure`, a capture) starts no thread, so its
+//! events land in the scope of whoever calls it, in program order.
 //!
 //! ## One handle
 //!
 //! Instrumented types carry one [`Observer`]: an optional recorder plus
 //! an optional sink. A stage seam makes one call — [`Observer::span`] or
 //! [`Observer::count`] — that feeds the aggregates and, with a sink
-//! attached, emits the matching events. Seams inside the pair fan-out
-//! use the aggregate-only [`Observer::stage`], since an event there
-//! would depend on the thread count.
+//! attached, emits the matching events. The per-pair seams inside
+//! extraction use the aggregate-only [`Observer::stage`]: an event per
+//! pair would add to every trace artifact's bytes.
 //!
 //! ## Artifact
 //!

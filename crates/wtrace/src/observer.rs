@@ -56,8 +56,7 @@ impl Observer {
 
     /// Opens an aggregate-only span over `stage`: the recorder books it,
     /// the sink sees nothing. For seams where a trace event would change
-    /// artifact bytes, or would depend on the thread count (inside a
-    /// fan-out).
+    /// artifact bytes, such as the per-pair stages inside extraction.
     #[inline]
     pub fn stage(&self, stage: StageId) -> Option<Span<'_>> {
         self.recorder().map(|r| r.span(stage))

@@ -40,13 +40,10 @@ thread_local! {
 /// Installs `key` as the current task for this thread until the guard
 /// drops; the previous key is restored (scopes nest).
 ///
-/// Worker threads spawned by a `par::map` do **not** inherit the key. A
-/// map nested inside another map's job spawns nothing: it runs serially
-/// on that job's thread, inside its scope, so its items emit against the
-/// job's task in item order. But the same code reached outside any
-/// fan-out (say, `WiMi::measure` called directly) does spawn, and there
-/// an emission inside the map would land on the worker's default `run`
-/// task. Code that can run in either place emits after the join.
+/// Worker threads spawned by a `par::map` do **not** inherit the key:
+/// install the scope inside each job. A map nested inside another map's
+/// job spawns nothing: it runs serially on that job's thread, inside its
+/// scope, so its items emit against the job's task in item order.
 pub fn task_scope(key: TaskKey) -> TaskScope {
     let prev = CURRENT_TASK.with(|c| c.replace(key));
     TaskScope { prev }

@@ -162,17 +162,27 @@ fn flowing_liquid_degrades_or_refuses() {
 
 #[test]
 fn two_antenna_receiver_still_works() {
-    // The Fixed-pair path serves two-antenna hardware.
-    let config = WiMiConfig {
+    // A two-antenna capture takes the single-pair route under the
+    // default configuration too, so it measures exactly what the fixed
+    // pair (0, 1) does.
+    let fixed = WiMi::new(WiMiConfig {
         pairs: wimi::core::PairSelection::Fixed(0, 1),
         ..WiMiConfig::default()
+    });
+    let default = WiMi::new(WiMiConfig::default());
+    let two_antennas = |b: &mut ScenarioBuilder| {
+        b.antennas(2, Meters::from_cm(2.9));
     };
-    let extractor = WiMi::new(config);
     let mut got = 0usize;
     for trial in 0..8u64 {
-        if let Some(f) = measure(&extractor, &Liquid::Honey.into(), 80 + trial, &|b| {
-            b.antennas(2, Meters::from_cm(2.9));
-        }) {
+        let seed = 80 + trial;
+        let f = measure(&fixed, &Liquid::Honey.into(), seed, &two_antennas);
+        assert_eq!(
+            measure(&default, &Liquid::Honey.into(), seed, &two_antennas),
+            f,
+            "trial {trial}: the default configuration measured differently"
+        );
+        if let Some(f) = f {
             assert!(f.omega_mean().is_finite());
             got += 1;
         }
