@@ -19,7 +19,7 @@ impl MaterialDatabase {
 
     /// Registers a material name, returning its label id; re-registering
     /// an existing name returns the existing id.
-    pub fn register(&mut self, name: &str) -> usize {
+    fn register(&mut self, name: &str) -> usize {
         if let Some(idx) = self.materials.iter().position(|m| m == name) {
             idx
         } else {

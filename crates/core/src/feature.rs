@@ -263,10 +263,12 @@ impl MaterialFeature {
     ///
     /// # Errors
     ///
-    /// The result is [`FeatureError::NoConsistentFeature`] when the
-    /// resolved pairs still disagree (blocked LoS, moving liquid), and
-    /// [`FeatureError::DegenerateAmplitude`] when every pair's amplitudes
-    /// are unusable.
+    /// The result is [`FeatureError::NoConsistentFeature`] when fewer than
+    /// two pairs resolve or the resolved pairs still disagree (blocked
+    /// LoS, moving liquid), and [`FeatureError::DegenerateAmplitude`] when
+    /// every pair's amplitudes are unusable. A lone pair therefore never
+    /// yields a feature here: it has nothing to check its wrap count
+    /// against, so one pair goes to [`Self::extract`] instead.
     ///
     /// # Panics
     ///
@@ -395,17 +397,15 @@ impl MaterialFeature {
                 }
             }
         }
-        // With three antennas every measurement offers three pairs; a
-        // measurement where fewer than two of them resolve leaves the
-        // cross-pair agreement gate below with nothing to check, and a
-        // single noise-dominated pair (tiny ΔΘ and ln ΔΨ both near the
-        // noise floor) then sails through with a fabricated Ω̄. Refuse
-        // instead — the operator re-seats the beaker and retakes. The
-        // pipeline hands two-antenna measurements to [`Self::extract`]
-        // instead.
-        let min_resolved = if inputs.len() >= 2 { 2 } else { 1 };
+        // Fewer than two resolved pairs leave the cross-pair agreement
+        // gate below with nothing to check: a single noise-dominated pair
+        // (tiny ΔΘ and ln ΔΨ both near the noise floor) would sail through
+        // with a fabricated Ω̄, and a lone input's wrap count would go
+        // unchecked. Refuse instead — the operator re-seats the beaker and
+        // retakes. The pipeline hands one-pair measurements to
+        // [`Self::extract`].
         diag.pairs_resolved = resolved.len();
-        if resolved.len() < min_resolved {
+        if resolved.len() < 2 {
             return Err(FeatureError::NoConsistentFeature {
                 best_dispersion: f64::INFINITY,
             });
@@ -415,13 +415,9 @@ impl MaterialFeature {
         // is what rejects blocked (metal) or churning (flowing) targets.
         let means: Vec<f64> = resolved.iter().map(|(_, c)| mean(&c.omegas)).collect();
         let grand = mean(&means);
-        let spread = if means.len() >= 2 {
-            let max = means.iter().cloned().fold(f64::MIN, f64::max);
-            let min = means.iter().cloned().fold(f64::MAX, f64::min);
-            (max - min) / grand.abs().max(OMEGA_NORM_FLOOR)
-        } else {
-            resolved[0].1.dispersion
-        };
+        let max = means.iter().cloned().fold(f64::MIN, f64::max);
+        let min = means.iter().cloned().fold(f64::MAX, f64::min);
+        let spread = (max - min) / grand.abs().max(OMEGA_NORM_FLOOR);
         if spread > JOINT_SPREAD_GATE * config.max_dispersion {
             return Err(FeatureError::NoConsistentFeature {
                 best_dispersion: spread,
@@ -439,7 +435,7 @@ impl MaterialFeature {
         let best = resolved.into_iter().max_by(|(ia, ca), (ib, cb)| {
             denom_mag(ca, &per_pair[*ia]).total_cmp(&denom_mag(cb, &per_pair[*ib]))
         });
-        // `resolved` passed the min_resolved gate above, so this branch is
+        // `resolved` passed the two-pair gate above, so this branch is
         // unreachable; degrade to the no-feature error rather than panic.
         let Some((idx, cand)) = best else {
             return Err(FeatureError::NoConsistentFeature {
@@ -1266,5 +1262,52 @@ mod tests {
         let (pb, pt, ab, at) = synthetic(0.007, 2.8, 65.0, 4);
         let oil = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &[], &cfg).unwrap();
         assert!((water.omega_mean() - oil.omega_mean()).abs() > 0.05);
+    }
+
+    #[test]
+    fn joint_extraction_refuses_a_lone_pair() {
+        // One pair from a real two-antenna capture that the single-pair
+        // extractor measures: joint resolution has no second pair to check
+        // its wrap count against, so it must refuse rather than answer.
+        use crate::pipeline::WiMiConfig;
+        use wimi_phy::channel::Environment;
+        use wimi_phy::csi::CsiSource;
+        use wimi_phy::material::Liquid;
+        use wimi_phy::scenario::{Scenario, Simulator};
+        use wimi_phy::units::Meters;
+
+        let cfg = WiMiConfig::default();
+        let mut builder = Scenario::builder();
+        builder.environment(Environment::Lab);
+        builder.antennas(2, Meters::from_cm(2.9));
+        let mut sim = Simulator::new(builder.build(), 0);
+        let base = sim.capture(20);
+        sim.set_liquid(Some(Liquid::Oil.into()));
+        let tar = sim.capture(20);
+        let pb = PhaseDifferenceProfile::compute(&base, 0, 1);
+        let pt = PhaseDifferenceProfile::compute(&tar, 0, 1);
+        let selected = cfg.subcarriers.resolve_excluding(&pb, &pt, &[]);
+        let ab = AmplitudeRatioProfile::compute(&base, 0, 1, &cfg.amplitude);
+        let at = AmplitudeRatioProfile::compute(&tar, 0, 1, &cfg.amplitude);
+        let single = MaterialFeature::extract(&pb, &pt, &ab, &at, &selected, &[], &cfg.feature);
+        assert!(
+            single.is_ok(),
+            "the single-pair extractor measures this pair"
+        );
+
+        let input = PairMeasurement {
+            phase_base: &pb,
+            phase_tar: &pt,
+            amp_base: &ab,
+            amp_tar: &at,
+            subcarriers: &selected,
+            rejected: &[],
+        };
+        let (result, diag) = MaterialFeature::extract_joint_with_diag(&[input], &cfg.feature);
+        assert!(
+            matches!(result, Err(FeatureError::NoConsistentFeature { .. })),
+            "a lone pair must not yield a joint feature: {result:?}"
+        );
+        assert_eq!(diag.pairs_attempted, 1);
     }
 }

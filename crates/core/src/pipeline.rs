@@ -361,16 +361,7 @@ impl WiMi {
         };
         let profiles: Vec<_> = pairs
             .iter()
-            .map(|&(a, b)| {
-                self.pair_profiles(
-                    baseline,
-                    target,
-                    a,
-                    b,
-                    rejected,
-                    Some((&amp_cache.0, &amp_cache.1)),
-                )
-            })
+            .map(|&(a, b)| self.pair_profiles(baseline, target, a, b, rejected, &amp_cache))
             .collect();
         let inputs: Vec<crate::feature::PairMeasurement<'_>> = profiles
             .iter()
@@ -404,8 +395,9 @@ impl WiMi {
     }
 
     /// Per-pair profile computation shared by the joint and single-pair
-    /// paths: phase calibration, good-subcarrier selection, amplitude
-    /// denoising — each under its stage span when a recorder is attached.
+    /// paths: phase calibration, good-subcarrier selection, and the
+    /// amplitude ratio from the already cleaned series `amps` — each under
+    /// its stage span when a recorder is attached.
     #[allow(clippy::type_complexity)]
     fn pair_profiles(
         &self,
@@ -414,7 +406,7 @@ impl WiMi {
         a: usize,
         b: usize,
         rejected: &[usize],
-        amps: Option<(&CleanedAmplitudes, &CleanedAmplitudes)>,
+        amps: &(CleanedAmplitudes, CleanedAmplitudes),
     ) -> (
         PhaseDifferenceProfile,
         PhaseDifferenceProfile,
@@ -438,18 +430,10 @@ impl WiMi {
         };
         let (amp_base, amp_tar) = {
             let _span = self.obs.stage(StageId::AmplitudeDenoising);
-            let owned;
-            let (clean_base, clean_tar) = match amps {
-                Some(cached) => cached,
-                None => {
-                    owned = self.clean_amplitudes(baseline, target);
-                    (&owned.0, &owned.1)
-                }
-            };
             let mut scratch = RatioScratch::default();
             (
-                AmplitudeRatioProfile::from_cleaned_with(clean_base, a, b, &mut scratch),
-                AmplitudeRatioProfile::from_cleaned_with(clean_tar, a, b, &mut scratch),
+                AmplitudeRatioProfile::from_cleaned_with(&amps.0, a, b, &mut scratch),
+                AmplitudeRatioProfile::from_cleaned_with(&amps.1, a, b, &mut scratch),
             )
         };
         (phase_base, phase_tar, amp_base, amp_tar, selected)
@@ -463,8 +447,11 @@ impl WiMi {
         b: usize,
         rejected: &[usize],
     ) -> Result<MaterialFeature, FeatureError> {
+        // Cleaned outside any span: one more `AmplitudeDenoising` span here
+        // would change the stage call counts that obs artifacts record.
+        let amps = self.clean_amplitudes(baseline, target);
         let (phase_base, phase_tar, amp_base, amp_tar, selected) =
-            self.pair_profiles(baseline, target, a, b, rejected, None);
+            self.pair_profiles(baseline, target, a, b, rejected, &amps);
         let _span = self.obs.stage(StageId::GammaResolution);
         MaterialFeature::extract(
             &phase_base,

@@ -58,7 +58,7 @@ impl Biquad {
     /// # Panics
     ///
     /// Panics if `fc_norm` is outside `(0, 1)`.
-    pub fn butterworth_lowpass(fc_norm: f64) -> Self {
+    fn butterworth_lowpass(fc_norm: f64) -> Self {
         assert!(
             fc_norm > 0.0 && fc_norm < 1.0,
             "normalised cutoff must be in (0, 1), got {fc_norm}"

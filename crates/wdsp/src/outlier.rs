@@ -3,10 +3,9 @@
 //! The paper's first amplitude-denoising step (§III-C) keeps samples inside
 //! `[μ − 3σ, μ + 3σ]` and discards the rest. To keep series lengths stable
 //! for the downstream wavelet stage, rejected samples are replaced by
-//! linear interpolation of their surviving neighbours. A Hampel filter is
-//! provided as a robust windowed alternative (used in ablations).
+//! linear interpolation of their surviving neighbours.
 
-use crate::stats::{mean, median, std_dev};
+use crate::stats::{mean, std_dev};
 
 /// Marks samples outside `μ ± k·σ`. Returns a keep-mask.
 pub fn sigma_mask(xs: &[f64], k: f64) -> Vec<bool> {
@@ -82,7 +81,7 @@ pub fn reject_outliers(xs: &[f64], k: f64) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn interpolate_masked(xs: &[f64], keep: &[bool]) -> Vec<f64> {
+fn interpolate_masked(xs: &[f64], keep: &[bool]) -> Vec<f64> {
     let mut out = xs.to_vec();
     let mut kept = Vec::new();
     interpolate_masked_in(xs, keep, &mut kept, &mut out);
@@ -118,31 +117,6 @@ fn interpolate_masked_in(xs: &[f64], keep: &[bool], kept_idx: &mut Vec<usize>, o
             (None, None) => xs[i],
         };
     }
-}
-
-/// Hampel filter: windowed median/MAD outlier repair. Each sample farther
-/// than `k` scaled MADs from the window median is replaced by that median.
-///
-/// # Panics
-///
-/// Panics if `half_window` is zero or `k` is not positive.
-pub fn hampel_filter(xs: &[f64], half_window: usize, k: f64) -> Vec<f64> {
-    assert!(half_window > 0, "half window must be positive");
-    assert!(k > 0.0, "threshold multiplier must be positive");
-    let n = xs.len();
-    let mut out = xs.to_vec();
-    for i in 0..n {
-        let lo = i.saturating_sub(half_window);
-        let hi = (i + half_window + 1).min(n);
-        let window = &xs[lo..hi];
-        let med = median(window);
-        let scaled_mad =
-            1.4826 * median(&window.iter().map(|x| (x - med).abs()).collect::<Vec<_>>());
-        if scaled_mad > 0.0 && (xs[i] - med).abs() > k * scaled_mad {
-            out[i] = med;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -218,22 +192,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hampel_repairs_spike_without_touching_trend() {
-        let mut xs: Vec<f64> = (0..40).map(|i| i as f64 * 0.1).collect();
-        xs[15] = 50.0;
-        let out = hampel_filter(&xs, 3, 3.0);
-        assert!((out[15] - 1.5).abs() < 0.3, "repaired to {}", out[15]);
-        assert!((out[10] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hampel_leaves_clean_series_unchanged() {
-        let xs: Vec<f64> = (0..30).map(|i| (i as f64 * 0.2).sin()).collect();
-        let out = hampel_filter(&xs, 4, 5.0);
-        assert_eq!(out, xs);
     }
 
     #[test]

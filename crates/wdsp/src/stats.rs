@@ -1,7 +1,7 @@
 //! Descriptive and circular statistics.
 //!
 //! Phase data lives on the circle, so the WiMi pipeline needs circular
-//! moments (mean direction, circular variance) alongside ordinary linear
+//! moments (mean direction, resultant length, circular spread) alongside ordinary linear
 //! statistics; both live here.
 
 /// Arithmetic mean. Returns `NaN` for an empty slice.
@@ -19,16 +19,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     }
     let m = mean(xs);
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Sample variance (divides by `n − 1`). Returns `NaN` for slices with
-/// fewer than two elements.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
 /// Population standard deviation.
@@ -429,11 +419,6 @@ pub fn circular_mean(angles: &[f64]) -> f64 {
     s.atan2(c)
 }
 
-/// Circular variance `1 − R ∈ [0, 1]`.
-pub fn circular_variance(angles: &[f64]) -> f64 {
-    1.0 - circular_resultant(angles)
-}
-
 /// Circular standard deviation `√(−2·ln R)` (radians). Returns `NaN` for
 /// an empty slice.
 ///
@@ -568,7 +553,6 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((mean(&xs) - 2.5).abs() < 1e-12);
         assert!((variance(&xs) - 1.25).abs() < 1e-12);
-        assert!((sample_variance(&xs) - 5.0 / 3.0).abs() < 1e-12);
         assert!((std_dev(&xs) - 1.25f64.sqrt()).abs() < 1e-12);
         assert!((rms(&[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
     }
@@ -665,7 +649,6 @@ mod tests {
         let angles = [0.1, 0.12, 0.09, 0.11];
         assert!(circular_resultant(&angles) > 0.999);
         assert!((circular_mean(&angles) - 0.105).abs() < 0.01);
-        assert!(circular_variance(&angles) < 0.001);
         assert!(angular_spread_deg(&angles) < 2.0);
     }
 
@@ -673,7 +656,6 @@ mod tests {
     fn circular_stats_on_uniform_angles() {
         let angles: Vec<f64> = (0..36).map(|k| k as f64 * PI / 18.0).collect();
         assert!(circular_resultant(&angles) < 1e-10);
-        assert!(circular_variance(&angles) > 0.999);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl CorrelationDenoiser {
     /// [`Self::denoise`] through caller-owned buffers: the cleaned series
     /// is written into `out` and every intermediate band lives in
     /// `scratch` — the one-column case of [`Self::denoise_columns`].
-    pub fn denoise_into(&self, xs: &[f64], scratch: &mut DenoiseScratch, out: &mut Vec<f64>) {
+    fn denoise_into(&self, xs: &[f64], scratch: &mut DenoiseScratch, out: &mut Vec<f64>) {
         out.clear();
         out.extend_from_slice(xs);
         self.denoise_columns(out, 1, scratch);

@@ -136,20 +136,6 @@ impl SwtDecomposition {
     pub fn is_empty(&self) -> bool {
         self.approx.is_empty()
     }
-
-    /// Energy `‖W_l‖²` of the detail band at `level` (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is zero or exceeds [`Self::levels`].
-    pub fn detail_power(&self, level: usize) -> f64 {
-        assert!(
-            (1..=self.levels()).contains(&level),
-            "level must be in 1..={}",
-            self.levels()
-        );
-        self.details[level - 1].iter().map(|w| w * w).sum()
-    }
 }
 
 /// Circular filter of every column of a sample-major plane:
@@ -289,6 +275,10 @@ mod tests {
                 (2.0 * std::f64::consts::PI * (3.0 + 10.0 * t) * t).sin()
             })
             .collect()
+    }
+
+    fn energy(xs: &[f64]) -> f64 {
+        xs.iter().map(|v| v * v).sum()
     }
 
     /// Naive modular-index reference for one column of [`analyze_into`]:
@@ -450,8 +440,8 @@ mod tests {
         // level-1 split preserves energy doubled.
         let x = chirp(64);
         let dec = swt_decompose(&x, Wavelet::Haar, 1);
-        let in_e: f64 = x.iter().map(|v| v * v).sum();
-        let out_e: f64 = dec.detail_power(1) + dec.approx.iter().map(|v| v * v).sum::<f64>();
+        let in_e = energy(&x);
+        let out_e = energy(&dec.details[0]) + energy(&dec.approx);
         assert!(
             (out_e - 2.0 * in_e).abs() / in_e < 1e-9,
             "in {in_e}, out {out_e}"
@@ -464,8 +454,8 @@ mod tests {
             .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 128.0).sin())
             .collect();
         let dec = swt_decompose(&x, Wavelet::Db4, 4);
-        let approx_e: f64 = dec.approx.iter().map(|v| v * v).sum();
-        let detail_e: f64 = (1..=4).map(|l| dec.detail_power(l)).sum();
+        let approx_e = energy(&dec.approx);
+        let detail_e: f64 = dec.details.iter().map(|d| energy(d)).sum();
         assert!(approx_e > 10.0 * detail_e);
     }
 
@@ -490,13 +480,6 @@ mod tests {
     #[should_panic(expected = "at least one decomposition level")]
     fn zero_levels_rejected() {
         let _ = swt_decompose(&[1.0, 2.0], Wavelet::Haar, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "level must be in")]
-    fn detail_power_bounds() {
-        let dec = swt_decompose(&chirp(16), Wavelet::Haar, 2);
-        let _ = dec.detail_power(3);
     }
 
     #[test]

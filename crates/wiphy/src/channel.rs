@@ -249,13 +249,6 @@ impl MultipathChannel {
         }
     }
 
-    /// A jitter state that leaves the channel static (for deterministic tests).
-    pub fn frozen_jitter(&self) -> PacketJitter {
-        PacketJitter {
-            multipliers: vec![Complex::ONE; self.scatterers.len()],
-        }
-    }
-
     /// Sum of all scatterer contributions at one receive antenna and
     /// frequency, given this packet's jitter and a per-scatterer extra
     /// multiplier (e.g. through-target insertion on the scattered path).
@@ -429,6 +422,13 @@ mod tests {
 
     const F: Hertz = Hertz(5.24e9);
 
+    /// A jitter state that leaves the channel static.
+    fn static_jitter(ch: &MultipathChannel) -> PacketJitter {
+        PacketJitter {
+            multipliers: vec![Complex::ONE; ch.scatterers.len()],
+        }
+    }
+
     fn link() -> (Point, Point) {
         (Point::new(0.0, 0.0), Point::new(2.0, 0.0))
     }
@@ -491,7 +491,7 @@ mod tests {
             let n = 60;
             for _ in 0..n {
                 let ch = MultipathChannel::realize(env, tx, rx, &mut rng);
-                let j = ch.frozen_jitter();
+                let j = static_jitter(&ch);
                 acc += ch.response(tx, rx, F, &j, None).norm_sqr();
             }
             acc / n as f64
@@ -578,11 +578,11 @@ mod tests {
     }
 
     #[test]
-    fn frozen_jitter_makes_response_deterministic() {
+    fn static_jitter_makes_response_deterministic() {
         let (tx, rx) = link();
         let mut rng = StdRng::seed_from_u64(1);
         let ch = MultipathChannel::realize(Environment::Lab, tx, rx, &mut rng);
-        let j = ch.frozen_jitter();
+        let j = static_jitter(&ch);
         let a = ch.response(tx, rx, F, &j, None);
         let b = ch.response(tx, rx, F, &j, None);
         assert_eq!(a, b);
@@ -593,7 +593,7 @@ mod tests {
         let (tx, rx) = link();
         let mut rng = StdRng::seed_from_u64(2);
         let ch = MultipathChannel::realize(Environment::Lab, tx, rx, &mut rng);
-        let frozen = ch.frozen_jitter();
+        let frozen = static_jitter(&ch);
         let base = ch.response(tx, rx, F, &frozen, None);
         let jittered = ch.draw_jitter(&mut rng);
         let moved = ch.response(tx, rx, F, &jittered, None);
@@ -607,7 +607,7 @@ mod tests {
         let (tx, rx) = link();
         let mut rng = StdRng::seed_from_u64(5);
         let ch = MultipathChannel::realize(Environment::Library, tx, rx, &mut rng);
-        let j = ch.frozen_jitter();
+        let j = static_jitter(&ch);
         let h1 = ch.response(tx, Point::new(2.0, 0.0), F, &j, None);
         let h2 = ch.response(tx, Point::new(2.0, 0.029), F, &j, None);
         assert!((h1 - h2).abs() > 1e-6, "antennas should decorrelate");
@@ -634,7 +634,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let a = MultipathChannel::realize(Environment::EmptyHall, tx, rx, &mut rng);
         let b = MultipathChannel::realize(Environment::Library, tx, rx, &mut rng);
-        let j = b.frozen_jitter();
+        let j = static_jitter(&b);
         let _ = a.response(tx, rx, F, &j, None);
     }
 }

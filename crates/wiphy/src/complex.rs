@@ -110,7 +110,7 @@ impl Complex {
     /// Does not panic; dividing by zero yields non-finite parts, mirroring
     /// `f64` semantics.
     #[inline]
-    pub fn inv(self) -> Self {
+    fn inv(self) -> Self {
         let d = self.norm_sqr();
         Complex {
             re: self.re / d,

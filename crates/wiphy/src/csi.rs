@@ -127,18 +127,6 @@ impl CsiPacket {
         self.data.iter().all(|h| h.is_finite())
     }
 
-    /// `true` when one antenna's row is identically zero — the signature
-    /// of a dead RF chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `antenna` is out of bounds.
-    pub fn antenna_is_zero(&self, antenna: usize) -> bool {
-        self.antenna_row(antenna)
-            .iter()
-            .all(|h| *h == Complex::ZERO)
-    }
-
     /// A copy holding only the antennas in `keep`, in the given order.
     ///
     /// # Panics
@@ -151,22 +139,6 @@ impl CsiPacket {
             data.extend_from_slice(self.antenna_row(a));
         }
         CsiPacket::new(keep.len(), self.n_subcarriers, data)
-    }
-
-    /// Cross-antenna conjugate product `H_a · H_b*` per subcarrier — its
-    /// argument is the phase difference that cancels NIC-common offsets
-    /// (paper Eq. 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either antenna index is out of bounds.
-    pub fn cross_antenna(&self, a: usize, b: usize) -> Vec<Complex> {
-        let ra = self.antenna_row(a).to_vec();
-        let rb = self.antenna_row(b);
-        ra.iter()
-            .zip(rb.iter())
-            .map(|(x, y)| *x * y.conj())
-            .collect()
     }
 }
 
@@ -424,7 +396,7 @@ impl CsiCapture {
     ///
     /// Panics if either index is out of bounds while the capture is
     /// non-empty.
-    pub fn amplitude_series_into(&self, antenna: usize, subcarrier: usize, out: &mut Vec<f64>) {
+    fn amplitude_series_into(&self, antenna: usize, subcarrier: usize, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.n_packets);
         if self.n_packets == 0 {
@@ -555,24 +527,6 @@ impl CsiCapture {
             im,
         }
     }
-
-    /// Amplitude-ratio time series `|H_a|/|H_b|` on one subcarrier.
-    ///
-    /// Ratios with a zero denominator are reported as `f64::INFINITY`.
-    pub fn amplitude_ratio_series(&self, a: usize, b: usize, subcarrier: usize) -> Vec<f64> {
-        (0..self.n_packets)
-            .map(|m| {
-                let num = self.get(m, a, subcarrier).abs();
-                let den = self.get(m, b, subcarrier).abs();
-                // Magnitudes are non-negative, so `<= 0.0` is the zero test.
-                if den <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    num / den
-                }
-            })
-            .collect()
-    }
 }
 
 impl FromIterator<CsiPacket> for CsiCapture {
@@ -646,20 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_antenna_cancels_common_phase() {
-        // Two antennas with identical per-subcarrier phase plus a common
-        // random rotation: the conjugate product's phase must be zero.
-        let common = Complex::cis(2.1);
-        let data = vec![
-            common * Complex::from_polar(1.0, 0.3),
-            common * Complex::from_polar(2.0, 0.3),
-        ];
-        let p = CsiPacket::new(2, 1, data);
-        let x = p.cross_antenna(0, 1);
-        assert!(x[0].arg().abs() < 1e-12);
-    }
-
-    #[test]
     fn capture_series_extraction() {
         let cap: CsiCapture = (0..5).map(|m| packet(2, 3, m as f64)).collect();
         assert_eq!(cap.len(), 5);
@@ -668,7 +608,6 @@ mod tests {
         assert_eq!(cap.amplitude_series(0, 1).len(), 5);
         assert_eq!(cap.phase_series(1, 2).len(), 5);
         assert_eq!(cap.phase_difference_series(0, 1, 0).len(), 5);
-        assert_eq!(cap.amplitude_ratio_series(0, 1, 0).len(), 5);
     }
 
     #[test]
@@ -735,7 +674,8 @@ mod tests {
         let cap = CsiCapture::from_packets(vec![p0.clone(), p1.clone()]);
         assert_eq!(cap.packet_is_finite(0), p0.is_finite());
         assert_eq!(cap.packet_is_finite(1), p1.is_finite());
-        assert_eq!(cap.antenna_row_is_zero(0, 1), p0.antenna_is_zero(1));
+        let p0_row_zero = p0.antenna_row(1).iter().all(|h| *h == Complex::ZERO);
+        assert_eq!(cap.antenna_row_is_zero(0, 1), p0_row_zero);
         assert!(!cap.antenna_row_is_zero(1, 0));
         assert!(cap.packet_has_zero(0));
     }
@@ -746,13 +686,6 @@ mod tests {
         let mut cap = CsiCapture::new();
         cap.push(packet(2, 3, 0.0));
         cap.push(packet(2, 4, 0.0));
-    }
-
-    #[test]
-    fn amplitude_ratio_handles_zero_denominator() {
-        let p = CsiPacket::new(2, 1, vec![Complex::ONE, Complex::ZERO]);
-        let cap = CsiCapture::from_packets(vec![p]);
-        assert!(cap.amplitude_ratio_series(0, 1, 0)[0].is_infinite());
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl Ray {
     }
 
     /// Perpendicular distance from `p` to the infinite line through the ray.
-    pub fn distance_to_point(self, p: Point) -> Meters {
+    fn distance_to_point(self, p: Point) -> Meters {
         let dx = self.to.x - self.from.x;
         let dy = self.to.y - self.from.y;
         let len = dx.hypot(dy);
@@ -115,7 +115,7 @@ impl Cylinder {
     /// # Panics
     ///
     /// Panics if `wall` is negative or at least the radius.
-    pub fn shrunk_by(self, wall: Meters) -> Cylinder {
+    fn shrunk_by(self, wall: Meters) -> Cylinder {
         assert!(wall.value() >= 0.0, "wall thickness must be non-negative");
         assert!(
             wall.value() < self.radius.value(),
@@ -180,19 +180,6 @@ impl AntennaArray {
         let positions = (0..n)
             .map(|i| Point::new(center.x, center.y + (i as f64 - mid) * spacing.value()))
             .collect();
-        AntennaArray { positions }
-    }
-
-    /// Builds an array from explicit positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `positions` is empty.
-    pub fn from_positions(positions: Vec<Point>) -> Self {
-        assert!(
-            !positions.is_empty(),
-            "array must have at least one antenna"
-        );
         AntennaArray { positions }
     }
 

@@ -92,14 +92,6 @@ impl HardwareProfile {
         }
     }
 
-    /// Returns a copy without the CFO/SFO/PBD phase corruption (keeps
-    /// amplitude impairments) — used to ablate the phase-difference step.
-    pub fn without_phase_corruption(mut self) -> Self {
-        self.phase_corruption = false;
-        self.phase_slope_std = 0.0;
-        self
-    }
-
     /// Applies all impairments to a packet in place.
     ///
     /// Convenience wrapper over [`HardwareProfile::apply_planes`] for the
@@ -349,7 +341,11 @@ mod tests {
                 outlier_probability: 0.3,
                 ..HardwareProfile::default()
             },
-            HardwareProfile::default().without_phase_corruption(),
+            HardwareProfile {
+                phase_corruption: false,
+                phase_slope_std: 0.0,
+                ..HardwareProfile::default()
+            },
             HardwareProfile::ideal(),
         ];
         let mut corrupt = Vec::new();

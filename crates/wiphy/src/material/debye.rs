@@ -68,13 +68,6 @@ impl DebyeModel {
     pub fn pure_water() -> Self {
         DebyeModel::new(78.36, 5.2, Seconds::from_ps(8.27), 0.0)
     }
-
-    /// Returns a copy with the given ionic conductivity (S/m).
-    pub fn with_conductivity(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "conductivity must be non-negative");
-        self.conductivity = sigma;
-        self
-    }
 }
 
 impl Dielectric for DebyeModel {
@@ -131,9 +124,7 @@ mod tests {
     fn conductivity_raises_loss_only() {
         let f = Hertz::from_ghz(5.0);
         let fresh = DebyeModel::pure_water().permittivity(f);
-        let salty = DebyeModel::pure_water()
-            .with_conductivity(3.0)
-            .permittivity(f);
+        let salty = DebyeModel::new(78.36, 5.2, Seconds::from_ps(8.27), 3.0).permittivity(f);
         assert_eq!(fresh.real, salty.real);
         assert!(salty.imag > fresh.imag + 5.0);
     }

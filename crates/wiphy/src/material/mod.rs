@@ -16,7 +16,6 @@ pub use catalog::{ContainerMaterial, Liquid, SaltwaterConcentration, LIQUIDS};
 pub use debye::DebyeModel;
 pub use propagation::PropagationConstants;
 
-use crate::complex::Complex;
 use crate::units::Hertz;
 
 /// Complex relative permittivity `ε_r = ε' − jε''` at a single frequency.
@@ -51,12 +50,6 @@ impl Permittivity {
     #[inline]
     pub fn loss_tangent(self) -> f64 {
         self.imag / self.real
-    }
-
-    /// The permittivity as a complex number `ε' − jε''`.
-    #[inline]
-    pub fn as_complex(self) -> Complex {
-        Complex::new(self.real, -self.imag)
     }
 }
 
@@ -103,11 +96,6 @@ impl ConstantPermittivity {
             eps: Permittivity::new(real, imag),
         }
     }
-
-    /// The underlying permittivity.
-    pub fn permittivity_value(self) -> Permittivity {
-        self.eps
-    }
 }
 
 impl Dielectric for ConstantPermittivity {
@@ -142,14 +130,6 @@ mod tests {
     fn air_is_nearly_lossless() {
         assert!(Permittivity::AIR.imag.abs() < f64::EPSILON);
         assert!((Permittivity::AIR.real - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn as_complex_uses_engineering_sign_convention() {
-        let eps = Permittivity::new(4.0, 1.0);
-        let z = eps.as_complex();
-        assert_eq!(z.re, 4.0);
-        assert_eq!(z.im, -1.0);
     }
 
     #[test]

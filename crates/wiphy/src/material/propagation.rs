@@ -51,17 +51,6 @@ impl PropagationConstants {
         Meters(2.0 * std::f64::consts::PI / self.beta)
     }
 
-    /// One-way field attenuation over distance `d`: `e^{−α·d}` (linear
-    /// amplitude factor, in `(0, 1]`).
-    pub fn amplitude_factor(self, d: Meters) -> f64 {
-        (-self.alpha * d.value()).exp()
-    }
-
-    /// Phase accumulated over distance `d`: `β·d` radians.
-    pub fn phase_over(self, d: Meters) -> f64 {
-        self.beta * d.value()
-    }
-
     /// The ground-truth WiMi material feature
     /// `Ω̄ = (α − α_air)/(β − β_air)` at the same frequency (paper Eq. 21,
     /// written here with both sign conventions collapsed to a positive
@@ -118,23 +107,6 @@ mod tests {
         let water = DebyeModel::pure_water().propagation(F);
         let air = PropagationConstants::air(F);
         assert!(water.wavelength().value() < air.wavelength().value() / 7.0);
-    }
-
-    #[test]
-    fn amplitude_factor_decays_with_distance() {
-        let pc = DebyeModel::pure_water().propagation(F);
-        let near = pc.amplitude_factor(Meters::from_mm(1.0));
-        let far = pc.amplitude_factor(Meters::from_cm(1.0));
-        assert!(near > far);
-        assert!(near <= 1.0 && far > 0.0);
-    }
-
-    #[test]
-    fn phase_over_is_linear_in_distance() {
-        let pc = PropagationConstants::air(F);
-        let p1 = pc.phase_over(Meters(1.0));
-        let p2 = pc.phase_over(Meters(2.0));
-        assert!((p2 - 2.0 * p1).abs() < 1e-9);
     }
 
     #[test]

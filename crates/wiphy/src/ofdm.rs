@@ -75,20 +75,6 @@ impl ChannelSpec {
         let idx = self.subcarrier_indices[k];
         Hertz(self.center.value() + idx as f64 * SUBCARRIER_SPACING_HZ)
     }
-
-    /// Iterator over all subcarrier frequencies in report order.
-    pub fn subcarrier_freqs(&self) -> impl Iterator<Item = Hertz> + '_ {
-        (0..self.num_subcarriers()).map(|k| self.subcarrier_freq(k))
-    }
-
-    /// Occupied bandwidth between first and last reported subcarrier.
-    pub fn occupied_bandwidth(&self) -> Hertz {
-        // The index table is non-empty for every supported format; an empty
-        // table degrades to zero bandwidth rather than panicking.
-        let lo = self.subcarrier_indices.iter().copied().min().unwrap_or(0);
-        let hi = self.subcarrier_indices.iter().copied().max().unwrap_or(0);
-        Hertz((hi - lo) as f64 * SUBCARRIER_SPACING_HZ)
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +95,9 @@ mod tests {
     #[test]
     fn subcarrier_frequencies_are_monotone() {
         let ch = ChannelSpec::intel5300_20mhz_5ghz();
-        let freqs: Vec<f64> = ch.subcarrier_freqs().map(|f| f.value()).collect();
+        let freqs: Vec<f64> = (0..ch.num_subcarriers())
+            .map(|k| ch.subcarrier_freq(k).value())
+            .collect();
         assert!(freqs.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -121,9 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn occupied_bandwidth_is_17_5_mhz() {
+    fn reported_span_is_17_5_mhz() {
         let ch = ChannelSpec::intel5300_20mhz_5ghz();
-        assert!((ch.occupied_bandwidth().value() - 17.5e6).abs() < 1.0);
+        let span = ch.subcarrier_freq(29).value() - ch.subcarrier_freq(0).value();
+        assert!((span - 17.5e6).abs() < 1.0);
     }
 
     #[test]

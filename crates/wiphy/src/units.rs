@@ -140,12 +140,6 @@ unit!(
     "s"
 );
 
-unit!(
-    /// A power or amplitude ratio in decibels.
-    Decibels,
-    "dB"
-);
-
 impl Meters {
     /// Builds a length from centimetres.
     #[inline]
@@ -179,12 +173,6 @@ impl Hertz {
         Hertz(mhz * 1e6)
     }
 
-    /// Converts to gigahertz.
-    #[inline]
-    pub fn to_ghz(self) -> f64 {
-        self.0 / 1e9
-    }
-
     /// Angular frequency `ω = 2πf` in rad/s.
     #[inline]
     pub fn angular(self) -> f64 {
@@ -199,48 +187,10 @@ impl Hertz {
 }
 
 impl Seconds {
-    /// Builds a duration from nanoseconds.
-    #[inline]
-    pub fn from_ns(ns: f64) -> Self {
-        Seconds(ns * 1e-9)
-    }
-
     /// Builds a duration from picoseconds.
     #[inline]
     pub fn from_ps(ps: f64) -> Self {
         Seconds(ps * 1e-12)
-    }
-}
-
-impl Decibels {
-    /// Converts a linear *power* ratio to decibels (`10·log₁₀`).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `ratio` is not positive.
-    #[inline]
-    pub fn from_power_ratio(ratio: f64) -> Self {
-        debug_assert!(ratio > 0.0, "power ratio must be positive");
-        Decibels(10.0 * ratio.log10())
-    }
-
-    /// Converts a linear *amplitude* ratio to decibels (`20·log₁₀`).
-    #[inline]
-    pub fn from_amplitude_ratio(ratio: f64) -> Self {
-        debug_assert!(ratio > 0.0, "amplitude ratio must be positive");
-        Decibels(20.0 * ratio.log10())
-    }
-
-    /// Converts back to a linear power ratio.
-    #[inline]
-    pub fn to_power_ratio(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-
-    /// Converts back to a linear amplitude ratio.
-    #[inline]
-    pub fn to_amplitude_ratio(self) -> f64 {
-        10f64.powf(self.0 / 20.0)
     }
 }
 
@@ -259,7 +209,6 @@ mod tests {
     fn hertz_conversions() {
         let f = Hertz::from_ghz(5.0);
         assert_eq!(f.value(), 5e9);
-        assert!((f.to_ghz() - 5.0).abs() < 1e-12);
         assert!((Hertz::from_mhz(20.0).value() - 2e7).abs() < 1e-6);
     }
 
@@ -276,16 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn decibel_roundtrip() {
-        let db = Decibels::from_power_ratio(100.0);
-        assert!((db.value() - 20.0).abs() < 1e-12);
-        assert!((db.to_power_ratio() - 100.0).abs() < 1e-9);
-        let db = Decibels::from_amplitude_ratio(10.0);
-        assert!((db.value() - 20.0).abs() < 1e-12);
-        assert!((db.to_amplitude_ratio() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn arithmetic_on_units() {
         let a = Meters(2.0) + Meters(0.5) - Meters(1.0);
         assert!((a.value() - 1.5).abs() < 1e-12);
@@ -297,7 +236,6 @@ mod tests {
 
     #[test]
     fn seconds_helpers() {
-        assert!((Seconds::from_ns(10.0).value() - 1e-8).abs() < 1e-20);
         assert!((Seconds::from_ps(8.27).value() - 8.27e-12).abs() < 1e-24);
     }
 

@@ -2,8 +2,7 @@
 //!
 //! Machine-learning substrate for the WiMi reproduction: a from-scratch
 //! SMO-trained SVM (linear/RBF/polynomial kernels, one-vs-one multiclass),
-//! a k-NN baseline, feature standardisation, stratified splits/folds, and
-//! confusion-matrix metrics.
+//! a k-NN baseline, feature standardisation, and confusion-matrix metrics.
 //!
 //! # Example: train and evaluate a multiclass SVM
 //!
@@ -36,7 +35,6 @@
     )
 )]
 
-pub mod cv;
 pub mod dataset;
 pub mod knn;
 pub mod metrics;
@@ -45,7 +43,6 @@ pub mod par;
 pub mod scale;
 pub mod svm;
 
-pub use cv::{cross_validate_svm, CvResult};
 pub use dataset::Dataset;
 pub use knn::KnnClassifier;
 pub use metrics::{accuracy, ConfusionMatrix};

@@ -156,11 +156,6 @@ impl MulticlassSvm {
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<usize> {
         xs.iter().map(|x| self.predict(x)).collect()
     }
-
-    /// Number of underlying binary machines.
-    pub fn n_machines(&self) -> usize {
-        self.machines.len()
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +181,7 @@ mod tests {
         let ds = three_blobs(15);
         let mut rng = StdRng::seed_from_u64(0);
         let model = MulticlassSvm::train(&ds, &SvmParams::default(), &mut rng);
-        assert_eq!(model.n_machines(), 3);
+        assert_eq!(model.machines.len(), 3);
         for i in 0..ds.len() {
             let (x, y) = ds.sample(i);
             assert_eq!(model.predict(x), y);
@@ -214,7 +209,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(2);
         let model = MulticlassSvm::train(&ds, &SvmParams::default(), &mut rng);
-        assert_eq!(model.n_machines(), 1);
+        assert_eq!(model.machines.len(), 1);
         assert_eq!(model.predict(&[0.0]), 0);
         assert_eq!(model.predict(&[3.5]), 1);
     }

@@ -19,25 +19,23 @@
 //! its per-item randomness from per-item seeds, so output is bitwise
 //! identical for any `WIMI_THREADS` value.
 //!
-//! Both variables are read from the environment **once per process** (the
-//! service layer calls [`max_threads`] from long-lived workers, where a
-//! fresh `std::env::var` per request would be both overhead and a
+//! The variable is read from the environment **once per process** (the
+//! service layer fans out from long-lived workers, where a fresh
+//! `std::env::var` per request would be both overhead and a
 //! nondeterminism hazard under a mutable environment). In-process callers
-//! that need to vary the fan-out shape — benches, the thread-invariance
-//! tests — use [`set_thread_override`]/[`set_chunk_override`] instead of
-//! mutating the environment; the CI determinism jobs keep working
-//! unchanged because they run `WIMI_THREADS=1` and `=4` as separate
-//! processes.
+//! that need to vary the worker count — benches, the thread-invariance
+//! tests — use [`set_thread_override`] instead of mutating the
+//! environment; the CI determinism jobs keep working unchanged because
+//! they run `WIMI_THREADS=1` and `=4` as separate processes.
 //!
 //! # Chunking
 //!
 //! Workers claim *chunks* of consecutive indices rather than single items,
 //! so cheap items don't pay one atomic claim (and its cache-line bounce)
-//! each. The chunk size comes from the `WIMI_CHUNK` environment variable
-//! when set to a parseable positive integer (`0` clamps to 1), otherwise
-//! from [`default_chunk`], which leaves a few claims per worker for load
+//! each. The chunk size leaves roughly four claims per worker for load
 //! balancing. Chunking only changes how indices are handed out — outputs
-//! are identical for any chunk size.
+//! are identical for any chunk size, which the unit tests check over many
+//! worker and chunk combinations.
 //!
 //! # Nesting
 //!
@@ -75,15 +73,13 @@ fn parse_fanout_env(raw: Option<&str>) -> Option<usize> {
         .map(|n| n.max(1))
 }
 
-/// `WIMI_THREADS`/`WIMI_CHUNK` as read once at first use.
+/// `WIMI_THREADS` as read once at first use.
 static THREADS_ENV: OnceLock<Option<usize>> = OnceLock::new();
-static CHUNK_ENV: OnceLock<Option<usize>> = OnceLock::new();
 
-/// In-process overrides (0 = none). These exist so benches and the
-/// thread-invariance tests can vary the fan-out shape without mutating
+/// In-process override (0 = none). It exists so benches and the
+/// thread-invariance tests can vary the worker count without mutating
 /// the (now cached) environment.
 static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 #[expect(
     clippy::disallowed_methods,
@@ -91,14 +87,6 @@ static CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 )]
 fn threads_env() -> Option<usize> {
     *THREADS_ENV.get_or_init(|| parse_fanout_env(std::env::var("WIMI_THREADS").ok().as_deref()))
-}
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "WIMI_CHUNK selects the fan-out shape only; outputs are chunk-size invariant"
-)]
-fn chunk_env() -> Option<usize> {
-    *CHUNK_ENV.get_or_init(|| parse_fanout_env(std::env::var("WIMI_CHUNK").ok().as_deref()))
 }
 
 /// Forces the worker count for this process, taking precedence over the
@@ -110,17 +98,10 @@ pub fn set_thread_override(n: Option<usize>) {
     THREADS_OVERRIDE.store(n.map_or(0, |n| n.max(1)), Ordering::Relaxed);
 }
 
-/// Forces the fan-out chunk size for this process, taking precedence over
-/// the cached `WIMI_CHUNK` value; `None` restores environment/default
-/// behaviour.
-pub fn set_chunk_override(n: Option<usize>) {
-    CHUNK_OVERRIDE.store(n.map_or(0, |n| n.max(1)), Ordering::Relaxed);
-}
-
 /// The configured maximum worker count: the in-process override if set,
 /// else `WIMI_THREADS` if parseable (≥ 1), else
 /// [`std::thread::available_parallelism`].
-pub fn max_threads() -> usize {
+fn max_threads() -> usize {
     match THREADS_OVERRIDE.load(Ordering::Relaxed) {
         0 => threads_env()
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
@@ -131,18 +112,8 @@ pub fn max_threads() -> usize {
 /// The default fan-out chunk size for `n` items over `workers` workers:
 /// big enough to amortise the atomic claim, small enough to leave roughly
 /// four claims per worker for dynamic load balancing.
-pub fn default_chunk(n: usize, workers: usize) -> usize {
+fn default_chunk(n: usize, workers: usize) -> usize {
     (n / (workers.max(1) * 4)).max(1)
-}
-
-/// The configured chunk size for `n` items over `workers` workers: the
-/// in-process override if set, else `WIMI_CHUNK` if parseable (≥ 1), else
-/// [`default_chunk`].
-fn chunk_size(n: usize, workers: usize) -> usize {
-    match CHUNK_OVERRIDE.load(Ordering::Relaxed) {
-        0 => chunk_env().unwrap_or_else(|| default_chunk(n, workers)),
-        c => c,
-    }
 }
 
 /// Maps `f` over `items` in parallel, preserving input order in the
@@ -159,15 +130,15 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = max_threads().min(items.len());
-    map_chunked(items, workers, chunk_size(items.len(), workers), f)
+    map_chunked(items, workers, default_chunk(items.len(), workers), f)
 }
 
 /// The deterministic core of [`map`], with explicit worker count and chunk
-/// size ([`map`] fills both in from the environment). Outputs are
-/// identical for every `(workers, chunk)` combination. Called from inside
-/// another map's worker it runs serially on that thread (see the module's
-/// "Nesting" section).
-pub fn map_chunked<T, R, F>(items: &[T], workers: usize, chunk: usize, f: F) -> Vec<R>
+/// size ([`map`] passes the configured workers and [`default_chunk`]).
+/// Outputs are identical for every `(workers, chunk)` combination. Called
+/// from inside another map's worker it runs serially on that thread (see
+/// the module's "Nesting" section).
+fn map_chunked<T, R, F>(items: &[T], workers: usize, chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -304,19 +275,6 @@ mod tests {
         });
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn chunk_override_reaches_map() {
-        // A chunk override of 1 forces one claim per item through the
-        // public `map` entry point. Outputs are chunk-invariant by
-        // contract, so even if another test observes the override
-        // mid-flight nothing changes.
-        set_chunk_override(Some(1));
-        let items: Vec<usize> = (0..37).collect();
-        let out = map(&items, |_, &x| x * 2);
-        set_chunk_override(None);
-        assert_eq!(out, (0..37).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -77,16 +77,6 @@ impl StandardScaler {
     pub fn transform(&self, data: &[Vec<f64>]) -> Vec<Vec<f64>> {
         data.iter().map(|row| self.transform_one(row)).collect()
     }
-
-    /// Fitted per-dimension means.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Fitted per-dimension standard deviations.
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
 }
 
 #[cfg(test)]
@@ -136,9 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn accessors() {
+    fn fit_keeps_mean_and_population_std() {
         let scaler = StandardScaler::fit(&[vec![0.0], vec![2.0]]);
-        assert_eq!(scaler.means(), &[1.0]);
-        assert_eq!(scaler.stds(), &[1.0]);
+        assert_eq!(scaler.means, [1.0]);
+        assert_eq!(scaler.stds, [1.0]);
     }
 }

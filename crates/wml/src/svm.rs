@@ -32,7 +32,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if vector lengths differ.
-    pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "kernel operands must share dimension");
         match *self {
             Kernel::Linear => dot(x, y),

@@ -11,7 +11,7 @@
 //! which measurement, and every queue/batch/cache counter are pure
 //! functions of the request stream. Worker threads only decide *when*
 //! shards run, never *what* they compute, which is what makes the fleet
-//! summary byte-identical under any `WIMI_THREADS`/`WIMI_CHUNK` shape.
+//! summary byte-identical under any `WIMI_THREADS` setting.
 //!
 //! # Batching
 //!

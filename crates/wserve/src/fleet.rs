@@ -7,7 +7,7 @@
 //! whole run — which requests shed, which keys train, every counter —
 //! is a pure function of the configuration. The resulting
 //! [`FleetReport`] renders to the byte-stable `wimi-serve/1` summary and
-//! must be identical under any `WIMI_THREADS`/`WIMI_CHUNK` shape.
+//! must be identical under any `WIMI_THREADS` setting.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

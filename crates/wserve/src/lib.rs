@@ -35,8 +35,8 @@
 //! by session id (never thread count), shards are processed serially
 //! inside `par` workers, counters are commutative sums, and training
 //! seeds derive from model keys. The fleet summary and the telemetry
-//! timeline are byte-identical under any `WIMI_THREADS`/`WIMI_CHUNK`
-//! setting, and CI diffs both.
+//! timeline are byte-identical under any `WIMI_THREADS` setting, and CI
+//! diffs both.
 
 #![warn(missing_docs)]
 #![cfg_attr(

@@ -11,7 +11,7 @@
 //! packets per session-tick) — into a [`TickCollector`] bounded by a
 //! [`RingWindow`], and [`render`] serializes the window as a byte-stable
 //! `wimi-metrics/1` JSONL artifact that is identical under any
-//! `WIMI_THREADS` / `WIMI_CHUNK` setting. Wall-clock time never enters
+//! `WIMI_THREADS` setting. Wall-clock time never enters
 //! the artifact; it stays behind the `wimi-obs` `Clock` seam.
 //!
 //! On top of the timeline sit two consumers:

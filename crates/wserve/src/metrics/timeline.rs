@@ -100,7 +100,7 @@ impl TickSample {
 /// A bounded, tick-indexed view of one fleet run: the retained
 /// [`TickSample`]s plus how much history the window dropped. Everything
 /// here is a pure function of the request stream and configuration —
-/// byte-identical artifacts under any `WIMI_THREADS`/`WIMI_CHUNK`.
+/// byte-identical artifacts under any `WIMI_THREADS`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     /// Shard count every tick's `shards` vector has.

@@ -13,10 +13,10 @@
 //!
 //! Two bounds keep memory flat without breaking that guarantee:
 //!
-//! * each task ring holds at most `ring_capacity` events, dropping the
-//!   *oldest* first (per-task streams are deterministic, so what gets
-//!   dropped is too; the first retained `seq` records the gap);
-//! * [`TraceSink::flush`] emits at most `max_tasks` task streams, the
+//! * each task ring holds at most [`DEFAULT_RING_CAPACITY`] events,
+//!   dropping the *oldest* first (per-task streams are deterministic, so
+//!   what gets dropped is too; the first retained `seq` records the gap);
+//! * [`TraceSink::flush`] emits at most [`DEFAULT_MAX_TASKS`] task streams, the
 //!   smallest keys first (a sort-then-truncate at flush time — unlike
 //!   insert-time eviction, it cannot depend on arrival order).
 
@@ -83,13 +83,13 @@ pub struct TaskStream {
 /// A point-in-time, deterministic flush of a [`TraceSink`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceLog {
-    /// Retained task streams, sorted by key; at most `max_tasks`.
+    /// Retained task streams, sorted by key; at most [`DEFAULT_MAX_TASKS`].
     pub tasks: Vec<TaskStream>,
     /// Total emissions attempted (including ring-dropped events).
     pub events_emitted: u64,
     /// Measurements marked as hard failures (retry budget exhausted).
     pub failures: u64,
-    /// Task streams cut by the flush-time `max_tasks` bound.
+    /// Task streams cut by the flush-time [`DEFAULT_MAX_TASKS`] bound.
     pub tasks_truncated: u64,
 }
 
@@ -98,8 +98,6 @@ pub struct TraceLog {
 /// thread-local read or lock.
 pub struct TraceSink {
     enabled: bool,
-    ring_capacity: usize,
-    max_tasks: usize,
     events_emitted: AtomicU64,
     failures: AtomicU64,
     tasks: Mutex<BTreeMap<TaskKey, TaskRing>>,
@@ -109,8 +107,6 @@ impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceSink")
             .field("enabled", &self.enabled)
-            .field("ring_capacity", &self.ring_capacity)
-            .field("max_tasks", &self.max_tasks)
             .field("events_emitted", &self.events_emitted())
             .field("failures", &self.failures())
             .finish_non_exhaustive()
@@ -120,28 +116,18 @@ impl std::fmt::Debug for TraceSink {
 impl TraceSink {
     /// A disabled sink: every emission is a no-op, nothing allocates.
     pub fn disabled() -> Arc<TraceSink> {
-        Arc::new(TraceSink {
-            enabled: false,
-            ring_capacity: 0,
-            max_tasks: 0,
-            events_emitted: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            tasks: Mutex::new(BTreeMap::new()),
-        })
+        TraceSink::new(false)
     }
 
-    /// An enabled sink with default bounds.
+    /// An enabled sink, bounded by [`DEFAULT_RING_CAPACITY`] events per
+    /// task and [`DEFAULT_MAX_TASKS`] flushed task streams.
     pub fn enabled() -> Arc<TraceSink> {
-        TraceSink::with_bounds(DEFAULT_RING_CAPACITY, DEFAULT_MAX_TASKS)
+        TraceSink::new(true)
     }
 
-    /// An enabled sink with explicit per-task ring capacity and
-    /// flush-time task-stream bound (both floored at 1).
-    pub fn with_bounds(ring_capacity: usize, max_tasks: usize) -> Arc<TraceSink> {
+    fn new(enabled: bool) -> Arc<TraceSink> {
         Arc::new(TraceSink {
-            enabled: true,
-            ring_capacity: ring_capacity.max(1),
-            max_tasks: max_tasks.max(1),
+            enabled,
             events_emitted: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             tasks: Mutex::new(BTreeMap::new()),
@@ -166,7 +152,7 @@ impl TraceSink {
     }
 
     /// Emits `event` against an explicit task.
-    pub fn emit_for(&self, key: TaskKey, event: TraceEvent) {
+    fn emit_for(&self, key: TaskKey, event: TraceEvent) {
         if !self.enabled {
             return;
         }
@@ -180,7 +166,7 @@ impl TraceSink {
             events: VecDeque::new(),
             next_seq: 0,
         });
-        if ring.events.len() >= self.ring_capacity {
+        if ring.events.len() >= DEFAULT_RING_CAPACITY {
             ring.events.pop_front();
         }
         ring.events.push_back(event);
@@ -207,7 +193,7 @@ impl TraceSink {
     }
 
     /// Flushes a deterministic snapshot of the recorded streams: tasks
-    /// sorted by key, truncated to the `max_tasks` smallest, per-task
+    /// sorted by key, truncated to the [`DEFAULT_MAX_TASKS`] smallest, per-task
     /// events oldest-first. Does not clear the sink.
     pub fn flush(&self) -> TraceLog {
         let Ok(tasks) = self.tasks.lock() else {
@@ -219,7 +205,7 @@ impl TraceSink {
             };
         };
         let total = tasks.len();
-        let kept = total.min(self.max_tasks);
+        let kept = total.min(DEFAULT_MAX_TASKS);
         let streams = tasks
             .iter()
             .take(kept)
@@ -312,29 +298,36 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_tracks_first_seq() {
-        let sink = TraceSink::with_bounds(3, 16);
+        let sink = TraceSink::enabled();
         let key = TaskKey::measurement(5);
-        for v in 0..7 {
+        let emitted = DEFAULT_RING_CAPACITY as u64 + 1;
+        for v in 0..emitted {
             sink.emit_for(key, count(v));
         }
         let log = sink.flush();
         assert_eq!(log.tasks.len(), 1);
-        assert_eq!(log.tasks[0].first_seq, 4);
-        assert_eq!(log.tasks[0].events, vec![count(4), count(5), count(6)]);
-        assert_eq!(log.events_emitted, 7);
+        assert_eq!(log.tasks[0].first_seq, 1);
+        assert_eq!(log.tasks[0].events.len(), DEFAULT_RING_CAPACITY);
+        assert_eq!(log.tasks[0].events[0], count(1));
+        assert_eq!(log.tasks[0].events.last(), Some(&count(emitted - 1)));
+        assert_eq!(log.events_emitted, emitted);
     }
 
     #[test]
     fn flush_truncates_to_smallest_task_keys() {
-        let sink = TraceSink::with_bounds(8, 2);
-        for id in [9, 3, 7, 1] {
+        let sink = TraceSink::enabled();
+        let tasks = DEFAULT_MAX_TASKS as u64 + 1;
+        // Emit in descending key order so insertion order cannot be what
+        // decides which stream is cut.
+        for id in (0..tasks).rev() {
             sink.emit_for(TaskKey::measurement(id), count(id));
         }
         let log = sink.flush();
         let keys: Vec<TaskKey> = log.tasks.iter().map(|t| t.key).collect();
-        assert_eq!(keys, vec![TaskKey::measurement(1), TaskKey::measurement(3)]);
-        assert_eq!(log.tasks_truncated, 2);
-        assert_eq!(log.events_emitted, 4);
+        let expected: Vec<TaskKey> = (0..tasks - 1).map(TaskKey::measurement).collect();
+        assert_eq!(keys, expected);
+        assert_eq!(log.tasks_truncated, 1);
+        assert_eq!(log.events_emitted, tasks);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Serve-layer integration tests (ISSUE PR9 acceptance):
 //!
 //! - the synthetic fleet's `wimi-serve/1` summary is byte-identical
-//!   across worker/chunk shapes (the override seam stands in for the
-//!   `WIMI_THREADS`/`WIMI_CHUNK` processes CI compares);
+//!   across worker counts (the override seam stands in for the
+//!   `WIMI_THREADS` processes CI compares);
 //! - a tiny queue bound degrades to counted sheds, never a panic or a
 //!   deadlock, and the accounting stays conserved;
 //! - the shared model cache single-flights training under contention;
@@ -43,18 +43,16 @@ fn fleet_summary_is_byte_identical_across_fanout_shapes() {
         Err(poisoned) => poisoned.into_inner(),
     };
     let mut summaries = Vec::new();
-    for (threads, chunk) in [(1usize, 1usize), (4, 2), (3, 7), (4, 64)] {
+    for threads in 1..=4 {
         wimi::core::par::set_thread_override(Some(threads));
-        wimi::core::par::set_chunk_override(Some(chunk));
         summaries.push(summary_json(&run_fleet(&tiny_fleet())));
     }
     wimi::core::par::set_thread_override(None);
-    wimi::core::par::set_chunk_override(None);
     parse_summary(&summaries[0]).expect("summary validates");
     for s in &summaries[1..] {
         assert_eq!(
             &summaries[0], s,
-            "fleet summary must not depend on worker/chunk shape"
+            "fleet summary must not depend on the worker count"
         );
     }
 }

@@ -1,8 +1,8 @@
 //! Telemetry integration tests (ISSUE PR10 acceptance):
 //!
 //! - the rendered `wimi-metrics/1` timeline is byte-identical across
-//!   worker/chunk shapes (the override seam stands in for the
-//!   `WIMI_THREADS`/`WIMI_CHUNK` processes CI compares), both for the
+//!   worker counts (the override seam stands in for the `WIMI_THREADS`
+//!   processes CI compares), both for the
 //!   plain synthetic fleet and for a fault-injected campaign fleet;
 //! - the ring-buffer window evicts the oldest ticks deterministically
 //!   and the artifact records the eviction count;
@@ -38,7 +38,7 @@ fn render_timeline(report: &FleetReport) -> String {
     render(&report.timeline, Some(&report.engine_snapshot.to_json()))
 }
 
-/// Runs `f` under each worker/chunk shape and asserts the rendered
+/// Runs `f` under each worker count and asserts the rendered
 /// timeline never changes by a byte.
 fn assert_shape_independent<F: Fn() -> FleetReport>(f: F) {
     let _guard = match FANOUT_LOCK.lock() {
@@ -46,18 +46,16 @@ fn assert_shape_independent<F: Fn() -> FleetReport>(f: F) {
         Err(poisoned) => poisoned.into_inner(),
     };
     let mut timelines = Vec::new();
-    for (threads, chunk) in [(1usize, 1usize), (4, 2), (3, 7), (4, 64)] {
+    for threads in 1..=4 {
         wimi::core::par::set_thread_override(Some(threads));
-        wimi::core::par::set_chunk_override(Some(chunk));
         timelines.push(render_timeline(&f()));
     }
     wimi::core::par::set_thread_override(None);
-    wimi::core::par::set_chunk_override(None);
     parse_and_validate(&timelines[0]).expect("timeline validates");
     for t in &timelines[1..] {
         assert_eq!(
             &timelines[0], t,
-            "timeline must not depend on worker/chunk shape"
+            "timeline must not depend on the worker count"
         );
     }
 }
