@@ -12,8 +12,7 @@ use wimi_dsp::outlier::{reject_outliers_into, OutlierScratch};
 use wimi_dsp::stats::{median_in, variance};
 use wimi_dsp::wavelet::denoise::DenoiseScratch;
 use wimi_dsp::wavelet::CorrelationDenoiser;
-use wimi_phy::complex::Complex;
-use wimi_phy::csi::CsiCapture;
+use wimi_phy::csi::{magnitude, CsiCapture};
 
 /// Configuration of the amplitude stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,7 +216,7 @@ impl CleanedAmplitudes {
         let (re, im) = capture.planes();
         // wlint: allow(hot-path-alloc) — the plane is the result this builds: one allocation per capture, sized up front
         let mut plane = Vec::with_capacity(re.len());
-        plane.extend(re.iter().zip(im).map(|(&r, &i)| Complex::new(r, i).abs()));
+        plane.extend(re.iter().zip(im).map(|(&r, &i)| magnitude(r, i)));
         config.clean_columns(&mut plane, n_antennas * n_subcarriers, scratch);
         CleanedAmplitudes {
             n_antennas,

@@ -19,6 +19,8 @@
 //! 5. **Classification** ([`pipeline`]) — an SVM over the material
 //!    database ([`database`]).
 //!
+//! [`fidelity`] scores measurements against the simulator's true Ω̄.
+//!
 //! # End-to-end example
 //!
 //! ```
@@ -85,6 +87,7 @@ pub mod antenna;
 pub mod database;
 pub mod error;
 pub mod feature;
+pub mod fidelity;
 pub mod phase;
 pub mod pipeline;
 pub mod subcarrier;

@@ -57,8 +57,8 @@ impl PhaseDifferenceProfile {
         let mut mean = Vec::with_capacity(n_sub);
         let mut variance = Vec::with_capacity(n_sub);
         for k in 0..n_sub {
-            capture.phase_difference_series_into(a, b, k, &mut scratch.series);
-            let (m, v) = phase_summary(&scratch.series, PHASE_TRIM_FRACTION, &mut scratch.summary);
+            let phasors = capture.phase_difference_phasors(a, b, k);
+            let (m, v) = phase_summary(phasors, PHASE_TRIM_FRACTION, &mut scratch.summary);
             mean.push(m);
             variance.push(v);
         }
@@ -87,12 +87,10 @@ impl PhaseDifferenceProfile {
     }
 }
 
-/// Scratch buffers for [`PhaseDifferenceProfile::compute_with`]: the
-/// per-subcarrier phase-difference series and the [`phase_summary`]
-/// scratch.
+/// Scratch for [`PhaseDifferenceProfile::compute_with`]: the
+/// [`phase_summary`] buffer each subcarrier's phasors pass through.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseScratch {
-    series: Vec<f64>,
     summary: PhaseSummaryScratch,
 }
 

@@ -219,7 +219,7 @@ fn from_total_key(k: i64) -> f64 {
 /// branch-free `min`/`max`; longer slices take `sort_unstable_by`.
 // wlint: hot
 // wlint: allow(panic-reach) — the early return leaves xs.len() ≤ NETWORK_MAX, the length of keys
-pub fn sort_total(xs: &mut [f64]) {
+fn sort_total(xs: &mut [f64]) {
     if xs.len() > NETWORK_MAX {
         xs.sort_unstable_by(f64::total_cmp);
         return;
@@ -285,7 +285,7 @@ fn stable_abs_order(
 }
 
 /// Median (interpolated for even lengths). Returns `NaN` for an empty
-/// slice. Sorts a copy with [`sort_total`].
+/// slice. Sorts a copy with [`median_in_place`].
 pub fn median(xs: &[f64]) -> f64 {
     median_in_place(&mut xs.to_vec())
 }
@@ -300,8 +300,8 @@ pub fn median_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
 }
 
 /// [`median`] of a buffer the caller no longer needs in its original
-/// order: sorts `xs` in place with [`sort_total`]. Returns `NaN` for an
-/// empty slice.
+/// order: sorts `xs` in place into the order `xs.sort_by(f64::total_cmp)`
+/// gives, without allocating. Returns `NaN` for an empty slice.
 // wlint: allow(panic-reach) — n/2 and n/2-1 are in bounds: the slice is non-empty and the n%2 branch guards the even case
 pub fn median_in_place(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
@@ -317,7 +317,7 @@ pub fn median_in_place(xs: &mut [f64]) -> f64 {
 }
 
 /// Median absolute deviation (unscaled).
-pub fn mad(xs: &[f64]) -> f64 {
+fn mad(xs: &[f64]) -> f64 {
     mad_in(xs, &mut Vec::new())
 }
 
@@ -439,31 +439,8 @@ pub fn angular_spread_deg(angles: &[f64]) -> f64 {
     circular_std(angles).to_degrees()
 }
 
-/// Robust circular mean: computes the circular mean, drops the
-/// `trim_fraction` of samples most deviant from it (impulse-noise hits),
-/// and recomputes on the survivors: the mean half of [`phase_summary`].
-///
-/// # Panics
-///
-/// Panics if `trim_fraction` is not within `[0, 0.5]`.
-pub fn trimmed_circular_mean(angles: &[f64], trim_fraction: f64) -> f64 {
-    phase_summary(angles, trim_fraction, &mut PhaseSummaryScratch::default()).0
-}
-
-/// Variance of phase readings computed the paper's way (Eq. 7): linear
-/// variance of the angle series after referencing each angle to the
-/// circular mean (so wrap-around does not inflate it).
-pub fn phase_variance(angles: &[f64]) -> f64 {
-    if angles.is_empty() {
-        return f64::NAN;
-    }
-    let m = circular_mean(angles);
-    let centered: Vec<f64> = angles.iter().map(|&a| wrap_to_pi(a - m)).collect();
-    centered.iter().map(|d| d * d).sum::<f64>() / centered.len() as f64
-}
-
-/// One angle of a [`phase_summary`] series: its sine and cosine and its
-/// wrapped deviation from the series' circular mean.
+/// One direction of a [`phase_summary`] series: its unit phasor
+/// `(cos θ, sin θ)` and its deviation from the series' circular mean.
 #[derive(Debug, Clone, Copy)]
 struct AngleSample {
     sin: f64,
@@ -479,21 +456,30 @@ fn sin_cos_sums<'a>(samples: impl IntoIterator<Item = &'a AngleSample>) -> (f64,
 }
 
 /// Caller-owned scratch for [`phase_summary`]: one `AngleSample` per
-/// angle, grown once and reused across calls.
+/// direction, grown once and reused across calls.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseSummaryScratch {
     samples: Vec<AngleSample>,
 }
 
-/// Computes [`trimmed_circular_mean`] and [`phase_variance`] of one angle
-/// series in a single pass over the shared circular mean, through a
-/// caller-owned scratch.
+/// The robust circular mean and the paper's wrap-safe variance (Eq. 7)
+/// of one series of directions, given as unit phasors `(cos θ, sin θ)`,
+/// through a caller-owned scratch.
 ///
-/// Each angle's `sin`/`cos` and its wrapped deviation from the mean are
-/// evaluated once. The trimmed sum takes the angles in the order a stable
-/// sort by `|deviation|` leaves them: a sorting network for up to 64
-/// angles, `sort_by` above. That order decides the sum's bits, since two
-/// angles at deviations `+x` and `−x` tie on `|x|` but differ in `sin`.
+/// The circular mean is `atan2(Σ sin, Σ cos)`. Each deviation is the
+/// angle of the phasor turned back by that mean, `∠(p·e^{−j·mean})`, in
+/// `[−π, π]`; the variance is the mean square deviation. The robust mean
+/// drops the `trim_fraction` of phasors that deviate most (impulse-noise
+/// hits) and takes `atan2` of the survivors' sums, added in the order a
+/// stable sort by `|deviation|` leaves them: a sorting network for up to
+/// 64 phasors, `sort_by` above. That order decides the sums' bits, since
+/// two phasors at deviations `+x` and `−x` tie on `|x|` but differ in
+/// `sin`.
+///
+/// From phasors this costs one `atan2` per sample, where the angle form
+/// it replaced took an `atan2` to make the angle and a `sin` and a `cos`
+/// to undo it. Given the phasors of angles `θ`, both forms agree up to
+/// rounding.
 ///
 /// # Panics
 ///
@@ -501,7 +487,7 @@ pub struct PhaseSummaryScratch {
 // wlint: hot
 // wlint: allow(panic-reach) — keep = n - n_drop ≤ n = samples.len(), and every index stable_abs_order returns is below n
 pub fn phase_summary(
-    angles: &[f64],
+    phasors: impl IntoIterator<Item = (f64, f64)>,
     trim_fraction: f64,
     scratch: &mut PhaseSummaryScratch,
 ) -> (f64, f64) {
@@ -509,29 +495,31 @@ pub fn phase_summary(
         (0.0..=0.5).contains(&trim_fraction),
         "trim fraction must be within [0, 0.5]"
     );
-    if angles.is_empty() {
-        return (f64::NAN, f64::NAN);
-    }
     let samples = &mut scratch.samples;
     samples.clear();
-    samples.reserve(angles.len());
-    let (mut s, mut c) = (0.0, 0.0);
-    for &a in angles {
-        let (sin, cos) = (a.sin(), a.cos());
-        s += sin;
-        c += cos;
-        samples.push(AngleSample { sin, cos, dev: 0.0 });
+    samples.extend(
+        phasors
+            .into_iter()
+            .map(|(cos, sin)| AngleSample { sin, cos, dev: 0.0 }),
+    );
+    let n = samples.len();
+    if n == 0 {
+        return (f64::NAN, f64::NAN);
     }
+    let (s, c) = sin_cos_sums(samples.iter());
     let first = s.atan2(c);
-    for (sample, &a) in samples.iter_mut().zip(angles) {
-        sample.dev = wrap_to_pi(a - first);
+    // The mean direction as a unit phasor: the normalised resultant, and
+    // still defined where the resultant is zero.
+    let (us, uc) = first.sin_cos();
+    for x in samples.iter_mut() {
+        x.dev = (x.sin * uc - x.cos * us).atan2(x.cos * uc + x.sin * us);
     }
-    let variance = samples.iter().map(|x| x.dev * x.dev).sum::<f64>() / angles.len() as f64;
-    let n_drop = ((angles.len() as f64) * trim_fraction).floor() as usize;
-    if n_drop == 0 || angles.len() - n_drop < 2 {
+    let variance = samples.iter().map(|x| x.dev * x.dev).sum::<f64>() / n as f64;
+    let n_drop = ((n as f64) * trim_fraction).floor() as usize;
+    if n_drop == 0 || n - n_drop < 2 {
         return (first, variance);
     }
-    let keep = angles.len() - n_drop;
+    let keep = n - n_drop;
     let mut order = [0; NETWORK_MAX];
     let (s, c) = match stable_abs_order(samples.iter().map(|x| x.dev), &mut order) {
         Some(order) => sin_cos_sums(order[..keep].iter().map(|&i| &samples[usize::from(i)])),
@@ -667,13 +655,22 @@ mod tests {
         assert!(m.abs() > 3.0, "mean = {m}");
     }
 
+    /// The unit phasors `(cos θ, sin θ)` of `angles`.
+    fn phasors(angles: &[f64]) -> impl Iterator<Item = (f64, f64)> + '_ {
+        angles.iter().map(|a| (a.cos(), a.sin()))
+    }
+
     #[test]
-    fn phase_variance_is_wrap_safe() {
+    fn phase_summary_variance_is_wrap_safe() {
+        let mut scratch = PhaseSummaryScratch::default();
         let wrapped = [PI - 0.01, -PI + 0.01, PI - 0.02, -PI + 0.02];
         // Near-identical directions → tiny variance despite ±π values.
-        assert!(phase_variance(&wrapped) < 1e-3);
+        let (m, v) = phase_summary(phasors(&wrapped), 0.0, &mut scratch);
+        assert!(m.abs() > 3.1 && v < 1e-3, "mean {m}, variance {v}");
         let spread = [0.0, 1.0, 2.0, 3.0];
-        assert!(phase_variance(&spread) > 0.5);
+        assert!(phase_summary(phasors(&spread), 0.0, &mut scratch).1 > 0.5);
+        let (m, v) = phase_summary(std::iter::empty(), 0.2, &mut scratch);
+        assert!(m.is_nan() && v.is_nan());
     }
 
     #[test]
@@ -765,9 +762,10 @@ mod tests {
         assert!(mad(&[]).is_nan());
     }
 
-    /// Verbatim copy of `phase_summary` before the per-angle `sin`/`cos`
-    /// and deviations were carried through the sort: it wrapped every
-    /// angle twice and re-evaluated `sin`/`cos` for the kept angles.
+    /// The angle form of `phase_summary` the phasor form replaced, as it
+    /// was first written: it wrapped every angle twice and re-evaluated
+    /// `sin`/`cos` for the kept angles. The replaced code returned these
+    /// bits exactly.
     fn reference_phase_summary(
         angles: &[f64],
         trim_fraction: f64,
@@ -798,30 +796,39 @@ mod tests {
         (s.atan2(c), variance)
     }
 
-    #[test]
-    fn phase_summary_matches_separate_calls_bitwise() {
-        let mut scratch = PhaseSummaryScratch::default();
-        for n in [0usize, 1, 3, 4, 10, 57] {
-            let angles: Vec<f64> = (0..n).map(|i| wrap_to_pi((i as f64) * 2.9)).collect();
-            for trim in [0.0, 0.2, 0.5] {
-                let (m, v) = phase_summary(&angles, trim, &mut scratch);
-                let m_ref = trimmed_circular_mean(&angles, trim);
-                let v_ref = phase_variance(&angles);
-                assert_eq!(m.to_bits(), m_ref.to_bits(), "mean n={n} trim={trim}");
-                assert_eq!(v.to_bits(), v_ref.to_bits(), "var n={n} trim={trim}");
-            }
+    /// Asserts that a phasor summary matches its angle reference within
+    /// rounding: the mean to 1e-14 rad around the circle, the variance to
+    /// 1e-12 of itself plus 1e-18.
+    fn assert_within_rounding(got: (f64, f64), want: (f64, f64), what: &str) {
+        let ((m, v), (m_ref, v_ref)) = (got, want);
+        assert_eq!(m.is_nan(), m_ref.is_nan(), "mean: {what}: {m} vs {m_ref}");
+        assert_eq!(
+            v.is_nan(),
+            v_ref.is_nan(),
+            "variance: {what}: {v} vs {v_ref}"
+        );
+        if !m_ref.is_nan() {
+            assert!(
+                wrap_to_pi(m - m_ref).abs() <= 1e-14,
+                "mean: {what}: {m} vs {m_ref}"
+            );
+            assert!(
+                (v - v_ref).abs() <= 1e-12 * v_ref + 1e-18,
+                "variance: {what}: {v} vs {v_ref}"
+            );
         }
     }
 
     #[test]
-    fn phase_summary_matches_reference_bitwise() {
+    fn phase_summary_matches_angle_reference_within_rounding() {
         let mut scratch = PhaseSummaryScratch::default();
         let mut dev = Vec::new();
         let mut check = |angles: &[f64], trim: f64, what: &str| {
-            let (m, v) = phase_summary(angles, trim, &mut scratch);
-            let (m_ref, v_ref) = reference_phase_summary(angles, trim, &mut dev);
-            assert_eq!(m.to_bits(), m_ref.to_bits(), "mean: {what} trim={trim}");
-            assert_eq!(v.to_bits(), v_ref.to_bits(), "variance: {what} trim={trim}");
+            assert_within_rounding(
+                phase_summary(phasors(angles), trim, &mut scratch),
+                reference_phase_summary(angles, trim, &mut dev),
+                &format!("{what} trim={trim}"),
+            );
         };
         // Deviation ties: mirrored angles sit at equal |deviation| from a
         // zero mean, so the stable sort must keep their input order.
@@ -839,10 +846,11 @@ mod tests {
                 check(&wrapped[..n], trim, "short");
             }
         }
-        // Series like the pipeline's: 8 and 20 packets, 20% trim.
+        // Series like the pipeline's: 8, 20 and 70 packets (past the
+        // sorting network), 20% trim.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..200 {
-            for n in [8usize, 20] {
+            for n in [8usize, 20, 70] {
                 let angles: Vec<f64> = (0..n)
                     .map(|_| {
                         state = state
@@ -971,10 +979,11 @@ mod tests {
     #[test]
     fn phase_summary_keeps_mirrored_ties_in_stable_order() {
         // Adjacent ±x pairs cancel exactly in the sine sum, so the circular
-        // mean is exactly 0 and every deviation is exactly ±x: |dev| ties
-        // across each pair and across the repeated 0.9s, and at 20% trim
-        // the kept count ends inside the run of 0.9s. Only the stable order
-        // keeps the right two and sums them in the right order.
+        // mean is exactly 0 and every deviation is exactly ±atan2(sin x,
+        // cos x): |dev| ties across each pair and across the repeated
+        // 0.9s, and at 20% trim the kept count ends inside the run of
+        // 0.9s. Only the stable order keeps the right two and sums them in
+        // the right order, which the reference's bits then show.
         let mut scratch = PhaseSummaryScratch::default();
         let mut dev = Vec::new();
         let pairs = [0.1, -0.4, 0.2, -0.7, 0.3, 0.5, -0.6, 0.9, -0.9, 0.9];
@@ -985,13 +994,11 @@ mod tests {
                 .collect();
             assert_eq!(circular_mean(&angles).to_bits(), 0.0f64.to_bits());
             for trim in [0.1, 0.2, 0.3] {
-                let (m, v) = phase_summary(&angles, trim, &mut scratch);
+                let (m, v) = phase_summary(phasors(&angles), trim, &mut scratch);
                 let (m_ref, v_ref) = reference_phase_summary(&angles, trim, &mut dev);
                 let what = format!("{} angles, trim {trim}", angles.len());
                 assert_eq!(m.to_bits(), m_ref.to_bits(), "mean: {what}");
-                assert_eq!(v.to_bits(), v_ref.to_bits(), "variance: {what}");
-                assert_eq!(m.to_bits(), trimmed_circular_mean(&angles, trim).to_bits());
-                assert_eq!(v.to_bits(), phase_variance(&angles).to_bits());
+                assert_within_rounding((m, v), (m_ref, v_ref), &what);
             }
         }
     }

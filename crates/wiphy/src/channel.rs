@@ -220,19 +220,9 @@ impl MultipathChannel {
         &self.scatterers
     }
 
-    /// Draws the per-packet jitter state: static scatterers stay put,
-    /// dynamic ones get a fresh phase/gain perturbation.
-    pub fn draw_jitter<R: Rng + ?Sized>(&self, rng: &mut R) -> PacketJitter {
-        let mut jitter = PacketJitter {
-            multipliers: Vec::new(),
-        };
-        self.draw_jitter_into(rng, &mut jitter);
-        jitter
-    }
-
-    /// [`Self::draw_jitter`] into a caller-owned jitter state, reusing its
-    /// multiplier buffer — the per-packet capture loop's allocation-free
-    /// variant. RNG draw order is identical to `draw_jitter`.
+    /// Draws the per-packet jitter state into a caller-owned one, reusing
+    /// its multiplier buffer: static scatterers stay put, dynamic ones get
+    /// a fresh phase/gain perturbation.
     // wlint: hot
     pub fn draw_jitter_into<R: Rng + ?Sized>(&self, rng: &mut R, jitter: &mut PacketJitter) {
         jitter.multipliers.clear();
@@ -423,6 +413,14 @@ mod tests {
     const F: Hertz = Hertz(5.24e9);
 
     /// A jitter state that leaves the channel static.
+    fn draw_jitter<R: Rng + ?Sized>(ch: &MultipathChannel, rng: &mut R) -> PacketJitter {
+        let mut jitter = PacketJitter {
+            multipliers: Vec::new(),
+        };
+        ch.draw_jitter_into(rng, &mut jitter);
+        jitter
+    }
+
     fn static_jitter(ch: &MultipathChannel) -> PacketJitter {
         PacketJitter {
             multipliers: vec![Complex::ONE; ch.scatterers.len()],
@@ -473,7 +471,7 @@ mod tests {
         let (tx, rx) = link();
         let mut rng = StdRng::seed_from_u64(11);
         let ch = MultipathChannel::realize(Environment::Lab, tx, rx, &mut rng);
-        let j = ch.draw_jitter(&mut rng);
+        let j = draw_jitter(&ch, &mut rng);
         for (s, m) in ch.scatterers().iter().zip(&j.multipliers) {
             if !s.dynamic {
                 assert_eq!(*m, Complex::ONE);
@@ -514,7 +512,7 @@ mod tests {
             ch.path_gains(tx, rx, &[free_space_wavenumber(F)], &mut gains);
             ch.fold_static(&mut gains);
             for _ in 0..8 {
-                let j = ch.draw_jitter(&mut rng);
+                let j = draw_jitter(&ch, &mut rng);
                 let direct = ch.response(tx, rx, F, &j, None);
                 let cached = ch.response_from_folded(&gains, &j);
                 assert_eq!(direct.re.to_bits(), cached.re.to_bits(), "{env}");
@@ -595,7 +593,7 @@ mod tests {
         let ch = MultipathChannel::realize(Environment::Lab, tx, rx, &mut rng);
         let frozen = static_jitter(&ch);
         let base = ch.response(tx, rx, F, &frozen, None);
-        let jittered = ch.draw_jitter(&mut rng);
+        let jittered = draw_jitter(&ch, &mut rng);
         let moved = ch.response(tx, rx, F, &jittered, None);
         let delta = (moved - base).abs();
         assert!(delta > 0.0, "jitter had no effect");

@@ -20,6 +20,38 @@
 
 use crate::complex::Complex;
 
+/// The magnitude `|H| = √(re² + im²)` of one channel estimate: the one
+/// definition every CSI amplitude accessor shares.
+///
+/// It differs from [`Complex::abs`]'s `hypot` by rounding only, within
+/// two units in the last place, at a fraction of the cost. Where
+/// `re² + im²` is not a normal number (zero, subnormal or overflowed) the
+/// square root would lose precision or range, so it takes `hypot` there
+/// instead.
+#[inline]
+pub fn magnitude(re: f64, im: f64) -> f64 {
+    let sq = re * re + im * im;
+    if sq.is_normal() {
+        sq.sqrt()
+    } else {
+        re.hypot(im)
+    }
+}
+
+/// The direction of `z = re + j·im` as a unit phasor `(cos ∠z, sin ∠z)`
+/// (see [`CsiCapture::phase_difference_phasors`]).
+#[inline]
+fn unit_phasor(re: f64, im: f64) -> (f64, f64) {
+    let sq = re * re + im * im;
+    if sq.is_normal() {
+        let r = sq.sqrt();
+        (re / r, im / r)
+    } else {
+        let (sin, cos) = im.atan2(re).sin_cos();
+        (cos, sin)
+    }
+}
+
 /// CSI for a single received packet: `n_antennas × n_subcarriers` complex
 /// channel estimates, stored row-major by antenna.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,9 +143,12 @@ impl CsiPacket {
         &self.data[start..start + self.n_subcarriers]
     }
 
-    /// Amplitudes `|H|` of one antenna across all subcarriers.
+    /// Amplitudes [`magnitude`] of one antenna across all subcarriers.
     pub fn amplitudes(&self, antenna: usize) -> Vec<f64> {
-        self.antenna_row(antenna).iter().map(|h| h.abs()).collect()
+        self.antenna_row(antenna)
+            .iter()
+            .map(|h| magnitude(h.re, h.im))
+            .collect()
     }
 
     /// Phases `∠H` of one antenna across all subcarriers.
@@ -275,7 +310,7 @@ impl CsiCapture {
 
     /// Packet at time index `m`, materialised into the array-of-structs
     /// [`CsiPacket`] shape (a copy — intended for tests and cold paths;
-    /// hot paths read the planes via [`CsiCapture::packet_row`]).
+    /// hot paths read the planes).
     ///
     /// # Panics
     ///
@@ -305,7 +340,7 @@ impl CsiCapture {
     ///
     /// Panics if either index is out of bounds.
     #[inline]
-    pub fn packet_row(&self, m: usize, antenna: usize) -> (&[f64], &[f64]) {
+    fn packet_row(&self, m: usize, antenna: usize) -> (&[f64], &[f64]) {
         assert!(m < self.n_packets, "packet index out of bounds");
         assert!(antenna < self.n_antennas, "antenna index out of bounds");
         let start = self.idx(m, antenna, 0);
@@ -380,39 +415,17 @@ impl CsiCapture {
             .any(|(&re, &im)| Complex::new(re, im).norm_sqr() <= 0.0)
     }
 
-    /// Amplitude time series `|H_m|` of one (antenna, subcarrier) across
-    /// all packets.
-    pub fn amplitude_series(&self, antenna: usize, subcarrier: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.amplitude_series_into(antenna, subcarrier, &mut out);
-        out
-    }
-
-    /// [`CsiCapture::amplitude_series`] into a caller-provided buffer
-    /// (cleared first) — the hot-path variant that avoids an allocation
-    /// per series.
+    /// Amplitude time series [`magnitude`] of one (antenna, subcarrier)
+    /// across all packets.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of bounds while the capture is
     /// non-empty.
-    fn amplitude_series_into(&self, antenna: usize, subcarrier: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.n_packets);
-        if self.n_packets == 0 {
-            return;
-        }
-        assert!(antenna < self.n_antennas, "antenna index out of bounds");
-        assert!(
-            subcarrier < self.n_subcarriers,
-            "subcarrier index out of bounds"
-        );
-        let stride = self.n_antennas * self.n_subcarriers;
-        let mut i = self.idx(0, antenna, subcarrier);
-        for _ in 0..self.n_packets {
-            out.push(Complex::new(self.re[i], self.im[i]).abs());
-            i += stride;
-        }
+    pub fn amplitude_series(&self, antenna: usize, subcarrier: usize) -> Vec<f64> {
+        self.lane(antenna, subcarrier)
+            .map(|h| magnitude(h.re, h.im))
+            .collect()
     }
 
     /// Phase time series `∠H_m` of one (antenna, subcarrier).
@@ -425,47 +438,68 @@ impl CsiCapture {
     /// Phase-difference time series `∠(H_a·H_b*)` between two antennas on
     /// one subcarrier across all packets.
     pub fn phase_difference_series(&self, a: usize, b: usize, subcarrier: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.phase_difference_series_into(a, b, subcarrier, &mut out);
-        out
+        self.cross_products(a, b, subcarrier)
+            .map(|z| z.arg())
+            .collect()
     }
 
-    /// [`CsiCapture::phase_difference_series`] into a caller-provided
-    /// buffer (cleared first) — the hot-path variant that avoids an
-    /// allocation per series.
+    /// The direction of `z = H_a·H_b*` between two antennas on one
+    /// subcarrier, per packet, as the unit phasor `(cos ∠z, sin ∠z)`: the
+    /// phase-difference series without its `atan2`, which the circular
+    /// statistics of phase calibration would only turn back into a sine
+    /// and a cosine.
+    ///
+    /// Each phasor is `z/|z|` with `|z| = √(re² + im²)`. Where `re² + im²`
+    /// is not a normal number (`z` zero, tiny, huge or not finite) it is
+    /// the cosine and sine of `atan2(im, re)` instead, so a zero `z` points
+    /// along the angle [`CsiCapture::phase_difference_series`] gives it.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds while the capture is
     /// non-empty.
-    pub fn phase_difference_series_into(
+    pub fn phase_difference_phasors(
         &self,
         a: usize,
         b: usize,
         subcarrier: usize,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.reserve(self.n_packets);
-        if self.n_packets == 0 {
-            return;
+    ) -> impl ExactSizeIterator<Item = (f64, f64)> + '_ {
+        self.cross_products(a, b, subcarrier)
+            .map(|z| unit_phasor(z.re, z.im))
+    }
+
+    /// `H_a·H_b*` on one subcarrier, per packet.
+    fn cross_products(
+        &self,
+        a: usize,
+        b: usize,
+        subcarrier: usize,
+    ) -> impl ExactSizeIterator<Item = Complex> + '_ {
+        self.lane(a, subcarrier)
+            .zip(self.lane(b, subcarrier))
+            .map(|(ha, hb)| ha * hb.conj())
+    }
+
+    /// The channel estimates of one (antenna, subcarrier), per packet: a
+    /// walk down the planes with a stride of one packet.
+    fn lane(
+        &self,
+        antenna: usize,
+        subcarrier: usize,
+    ) -> impl ExactSizeIterator<Item = Complex> + '_ {
+        if self.n_packets > 0 {
+            assert!(antenna < self.n_antennas, "antenna index out of bounds");
+            assert!(
+                subcarrier < self.n_subcarriers,
+                "subcarrier index out of bounds"
+            );
         }
-        assert!(a < self.n_antennas, "antenna index out of bounds");
-        assert!(b < self.n_antennas, "antenna index out of bounds");
-        assert!(
-            subcarrier < self.n_subcarriers,
-            "subcarrier index out of bounds"
-        );
         let stride = self.n_antennas * self.n_subcarriers;
-        let mut ia = self.idx(0, a, subcarrier);
-        let mut ib = self.idx(0, b, subcarrier);
-        for _ in 0..self.n_packets {
-            let ha = Complex::new(self.re[ia], self.im[ia]);
-            let hb = Complex::new(self.re[ib], self.im[ib]);
-            out.push((ha * hb.conj()).arg());
-            ia += stride;
-            ib += stride;
-        }
+        let start = self.idx(0, antenna, subcarrier);
+        (0..self.n_packets).map(move |m| {
+            let i = start + m * stride;
+            Complex::new(self.re[i], self.im[i])
+        })
     }
 
     /// A copy holding only the antennas in `keep`, in the given order
@@ -632,7 +666,7 @@ mod tests {
         }
         for a in 0..3 {
             for k in 0..5 {
-                let reference: Vec<f64> = originals.iter().map(|p| p.get(a, k).abs()).collect();
+                let reference: Vec<f64> = originals.iter().map(|p| p.amplitudes(a)[k]).collect();
                 assert_eq!(cap.amplitude_series(a, k), reference);
             }
         }
@@ -644,13 +678,67 @@ mod tests {
     }
 
     #[test]
-    fn series_into_matches_allocating_variant() {
-        let cap: CsiCapture = (0..6).map(|m| packet(2, 4, m as f64)).collect();
-        let mut buf = vec![1.0; 3]; // pre-dirtied: _into must clear it
-        cap.amplitude_series_into(1, 2, &mut buf);
-        assert_eq!(buf, cap.amplitude_series(1, 2));
-        cap.phase_difference_series_into(0, 1, 3, &mut buf);
-        assert_eq!(buf, cap.phase_difference_series(0, 1, 3));
+    fn phasors_point_along_the_phase_difference() {
+        let mut cap: CsiCapture = (0..6).map(|m| packet(3, 4, m as f64)).collect();
+        // A dead chain: antenna 2 reads zero in packet 1.
+        let (re, im) = cap.packet_planes_mut(1);
+        re[8..].fill(0.0);
+        im[8..].fill(0.0);
+        for (a, b) in [(0, 1), (2, 0), (1, 2)] {
+            for k in 0..4 {
+                let angles = cap.phase_difference_series(a, b, k);
+                let phasors: Vec<(f64, f64)> = cap.phase_difference_phasors(a, b, k).collect();
+                assert_eq!(phasors.len(), angles.len());
+                for (&(c, s), &theta) in phasors.iter().zip(&angles) {
+                    assert!((c - theta.cos()).abs() < 1e-15, "cos of {theta}: {c}");
+                    assert!((s - theta.sin()).abs() < 1e-15, "sin of {theta}: {s}");
+                }
+            }
+        }
+        // The zero product keeps the direction atan2 gives it.
+        let theta = cap.phase_difference_series(2, 0, 3)[1];
+        let zero = cap.phase_difference_phasors(2, 0, 3).nth(1);
+        assert_eq!(zero, Some((theta.cos(), theta.sin())));
+    }
+
+    #[test]
+    fn magnitude_stays_within_an_ulp_of_hypot() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        for scale in [1e-3, 1.0, 1e3] {
+            for _ in 0..10_000 {
+                let (re, im) = (next() * scale, next() * scale);
+                let (want, got) = (re.hypot(im), magnitude(re, im));
+                assert!(
+                    (got - want).abs() <= f64::EPSILON * want,
+                    "{re} {im}: {got} vs {want}"
+                );
+                let (c, s) = unit_phasor(re, im);
+                assert!((c.hypot(s) - 1.0).abs() <= 2.0 * f64::EPSILON, "{re} {im}");
+            }
+        }
+        // Outside the normal range of re² + im², hypot and atan2 decide.
+        for (re, im) in [
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (1e-160, -3e-161),
+            (1e200, 1e200),
+            (f64::INFINITY, 1.0),
+            (f64::NAN, 1.0),
+        ] {
+            assert_eq!(magnitude(re, im).to_bits(), re.hypot(im).to_bits());
+            let theta = im.atan2(re);
+            let (c, s) = unit_phasor(re, im);
+            assert_eq!(
+                (c.to_bits(), s.to_bits()),
+                (theta.cos().to_bits(), theta.sin().to_bits())
+            );
+        }
     }
 
     #[test]

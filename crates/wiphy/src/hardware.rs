@@ -214,32 +214,11 @@ fn db_to_amp(db: f64) -> f64 {
     10f64.powf(db / 20.0)
 }
 
-/// Quantises a packet's I/Q samples to signed 8-bit integers, scaled to the
-/// per-packet maximum component — the Intel 5300 CSI tool's storage format.
-pub fn quantize_intel5300(packet: &mut CsiPacket) {
-    let n_ant = packet.n_antennas();
-    let n_sub = packet.n_subcarriers();
-    let mut re = Vec::with_capacity(n_ant * n_sub);
-    let mut im = Vec::with_capacity(n_ant * n_sub);
-    for a in 0..n_ant {
-        for h in packet.antenna_row(a) {
-            re.push(h.re);
-            im.push(h.im);
-        }
-    }
-    quantize_intel5300_planes(&mut re, &mut im);
-    for a in 0..n_ant {
-        for k in 0..n_sub {
-            *packet.get_mut(a, k) = Complex::new(re[a * n_sub + k], im[a * n_sub + k]);
-        }
-    }
-}
-
-/// [`quantize_intel5300`] on one packet's flat `(re, im)` planes — the
-/// allocation-free hot path. The lanes are scanned in plane order, which
-/// matches the packet's antenna-major `(a, k)` order exactly.
+/// Quantises one packet's flat `(re, im)` planes to signed 8-bit
+/// integers, scaled to the per-packet maximum component — the Intel 5300
+/// CSI tool's storage format.
 // wlint: hot
-pub fn quantize_intel5300_planes(re: &mut [f64], im: &mut [f64]) {
+fn quantize_intel5300_planes(re: &mut [f64], im: &mut [f64]) {
     let mut max_c: f64 = 0.0;
     for (&r, &i) in re.iter().zip(im.iter()) {
         max_c = max_c.max(r.abs()).max(i.abs());
@@ -263,6 +242,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// [`quantize_intel5300_planes`] on an array-of-structs packet.
+    fn quantize_intel5300(packet: &mut CsiPacket) {
+        let n_sub = packet.n_subcarriers();
+        let (mut re, mut im): (Vec<f64>, Vec<f64>) = (0..packet.n_antennas())
+            .flat_map(|a| packet.antenna_row(a).iter().map(|h| (h.re, h.im)))
+            .unzip();
+        quantize_intel5300_planes(&mut re, &mut im);
+        for (i, (re, im)) in re.into_iter().zip(im).enumerate() {
+            *packet.get_mut(i / n_sub, i % n_sub) = Complex::new(re, im);
+        }
+    }
 
     fn clean_packet(n_ant: usize, n_sub: usize) -> CsiPacket {
         let data = (0..n_ant * n_sub)

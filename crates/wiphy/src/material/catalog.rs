@@ -164,11 +164,6 @@ impl SaltwaterConcentration {
         SaltwaterConcentration { grams_per_100ml }
     }
 
-    /// The concentration in g/100 ml.
-    pub fn grams_per_100ml(self) -> f64 {
-        self.grams_per_100ml
-    }
-
     /// The Debye model for this solution.
     pub fn debye(self) -> DebyeModel {
         let g = self.grams_per_100ml;

@@ -197,22 +197,17 @@ impl Scenario {
     }
 
     /// Transmit antenna position (origin).
-    pub fn tx_position(&self) -> Point {
+    fn tx_position(&self) -> Point {
         Point::new(0.0, 0.0)
     }
 
     /// The receive antenna array.
-    pub fn rx_array(&self) -> AntennaArray {
+    fn rx_array(&self) -> AntennaArray {
         AntennaArray::uniform_linear(
             Point::new(self.link_distance.value(), 0.0),
             self.antenna_spacing,
             self.n_antennas,
         )
-    }
-
-    /// Centre of the beaker in the deployment plane.
-    pub fn target_center(&self) -> Point {
-        self.target_center
     }
 }
 
@@ -227,6 +222,14 @@ pub struct ScenarioBuilder {
     beaker: Beaker,
     target_offset: Meters,
     hardware: HardwareProfile,
+    /// The through-target leakage floor in dB (−10 dB).
+    ///
+    /// Bulk absorption alone would put 14 cm of water ~130 dB down, yet
+    /// measured insertion losses through liquid containers are tens of dB:
+    /// energy leaks around and through the target (creeping waves, surface
+    /// paths). The floor caps the *common* attenuation across antennas
+    /// while leaving the inter-antenna differential — the quantity the
+    /// WiMi feature uses — exactly as the paper's Eq. (15)/(17) predict.
     leakage_floor_db: f64,
     flow_noise: f64,
 }
@@ -299,19 +302,6 @@ impl ScenarioBuilder {
     /// Sets the OFDM channel.
     pub fn channel(&mut self, ch: ChannelSpec) -> &mut Self {
         self.channel = ch;
-        self
-    }
-
-    /// Sets the through-target leakage floor in dB (default −10 dB).
-    ///
-    /// Bulk absorption alone would put 14 cm of water ~130 dB down, yet
-    /// measured insertion losses through liquid containers are tens of dB:
-    /// energy leaks around and through the target (creeping waves, surface
-    /// paths). The floor caps the *common* attenuation across antennas
-    /// while leaving the inter-antenna differential — the quantity the
-    /// WiMi feature uses — exactly as the paper's Eq. (15)/(17) predict.
-    pub fn leakage_floor_db(&mut self, db: f64) -> &mut Self {
-        self.leakage_floor_db = db;
         self
     }
 
@@ -911,7 +901,7 @@ mod tests {
         let mut builder = Scenario::builder();
         builder.hardware(HardwareProfile::ideal());
         builder.environment(Environment::EmptyHall);
-        builder.leakage_floor_db(-14.0);
+        builder.leakage_floor_db = -14.0;
         let mut sim = Simulator::new(builder.build(), 4);
         sim.set_liquid(Some(Liquid::PureWater.into()));
         let cap = sim.capture(1);

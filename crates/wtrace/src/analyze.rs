@@ -167,13 +167,15 @@ pub fn check_trace_budgets(
     })
 }
 
-/// Renders budget rows as a fixed-width table, one row per line.
+/// Renders budget rows as a fixed-width table, one row per line. The
+/// rows may be work counters, allocation counts or fidelity scores, so
+/// the first column is headed by what they share: each is a gated total.
 pub fn budget_table(rows: &[BudgetRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<28} {:>12} {:>12}  status",
-        "work counter", "actual", "budget"
+        "gated total", "actual", "budget"
     );
     for row in rows {
         let status = if row.ok { "ok" } else { "OVER BUDGET" };
@@ -296,6 +298,7 @@ mod tests {
             "fleet_budgets",
             "metrics_budgets",
             "alloc_budgets",
+            "fidelity_budgets",
         ] {
             if let Err(e) = check_budgets(BENCH, section, |_| Some(0)) {
                 panic!("BENCH.json: {e}");

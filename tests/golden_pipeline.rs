@@ -1,15 +1,16 @@
-//! Golden fingerprint of the simulator and the measurement pipeline.
+//! Golden fingerprints of the simulator and the measurement pipeline.
 //!
-//! One 64-bit hash covers the `to_bits` of every capture plane and every
-//! [`Measurement`] (feature values, quality counts, error kind) over a
-//! fixed grid: three environments × {8, 20} packets × three liquids ×
-//! {no fault, hostile faults at intensity 0.2}. The constant below was
-//! recorded before the realisation, capture and extraction hot paths were
-//! restructured; a refactor that claims to be bit-identical must leave it
-//! unchanged. A deliberate change to the physics or the pipeline's
-//! numerics re-records it and says so. It was re-recorded when the
-//! simulator's Gaussian sampler went from Box–Muller to an exact ziggurat
-//! (DESIGN §12.6): the same distribution, a different random stream.
+//! Two 64-bit hashes cover a fixed grid: three environments × {8, 20}
+//! packets × three liquids × {no fault, hostile faults at intensity 0.2}.
+//! [`GOLDEN_CAPTURE`] folds the `to_bits` of every capture plane;
+//! [`GOLDEN_MEASURE`] folds every [`Measurement`] (feature values, quality
+//! counts, error kind). A refactor that claims to be bit-identical must
+//! leave both unchanged. A deliberate change to the physics re-records
+//! both; one to the pipeline's numerics alone re-records only
+//! [`GOLDEN_MEASURE`], and either says so. The pair was last one hash,
+//! re-recorded when the simulator's Gaussian sampler went from Box–Muller
+//! to an exact ziggurat (DESIGN §12.6): the same distribution, a different
+//! random stream.
 
 use wimi::core::{FeatureError, Measurement, WiMi, WiMiConfig};
 use wimi::phy::channel::Environment;
@@ -19,8 +20,11 @@ use wimi::phy::material::Liquid;
 use wimi::phy::scenario::{Scenario, Simulator};
 use wimi::phy::units::Meters;
 
-/// The fingerprint of [`grid_fingerprint`].
-const GOLDEN: u64 = 0x044e_f997_ce47_45e8;
+/// The capture half of [`grid_fingerprints`].
+const GOLDEN_CAPTURE: u64 = 0x7eb6_3f6c_71d0_150d;
+
+/// The measurement half of [`grid_fingerprints`].
+const GOLDEN_MEASURE: u64 = 0x96c4_29bb_8db0_3085;
 
 /// FNV-1a over 64-bit words.
 struct Fingerprint(u64);
@@ -119,13 +123,13 @@ impl Fingerprint {
     }
 }
 
-/// Captures and measures every cell of the grid and folds the bits into
-/// one hash. Each cell gets its own seed and beaker offset, so the grid
+/// Captures and measures every cell of the grid and folds the capture
+/// bits into one hash and the measurement bits into another. Each cell gets its own seed and beaker offset, so the grid
 /// reaches both the low-loss and the multi-baseline γ branches as well as
 /// salvage under faults.
-fn grid_fingerprint() -> u64 {
+fn grid_fingerprints() -> (u64, u64) {
     let wimi = WiMi::new(WiMiConfig::default());
-    let mut fp = Fingerprint::new();
+    let (mut captures, mut measurements) = (Fingerprint::new(), Fingerprint::new());
     let mut cell = 0u64;
     for env in Environment::ALL {
         for packets in [8usize, 20] {
@@ -143,21 +147,25 @@ fn grid_fingerprint() -> u64 {
                     let base = sim.capture(packets);
                     sim.set_liquid(Some(liquid.into()));
                     let tar = sim.capture(packets);
-                    fp.capture(&base);
-                    fp.capture(&tar);
-                    fp.measurement(&wimi.measure(&base, &tar));
+                    captures.capture(&base);
+                    captures.capture(&tar);
+                    measurements.measurement(&wimi.measure(&base, &tar));
                 }
             }
         }
     }
-    fp.0
+    (captures.0, measurements.0)
 }
 
 #[test]
 fn pipeline_outputs_match_the_golden_fingerprint() {
-    let got = grid_fingerprint();
+    let (capture, measure) = grid_fingerprints();
     assert_eq!(
-        got, GOLDEN,
-        "capture or measurement bits changed: fingerprint {got:#018x}, golden {GOLDEN:#018x}"
+        capture, GOLDEN_CAPTURE,
+        "capture bits changed: fingerprint {capture:#018x}, golden {GOLDEN_CAPTURE:#018x}"
+    );
+    assert_eq!(
+        measure, GOLDEN_MEASURE,
+        "measurement bits changed: fingerprint {measure:#018x}, golden {GOLDEN_MEASURE:#018x}"
     );
 }
