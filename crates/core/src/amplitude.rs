@@ -8,6 +8,8 @@
 //! 3. cross-antenna ratio `|H_a|/|H_b|`, whose common AGC/multipath
 //!    variation cancels (paper Fig. 8).
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use wimi_dsp::outlier::{reject_outliers_into, OutlierScratch};
 use wimi_dsp::stats::{median_in, variance};
 use wimi_dsp::wavelet::denoise::DenoiseScratch;
@@ -75,8 +77,10 @@ impl AmplitudeConfig {
     /// ([`sigma_screen`]); only a column with a sample outside its
     /// `[μ − 3σ, μ + 3σ]` is gathered and repaired. Any other column is
     /// one the repair leaves as it is.
-    // wlint: hot
-    // wlint: allow(panic-reach) — sigma_screen leaves 2·cols statistics, so cols + c < 2·cols and the gathered series starts at 2·cols
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sigma_screen leaves 2·cols statistics, so cols + c < 2·cols and the gathered series starts at 2·cols"
+    )]
     fn clean_columns(&self, plane: &mut Vec<f64>, cols: usize, scratch: &mut CleanScratch) {
         if self.reject_outliers {
             let stats = &mut scratch.column;
@@ -204,7 +208,6 @@ impl CleanedAmplitudes {
     /// # Panics
     ///
     /// Panics if the capture is empty.
-    // wlint: hot
     pub fn compute_with(
         capture: &CsiCapture,
         config: &AmplitudeConfig,
@@ -214,7 +217,6 @@ impl CleanedAmplitudes {
         let n_antennas = capture.n_antennas();
         let n_subcarriers = capture.n_subcarriers();
         let (re, im) = capture.planes();
-        // wlint: allow(hot-path-alloc) — the plane is the result this builds: one allocation per capture, sized up front
         let mut plane = Vec::with_capacity(re.len());
         plane.extend(re.iter().zip(im).map(|(&r, &i)| magnitude(r, i)));
         config.clean_columns(&mut plane, n_antennas * n_subcarriers, scratch);
@@ -230,6 +232,10 @@ impl CleanedAmplitudes {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both indices are asserted in range, and the plane holds at least one row of n_antennas·n_subcarriers values"
+    )]
     pub fn series(&self, antenna: usize, subcarrier: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(antenna < self.n_antennas, "antenna index out of range");
         assert!(subcarrier < self.n_subcarriers, "subcarrier out of range");

@@ -533,8 +533,6 @@ fn resolve_omega(
 /// predicts its *unwrapped* phase change `ΔΘ_true = −lnΔΨ_band / Ω̄`. A
 /// candidate's score is how well that prediction explains every pair's
 /// wrapped measurement `dt_band` and its frequency-slope estimate.
-// wlint: hot
-// wlint: allow(panic-reach) — zip bounds every index: grid, scores and the pair lists are walked in lockstep
 fn score_omega_grid(
     per_pair: &[PairData<'_>],
     dt_band: &[f64],
@@ -591,7 +589,6 @@ fn wrap_count(p: &PairData<'_>, dt: f64, omega: f64) -> i32 {
 /// [`AMBIGUITY_LOG_SEPARATION`] apart in log space) that imply a
 /// different wrap count than `best_gammas` for at least one pair; `∞` when
 /// there is none. Wrap counts are compared pair by pair in place.
-// wlint: hot
 fn rival_score(
     per_pair: &[PairData<'_>],
     dt_band: &[f64],

@@ -4,11 +4,17 @@
 //! against in Fig. 7 ("median filter", "slide filter", "Butterworth
 //! filter").
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 /// Windowed median filter (odd window, edges use the available part).
 ///
 /// # Panics
 ///
 /// Panics if `window` is zero or even.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lo ≤ i < n and hi = min(i + half + 1, n), so xs[lo..hi] lies inside xs"
+)]
 pub fn median_filter(xs: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "window must be positive");
     assert!(window % 2 == 1, "window must be odd");
@@ -28,6 +34,10 @@ pub fn median_filter(xs: &[f64], window: usize) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if `window` is zero.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lo ≤ i < n and hi = min(i + half + 1, n), so xs[lo..hi] lies inside xs"
+)]
 pub fn slide_filter(xs: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "window must be positive");
     let half = window / 2;
@@ -75,8 +85,6 @@ impl Biquad {
     }
 
     /// Filters a signal (single pass, causal).
-    // wlint: allow(panic-reach) — b and a are fixed-size [3]/[2] arrays indexed by constants
-    // wlint: allow(hot-path-alloc) — no real hot caller: the hot edge is an iterator-adapter name collision (`.filter`); actual callers (filtfilt, notch) are cold setup paths
     pub fn filter(&self, xs: &[f64]) -> Vec<f64> {
         let mut s1 = 0.0;
         let mut s2 = 0.0;
@@ -98,6 +106,10 @@ impl Biquad {
 /// # Panics
 ///
 /// Panics if `fc_norm` is outside `(0, 1)`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "filter keeps the length, so rev holds xs.len() + 2·pad samples and the slice drops exactly the pads"
+)]
 pub fn butterworth_filtfilt(xs: &[f64], fc_norm: f64) -> Vec<f64> {
     if xs.len() < 8 {
         // Too short for the filter transient to settle; pass through.
@@ -116,6 +128,10 @@ pub fn butterworth_filtfilt(xs: &[f64], fc_norm: f64) -> Vec<f64> {
 }
 
 /// Reflects `pad` samples at each end of the signal.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the one caller passes n ≥ 8 samples, so i.min(n − 1) and the saturating n − 2 − i are below n"
+)]
 fn reflect_pad(xs: &[f64], pad: usize) -> Vec<f64> {
     let n = xs.len();
     let mut out = Vec::with_capacity(n + 2 * pad);

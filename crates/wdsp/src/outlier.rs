@@ -5,6 +5,8 @@
 //! for the downstream wavelet stage, rejected samples are replaced by
 //! linear interpolation of their surviving neighbours.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::stats::{mean, std_dev};
 
 /// Marks samples outside `μ ± k·σ`. Returns a keep-mask.
@@ -91,7 +93,10 @@ fn interpolate_masked(xs: &[f64], keep: &[bool]) -> Vec<f64> {
 /// In-place core of [`interpolate_masked`]: `out` must already hold a copy
 /// of `xs`; repaired samples are written over it. `kept_idx` is a reusable
 /// scratch list of kept indices.
-// wlint: allow(panic-reach) — every index is drawn from 0..n or kept_idx ⊂ 0..n; mask length is asserted equal at entry
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every index is drawn from 0..n or kept_idx ⊂ 0..n; the mask length is asserted equal at entry and out holds a copy of xs"
+)]
 fn interpolate_masked_in(xs: &[f64], keep: &[bool], kept_idx: &mut Vec<usize>, out: &mut [f64]) {
     assert_eq!(xs.len(), keep.len(), "mask length must match data length");
     if xs.is_empty() || keep.iter().all(|&k| !k) {

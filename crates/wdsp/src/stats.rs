@@ -4,6 +4,8 @@
 //! moments (mean direction, resultant length, circular spread) alongside ordinary linear
 //! statistics; both live here.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 /// Arithmetic mean. Returns `NaN` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -44,6 +46,10 @@ const NETWORK_MAX: usize = 64;
 /// position `at`, and returns the position after the last one. A
 /// comparator `[i, j]` has `i < j` and leaves the smaller key at `i`.
 /// Positions past the end of `out` are counted but not written.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the write is guarded by at < out.len(), and the fn runs only in const evaluation, where a bad index fails the build"
+)]
 const fn merge_exchange(n: usize, out: &mut [[u8; 2]], mut at: usize) -> usize {
     if n < 2 {
         return at;
@@ -93,6 +99,10 @@ struct Networks {
     start: [u16; NETWORK_MAX + 2],
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated: n + 1 ≤ NETWORK_MAX + 1 indexes start, and a bad index fails the build rather than a run"
+)]
 static NETWORKS: Networks = {
     let mut nets = Networks {
         pairs: [[0; 2]; COMPARATORS],
@@ -109,15 +119,21 @@ static NETWORKS: Networks = {
 
 /// The comparators of the merge-exchange network for `n ≤ NETWORK_MAX`
 /// inputs.
-// wlint: allow(panic-reach) — callers pass n ≤ NETWORK_MAX, so n + 1 indexes start and start[n] ≤ start[n + 1] ≤ COMPARATORS
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass n ≤ NETWORK_MAX, so n + 1 indexes start and start[n] ≤ start[n + 1] ≤ COMPARATORS"
+)]
 fn network(n: usize) -> &'static [[u8; 2]] {
     &NETWORKS.pairs[usize::from(NETWORKS.start[n])..usize::from(NETWORKS.start[n + 1])]
 }
 
 /// One comparator: the smaller key to `i`, the larger to `j`, with no
 /// data-dependent branch.
-// wlint: allow(panic-reach) — every comparator of a network for k.len() inputs indexes below k.len()
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every comparator of a network for k.len() inputs indexes below k.len()"
+)]
 fn exchange<T: Ord + Copy>(k: &mut [T], i: usize, j: usize) {
     let (a, b) = (k[i], k[j]);
     k[i] = a.min(b);
@@ -217,8 +233,10 @@ fn from_total_key(k: i64) -> f64 {
 /// same sequence. Up to 64 values are mapped to the integers `total_cmp`
 /// compares, on the stack, and sorted by a merge-exchange network of
 /// branch-free `min`/`max`; longer slices take `sort_unstable_by`.
-// wlint: hot
-// wlint: allow(panic-reach) — the early return leaves xs.len() ≤ NETWORK_MAX, the length of keys
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the early return leaves xs.len() ≤ NETWORK_MAX, the length of keys"
+)]
 fn sort_total(xs: &mut [f64]) {
     if xs.len() > NETWORK_MAX {
         xs.sort_unstable_by(f64::total_cmp);
@@ -246,7 +264,10 @@ fn sort_total(xs: &mut [f64]) {
 /// index order. A run of such ties is then put in order of the full bits,
 /// by an insertion sort that keeps equal bits in index order: the stable
 /// sort's order.
-// wlint: allow(panic-reach) — n ≤ NETWORK_MAX bounds keys[..n] and order[..n]; k & INDEX < NETWORK_MAX indexes bits; run ≤ j - 1 < j < end ≤ n in the fix-up
+#[expect(
+    clippy::indexing_slicing,
+    reason = "n ≤ NETWORK_MAX bounds keys[..n] and order[..n]; k & INDEX < NETWORK_MAX indexes bits; run ≤ j − 1 < j < end ≤ n in the fix-up"
+)]
 fn stable_abs_order(
     devs: impl ExactSizeIterator<Item = f64>,
     order: &mut [u8; NETWORK_MAX],
@@ -302,7 +323,10 @@ pub fn median_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
 /// [`median`] of a buffer the caller no longer needs in its original
 /// order: sorts `xs` in place into the order `xs.sort_by(f64::total_cmp)`
 /// gives, without allocating. Returns `NaN` for an empty slice.
-// wlint: allow(panic-reach) — n/2 and n/2-1 are in bounds: the slice is non-empty and the n%2 branch guards the even case
+#[expect(
+    clippy::indexing_slicing,
+    reason = "n/2 and n/2 − 1 are in bounds: the slice is non-empty and the n % 2 branch guards the even case"
+)]
 pub fn median_in_place(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
@@ -323,7 +347,6 @@ fn mad(xs: &[f64]) -> f64 {
 
 /// [`mad`] through a caller-owned scratch buffer: the median of the
 /// series, then the median of the absolute deviations from it.
-// wlint: hot
 fn mad_in(xs: &[f64], buf: &mut Vec<f64>) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
@@ -484,8 +507,10 @@ pub struct PhaseSummaryScratch {
 /// # Panics
 ///
 /// Panics if `trim_fraction` is not within `[0, 0.5]`.
-// wlint: hot
-// wlint: allow(panic-reach) — keep = n - n_drop ≤ n = samples.len(), and every index stable_abs_order returns is below n
+#[expect(
+    clippy::indexing_slicing,
+    reason = "keep = n − n_drop ≤ n = samples.len(), and every index stable_abs_order returns is below n"
+)]
 pub fn phase_summary(
     phasors: impl IntoIterator<Item = (f64, f64)>,
     trim_fraction: f64,

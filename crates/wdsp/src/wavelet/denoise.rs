@@ -10,6 +10,8 @@
 //! median rule) leaves only noise behind, which is discarded before
 //! inverse transform.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use super::{analyze_into, swt_decompose, swt_reconstruct, synthesize_into, Wavelet};
 use crate::stats::{robust_std, robust_std_in};
 
@@ -103,8 +105,10 @@ impl CorrelationDenoiser {
     /// # Panics
     ///
     /// Panics if `cols` is zero or does not divide the plane's length.
-    // wlint: hot
-    // wlint: allow(panic-reach) — detail-band indices are bounded by the resize_with(levels) above them; column gathers stay below n·cols
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "details holds at least levels bands after the resize_with above, so l + 1 < levels indexes it; c < cols offsets stay inside each n·cols band"
+    )]
     pub fn denoise_columns(&self, plane: &mut Vec<f64>, cols: usize, scratch: &mut DenoiseScratch) {
         assert!(
             cols > 0 && plane.len().is_multiple_of(cols),
@@ -192,6 +196,10 @@ impl CorrelationDenoiser {
     /// scale confirms survive. Iterate until the band power `PW` falls to
     /// the robust noise-power threshold. The coarser band's column is
     /// every `cols`-th value of `coarser`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the coarser band's column has as many samples as w, so corr.len() == w.len() and m < w.len() indexes both"
+    )]
     fn suppress_noise_at_scale_in(
         &self,
         w: &mut [f64],
@@ -235,6 +243,10 @@ impl CorrelationDenoiser {
 }
 
 /// Copies column `c` of a sample-major plane with `cols` columns into `out`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass c < cols, and every plane holds whole rows of cols samples"
+)]
 fn gather_column(plane: &[f64], cols: usize, c: usize, out: &mut Vec<f64>) {
     out.clear();
     out.extend(plane[c..].iter().step_by(cols));
@@ -248,6 +260,10 @@ pub fn correlation_denoise(xs: &[f64]) -> Vec<f64> {
 /// Baseline comparison: universal soft-threshold wavelet denoising
 /// (Donoho–Johnstone): threshold `σ̂·√(2·ln n)` applied to all detail
 /// bands.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "swt_decompose asserts levels > 0, so details[0] exists"
+)]
 pub fn soft_threshold_denoise(xs: &[f64], wavelet: Wavelet, levels: usize) -> Vec<f64> {
     if xs.len() < 8 {
         return xs.to_vec();

@@ -7,6 +7,8 @@
 //! filter pairs the transform implemented here is perfectly invertible for
 //! any signal length (circular extension).
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 pub mod denoise;
 
 pub use denoise::{
@@ -76,6 +78,10 @@ impl Wavelet {
     }
 
     /// [`Self::highpass`] written into a caller-owned buffer.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "k < l = h.len(), so l − 1 − k indexes h"
+    )]
     pub fn highpass_into(self, out: &mut Vec<f64>) {
         let h = self.lowpass();
         let l = h.len();
@@ -147,8 +153,10 @@ impl SwtDecomposition {
 /// same sum, in the same order, as the naive per-series loop: each column
 /// is bit for bit the one-column result. The source row walks from
 /// `shift(k)` and wraps to row 0 once, with no modulo per row.
-// wlint: hot
-// wlint: allow(panic-reach) — shift(k) < n and src stays below n, so every source row lies inside x
+#[expect(
+    clippy::indexing_slicing,
+    reason = "shift(k) < n and src wraps to 0 at n, so every source row lies inside x"
+)]
 fn filter_rows(
     x: &[f64],
     cols: usize,
@@ -247,6 +255,10 @@ pub fn swt_decompose(x: &[f64], wavelet: Wavelet, levels: usize) -> SwtDecomposi
 
 /// Inverse stationary wavelet transform (perfect reconstruction for
 /// orthonormal families).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "l < dec.levels() = dec.details.len()"
+)]
 pub fn swt_reconstruct(dec: &SwtDecomposition) -> Vec<f64> {
     let h = dec.wavelet.lowpass();
     let g = dec.wavelet.highpass();

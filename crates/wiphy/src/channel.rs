@@ -12,6 +12,8 @@
 //! fans, door reflections), which is what turns subcarrier-dependent
 //! multipath into subcarrier-dependent phase-difference *variance*.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::complex::Complex;
 use crate::geometry::Point;
 use crate::units::{Hertz, Meters};
@@ -145,7 +147,6 @@ impl PacketJitter {
     /// [`MultipathChannel::draw_jitter_into`].
     pub fn empty() -> PacketJitter {
         PacketJitter {
-            // wlint: allow(hot-path-alloc) — Vec::new is capacity-0: no heap touch until first push; `empty` only backs a mem::replace swap
             multipliers: Vec::new(),
         }
     }
@@ -223,7 +224,6 @@ impl MultipathChannel {
     /// Draws the per-packet jitter state into a caller-owned one, reusing
     /// its multiplier buffer: static scatterers stay put, dynamic ones get
     /// a fresh phase/gain perturbation.
-    // wlint: hot
     pub fn draw_jitter_into<R: Rng + ?Sized>(&self, rng: &mut R, jitter: &mut PacketJitter) {
         jitter.multipliers.clear();
         jitter.multipliers.reserve(self.scatterers.len());
@@ -249,6 +249,10 @@ impl MultipathChannel {
     ///
     /// Panics if `jitter` was drawn from a channel with a different number
     /// of scatterers, or if `extra` (when `Some`) has the wrong length.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "jitter and extra are asserted to hold one entry per scatterer, and n enumerates the scatterers"
+    )]
     pub fn response(
         &self,
         tx: Point,
@@ -299,6 +303,10 @@ impl MultipathChannel {
     ///
     /// Panics if `out.len()` is not `wavenumbers.len()` times the number
     /// of scatterers.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out is asserted to hold wavenumbers.len()·n gains, and k < wavenumbers.len(), i < n"
+    )]
     pub fn path_gains(&self, tx: Point, rx: Point, wavenumbers: &[f64], out: &mut [Complex]) {
         let n = self.scatterers.len();
         assert_eq!(
@@ -326,6 +334,10 @@ impl MultipathChannel {
     ///
     /// Panics if the plane does not hold whole rows of one gain per
     /// scatterer.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "n_static > 0 leaves rows of n ≥ n_static gains, so row[0] and row[..n_static] exist"
+    )]
     pub fn fold_static(&self, gains: &mut [Complex]) {
         if self.n_static == 0 {
             return;
@@ -351,8 +363,10 @@ impl MultipathChannel {
     ///
     /// Panics if `gains` or `jitter` were built from a channel with a
     /// different number of scatterers.
-    // wlint: hot
-    // wlint: allow(panic-reach) — both lengths are asserted equal to the scatterer count, and n_static ≤ that count by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both lengths are asserted equal to the scatterer count, and n_static ≤ that count by construction"
+    )]
     pub fn response_from_folded(&self, gains: &[Complex], jitter: &PacketJitter) -> Complex {
         assert_eq!(
             gains.len(),

@@ -14,6 +14,7 @@
 //! quantisation.
 
 #![deny(clippy::cast_possible_truncation)]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::channel::StandardNormal;
 use crate::complex::Complex;
@@ -98,6 +99,10 @@ impl HardwareProfile {
     /// array-of-structs [`CsiPacket`] layout (tests, single frames). The
     /// simulator's capture loop calls `apply_planes` on the capture's flat
     /// planes directly.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "re and im are filled with n_ant·n_sub values, so a·n_sub + k indexes both"
+    )]
     pub fn apply<R: Rng + ?Sized>(&self, packet: &mut CsiPacket, rng: &mut R) {
         let n_ant = packet.n_antennas();
         let n_sub = packet.n_subcarriers();
@@ -135,8 +140,10 @@ impl HardwareProfile {
     ///
     /// Panics if the plane lengths differ from
     /// `n_antennas · n_subcarriers`.
-    // wlint: hot
-    // wlint: allow(panic-reach) — plane indices row + k < n_antennas·n_subcarriers, asserted at entry; corrupt holds n_subcarriers phasors
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "plane indices row + k < n_antennas·n_subcarriers, asserted at entry; corrupt holds n_subcarriers phasors"
+    )]
     pub fn apply_planes<R: Rng + ?Sized>(
         &self,
         re: &mut [f64],
@@ -217,7 +224,6 @@ fn db_to_amp(db: f64) -> f64 {
 /// Quantises one packet's flat `(re, im)` planes to signed 8-bit
 /// integers, scaled to the per-packet maximum component — the Intel 5300
 /// CSI tool's storage format.
-// wlint: hot
 fn quantize_intel5300_planes(re: &mut [f64], im: &mut [f64]) {
     let mut max_c: f64 = 0.0;
     for (&r, &i) in re.iter().zip(im.iter()) {

@@ -7,6 +7,8 @@
 //! [`ZIG_R`] are exact rejection steps. On the fast path (≈98.5 % of
 //! draws) one normal costs one `u64`, one multiply and one compare.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use rand::distributions::Distribution;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -42,7 +44,10 @@ struct Tables {
 /// The ziggurat tables. They depend on nothing but [`ZIG_R`] and
 /// [`ZIG_V`], so they are built once per process: each layer's upper
 /// edge is the abscissa where the layer below it reaches area `V`.
-// wlint: allow(panic-reach) — constant indices and 2..LAYERS into arrays of LAYERS + 1 entries
+#[expect(
+    clippy::indexing_slicing,
+    reason = "constant indices and 2..LAYERS into arrays of LAYERS + 1 entries"
+)]
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
@@ -81,8 +86,10 @@ fn tail<R: Rng + ?Sized>(rng: &mut R, negative: bool) -> f64 {
 pub struct StandardNormal;
 
 impl Distribution<f64> for StandardNormal {
-    // wlint: hot
-    // wlint: allow(panic-reach) — i is the low 8 bits of a draw, so i + 1 ≤ LAYERS indexes tables of LAYERS + 1 entries
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is the low 8 bits of a draw, so i + 1 ≤ LAYERS indexes tables of LAYERS + 1 entries"
+    )]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let t = tables();
         loop {

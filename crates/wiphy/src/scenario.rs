@@ -8,6 +8,8 @@
 //! a set of phase and amplitude values as the baseline data when the empty
 //! plastic beaker is placed at the LoS link, then pour the tested liquid").
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::channel::{
     free_space_wavenumber, los_response, Environment, MultipathChannel, StandardNormal,
 };
@@ -438,6 +440,10 @@ impl BandCache {
     /// lengths are computed once per (antenna, scatterer) and wavenumbers
     /// once per subcarrier; every value is the same expression the
     /// per-frequency formulas evaluate.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "los and mp_gains are allocated as rx.len() rows of n_sub and n_sub·n_scat values, and a < rx.len()"
+    )]
     fn build(scenario: &Scenario, multipath: &MultipathChannel) -> Self {
         let n_sub = scenario.channel.num_subcarriers();
         let freqs: Vec<Hertz> = (0..n_sub)
@@ -586,8 +592,10 @@ impl Simulator {
     /// (jitter and perturbation draws go into simulator-owned scratch).
     /// RNG draw order matches the historical per-packet implementation
     /// exactly: jitter, then one perturbation per antenna, then hardware.
-    // wlint: hot
-    // wlint: allow(panic-reach) — per-antenna rows and cached insertion tables are all sized n_antennas·n_subcarriers by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-antenna rows and cached insertion tables are all sized n_antennas·n_subcarriers by construction"
+    )]
     fn packet_into(&mut self, re: &mut [f64], im: &mut [f64]) {
         let n_ant = self.scenario.n_antennas;
         let n_sub = self.band.freqs.len();
@@ -645,7 +653,10 @@ impl Simulator {
     /// Deterministic in `(scenario, liquid)` — see `insertions_cache`. The
     /// propagation constants depend only on frequency, so they are
     /// evaluated once per subcarrier and shared by every antenna.
-    // wlint: allow(hot-path-alloc) — cold fallback: runs once per (scenario, liquid) change and is cached; the steady-state path takes the cache hit
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "plane holds n_rays·n_sub values; a < n_rays, and k and mid = n_sub / 2 lie below the band's non-zero subcarrier count"
+    )]
     fn compute_target_insertions(&self) -> Vec<Complex> {
         let n_sub = self.band.freqs.len();
         let n_rays = self.rays.len();

@@ -58,9 +58,6 @@ pub struct LexOutput {
     pub pragmas: Vec<Pragma>,
     /// Lines holding a malformed `wlint:` pragma (bad syntax or no reason).
     pub bad_pragmas: Vec<(u32, String)>,
-    /// Lines holding a `// wlint: hot` marker: the next `fn` is a hot-path
-    /// function whose body must not allocate (see `hot-path-alloc`).
-    pub hot_markers: Vec<u32>,
 }
 
 /// Tokenizes `source`, folding away comments, strings and char literals.
@@ -238,12 +235,6 @@ fn scan_pragma(text: &str, line: u32, standalone: bool, out: &mut LexOutput) {
         return;
     };
     let rest = rest.trim();
-    if rest == "hot" {
-        // `// wlint: hot` marks the next `fn` as a hot-path function:
-        // the hot-path-alloc rule bans heap allocation inside its body.
-        out.hot_markers.push(line);
-        return;
-    }
     let Some(inner) = rest.strip_prefix("allow(") else {
         out.bad_pragmas
             .push((line, format!("unrecognised wlint pragma: `{trimmed}`")));
@@ -524,31 +515,26 @@ mod tests {
     #[test]
     fn pragma_parsing() {
         let src = "
-// wlint: allow(panic-reach) — provably infallible: len checked above
-let x = v.pop(); // wlint: allow(hot-path-alloc) - exact sentinel comparison
-// wlint: allow(panic-reach)
+// wlint: allow(unit-newtype) — mirrors a driver API: raw seconds
+let x = settle(t); // wlint: allow(bad-pragma) - exact sentinel comparison
+// wlint: allow(unit-newtype)
 // wlint: bogus
 ";
         let out = lex(src);
         assert_eq!(out.pragmas.len(), 2);
         assert!(out.pragmas[0].standalone);
-        assert_eq!(out.pragmas[0].rule, "panic-reach");
-        assert!(out.pragmas[0].reason.contains("infallible"));
+        assert_eq!(out.pragmas[0].rule, "unit-newtype");
+        assert!(out.pragmas[0].reason.contains("driver API"));
         assert!(!out.pragmas[1].standalone);
-        assert_eq!(out.pragmas[1].rule, "hot-path-alloc");
+        assert_eq!(out.pragmas[1].rule, "bad-pragma");
         assert_eq!(out.bad_pragmas.len(), 2);
     }
 
     #[test]
-    fn hot_marker_is_recorded_not_rejected() {
-        let src = "
-// wlint: hot
-fn inner(x: &mut [f64]) {}
-// wlint: hotter
-";
-        let out = lex(src);
-        assert_eq!(out.hot_markers, vec![2]);
-        assert_eq!(out.bad_pragmas.len(), 1, "`hotter` is not a marker");
+    fn retired_hot_marker_is_a_bad_pragma() {
+        let out = lex("\n// wlint: hot\nfn inner(x: &mut [f64]) {}\n");
+        assert_eq!(out.bad_pragmas.len(), 1, "{:?}", out.bad_pragmas);
+        assert_eq!(out.bad_pragmas[0].0, 2);
         assert!(out.pragmas.is_empty());
     }
 

@@ -2,31 +2,25 @@
 //!
 //! The repo's correctness story rests on conventions the compiler does not
 //! check. The site-level ones — no wall clock, no ambient RNG, no hashed
-//! iteration order, panic-free library crates, float hygiene — are clippy
-//! lints (root `clippy.toml` and crate-root lint levels, DESIGN.md §9).
-//! This crate enforces what clippy cannot see, as named, individually
-//! suppressable rules over a hand-rolled token stream (std-only — no
-//! registry access, so no `syn`): unit-safe public APIs, well-formed
-//! pragmas, and two rules that trace *reachability* through a workspace
-//! symbol index ([`index`]) and a conservative call graph ([`graph`]):
-//! `hot-path-alloc` and `panic-reach`, each printing the full call path in
-//! its violations. See DESIGN.md §14.
+//! iteration order, panic-free library crates, bounds-proved indexing in
+//! the per-packet kernels, float hygiene — are clippy lints (root
+//! `clippy.toml` and crate-root or per-file lint levels, DESIGN.md §9);
+//! the steady-state allocation ceilings are a counting-allocator test
+//! (`tests/alloc_budgets.rs`). This crate enforces the two per-file rules
+//! clippy cannot express, as named, individually suppressable rules over a
+//! hand-rolled token stream (std-only — no registry access, so no `syn`):
+//! unit-safe public APIs and well-formed pragmas. See DESIGN.md §14.
 //!
 //! Run with `cargo run -p wimi-lint` (add `--json` or `--sarif` for
-//! machine output, `--graph` for the resolved call graph, `--explain
-//! <rule>` for a rule's rationale).
+//! machine output, `--explain <rule>` for a rule's rationale).
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-pub mod graph;
-pub mod index;
 pub mod lexer;
 pub mod rules;
 pub mod sarif;
 
-pub use graph::{graph_dump, CallGraph, DepMap};
-pub use index::WorkspaceIndex;
-pub use rules::{lint_files, lint_source, FileReport, Rule, Suppression, Violation, WorkspaceLint};
+pub use rules::{lint_source, FileReport, Rule, Suppression, Violation};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -193,97 +187,25 @@ fn source_roots(workspace_root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(roots)
 }
 
-/// Parses the `[dependencies]` sections of every workspace member's
-/// `Cargo.toml` into a [`DepMap`] keyed by crate directory. Line-oriented
-/// on purpose: the manifests are ours, flat, and std has no TOML parser.
-pub fn build_depmap(workspace_root: &Path) -> DepMap {
-    let mut deps = DepMap::default();
-    let import_to_dir = |key: &str| -> Option<String> {
-        let import = key.replace('-', "_");
-        graph::IMPORT_NAMES
-            .iter()
-            .find(|(n, _)| *n == import)
-            .map(|(_, d)| d.to_string())
-    };
-    let mut add_manifest = |crate_dir: &str, manifest: &Path| {
-        let Ok(text) = std::fs::read_to_string(manifest) else {
-            return;
-        };
-        let mut in_deps = false;
-        let mut direct: Vec<String> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if let Some(section) = line.strip_prefix('[') {
-                in_deps = section.trim_end_matches(']') == "dependencies";
-                continue;
-            }
-            if !in_deps || line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let key: String = line
-                .chars()
-                .take_while(|c| !matches!(c, '.' | '=' | ' ' | '\t'))
-                .collect();
-            if let Some(dir) = import_to_dir(&key) {
-                direct.push(dir);
-            }
-        }
-        direct.sort();
-        direct.dedup();
-        deps.direct.insert(crate_dir.to_string(), direct);
-    };
-
-    if let Ok(members) = std::fs::read_dir(workspace_root.join("crates")) {
-        let mut dirs: Vec<PathBuf> = members.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        dirs.sort();
-        for m in dirs {
-            let manifest = m.join("Cargo.toml");
-            if let Some(name) = m.file_name().and_then(|n| n.to_str()) {
-                if manifest.is_file() {
-                    add_manifest(name, &manifest);
-                }
-            }
-        }
-    }
-    let facade = workspace_root.join("Cargo.toml");
-    if facade.is_file() {
-        add_manifest("wimi", &facade);
-    }
-    deps
-}
-
-/// Lints every workspace source file under `workspace_root`, returning the
-/// report plus the index and call graph (for `--graph`).
-pub fn lint_workspace_full(
-    workspace_root: &Path,
-) -> std::io::Result<(LintReport, WorkspaceIndex, CallGraph)> {
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for root in source_roots(workspace_root)? {
-        let mut files = Vec::new();
-        collect_rs(&root, &mut files)?;
-        for path in files {
-            let rel = path
-                .strip_prefix(workspace_root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let source = std::fs::read_to_string(&path)?;
-            sources.push((rel, source));
-        }
-    }
-    let deps = build_depmap(workspace_root);
-    let ws = lint_files(&sources, &deps);
-    let report = LintReport {
-        files: sources.into_iter().map(|(rel, _)| rel).collect(),
-        violations: ws.violations,
-        suppressed: ws.suppressed,
-    };
-    Ok((report, ws.index, ws.graph))
-}
-
 /// Lints every workspace source file under `workspace_root`.
 pub fn lint_workspace(workspace_root: &Path) -> std::io::Result<LintReport> {
-    lint_workspace_full(workspace_root).map(|(report, _, _)| report)
+    let mut files = Vec::new();
+    for root in source_roots(workspace_root)? {
+        collect_rs(&root, &mut files)?;
+    }
+    let mut report = LintReport::default();
+    for path in files {
+        let rel = path
+            .strip_prefix(workspace_root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let file = lint_source(&rel, &std::fs::read_to_string(&path)?);
+        report.violations.extend(file.violations);
+        report.suppressed.extend(file.suppressed);
+        report.files.push(rel);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -300,36 +222,14 @@ mod tests {
         let mut r = LintReport::default();
         r.files.push("crates/x/src/lib.rs".to_string());
         r.violations.push(Violation {
-            rule: Rule::PanicReach,
+            rule: Rule::UnitNewtype,
             file: "crates/x/src/lib.rs".to_string(),
             line: 3,
             message: "m".to_string(),
         });
         assert!(!r.is_clean());
-        assert_eq!(r.counts_by_rule().get("panic-reach"), Some(&1));
-        assert!(r.render_text().contains("[panic-reach]"));
+        assert_eq!(r.counts_by_rule().get("unit-newtype"), Some(&1));
+        assert!(r.render_text().contains("[unit-newtype]"));
         assert!(r.render_json().contains("\"clean\": false"));
-    }
-
-    #[test]
-    fn depmap_reflects_the_real_manifests() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let deps = build_depmap(&root);
-        let wdsp = deps.direct.get("wdsp").expect("wdsp indexed");
-        assert!(wdsp.is_empty(), "wdsp is a leaf: {wdsp:?}");
-        let core = deps.direct.get("core").expect("core indexed");
-        for dep in ["wiphy", "wdsp", "wml", "wobs", "wtrace"] {
-            assert!(core.contains(&dep.to_string()), "core missing {dep}");
-        }
-        assert!(
-            !core.contains(&"core".to_string()),
-            "vendored rand must not map to a workspace member"
-        );
-        let closure = deps.closure("wcampaign").expect("wcampaign known");
-        assert!(
-            closure.contains("wobs"),
-            "transitive via wiphy: {closure:?}"
-        );
-        assert!(!closure.contains("wml"));
     }
 }

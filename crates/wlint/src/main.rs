@@ -3,8 +3,7 @@
 //! Exit code is 0 when the workspace is clean (no unsuppressed
 //! violations), 1 otherwise, 2 on usage or I/O errors — so CI can gate on
 //! it directly. `--sarif` emits SARIF 2.1.0 for code-scanning upload,
-//! `--graph` dumps the resolved call graph, `--explain <rule>` prints a
-//! rule's rationale and suppression contract.
+//! `--explain <rule>` prints a rule's rationale and suppression contract.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
@@ -12,13 +11,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage: wimi-lint [--json | --sarif | --graph] [--root <workspace-dir>] [--list-rules] [--explain <rule>]"
+    "usage: wimi-lint [--json | --sarif] [--root <workspace-dir>] [--list-rules] [--explain <rule>]"
 }
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut sarif = false;
-    let mut graph = false;
     let mut list_rules = false;
     let mut explain: Option<String> = None;
     let mut root: Option<PathBuf> = None;
@@ -27,7 +25,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--sarif" => sarif = true,
-            "--graph" => graph = true,
             "--list-rules" => list_rules = true,
             "--explain" => match args.next() {
                 Some(rule) => explain = Some(rule),
@@ -81,7 +78,7 @@ fn main() -> ExitCode {
         .or_else(|| std::env::var_os("CARGO_MANIFEST_DIR").map(|d| PathBuf::from(d).join("../..")))
         .unwrap_or_else(|| PathBuf::from("."));
 
-    let (report, index, call_graph) = match wimi_lint::lint_workspace_full(&root) {
+    let report = match wimi_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("wimi-lint: failed to walk {}: {e}", root.display());
@@ -89,9 +86,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if graph {
-        print!("{}", wimi_lint::graph_dump(&index, &call_graph));
-    } else if sarif {
+    if sarif {
         print!("{}", wimi_lint::sarif::render_sarif(&report));
     } else if json {
         print!("{}", report.render_json());

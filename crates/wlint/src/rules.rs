@@ -1,8 +1,8 @@
-//! The lint rules: the interprocedural rules that run over the workspace
-//! call graph, plus the two per-file checks clippy cannot make
-//! (`unit-newtype`, `bad-pragma`). The site-level determinism, panic and
-//! float rules are clippy lints (root `clippy.toml`, crate-root lint
-//! levels; DESIGN §9).
+//! The lint rules: the two per-file checks clippy cannot make
+//! (`unit-newtype`, `bad-pragma`). The site-level determinism, panic,
+//! index and float rules are clippy lints (root `clippy.toml`, crate-root
+//! and per-file lint levels; DESIGN §9), and the steady-state allocation
+//! ceilings are `tests/alloc_budgets.rs` (DESIGN §12.4).
 //!
 //! Every rule is named, documented and individually suppressable with an
 //! inline pragma on (or immediately above) the offending line:
@@ -12,20 +12,12 @@
 //! ```
 //!
 //! The justification is mandatory; a pragma without one is itself reported.
-//! For the interprocedural rules (`hot-path-alloc`, `panic-reach`) a
-//! pragma also suppresses by *path*: placed on the
-//! line of (or immediately above) any function on the reported call path,
-//! it vouches for every violation routed through that function.
 
-use std::collections::BTreeMap;
-
-use crate::graph::{fn_label, CallGraph, DepMap};
-use crate::index::{crate_of, test_regions, WorkspaceIndex, MARKER_WINDOW};
-use crate::lexer::{lex, LexOutput, Pragma, Tok, Token};
+use crate::lexer::{lex, LexOutput, Tok, Token};
 
 /// The library crates whose non-test code must stay panic-free: errors flow
 /// through the `wimi_core::error` taxonomy. Each crate root denies clippy's
-/// panic-family lints, so `panic-reach` leaves their panic sites to clippy.
+/// panic-family lints (`tests/workspace_clean.rs` checks the wiring).
 pub const LIBRARY_CRATES: [&str; 8] = [
     "wiphy",
     "wdsp",
@@ -36,10 +28,6 @@ pub const LIBRARY_CRATES: [&str; 8] = [
     "wcampaign",
     "wserve",
 ];
-
-/// The crates whose *public* functions count as library entry points for
-/// `panic-reach`: anything a downstream caller can invoke directly.
-pub const ENTRY_CRATES: [&str; 4] = ["wiphy", "wdsp", "wml", "core"];
 
 /// Crates whose public `f64` parameters must use the `units.rs` newtypes
 /// when dimensionally named.
@@ -83,12 +71,6 @@ pub enum Rule {
     /// A malformed `wlint:` pragma (bad syntax, an unknown rule name or a
     /// missing justification).
     BadPragma,
-    /// Heap allocation reachable from a `// wlint: hot` function: the hot
-    /// path runs per packet/subcarrier and must reuse caller scratch.
-    HotPathAlloc,
-    /// A panic site (`panic!`-family, `.unwrap()`, `.expect(`, slice index)
-    /// reachable from a hot fn or a public library entry point.
-    PanicReach,
 }
 
 impl Rule {
@@ -97,8 +79,6 @@ impl Rule {
         match self {
             Rule::UnitNewtype => "unit-newtype",
             Rule::BadPragma => "bad-pragma",
-            Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::PanicReach => "panic-reach",
         }
     }
 
@@ -108,24 +88,13 @@ impl Rule {
     }
 
     /// All rules, for `--list-rules` style reporting.
-    pub const ALL: [Rule; 4] = [
-        Rule::UnitNewtype,
-        Rule::BadPragma,
-        Rule::HotPathAlloc,
-        Rule::PanicReach,
-    ];
+    pub const ALL: [Rule; 2] = [Rule::UnitNewtype, Rule::BadPragma];
 
     /// One-line description of the invariant the rule protects.
     pub fn description(self) -> &'static str {
         match self {
             Rule::UnitNewtype => "dimensional public fn params must use unit newtypes, not f64",
             Rule::BadPragma => "wlint pragmas must name a rule and give a justification",
-            Rule::HotPathAlloc => {
-                "no heap allocation reachable from a `// wlint: hot` function (transitive)"
-            }
-            Rule::PanicReach => {
-                "no panic site reachable from hot fns or public library entry points"
-            }
         }
     }
 
@@ -145,33 +114,9 @@ impl Rule {
                  otherwise silently suppress nothing (or the wrong thing). Clippy lints \
                  are not wlint rules: a sanctioned clippy site takes \
                  `#[expect(clippy::<lint>, reason = \"...\")]`, which fails once it goes \
-                 stale."
-            }
-            Rule::HotPathAlloc => {
-                "Functions marked `// wlint: hot` run per packet/subcarrier in the \
-                 steady-state identification path; PR6's scratch-arena work got them to \
-                 ~2 allocations per capture, and CI gates on that budget. This rule is \
-                 TRANSITIVE: an allocation site (Vec::new()/vec!/format!/.collect()/\
-                 .to_vec()/.to_owned()/.to_string()) anywhere in the call graph reachable \
-                 from a hot fn is flagged, with the full call path in the message. \
-                 Constructor *paths* without a call (`resize_with(n, Vec::new)`) stay \
-                 legal. Suppress at the site, or vouch for a whole path by placing\n\
-                 `// wlint: allow(hot-path-alloc) — <reason>` on/above any fn on the \
-                 reported path (e.g. a one-time pool-growth helper)."
-            }
-            Rule::PanicReach => {
-                "A panic!-family macro, .unwrap()/.expect(), or slice-index site \
-                 reachable from a `// wlint: hot` fn or a public entry point of \
-                 wiphy/wdsp/wml/core can abort the pipeline from a caller that never sees \
-                 the dangerous code. Sites inside library crates are already flagged (or \
-                 vouched with #[expect]) by the clippy panic-family lints their crate \
-                 roots deny, so this rule reports: panic sites that leak in through \
-                 non-library helper crates, and slice-index sites reachable from hot fns \
-                 (index panics in the per-packet path are both a crash and a bounds-check \
-                 cost). A site pragma for `panic-reach` vouches the site; a \
-                 `// wlint: allow(panic-reach) — <reason>` on/above any fn on the \
-                 reported path vouches the whole path (use for kernels whose indices are \
-                 pinned by asserted invariants at the fn boundary)."
+                 stale. The retired `// wlint: hot` marker and `allow(hot-path-alloc)` / \
+                 `allow(panic-reach)` pragmas are reported too: allocation is held by \
+                 tests/alloc_budgets.rs and slice indexing by clippy::indexing_slicing."
             }
         }
     }
@@ -205,89 +150,48 @@ pub struct Suppression {
     pub message: String,
 }
 
-/// Result of linting one file (kept for the single-file API).
+/// Result of linting one file.
 #[derive(Debug, Default)]
 pub struct FileReport {
-    /// Unsuppressed violations.
-    pub violations: Vec<Violation>,
-    /// Pragma-suppressed occurrences.
-    pub suppressed: Vec<Suppression>,
-}
-
-/// A raw finding before suppression: the violation plus the call path that
-/// produced it (fn indices root→sink; empty for per-file findings).
-struct Finding {
-    v: Violation,
-    path: Vec<usize>,
-}
-
-/// Aggregate result of linting a set of files together.
-#[derive(Debug, Default)]
-pub struct WorkspaceLint {
-    /// Unsuppressed violations, sorted by (file, line, rule, message).
+    /// Unsuppressed violations, sorted by (line, rule, message).
     pub violations: Vec<Violation>,
     /// Pragma-suppressed occurrences, same order.
     pub suppressed: Vec<Suppression>,
-    /// The symbol index (for `--graph`).
-    pub index: WorkspaceIndex,
-    /// The resolved call graph (for `--graph`).
-    pub graph: CallGraph,
 }
 
-/// Lints one file in isolation. The interprocedural rules still run (over
-/// the single-file call graph), so intra-file transitive violations fire.
+/// Lints one file. A finding is suppressed by a pragma naming its rule at
+/// the site: a standalone pragma covers the next 3 lines, a trailing
+/// pragma its own line. A clippy `#[expect]` vouches nothing here.
 pub fn lint_source(rel_path: &str, source: &str) -> FileReport {
-    let ws = lint_files(
-        &[(rel_path.to_string(), source.to_string())],
-        &DepMap::default(),
-    );
-    FileReport {
-        violations: ws.violations,
-        suppressed: ws.suppressed,
-    }
-}
-
-/// Lints a set of files as one workspace: per-file token rules plus the
-/// interprocedural rules over the shared call graph.
-pub fn lint_files(files: &[(String, String)], deps: &DepMap) -> WorkspaceLint {
-    let mut index = WorkspaceIndex::default();
-    let mut findings: Vec<Finding> = Vec::new();
-    for (rel_path, source) in files {
-        let lexed = lex(source);
-        for v in scan_file(rel_path, &lexed) {
-            findings.push(Finding {
-                v,
-                path: Vec::new(),
-            });
+    let lexed = lex(source);
+    let mut report = FileReport::default();
+    'findings: for v in scan_file(rel_path, &lexed) {
+        for p in &lexed.pragmas {
+            let covers = if p.standalone {
+                v.line > p.line && v.line <= p.line + 3
+            } else {
+                v.line == p.line
+            };
+            if covers && p.rule == v.rule.name() {
+                report.suppressed.push(Suppression {
+                    rule: v.rule,
+                    file: v.file,
+                    line: v.line,
+                    reason: p.reason.clone(),
+                    message: v.message,
+                });
+                continue 'findings;
+            }
         }
-        index.add_lexed(rel_path, &lexed);
+        report.violations.push(v);
     }
-    let graph = CallGraph::build(&index, deps);
-    findings.extend(interprocedural(&index, &graph));
-
-    let (mut violations, mut suppressed) = apply_suppressions(&index, findings);
-    violations.sort_by(|a, b| {
-        (&a.file, a.line, a.rule.name(), &a.message).cmp(&(
-            &b.file,
-            b.line,
-            b.rule.name(),
-            &b.message,
-        ))
+    report.violations.sort_by(|a, b| {
+        (a.line, a.rule.name(), &a.message).cmp(&(b.line, b.rule.name(), &b.message))
     });
-    suppressed.sort_by(|a, b| {
-        (&a.file, a.line, a.rule.name(), &a.message).cmp(&(
-            &b.file,
-            b.line,
-            b.rule.name(),
-            &b.message,
-        ))
+    report.suppressed.sort_by(|a, b| {
+        (a.line, a.rule.name(), &a.message).cmp(&(b.line, b.rule.name(), &b.message))
     });
-    WorkspaceLint {
-        violations,
-        suppressed,
-        index,
-        graph,
-    }
+    report
 }
 
 /// The per-file rules: malformed or unknown pragmas and `unit-newtype`.
@@ -323,235 +227,97 @@ fn scan_file(rel_path: &str, lexed: &LexOutput) -> Vec<Violation> {
     found
 }
 
-/// Renders a call path as `` `a` → `b` → `c` `` using short fn labels.
-fn render_path(ix: &WorkspaceIndex, path: &[usize]) -> String {
-    path.iter()
-        .map(|&v| format!("`{}`", fn_label(&ix.fns[v])))
-        .collect::<Vec<_>>()
-        .join(" → ")
+/// Derives the crate short name from a workspace-relative path
+/// (`crates/wiphy/src/csi.rs` → `wiphy`; the facade `src/lib.rs` → `wimi`).
+fn crate_of(rel_path: &str) -> &str {
+    let parts: Vec<&str> = rel_path.split('/').collect();
+    if parts.len() >= 2 && parts[0] == "crates" {
+        parts[1]
+    } else {
+        "wimi"
+    }
 }
 
-/// A reachability root with its BFS results, computed once per root.
-struct RootSearch {
-    root: usize,
-    hot: bool,
-    dist: Vec<u32>,
-    pred: Vec<usize>,
-}
-
-/// Runs the two graph rules and the marker-binding diagnostic.
-fn interprocedural(ix: &WorkspaceIndex, graph: &CallGraph) -> Vec<Finding> {
-    let mut findings: Vec<Finding> = Vec::new();
-
-    // A hot marker that bound to no `fn` is a misplaced contract: report
-    // rather than silently covering nothing (or the wrong item).
-    for (file, line, found_kind) in &ix.unbound_markers {
-        let found_what = if found_kind == "nothing" {
-            String::new()
-        } else {
-            format!(" (next item is a `{found_kind}`)")
+/// Inclusive line ranges covered by `#[test]` / `#[cfg(test)]` items.
+fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
+    let mut regions = Vec::new();
+    let mut i = 0usize;
+    while i + 1 < tokens.len() {
+        if tokens[i].kind != Tok::Punct("#") || tokens[i + 1].kind != Tok::Punct("[") {
+            i += 1;
+            continue;
+        }
+        let attr_start_line = tokens[i].line;
+        let mut depth = 0usize;
+        let mut j = i + 1;
+        let mut attr_idents: Vec<&str> = Vec::new();
+        let mut attr_end = None;
+        while j < tokens.len() {
+            match &tokens[j].kind {
+                Tok::Punct("[") => depth += 1,
+                Tok::Punct("]") => {
+                    depth -= 1;
+                    if depth == 0 {
+                        attr_end = Some(j);
+                        break;
+                    }
+                }
+                Tok::Ident(s) => attr_idents.push(s.as_str()),
+                _ => {}
+            }
+            j += 1;
+        }
+        let Some(attr_end) = attr_end else { break };
+        let is_test_attr = match attr_idents.first() {
+            Some(&"test") => true,
+            Some(&"cfg") => attr_idents.contains(&"test") && !attr_idents.contains(&"not"),
+            _ => false,
         };
-        findings.push(Finding {
-            v: Violation {
-                rule: Rule::HotPathAlloc,
-                file: file.clone(),
-                line: *line,
-                message: format!(
-                    "`// wlint: hot` marker does not precede a `fn` within {MARKER_WINDOW} lines{found_what}"
-                ),
-            },
-            path: Vec::new(),
-        });
-    }
-
-    let hot_roots: Vec<usize> = (0..ix.fns.len()).filter(|&i| ix.fns[i].is_hot).collect();
-    let pub_roots: Vec<usize> = (0..ix.fns.len())
-        .filter(|&i| {
-            let f = &ix.fns[i];
-            f.is_pub && !f.in_test && !f.is_hot && ENTRY_CRATES.contains(&f.crate_dir.as_str())
-        })
-        .collect();
-
-    let search = |roots: &[usize], hot: bool| -> Vec<RootSearch> {
-        roots
-            .iter()
-            .map(|&root| {
-                let (dist, pred) = graph.bfs(root);
-                RootSearch {
-                    root,
-                    hot,
-                    dist,
-                    pred,
+        if !is_test_attr {
+            i = attr_end + 1;
+            continue;
+        }
+        // Find the item body: the first `{` before a top-level `;`.
+        let mut k = attr_end + 1;
+        let mut body_open = None;
+        while k < tokens.len() {
+            match tokens[k].kind {
+                Tok::Punct("{") => {
+                    body_open = Some(k);
+                    break;
                 }
-            })
-            .collect()
-    };
-    let hot_searches = search(&hot_roots, true);
-    let pub_searches = search(&pub_roots, false);
-
-    // --- hot-path-alloc (transitive) ---
-    // One violation per allocation site, attributed to the best root:
-    // smallest hop count, earliest root as the tiebreak. (A site on several
-    // hot paths thus reports once; a path-level suppression of the reported
-    // path vouches the site everywhere — acceptable over-suppression,
-    // documented in DESIGN §14.)
-    let mut alloc_best: BTreeMap<(usize, u32, &str), (u32, usize)> = BTreeMap::new();
-    for (order, s) in hot_searches.iter().enumerate() {
-        for (fn_idx, f) in ix.fns.iter().enumerate() {
-            if s.dist[fn_idx] == u32::MAX || f.in_test {
-                continue;
-            }
-            for site in &f.alloc_sites {
-                let key = (fn_idx, site.line, site.what.as_str());
-                let cand = (s.dist[fn_idx], order);
-                let slot = alloc_best.entry(key).or_insert(cand);
-                if cand < *slot {
-                    *slot = cand;
-                }
+                Tok::Punct(";") => break,
+                _ => k += 1,
             }
         }
-    }
-    for ((fn_idx, line, what), (dist, order)) in &alloc_best {
-        let s = &hot_searches[*order];
-        let path = graph.path(s.root, *fn_idx, &s.pred);
-        let f = &ix.fns[*fn_idx];
-        let message = if *dist == 0 {
-            format!(
-                "`{what}` allocates inside hot-path fn `{}`; reuse caller-provided scratch",
-                f.name
-            )
-        } else {
-            format!(
-                "hot {}: `{what}` allocates at {}:{line}; reuse caller-provided scratch",
-                render_path(ix, &path),
-                f.file
-            )
+        let Some(open) = body_open else {
+            i = attr_end + 1;
+            continue;
         };
-        findings.push(Finding {
-            v: Violation {
-                rule: Rule::HotPathAlloc,
-                file: f.file.clone(),
-                line: *line,
-                message,
-            },
-            path,
-        });
+        let close = match_brace(tokens, open);
+        regions.push((attr_start_line, tokens[close].line));
+        i = close + 1;
     }
-
-    // --- panic-reach ---
-    // Sinks: panic sites in non-library crates (library sites are governed
-    // by clippy's panic-family lints), plus slice-index sites for hot roots
-    // only. Hot roots win attribution over pub entry points.
-    let mut panic_best: BTreeMap<(usize, u32, &str), (bool, u32, usize)> = BTreeMap::new();
-    for (order, s) in hot_searches.iter().chain(pub_searches.iter()).enumerate() {
-        for (fn_idx, f) in ix.fns.iter().enumerate() {
-            if s.dist[fn_idx] == u32::MAX || f.in_test {
-                continue;
-            }
-            let mut sites: Vec<(u32, &str)> = Vec::new();
-            if !LIBRARY_CRATES.contains(&f.crate_dir.as_str()) {
-                sites.extend(f.panic_sites.iter().map(|p| (p.line, p.what.as_str())));
-            }
-            if s.hot {
-                sites.extend(f.index_sites.iter().map(|p| (p.line, p.what.as_str())));
-            }
-            for (line, what) in sites {
-                let key = (fn_idx, line, what);
-                // `!hot` sorts hot-rooted attributions first.
-                let cand = (!s.hot, s.dist[fn_idx], order);
-                let slot = panic_best.entry(key).or_insert(cand);
-                if cand < *slot {
-                    *slot = cand;
-                }
-            }
-        }
-    }
-    let all_searches: Vec<&RootSearch> = hot_searches.iter().chain(pub_searches.iter()).collect();
-    for ((fn_idx, line, what), (_, _, order)) in &panic_best {
-        let s = all_searches[*order];
-        let path = graph.path(s.root, *fn_idx, &s.pred);
-        let f = &ix.fns[*fn_idx];
-        let root_tag = if s.hot { "hot" } else { "pub" };
-        let message = format!(
-            "{root_tag} {}: `{what}` may panic at {}:{line}; return a taxonomy error or prove the bound",
-            render_path(ix, &path),
-            f.file
-        );
-        findings.push(Finding {
-            v: Violation {
-                rule: Rule::PanicReach,
-                file: f.file.clone(),
-                line: *line,
-                message,
-            },
-            path,
-        });
-    }
-
-    findings
+    regions
 }
 
-/// Splits findings into suppressed and surviving sets.
-///
-/// A finding is suppressed by (a) a matching pragma at the site — a
-/// standalone pragma covers the next 3 lines, a trailing pragma its own
-/// line — or, for interprocedural findings, (b) a matching pragma bound to
-/// any function on the reported call path (standalone immediately above the
-/// fn item, or trailing on the `fn` line). A clippy `#[expect]` vouches
-/// nothing here.
-fn apply_suppressions(
-    ix: &WorkspaceIndex,
-    findings: Vec<Finding>,
-) -> (Vec<Violation>, Vec<Suppression>) {
-    let pragmas_of =
-        |file: &str| -> &[Pragma] { ix.meta(file).map(|m| m.pragmas.as_slice()).unwrap_or(&[]) };
-
-    let mut violations = Vec::new();
-    let mut suppressed = Vec::new();
-    'findings: for finding in findings {
-        let v = finding.v;
-        // (a) site-level.
-        for p in pragmas_of(&v.file) {
-            let covers = if p.standalone {
-                v.line > p.line && v.line <= p.line + 3
-            } else {
-                v.line == p.line
-            };
-            if covers && p.rule == v.rule.name() {
-                suppressed.push(Suppression {
-                    rule: v.rule,
-                    file: v.file,
-                    line: v.line,
-                    reason: p.reason.clone(),
-                    message: v.message,
-                });
-                continue 'findings;
-            }
-        }
-        // (b) path-level.
-        for &fn_idx in &finding.path {
-            let f = &ix.fns[fn_idx];
-            for p in pragmas_of(&f.file) {
-                let covers = if p.standalone {
-                    f.item_line > p.line && f.item_line <= p.line + 3
-                } else {
-                    p.line == f.decl_line
-                };
-                if covers && p.rule == v.rule.name() {
-                    suppressed.push(Suppression {
-                        rule: v.rule,
-                        file: v.file,
-                        line: v.line,
-                        reason: p.reason.clone(),
-                        message: v.message,
-                    });
-                    continue 'findings;
+/// Index of the `}` matching the `{` at `open` (or the last token when the
+/// file is truncated mid-item).
+fn match_brace(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (n, t) in tokens.iter().enumerate().skip(open) {
+        match t.kind {
+            Tok::Punct("{") => depth += 1,
+            Tok::Punct("}") => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return n;
                 }
             }
+            _ => {}
         }
-        violations.push(v);
     }
-    (violations, suppressed)
+    tokens.len().saturating_sub(1)
 }
 
 /// Scans for `pub fn` signatures taking dimensionally named raw `f64`
@@ -715,36 +481,29 @@ mod tests {
     use super::*;
 
     const LIB: &str = "crates/wiphy/src/fake.rs";
-    const APP: &str = "crates/experiments/src/fake.rs";
 
     #[test]
     fn pragma_suppresses_and_is_recorded() {
         let src = "
-// wlint: hot
-fn f(v: &[u32]) -> u32 {
-    // wlint: allow(panic-reach) — slice is non-empty by construction
-    v[0]
-}
+// wlint: allow(unit-newtype) — mirrors a driver API that takes raw seconds
+pub fn settle(delay_s: f64) {}
 ";
-        let r = lint_source(APP, src);
+        let r = lint_source(LIB, src);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.suppressed.len(), 1);
-        assert!(r.suppressed[0].reason.contains("non-empty"));
+        assert!(r.suppressed[0].reason.contains("raw seconds"));
     }
 
     #[test]
     fn pragma_without_reason_is_a_violation() {
         let src = "
-// wlint: hot
-fn f(v: &[u32]) -> u32 {
-    // wlint: allow(panic-reach)
-    v[0]
-}
+// wlint: allow(unit-newtype)
+pub fn settle(delay_s: f64) {}
 ";
-        let r = lint_source(APP, src);
+        let r = lint_source(LIB, src);
         let rules: Vec<Rule> = r.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&Rule::BadPragma));
-        assert!(rules.contains(&Rule::PanicReach));
+        assert!(rules.contains(&Rule::UnitNewtype));
     }
 
     #[test]
@@ -777,182 +536,19 @@ fn g() {}
     }
 
     #[test]
-    fn hot_path_alloc_fires_only_inside_marked_fn() {
+    fn unit_newtype_skips_test_items() {
         let src = "
-// wlint: hot
-fn hot(out: &mut Vec<f64>) {
-    let v: Vec<f64> = Vec::new();
-    let w = vec![0.0];
-    let c: Vec<f64> = w.iter().map(|x| x + 1.0).collect();
-    out.extend(c);
-    let _ = v;
+#[cfg(test)]
+mod tests {
+    pub fn helper(delay_s: f64) {}
 }
-fn cold() -> Vec<f64> {
-    Vec::new()
-}
-";
-        let r = lint_source(LIB, src);
-        let hot: Vec<&Violation> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::HotPathAlloc)
-            .collect();
-        assert_eq!(hot.len(), 3, "{:?}", hot);
-        assert!(hot.iter().all(|v| v.line >= 4 && v.line <= 6));
-    }
-
-    #[test]
-    fn hot_path_alloc_is_transitive_with_path_in_message() {
-        let src = "
-// wlint: hot
-fn hot(out: &mut Vec<f64>) {
-    mid(out);
-}
-fn mid(out: &mut Vec<f64>) {
-    leaf(out);
-}
-fn leaf(out: &mut Vec<f64>) {
-    let v = vec![0.0];
-    out.extend_from_slice(&v);
-}
-";
-        let r = lint_source(LIB, src);
-        let hot: Vec<&Violation> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::HotPathAlloc)
-            .collect();
-        assert_eq!(hot.len(), 1, "{:?}", hot);
-        assert_eq!(hot[0].line, 10, "violation sits at the allocation site");
-        assert!(
-            hot[0].message.contains("`hot` → `mid` → `leaf`"),
-            "message must carry the full path: {}",
-            hot[0].message
-        );
-    }
-
-    #[test]
-    fn path_level_pragma_vouches_whole_call_chain() {
-        let src = "
-// wlint: hot
-fn hot(out: &mut Vec<f64>) {
-    grow(out);
-}
-// wlint: allow(hot-path-alloc) — one-time pool growth, reused afterwards
-fn grow(out: &mut Vec<f64>) {
-    let v = vec![0.0];
-    out.extend_from_slice(&v);
-}
-";
-        let r = lint_source(LIB, src);
-        assert!(
-            !r.violations.iter().any(|v| v.rule == Rule::HotPathAlloc),
-            "{:?}",
-            r.violations
-        );
-        assert!(r
-            .suppressed
-            .iter()
-            .any(|s| s.rule == Rule::HotPathAlloc && s.reason.contains("pool growth")));
-    }
-
-    #[test]
-    fn hot_path_alloc_permits_constructor_paths_and_scratch_reuse() {
-        // `Vec::new` as a *function reference* (no call parens) is how
-        // `resize_with` grows a scratch pool once — that must stay legal.
-        let src = "
-// wlint: hot
-fn hot(scratch: &mut Scratch, out: &mut Vec<f64>) {
-    scratch.details.resize_with(4, Vec::new);
-    out.clear();
-    out.extend_from_slice(&scratch.tmp);
-}
-";
-        let r = lint_source(LIB, src);
-        assert!(
-            !r.violations.iter().any(|v| v.rule == Rule::HotPathAlloc),
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
-    fn hot_path_alloc_is_pragma_suppressable() {
-        let src = "
-// wlint: hot
-fn hot(out: &mut Vec<Vec<f64>>) {
-    // wlint: allow(hot-path-alloc) — one-time pool growth, reused after
-    out.resize(4, Vec::new());
-}
-";
-        let r = lint_source(LIB, src);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert_eq!(r.suppressed.len(), 1);
-        assert_eq!(r.suppressed[0].rule, Rule::HotPathAlloc);
-    }
-
-    #[test]
-    fn hot_marker_must_precede_a_fn() {
-        let src = "
-// wlint: hot
-const X: usize = 4;
-";
-        let r = lint_source(LIB, src);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, Rule::HotPathAlloc);
-        assert!(r.violations[0].message.contains("does not precede"));
-    }
-
-    #[test]
-    fn hot_marker_does_not_bind_past_an_impl_line() {
-        // Regression: the marker used to bind to the first `fn` token in
-        // the window even when an `impl` (or other item) started first,
-        // silently marking a method the author never pointed at.
-        let src = "
-// wlint: hot
-impl Pool {
-    fn grow(&mut self) {
-        self.slots = Vec::new();
-    }
-}
+#[test]
+pub fn t(freq_hz: f64) {}
+pub fn live(dist_m: f64) {}
 ";
         let r = lint_source(LIB, src);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert!(r.violations[0].message.contains("does not precede"));
-        assert!(
-            r.violations[0].message.contains("impl"),
-            "diagnostic names the intervening item: {}",
-            r.violations[0].message
-        );
-    }
-
-    #[test]
-    fn panic_reach_traces_through_helpers() {
-        let src = "
-// wlint: hot
-fn hot(v: &[f64]) -> f64 {
-    step(v)
-}
-fn step(v: &[f64]) -> f64 {
-    pick(v)
-}
-fn pick(v: &[f64]) -> f64 {
-    v[0]
-}
-";
-        let r = lint_source(APP, src);
-        let pr: Vec<&Violation> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::PanicReach)
-            .collect();
-        assert_eq!(pr.len(), 1, "{:?}", r.violations);
-        assert_eq!(pr[0].line, 10);
-        assert!(
-            pr[0].message.contains("`hot` → `step` → `pick`"),
-            "{}",
-            pr[0].message
-        );
+        assert_eq!(r.violations[0].line, 8);
     }
 
     #[test]

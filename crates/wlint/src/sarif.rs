@@ -32,7 +32,7 @@ pub fn render_sarif(report: &LintReport) -> String {
     let rules = rule_ids();
     for (i, rule) in rules.iter().enumerate() {
         out.push_str(&format!(
-            "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}, \"helpUri\": \"https://github.com/wimi-rs/wimi/blob/main/DESIGN.md#14-static-analysis-the-workspace-call-graph\"}}{}\n",
+            "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}, \"helpUri\": \"https://github.com/wimi-rs/wimi/blob/main/DESIGN.md#14-static-analysis-why-the-call-graph-went\"}}{}\n",
             json_str(rule.name()),
             json_str(rule.description()),
             if i + 1 < rules.len() { "," } else { "" }
@@ -107,13 +107,13 @@ mod tests {
         let mut r = LintReport::default();
         r.files.push("crates/x/src/lib.rs".to_string());
         r.violations.push(Violation {
-            rule: Rule::PanicReach,
+            rule: Rule::UnitNewtype,
             file: "crates/x/src/lib.rs".to_string(),
             line: 3,
             message: "msg with \"quotes\"".to_string(),
         });
         r.suppressed.push(Suppression {
-            rule: Rule::HotPathAlloc,
+            rule: Rule::BadPragma,
             file: "crates/x/src/lib.rs".to_string(),
             line: 9,
             reason: "why".to_string(),
@@ -135,7 +135,7 @@ mod tests {
                 rule.name()
             );
         }
-        assert!(s.contains("\"ruleId\": \"panic-reach\""));
+        assert!(s.contains("\"ruleId\": \"unit-newtype\""));
         assert!(s.contains("msg with \\\"quotes\\\""));
         assert!(s.contains("\"kind\": \"inSource\""));
         assert!(s.contains("\"startLine\": 3"));

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `wimi-lint` binary: exit codes, `--explain`,
-//! `--list-rules`, `--graph`, and the byte-stability contract of
+//! `--list-rules`, and the byte-stability contract of
 //! `--sarif` output across repeated runs and thread settings.
 
 use std::path::PathBuf;
@@ -31,10 +31,10 @@ fn run(args: &[&str], threads: Option<&str>) -> Output {
 
 #[test]
 fn explain_prints_rule_documentation() {
-    let out = run(&["--explain", "hot-path-alloc"], None);
+    let out = run(&["--explain", "unit-newtype"], None);
     assert!(out.status.success(), "exit: {:?}", out.status);
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.starts_with("hot-path-alloc — "), "got: {text}");
+    assert!(text.starts_with("unit-newtype — "), "got: {text}");
     assert!(
         text.len() > 120,
         "explain text should be substantial, got {} bytes",
@@ -92,22 +92,17 @@ fn sarif_is_byte_identical_across_runs_and_thread_settings() {
 }
 
 #[test]
-fn graph_dump_is_deterministic() {
-    let root = workspace_root();
-    let root = root.to_str().unwrap();
-    let a = run(&["--graph", "--root", root], None);
-    assert!(a.status.success());
-    let b = run(&["--graph", "--root", root], None);
-    assert_eq!(a.stdout, b.stdout);
-    let text = String::from_utf8(a.stdout).unwrap();
-    assert!(text.contains("->"), "graph edges missing: {text}");
-}
-
-#[test]
 fn violating_fixture_tree_exits_1() {
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/graph/hot2");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tree");
     let out = run(&["--root", fixture.to_str().unwrap()], None);
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("hot-path-alloc"), "got: {text}");
+    assert!(
+        text.contains("crates/wiphy/src/lib.rs:1: [bad-pragma]"),
+        "a leftover hot marker must fail the walk; got: {text}"
+    );
+    assert!(
+        text.contains("crates/wiphy/src/lib.rs:2: [unit-newtype]"),
+        "got: {text}"
+    );
 }

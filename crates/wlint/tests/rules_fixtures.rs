@@ -16,20 +16,12 @@ fn fixture(rule: &str, kind: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
 }
 
-/// The virtual workspace path each rule's fixture is linted under (rules
-/// are scoped by crate and file name).
-fn virtual_path(rule: Rule) -> &'static str {
-    match rule {
-        // App crate: `panic-reach` leaves library panic sites to clippy.
-        Rule::PanicReach => "crates/experiments/src/fixture.rs",
-        _ => "crates/wiphy/src/fixture.rs",
-    }
-}
+/// The virtual workspace path the fixtures are linted under: a unit-safe
+/// crate, so `unit-newtype` applies.
+const PATH: &str = "crates/wiphy/src/fixture.rs";
 
 fn check_rule(rule: Rule) {
-    let path = virtual_path(rule);
-
-    let bad = lint_source(path, &fixture(rule.name(), "bad"));
+    let bad = lint_source(PATH, &fixture(rule.name(), "bad"));
     assert!(
         bad.violations.iter().any(|v| v.rule == rule),
         "{}/bad.rs must fire [{}]; got {:?}",
@@ -38,7 +30,7 @@ fn check_rule(rule: Rule) {
         bad.violations
     );
 
-    let clean = lint_source(path, &fixture(rule.name(), "clean"));
+    let clean = lint_source(PATH, &fixture(rule.name(), "clean"));
     assert!(
         clean.violations.is_empty(),
         "{}/clean.rs must pass; got {:?}",
@@ -49,7 +41,7 @@ fn check_rule(rule: Rule) {
 
 #[test]
 fn bad_pragma_fires_on_an_unknown_rule_name() {
-    let bad = lint_source(virtual_path(Rule::BadPragma), &fixture("bad-pragma", "bad"));
+    let bad = lint_source(PATH, &fixture("bad-pragma", "bad"));
     let fired = |line: u32, text: &str| {
         bad.violations
             .iter()
@@ -65,6 +57,18 @@ fn bad_pragma_fires_on_an_unknown_rule_name() {
         "the retired artifact marker must be reported; got {:?}",
         bad.violations
     );
+    assert!(
+        fired(11, "unrecognised wlint pragma"),
+        "the retired hot marker must be reported; got {:?}",
+        bad.violations
+    );
+    for (line, rule) in [(13, "hot-path-alloc"), (15, "panic-reach")] {
+        assert!(
+            fired(line, &format!("`allow({rule})` names no wimi-lint rule")),
+            "the retired `{rule}` pragma must be reported; got {:?}",
+            bad.violations
+        );
+    }
 }
 
 #[test]
@@ -78,68 +82,10 @@ fn bad_pragma_fixture() {
 }
 
 #[test]
-fn hot_path_alloc_fixture() {
-    check_rule(Rule::HotPathAlloc);
-}
-
-#[test]
-fn panic_reach_fixture() {
-    check_rule(Rule::PanicReach);
-}
-
-#[test]
-fn panic_reach_message_carries_the_full_call_path() {
-    let bad = lint_source(
-        virtual_path(Rule::PanicReach),
-        &fixture("panic-reach", "bad"),
-    );
-    let v = bad
-        .violations
-        .iter()
-        .find(|v| v.rule == Rule::PanicReach)
-        .expect("panic-reach fires");
-    assert!(
-        v.message.contains("hot `hot_entry` → `step` → `pick`"),
-        "2-hop path missing from: {}",
-        v.message
-    );
-    assert_eq!(v.line, 14, "violation anchors at the sink, not the root");
-}
-
-#[test]
-fn hot_marker_before_impl_is_reported_unbound_not_rebound() {
-    // Regression: the marker must not skip the `impl` line and silently
-    // mark the method inside it hot.
-    let report = lint_source(
-        "crates/wiphy/src/fixture.rs",
-        &fixture("hot-path-alloc", "impl_marker"),
-    );
-    assert_eq!(
-        report.violations.len(),
-        1,
-        "exactly the unbound-marker finding; got {:?}",
-        report.violations
-    );
-    let v = &report.violations[0];
-    assert_eq!(v.rule, Rule::HotPathAlloc);
-    assert_eq!(v.line, 6, "anchors at the marker line");
-    assert!(v.message.contains("does not precede"), "got: {}", v.message);
-    assert!(v.message.contains("`impl`"), "got: {}", v.message);
-}
-
-#[test]
 fn pragma_suppressions_are_recorded_not_dropped() {
-    // The pragma'd clean fixtures must report their suppressions so the
+    // The pragma'd clean fixture must report its suppression so the
     // allow-list stays auditable.
-    for rule in [Rule::HotPathAlloc, Rule::BadPragma] {
-        let clean = lint_source(virtual_path(rule), &fixture(rule.name(), "clean"));
-        assert!(
-            !clean.suppressed.is_empty(),
-            "{}/clean.rs should record a suppression",
-            rule.name()
-        );
-        for s in &clean.suppressed {
-            assert!(!s.reason.is_empty(), "suppression must carry a reason");
-        }
-    }
+    let clean = lint_source(PATH, &fixture("bad-pragma", "clean"));
+    assert_eq!(clean.suppressed.len(), 1, "{:?}", clean.suppressed);
+    assert!(!clean.suppressed[0].reason.is_empty());
 }

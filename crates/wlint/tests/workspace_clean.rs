@@ -109,6 +109,25 @@ fn clippy_lint_levels_are_wired_to_the_right_crate_roots() {
             "{quant} must deny lossy casts"
         );
     }
+    // The per-packet kernels prove their index bounds in an
+    // `#[expect(clippy::indexing_slicing, reason = …)]` per fn.
+    for kernel in [
+        "crates/core/src/amplitude.rs",
+        "crates/wdsp/src/stats.rs",
+        "crates/wdsp/src/outlier.rs",
+        "crates/wdsp/src/filters.rs",
+        "crates/wdsp/src/wavelet/mod.rs",
+        "crates/wdsp/src/wavelet/denoise.rs",
+        "crates/wiphy/src/channel.rs",
+        "crates/wiphy/src/hardware.rs",
+        "crates/wiphy/src/normal.rs",
+        "crates/wiphy/src/scenario.rs",
+    ] {
+        assert!(
+            read(kernel).contains("#![cfg_attr(not(test),deny(clippy::indexing_slicing))]"),
+            "{kernel} must deny unproved indexing"
+        );
+    }
 
     let config = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
     for path in [

@@ -1,13 +1,18 @@
-//! Steady-state allocation ceilings of the three hot-path entry points —
-//! scenario realisation, capture and measurement — held against the
-//! `alloc_budgets` section of `BENCH.json`.
+//! Steady-state allocation ceilings of the hot-path entry points —
+//! scenario realisation, capture and measurement on both extraction
+//! routes — held against the `alloc_budgets` section of `BENCH.json`.
+//!
+//! The ceilings are the exact counts, so one extra allocation anywhere on
+//! the steady path (a `Vec` that now grows, a stray `.to_vec()`) fails the
+//! test. The counter sees only the branches these calls take; a branch no
+//! row reaches is not covered (DESIGN §12.4).
 //!
 //! This file is its own test binary with a counting global allocator and a
 //! single test, so no other test allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use wimi::core::{WiMi, WiMiConfig};
+use wimi::core::{PairSelection, WiMi, WiMiConfig};
 use wimi::phy::csi::CsiSource;
 use wimi::phy::material::Liquid;
 use wimi::phy::scenario::{Scenario, Simulator};
@@ -50,11 +55,13 @@ fn count_allocs<F: FnMut()>(mut f: F) -> u64 {
 
 /// Steady-state allocation counts of one `Simulator::new` (`realise`,
 /// scenario built outside), one `capture` of `packets` packets and one
-/// `WiMi::measure` of a baseline/target pair, under one worker thread so
-/// the counts are schedule-independent. The first (warm-up) call of each
-/// entry point grows scratch pools and lazy statics; the measured second
-/// call is the steady state.
-fn steady_state_allocs(packets: usize) -> [(&'static str, u64); 3] {
+/// `WiMi::measure` of a baseline/target pair on the joint route
+/// (`measure`) and on the single-pair route through antennas 0 and 1
+/// (`measure_pair`), under one worker thread so the counts are
+/// schedule-independent. The first (warm-up) call of each entry point
+/// grows scratch pools and lazy statics; the measured second call is the
+/// steady state.
+fn steady_state_allocs(packets: usize) -> [(&'static str, u64); 4] {
     wimi::core::par::set_thread_override(Some(1));
     let scenario = Scenario::builder().build();
     let _warm = Simulator::new(scenario.clone(), 7);
@@ -80,11 +87,21 @@ fn steady_state_allocs(packets: usize) -> [(&'static str, u64); 3] {
     let measure = count_allocs(|| {
         std::hint::black_box(wimi.measure(&base, &tar));
     });
+
+    let wimi = WiMi::new(WiMiConfig {
+        pairs: PairSelection::Fixed(0, 1),
+        ..WiMiConfig::default()
+    });
+    let _warm = wimi.measure(&base, &tar);
+    let measure_pair = count_allocs(|| {
+        std::hint::black_box(wimi.measure(&base, &tar));
+    });
     wimi::core::par::set_thread_override(None);
     [
         ("realise", realise),
         ("capture", capture),
         ("measure", measure),
+        ("measure_pair", measure_pair),
     ]
 }
 
