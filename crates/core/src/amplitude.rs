@@ -81,7 +81,7 @@ impl AmplitudeConfig {
         clippy::indexing_slicing,
         reason = "sigma_screen leaves 2·cols statistics, so cols + c < 2·cols and the gathered series starts at 2·cols"
     )]
-    fn clean_columns(&self, plane: &mut Vec<f64>, cols: usize, scratch: &mut CleanScratch) {
+    fn clean_columns(&self, plane: &mut [f64], cols: usize, scratch: &mut CleanScratch) {
         if self.reject_outliers {
             let stats = &mut scratch.column;
             sigma_screen(plane, cols, stats);
@@ -501,9 +501,15 @@ mod tests {
         }
     }
 
+    /// Largest `|batched − reference|` over the raw series' peak magnitude
+    /// that the residual-form denoiser may leave (`tests/exact_rewrites.rs`
+    /// explains the bound).
+    const DENOISE_TOLERANCE: f64 = 5e-12;
+
     /// Verbatim copy of the per-series cleaning chain the batched kernels
     /// replaced: 3σ repair, then the correlation denoiser with its
-    /// wrap-split SWT kernels and two-sort robust σ, one series at a time.
+    /// wrap-split SWT kernels, two-sort robust σ and full round-trip
+    /// reconstruction, one series at a time.
     mod per_series_reference {
         use wimi_dsp::outlier::reject_outliers_3sigma;
         use wimi_dsp::stats::median;
@@ -625,10 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_cleaning_matches_per_series_reference_bitwise() {
+    fn batched_cleaning_matches_lone_series_and_per_series_reference() {
         use wimi_phy::fault::FaultPlan;
         let mut scratch = CleanScratch::default();
-        let mut repaired = 0usize;
+        let (mut repaired, mut worst) = (0usize, 0.0f64);
         for packets in [8usize, 10, 14, 15, 20, 40] {
             for (seed, faulted) in [(11u64, false), (12, true), (13, true)] {
                 let mut cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
@@ -645,7 +651,16 @@ mod tests {
                     let batched = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
                     for a in 0..cap.n_antennas() {
                         for k in 0..cap.n_subcarriers() {
+                            let what =
+                                format!("{packets} packets seed {seed} {config:?} ({a}, {k})");
                             let raw = cap.amplitude_series(a, k);
+                            let got: Vec<f64> = batched.series(a, k).collect();
+                            // Bit for bit the series cleaned alone.
+                            let lone = config.clean_series(&raw);
+                            assert_eq!(got.len(), lone.len());
+                            for (m, (x, y)) in got.iter().zip(&lone).enumerate() {
+                                assert_eq!(x.to_bits(), y.to_bits(), "{what} m={m}");
+                            }
                             let want = per_series_reference::clean_series(
                                 &raw,
                                 config.reject_outliers,
@@ -659,20 +674,25 @@ mod tests {
                                         .any(|(x, y)| x.to_bits() != y.to_bits()),
                                 );
                             }
-                            let got: Vec<f64> = batched.series(a, k).collect();
+                            // The repair is bitwise; the residual-form
+                            // denoiser agrees with the round trip within
+                            // the filter taps' orthonormality defect.
+                            let scale = raw.iter().fold(0.0f64, |s, x| s.max(x.abs()));
                             assert_eq!(got.len(), want.len());
                             for (m, (x, y)) in got.iter().zip(&want).enumerate() {
-                                assert_eq!(
-                                    x.to_bits(),
-                                    y.to_bits(),
-                                    "{packets} packets seed {seed} {config:?} ({a}, {k}) m={m}"
-                                );
+                                let err = (x - y).abs() / scale;
+                                if !config.wavelet_denoise {
+                                    assert_eq!(x.to_bits(), y.to_bits(), "{what} m={m}");
+                                }
+                                assert!(err <= DENOISE_TOLERANCE, "{what} m={m}: {x} vs {y}");
+                                worst = worst.max(err);
                             }
                         }
                     }
                 }
             }
         }
+        println!("worst relative error {worst:e}");
         assert!(repaired > 0, "no faulted series had an outlier repaired");
     }
 

@@ -354,18 +354,25 @@ impl WiMi {
         let pairs = crate::antenna::enumerate_pairs(baseline.n_antennas());
         // Clean every antenna's amplitude series once, up front: each
         // antenna appears in several pairs, and the cleaning chain is the
-        // most expensive per-pair stage.
-        let amp_cache = {
+        // most expensive per-pair stage. One span covers the cleaning and
+        // every pair's ratios, as on the single-pair route.
+        let ratios: Vec<_> = {
             let _span = self.obs.stage(StageId::AmplitudeDenoising);
-            self.clean_amplitudes(baseline, target)
+            let amps = self.clean_amplitudes(baseline, target);
+            let mut scratch = RatioScratch::default();
+            pairs
+                .iter()
+                .map(|&(a, b)| ratio_profiles(&amps, a, b, &mut scratch))
+                .collect()
         };
-        let profiles: Vec<_> = pairs
+        let phases: Vec<_> = pairs
             .iter()
-            .map(|&(a, b)| self.pair_profiles(baseline, target, a, b, rejected, &amp_cache))
+            .map(|&(a, b)| self.phase_profiles(baseline, target, a, b, rejected))
             .collect();
-        let inputs: Vec<crate::feature::PairMeasurement<'_>> = profiles
+        let inputs: Vec<crate::feature::PairMeasurement<'_>> = phases
             .iter()
-            .map(|(phase_base, phase_tar, amp_base, amp_tar, selected)| {
+            .zip(&ratios)
+            .map(|((phase_base, phase_tar, selected), (amp_base, amp_tar))| {
                 crate::feature::PairMeasurement {
                     phase_base,
                     phase_tar,
@@ -394,26 +401,17 @@ impl WiMi {
         )
     }
 
-    /// Per-pair profile computation shared by the joint and single-pair
-    /// paths: phase calibration, good-subcarrier selection, and the
-    /// amplitude ratio from the already cleaned series `amps` — each under
-    /// its stage span when a recorder is attached.
-    #[allow(clippy::type_complexity)]
-    fn pair_profiles(
+    /// Per-pair phase work shared by the joint and single-pair paths:
+    /// phase calibration and good-subcarrier selection, each under its
+    /// stage span when a recorder is attached.
+    fn phase_profiles(
         &self,
         baseline: &CsiCapture,
         target: &CsiCapture,
         a: usize,
         b: usize,
         rejected: &[usize],
-        amps: &(CleanedAmplitudes, CleanedAmplitudes),
-    ) -> (
-        PhaseDifferenceProfile,
-        PhaseDifferenceProfile,
-        AmplitudeRatioProfile,
-        AmplitudeRatioProfile,
-        Vec<usize>,
-    ) {
+    ) -> (PhaseDifferenceProfile, PhaseDifferenceProfile, Vec<usize>) {
         let (phase_base, phase_tar) = {
             let _span = self.obs.stage(StageId::PhaseCalibration);
             let mut scratch = PhaseScratch::default();
@@ -428,15 +426,7 @@ impl WiMi {
                 .subcarriers
                 .resolve_excluding(&phase_base, &phase_tar, rejected)
         };
-        let (amp_base, amp_tar) = {
-            let _span = self.obs.stage(StageId::AmplitudeDenoising);
-            let mut scratch = RatioScratch::default();
-            (
-                AmplitudeRatioProfile::from_cleaned_with(&amps.0, a, b, &mut scratch),
-                AmplitudeRatioProfile::from_cleaned_with(&amps.1, a, b, &mut scratch),
-            )
-        };
-        (phase_base, phase_tar, amp_base, amp_tar, selected)
+        (phase_base, phase_tar, selected)
     }
 
     fn extract_for_pair(
@@ -447,11 +437,13 @@ impl WiMi {
         b: usize,
         rejected: &[usize],
     ) -> Result<MaterialFeature, FeatureError> {
-        // Cleaned outside any span: one more `AmplitudeDenoising` span here
-        // would change the stage call counts that obs artifacts record.
-        let amps = self.clean_amplitudes(baseline, target);
-        let (phase_base, phase_tar, amp_base, amp_tar, selected) =
-            self.pair_profiles(baseline, target, a, b, rejected, &amps);
+        let (amp_base, amp_tar) = {
+            let _span = self.obs.stage(StageId::AmplitudeDenoising);
+            let amps = self.clean_amplitudes(baseline, target);
+            ratio_profiles(&amps, a, b, &mut RatioScratch::default())
+        };
+        let (phase_base, phase_tar, selected) =
+            self.phase_profiles(baseline, target, a, b, rejected);
         let _span = self.obs.stage(StageId::GammaResolution);
         MaterialFeature::extract(
             &phase_base,
@@ -671,6 +663,20 @@ fn issue_id(kind: &IssueKind) -> IssueId {
         IssueKind::PairsUnresolved { .. } => IssueId::PairsUnresolved,
         IssueKind::Extraction(_) => IssueId::Extraction,
     }
+}
+
+/// The pair `(a, b)`'s amplitude-ratio profiles of the cleaned baseline
+/// and target series, through one shared ratio buffer.
+fn ratio_profiles(
+    amps: &(CleanedAmplitudes, CleanedAmplitudes),
+    a: usize,
+    b: usize,
+    scratch: &mut RatioScratch,
+) -> (AmplitudeRatioProfile, AmplitudeRatioProfile) {
+    (
+        AmplitudeRatioProfile::from_cleaned_with(&amps.0, a, b, scratch),
+        AmplitudeRatioProfile::from_cleaned_with(&amps.1, a, b, scratch),
+    )
 }
 
 /// Finalises a failed measurement, filing the error under the stage that

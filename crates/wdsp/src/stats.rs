@@ -499,10 +499,11 @@ pub struct PhaseSummaryScratch {
 /// two phasors at deviations `+x` and `−x` tie on `|x|` but differ in
 /// `sin`.
 ///
-/// From phasors this costs one `atan2` per sample, where the angle form
-/// it replaced took an `atan2` to make the angle and a `sin` and a `cos`
-/// to undo it. Given the phasors of angles `θ`, both forms agree up to
-/// rounding.
+/// From phasors this costs one arctangent per sample, where the angle
+/// form it replaced took an `atan2` to make the angle and a `sin` and a
+/// `cos` to undo it. A turned-back phasor `(dx, dy)` with `dx > 0` (a
+/// deviation inside ±π/2) takes `atan(dy/dx)`, any other `atan2(dy, dx)`.
+/// Given the phasors of angles `θ`, both forms agree up to rounding.
 ///
 /// # Panics
 ///
@@ -537,7 +538,14 @@ pub fn phase_summary(
     // still defined where the resultant is zero.
     let (us, uc) = first.sin_cos();
     for x in samples.iter_mut() {
-        x.dev = (x.sin * uc - x.cos * us).atan2(x.cos * uc + x.sin * us);
+        let (dy, dx) = (x.sin * uc - x.cos * us, x.cos * uc + x.sin * us);
+        // In the right half-plane the angle is `atan` of the slope, which
+        // costs about half an `atan2`; elsewhere, and for NaN, `atan2`.
+        x.dev = if dx > 0.0 {
+            (dy / dx).atan()
+        } else {
+            dy.atan2(dx)
+        };
     }
     let variance = samples.iter().map(|x| x.dev * x.dev).sum::<f64>() / n as f64;
     let n_drop = ((n as f64) * trim_fraction).floor() as usize;

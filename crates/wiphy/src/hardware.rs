@@ -236,11 +236,34 @@ fn quantize_intel5300_planes(re: &mut [f64], im: &mut [f64]) {
     }
     let scale = 127.0 / max_c;
     for x in re.iter_mut() {
-        *x = (*x * scale).round() / scale;
+        *x = round_half_away(*x * scale) / scale;
     }
     for x in im.iter_mut() {
-        *x = (*x * scale).round() / scale;
+        *x = round_half_away(*x * scale) / scale;
     }
+}
+
+/// [`f64::round`] (half away from zero) without its libm call, bit for
+/// bit: `0` below one half, `trunc(|v| + 0.5)` up to 2⁵², `v` itself
+/// beyond (already integral) and for NaN, with `v`'s sign put back.
+/// Below 2⁵² the sum `|v| + 0.5` is exact unless it crosses into the next
+/// binade, and then it is not within half an ulp below an integer, so
+/// truncating it rounds `|v|` as `round` does.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "0.5 <= |v| < 2^52 on this branch, so trunc(|v| + 0.5) <= 2^52 fits an i64 and converts back to f64 exactly"
+)]
+fn round_half_away(v: f64) -> f64 {
+    const EXACT: f64 = 4_503_599_627_370_496.0; // 2^52
+    let a = v.abs();
+    let r = if a < 0.5 {
+        0.0
+    } else if a < EXACT {
+        ((a + 0.5) as i64) as f64
+    } else {
+        return v;
+    };
+    r.copysign(v)
 }
 
 #[cfg(test)]
@@ -502,6 +525,53 @@ mod tests {
                 let err = (p.get(a, k) - orig.get(a, k)).abs();
                 assert!(err < 2.0 / 127.0, "quantisation error too large: {err}");
             }
+        }
+    }
+
+    /// `round_half_away(v)` and `v.round()` as bits, for a failure message.
+    fn rounding_bits(v: f64) -> (u64, u64) {
+        (round_half_away(v).to_bits(), v.round().to_bits())
+    }
+
+    #[test]
+    fn round_half_away_matches_round_bitwise_at_every_half_integer() {
+        let mut checked = 0usize;
+        for twice in -257i32..=257 {
+            let half = f64::from(twice) / 2.0;
+            for v in [half.next_down(), half, half.next_up()] {
+                let (got, want) = rounding_bits(v);
+                assert_eq!(got, want, "round({v:e})");
+                checked += 1;
+            }
+        }
+        let edges = [
+            0.0,
+            -0.0,
+            0.5f64.next_down(),
+            -0.5f64.next_down(),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            4_503_599_627_370_497.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in edges {
+            let (got, want) = rounding_bits(v);
+            assert_eq!(got, want, "round({v:e})");
+        }
+        assert!(round_half_away(f64::NAN).is_nan());
+        assert!(checked > 1500);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn round_half_away_matches_round_over_the_quantizer_range(v in -128.0f64..128.0) {
+            let (got, want) = rounding_bits(v);
+            proptest::prop_assert_eq!(got, want, "round({:e})", v);
         }
     }
 

@@ -22,12 +22,12 @@ use wimi::trace::{artifact, TraceSink};
 use wimi_experiments::campaign::{run_campaign, summary_json as campaign_summary_json};
 use wimi_experiments::harness::{run_identification, Material, RunOptions};
 
-const OBS: u64 = 0xa7d0_decc_7673_d98e;
-const TRACE: u64 = 0xa96e_15e2_9c6d_c6f3;
+const OBS: u64 = 0x0c4f_72d2_91df_a3fc;
+const TRACE: u64 = 0x8e30_8acd_4e6b_833d;
 const CAMPAIGN: u64 = 0xd957_1237_950f_e9e7;
-const CELL: u64 = 0x4953_47fd_9000_b164;
+const CELL: u64 = 0xad6a_6e4d_d866_95e4;
 const SERVE: u64 = 0x466a_abc9_299c_8bf5;
-const METRICS: u64 = 0xd86b_8000_9f25_a231;
+const METRICS: u64 = 0x3926_cd91_15cc_cbe7;
 const CAMPAIGN_FILE: u64 = 0xfd14_a5da_59a1_32f1;
 const FLEET_REPORT: u64 = 0xc762_426d_c59f_b7de;
 

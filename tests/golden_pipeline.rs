@@ -24,7 +24,7 @@ use wimi::phy::units::Meters;
 const GOLDEN_CAPTURE: u64 = 0x7eb6_3f6c_71d0_150d;
 
 /// The measurement half of [`grid_fingerprints`].
-const GOLDEN_MEASURE: u64 = 0x96c4_29bb_8db0_3085;
+const GOLDEN_MEASURE: u64 = 0x0615_dcf4_8188_8e8d;
 
 /// FNV-1a over 64-bit words.
 struct Fingerprint(u64);
