@@ -2,7 +2,7 @@
 //! DESIGN.md §5.
 
 use crate::accuracy::Effort;
-use crate::harness::{heading, pct, run_identification, Material, RunOptions};
+use crate::harness::{heading, pct, run_identification, Material, Phase, RunOptions};
 use wimi_core::subcarrier::SubcarrierSelection;
 use wimi_core::WiMiConfig;
 use wimi_dsp::wavelet::{CorrelationDenoiser, Wavelet};
@@ -12,8 +12,7 @@ use wimi_ml::scale::StandardScaler;
 use wimi_ml::svm::{Kernel, SvmParams};
 use wimi_phy::material::Liquid;
 use wimi_phy::scenario::LiquidSpec;
-use wimi_serve::{measure_with_retry, RetryPolicy};
-use wimi_trace::TaskKey;
+use wimi_serve::{measure_trials, RetryPolicy, Trial};
 
 fn subset() -> Vec<Material> {
     [
@@ -99,15 +98,11 @@ pub fn ablation_classifier(effort: Effort) {
     };
     let extractor = wimi_core::WiMi::new(opts.config.clone());
     let class_names: Vec<String> = materials.iter().map(|m| m.name.clone()).collect();
+    let specs: Vec<_> = materials.iter().map(|m| Some(&m.spec)).collect();
     let mut train = Dataset::new(class_names.clone());
-    for trial in 0..opts.n_train {
-        for (label, m) in materials.iter().enumerate() {
-            let seed = opts.seed + 1_000 + trial as u64 * 131 + label as u64;
-            let setup = opts.trial(Some(&m.spec));
-            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
-            if let Some(f) = out.feature {
-                train.push(f.as_vector(), label);
-            }
+    for (label, out) in opts.measure_phase(&extractor, Phase::Train, 0..opts.n_train, &specs) {
+        if let Some(f) = out.feature {
+            train.push(f.as_vector(), label);
         }
     }
     let scaler = StandardScaler::fit(train.features());
@@ -119,17 +114,10 @@ pub fn ablation_classifier(effort: Effort) {
     let knn = KnnClassifier::fit(scaled, 5);
     let mut correct = 0usize;
     let mut total = 0usize;
-    for trial in 0..opts.n_test {
-        for (label, m) in materials.iter().enumerate() {
-            let seed = opts.seed + 900_000 + trial as u64 * 137 + label as u64;
-            let setup = opts.trial(Some(&m.spec));
-            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
-            if let Some(f) = out.feature {
-                total += 1;
-                if knn.predict(&scaler.transform_one(&f.as_vector())) == label {
-                    correct += 1;
-                }
-            }
+    for (label, out) in opts.measure_phase(&extractor, Phase::Test, 0..opts.n_test, &specs) {
+        if let Some(f) = out.feature {
+            total += 1;
+            correct += usize::from(knn.predict(&scaler.transform_one(&f.as_vector())) == label);
         }
     }
     println!(
@@ -152,16 +140,12 @@ pub fn robustness_flowing_liquid() {
             }),
             ..RunOptions::default()
         };
-        let mut refused = 0usize;
-        let total = 12usize;
-        for trial in 0..total as u64 {
-            let seed = 50_000 + trial;
-            let setup = opts.trial(Some(&milk));
-            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
-            if out.feature.is_none() {
-                refused += 1;
-            }
-        }
+        let trials: Vec<(u64, Trial)> = (50_000..50_012)
+            .map(|seed| (seed, opts.trial(Some(&milk))))
+            .collect();
+        let total = trials.len();
+        let refusals = measure_trials(&extractor, &trials, |out| out.feature.is_none());
+        let refused = refusals.into_iter().filter(|&r| r).count();
         println!("  flow level {flow:.1}: {refused}/{total} measurements refused");
     }
 }

@@ -9,8 +9,7 @@ use wimi_phy::channel::Environment;
 use wimi_phy::material::{ContainerMaterial, Liquid, SaltwaterConcentration};
 use wimi_phy::scenario::Beaker;
 use wimi_phy::units::Meters;
-use wimi_serve::{measure_with_retry, RetryPolicy};
-use wimi_trace::TaskKey;
+use wimi_serve::{measure_trials, RetryPolicy, Trial};
 
 /// A quick/full switch: quick mode shrinks trial counts ~3× for smoke runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,19 +345,13 @@ pub fn fig20(effort: Effort) {
         ..RunOptions::default()
     };
     let extractor = wimi_core::WiMi::new(opts.config.clone());
-    let mut refused = 0;
-    let mut total = 0;
-    for trial in 0..6u64 {
-        for m in &materials {
-            total += 1;
-            let seed = 777 + trial;
-            let setup = opts.trial(Some(&m.spec));
-            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
-            if out.feature.is_none() {
-                refused += 1;
-            }
-        }
-    }
+    let trials: Vec<(u64, Trial)> = (777..783)
+        .flat_map(|seed| materials.iter().map(move |m| (seed, &m.spec)))
+        .map(|(seed, spec)| (seed, opts.trial(Some(spec))))
+        .collect();
+    let total = trials.len();
+    let refusals = measure_trials(&extractor, &trials, |out| out.feature.is_none());
+    let refused = refusals.into_iter().filter(|&r| r).count();
     println!("  Metal   : {refused}/{total} measurements refused (no penetration)");
     println!(
         "paper shape: glass ≈ plastic, metal breaks the system → {}",

@@ -3,11 +3,16 @@
 //! [`wimi_core::par`] worker threads, and emits one `wimi-trace/1`
 //! artifact per cell plus a `wimi-campaign/1` summary JSON.
 //!
-//! Determinism: each cell runs serially inside one worker, with its own
-//! recorder and trace sink, and every measurement seed is a pure function
-//! of the cell's derived seed — so per-cell artifacts are byte-identical
-//! for any `WIMI_THREADS` setting, and re-running one cell in isolation
-//! (`campaign-run --cell N`) reproduces the full run's artifact exactly.
+//! Determinism: a cell measures through the harness's one train/test
+//! protocol — the shared trial-seed schedule and the trial-list routine
+//! [`wimi_serve::measure_trials`] — with its own recorder and trace sink.
+//! Its trials fan out over worker threads unless the cell is itself
+//! nested in [`run_campaign`]'s fan-out, where a nested map runs on its
+//! worker's thread. Every measurement seed is a pure function of the
+//! cell's derived seed and trace events are keyed by measurement, so
+//! per-cell artifacts are byte-identical for any `WIMI_THREADS` setting,
+//! and re-running one cell in isolation (`campaign-run --cell N`)
+//! reproduces the full run's artifact exactly.
 //!
 //! Schedule semantics: training always happens under the cell's *base*
 //! axis conditions; the schedule perturbs test trials only, segment by
@@ -17,7 +22,7 @@
 use std::sync::Arc;
 
 use wimi_campaign::{
-    cell_count, expand, fault_plan, lower, state_at, Campaign, CellPlan, StepState, TargetMode,
+    cell_count, expand, fault_plan, lower, Campaign, CellPlan, StepState, TargetMode,
 };
 use wimi_core::{WiMi, WiMiConfig};
 use wimi_ml::dataset::Dataset;
@@ -25,11 +30,10 @@ use wimi_obs::json::{self, fixed6, Json};
 use wimi_obs::Recorder;
 use wimi_phy::scenario::{Beaker, LiquidSpec};
 use wimi_phy::units::Meters;
-use wimi_serve::measure_with_retry;
 use wimi_trace::artifact::{cell_artifact_name, render_cell, CampaignTag};
-use wimi_trace::{analyze, Observer, TaskKey, TraceSink};
+use wimi_trace::{analyze, Observer, TraceSink};
 
-use crate::harness::RunOptions;
+use crate::harness::{Phase, RunOptions, Tally};
 
 /// Schema identifier of the campaign summary JSON.
 pub const SUMMARY_SCHEMA: &str = "wimi-campaign/1";
@@ -130,17 +134,21 @@ fn cell_options(
     }
 }
 
-/// Runs one cell serially: trains under the cell's base conditions, then
-/// walks the test trials segment by segment under the scheduled
-/// conditions, and renders the cell's tagged trace artifact.
+/// Runs one cell: trains under the cell's base conditions, then measures
+/// the test trials segment by segment under the scheduled conditions,
+/// and renders the cell's tagged trace artifact. Each phase and segment
+/// is one trial list, so its measurements fan out unless the cell runs
+/// inside another fan-out.
 ///
 /// A cell whose training set ends up with fewer than two populated
 /// classes (every capture for the other classes was rejected or dropped
 /// — possible under harsh axis combinations) is *untrainable*: the test
 /// phase is skipped and the cell reports accuracy 0 over zero
-/// classifications. This keeps campaign runs total — a degenerate cell
-/// is a result, not a crash — and stays deterministic, since the skip is
-/// a pure function of the cell's measurements.
+/// classifications; the skipped trials are not counted as dropped, so
+/// `dropped` always equals the recorder's `trials_dropped`. This keeps
+/// campaign runs total — a degenerate cell is a result, not a crash — and
+/// stays deterministic, since the skip is a pure function of the cell's
+/// measurements.
 ///
 /// # Panics
 ///
@@ -157,10 +165,7 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
     let obs = Observer::new(Some(Arc::clone(&recorder)), Some(Arc::clone(&sink)));
     let mut extractor = WiMi::new(WiMiConfig::default());
     extractor.set_observer(obs.clone());
-
-    let mut dropped = 0usize;
-    let mut rejected = 0usize;
-    let mut salvaged = 0usize;
+    let mut tally = Tally::default();
 
     // Training always happens under the base axis conditions — even when
     // the schedule perturbs trial 0 — so the classifier models the clean
@@ -173,18 +178,11 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
         dropout: None,
     };
     let train_opts = cell_options(c, cell, &base, &recorder, &sink);
-    let mut train = Dataset::new(names.clone());
-    for trial in 0..c.train {
-        for (label, spec) in specs.iter().enumerate() {
-            let seed = cell.seed + 1_000 + trial as u64 * 131 + label as u64;
-            let setup = train_opts.trial(Some(spec));
-            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
-            rejected += out.rejected;
-            salvaged += out.salvaged as usize;
-            match out.feature {
-                Some(f) => train.push(f.as_vector(), label),
-                None => dropped += 1,
-            }
+    let mut train = Dataset::new(names);
+    let present: Vec<_> = specs.iter().map(Some).collect();
+    for (label, out) in train_opts.measure_phase(&extractor, Phase::Train, 0..c.train, &present) {
+        if let Some(f) = tally.take(out) {
+            train.push(f.as_vector(), label);
         }
     }
 
@@ -197,52 +195,43 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
         None
     };
 
-    // Test phase: one segment of scheduled conditions at a time. An
-    // untrainable cell skips it and scores zero over zero trials.
+    // Test phase: one segment of scheduled conditions at a time, each
+    // under its own options. An untrainable cell skips it and scores zero
+    // over zero trials, without counting the skipped trials as dropped.
     let steps = lower(c, cell);
-    let mut segments: Vec<SegmentOutcome> = steps
-        .iter()
-        .map(|s| SegmentOutcome {
-            from: s.from,
-            intensity: s.intensity,
-            correct: 0,
-            total: 0,
-        })
-        .collect();
     let test_trials = if trained.is_some() { c.test } else { 0 };
-    for trial in 0..test_trials {
-        let state = state_at(&steps, trial);
-        let seg = segments
-            .iter_mut()
-            .rfind(|s| s.from <= trial)
-            .expect("segment 0 starts at trial 0");
+    let mut segments = Vec::with_capacity(steps.len());
+    for (i, state) in steps.iter().enumerate() {
+        let end = steps
+            .get(i + 1)
+            .map_or(test_trials, |next| next.from)
+            .min(test_trials);
         let opts = cell_options(c, cell, state, &recorder, &sink);
-        for label in 0..k {
-            let seed = cell.seed + 900_000 + trial as u64 * 137 + label as u64;
-            let spec = match state.target {
+        let targets: Vec<_> = (0..k)
+            .map(|label| match state.target {
                 TargetMode::Present => Some(&specs[label]),
                 // The operator (or an adversary) swapped in the next
                 // catalog entry; the truth label still claims the
                 // original, so correct behaviour is a mismatch.
                 TargetMode::Swapped => Some(&specs[(label + 1) % k]),
                 TargetMode::Removed => None,
-            };
-            let setup = opts.trial(spec);
-            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
-            rejected += out.rejected;
-            salvaged += out.salvaged as usize;
-            match out.feature {
-                Some(f) => {
-                    let wimi = trained.as_ref().expect("test phase only runs when trained");
-                    let predicted = wimi.classify_feature(&f).expect("trained");
-                    seg.total += 1;
-                    if predicted == label && state.target == TargetMode::Present {
-                        seg.correct += 1;
-                    }
-                }
-                None => dropped += 1,
+            })
+            .collect();
+        let mut seg = SegmentOutcome {
+            from: state.from,
+            intensity: state.intensity,
+            correct: 0,
+            total: 0,
+        };
+        for (label, out) in opts.measure_phase(&extractor, Phase::Test, state.from..end, &targets) {
+            if let (Some(f), Some(wimi)) = (tally.take(out), &trained) {
+                let predicted = wimi.classify_feature(&f).expect("trained");
+                seg.total += 1;
+                seg.correct +=
+                    usize::from(predicted == label && state.target == TargetMode::Present);
             }
         }
+        segments.push(seg);
     }
 
     let (correct, total) = segments.iter().fold((0usize, 0usize), |(c0, t0), s| {
@@ -270,9 +259,9 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
         seed: cell.seed,
         accuracy,
         segments,
-        dropped,
-        rejected,
-        salvaged,
+        dropped: tally.dropped,
+        rejected: tally.rejected,
+        salvaged: tally.salvaged,
         failures: log.failures,
         trace_events: log.events_emitted,
         counters: snapshot.counters.clone(),
@@ -296,7 +285,7 @@ pub fn run_campaign(c: &Campaign) -> CampaignOutcome {
 /// Sums every cell's obs counters plus the per-cell trace emissions into
 /// `(name, total)` rows, canonical counter order, with `trace_events`
 /// first — the shape the `<name>_budgets` gate reads.
-pub fn work_totals(outcome: &CampaignOutcome) -> Vec<(String, u64)> {
+fn work_totals(outcome: &CampaignOutcome) -> Vec<(String, u64)> {
     let mut rows: Vec<(String, u64)> = vec![(
         "trace_events".to_owned(),
         outcome.cells.iter().map(|c| c.trace_events).sum(),
@@ -485,7 +474,7 @@ pub fn validate_summary(text: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// [`analyze::check_budgets`]'s one-line message.
-pub fn check_campaign_budgets(
+fn check_campaign_budgets(
     bench_json: &str,
     outcome: &CampaignOutcome,
 ) -> Result<Vec<analyze::BudgetRow>, String> {

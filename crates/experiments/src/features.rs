@@ -10,8 +10,7 @@ use wimi_dsp::stats::{mean, std_dev};
 use wimi_phy::channel::Environment;
 use wimi_phy::material::Liquid;
 use wimi_phy::scenario::LiquidSpec;
-use wimi_serve::{measure_with_retry, Trial};
-use wimi_trace::TaskKey;
+use wimi_serve::{measure_trials, Trial};
 
 /// Fig. 9: Ω̄ clusters for five liquids.
 pub fn fig9() {
@@ -29,17 +28,17 @@ pub fn fig9() {
     let opts = RunOptions::default();
     let extractor = WiMi::new(WiMiConfig::default());
     println!("material    : Ω̄ mean ± std over 15 measurements");
+    let trials: Vec<(u64, Trial)> = (0u64..)
+        .zip(&materials)
+        .flat_map(|(i, m)| (0..15).map(move |trial| (90_000 + i * 97 + trial, &m.spec)))
+        .map(|(seed, spec)| (seed, opts.trial(Some(spec))))
+        .collect();
+    let omegas = measure_trials(&extractor, &trials, |out| {
+        out.feature.map(|f| f.omega_mean())
+    });
     let mut means = Vec::new();
-    for (i, m) in materials.iter().enumerate() {
-        let mut omegas = Vec::new();
-        for trial in 0..15u64 {
-            let seed = 90_000 + i as u64 * 97 + trial;
-            let setup = opts.trial(Some(&m.spec));
-            let out = measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed));
-            if let Some(f) = out.feature {
-                omegas.push(f.omega_mean());
-            }
-        }
+    for (m, omegas) in materials.iter().zip(omegas.chunks(15)) {
+        let omegas: Vec<f64> = omegas.iter().flatten().copied().collect();
         println!(
             "  {:<10}: {:.4} ± {:.4}  (n = {})",
             m.name,

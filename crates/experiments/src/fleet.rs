@@ -37,7 +37,7 @@ fn fleet_total(report: &wimi_serve::FleetReport, name: &str) -> Option<u64> {
 
 /// Gates a fleet report's deterministic totals against the
 /// `fleet_budgets` section of `BENCH.json`.
-pub fn check_fleet_budgets(
+fn check_fleet_budgets(
     bench_json: &str,
     report: &wimi_serve::FleetReport,
 ) -> Result<Vec<analyze::BudgetRow>, String> {
@@ -49,7 +49,7 @@ pub fn check_fleet_budgets(
 /// Gates a fleet timeline against the `metrics_budgets` section of
 /// `BENCH.json`: each name is a timeline series, gated on its windowed
 /// per-tick `max`.
-pub fn check_metrics_budgets(
+fn check_metrics_budgets(
     bench_json: &str,
     timeline: &Timeline,
 ) -> Result<Vec<analyze::BudgetRow>, String> {

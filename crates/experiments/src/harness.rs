@@ -1,8 +1,9 @@
 //! Shared experiment harness: measurement collection, training/testing,
 //! and per-figure reporting.
 
+use std::ops::Range;
 use std::sync::Arc;
-use wimi_core::{WiMi, WiMiConfig};
+use wimi_core::{MaterialFeature, WiMi, WiMiConfig};
 use wimi_ml::dataset::Dataset;
 use wimi_ml::metrics::ConfusionMatrix;
 use wimi_obs::Recorder;
@@ -10,8 +11,8 @@ use wimi_phy::channel::Environment;
 use wimi_phy::fault::FaultPlan;
 use wimi_phy::material::{Liquid, SaltwaterConcentration, LIQUIDS};
 use wimi_phy::scenario::{LiquidSpec, ScenarioBuilder};
-use wimi_serve::{measure_with_retry, RetryPolicy, Trial};
-use wimi_trace::{Observer, TaskKey, TraceSink};
+use wimi_serve::{measure_trials, MeasureOutcome, RetryPolicy, Trial};
+use wimi_trace::{Observer, TraceSink};
 
 /// A material under test: display name plus its dielectric spec.
 #[derive(Debug, Clone)]
@@ -120,6 +121,29 @@ impl RunOptions {
             obs: self.observer(),
         }
     }
+
+    /// Measures `trials` of every class in `phase`, in trial-major order:
+    /// class `label` measures `specs[label]` at its [`trial_seed`]. The
+    /// list fans out through [`measure_trials`]; outcomes come back as
+    /// `(label, outcome)` in list order.
+    pub(crate) fn measure_phase(
+        &self,
+        extractor: &WiMi,
+        phase: Phase,
+        trials: Range<usize>,
+        specs: &[Option<&LiquidSpec>],
+    ) -> Vec<(usize, MeasureOutcome)> {
+        let mut list = Vec::new();
+        for trial in trials {
+            for (label, &spec) in specs.iter().enumerate() {
+                list.push((trial_seed(self.seed, phase, trial, label), self.trial(spec)));
+            }
+        }
+        let labels = (0..specs.len()).cycle();
+        labels
+            .zip(measure_trials(extractor, &list, |out| out))
+            .collect()
+    }
 }
 
 /// Result of an identification run.
@@ -142,85 +166,98 @@ impl RunResult {
     }
 }
 
+/// Which half of the train/test protocol a trial belongs to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phase {
+    /// Measurements the classifier trains on.
+    Train,
+    /// Measurements the trained classifier is scored on.
+    Test,
+}
+
+/// The one trial-seed schedule: the measurement seed of trial `trial` of
+/// class `label` in `phase` of a run seeded `seed`. Training trials start
+/// 1,000 past `seed` and step 131 per trial, test trials start 900,000
+/// past it and step 137, and the classes of one trial take consecutive
+/// seeds. The arithmetic wraps, so every `u64` run seed is valid.
+pub(crate) fn trial_seed(seed: u64, phase: Phase, trial: usize, label: usize) -> u64 {
+    let (offset, stride) = match phase {
+        Phase::Train => (1_000, 131),
+        Phase::Test => (900_000, 137),
+    };
+    seed.wrapping_add(offset)
+        .wrapping_add((trial as u64).wrapping_mul(stride))
+        .wrapping_add(label as u64)
+}
+
+/// Drop, reject and salvage counts folded over measurement outcomes.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Trials whose every measurement attempt failed.
+    pub(crate) dropped: usize,
+    /// Measurement attempts the pipeline rejected.
+    pub(crate) rejected: usize,
+    /// Successful measurements that needed salvage.
+    pub(crate) salvaged: usize,
+}
+
+impl Tally {
+    /// Folds `out` in and hands back its feature; a trial without one
+    /// counts as dropped.
+    pub(crate) fn take(&mut self, out: MeasureOutcome) -> Option<MaterialFeature> {
+        self.rejected += out.rejected;
+        self.salvaged += usize::from(out.salvaged);
+        self.dropped += usize::from(out.feature.is_none());
+        out.feature
+    }
+}
+
 /// Runs a full train/test identification experiment.
 ///
-/// Every (trial × material) measurement is independent — its seed is a
-/// pure function of `opts.seed`, the trial, and the material label — so
-/// both phases fan out over [`wimi_core::par`] worker threads
-/// (`WIMI_THREADS`). Results are folded back in trial-major order, which
-/// makes the confusion matrix bitwise identical for any thread count.
+/// Both phases measure through `RunOptions::measure_phase`, so every seed
+/// comes from the one `trial_seed` schedule and every (trial × material)
+/// measurement fans out over [`wimi_core::par`] worker threads
+/// (`WIMI_THREADS`). Outcomes fold back in trial-major order, which makes
+/// the confusion matrix bitwise identical for any thread count. An
+/// untrainable run (fewer than two classes with a training feature)
+/// skips its test phase and counts every test trial as dropped.
 pub fn run_identification(materials: &[Material], opts: &RunOptions) -> RunResult {
     let mut extractor = WiMi::new(opts.config.clone());
     extractor.set_observer(opts.observer());
     let class_names: Vec<String> = materials.iter().map(|m| m.name.clone()).collect();
+    let specs: Vec<_> = materials.iter().map(|m| Some(&m.spec)).collect();
+    let mut tally = Tally::default();
 
-    let mut dropped = 0usize;
-    let mut rejected = 0usize;
-    let mut salvaged = 0usize;
-
-    let jobs = |base: u64, trials: usize, stride: u64| -> Vec<(usize, u64)> {
-        let mut v = Vec::with_capacity(trials * materials.len());
-        for trial in 0..trials {
-            for label in 0..materials.len() {
-                v.push((label, base + trial as u64 * stride + label as u64));
-            }
-        }
-        v
-    };
-
-    // Training set.
-    let train_jobs = jobs(opts.seed + 1_000, opts.n_train, 131);
-    let measure = |&(label, seed): &(usize, u64)| {
-        let setup = opts.trial(Some(&materials[label].spec));
-        (
-            label,
-            measure_with_retry(&extractor, &setup, seed, TaskKey::measurement(seed)),
-        )
-    };
-    let measured = wimi_core::par::map(&train_jobs, |_, job| measure(job));
     let mut train = Dataset::new(class_names.clone());
-    for (label, out) in measured {
-        rejected += out.rejected;
-        salvaged += out.salvaged as usize;
-        match out.feature {
-            Some(f) => train.push(f.as_vector(), label),
-            None => dropped += 1,
+    for (label, out) in opts.measure_phase(&extractor, Phase::Train, 0..opts.n_train, &specs) {
+        if let Some(f) = tally.take(out) {
+            train.push(f.as_vector(), label);
         }
     }
 
-    // Test set. An untrainable run (fewer than two classes with a
-    // training feature) skips it: nothing is classified, and every test
-    // trial counts as dropped.
-    let test_jobs = jobs(opts.seed + 900_000, opts.n_test, 137);
     let mut wimi = WiMi::new(opts.config.clone());
     wimi.set_observer(opts.observer());
     let measured = if train.is_trainable() {
         wimi.train_on_dataset(&train);
-        wimi_core::par::map(&test_jobs, |_, job| measure(job))
+        opts.measure_phase(&extractor, Phase::Test, 0..opts.n_test, &specs)
     } else {
-        dropped += test_jobs.len();
+        tally.dropped += opts.n_test * specs.len();
         Vec::new()
     };
     let mut truth = Vec::new();
     let mut pred = Vec::new();
     for (label, out) in measured {
-        rejected += out.rejected;
-        salvaged += out.salvaged as usize;
-        match out.feature {
-            Some(f) => {
-                let p = wimi.classify_feature(&f).expect("trained");
-                truth.push(label);
-                pred.push(p);
-            }
-            None => dropped += 1,
+        if let Some(f) = tally.take(out) {
+            truth.push(label);
+            pred.push(wimi.classify_feature(&f).expect("trained"));
         }
     }
 
     RunResult {
         confusion: ConfusionMatrix::from_predictions(&truth, &pred, &class_names),
-        dropped_trials: dropped,
-        rejected_measurements: rejected,
-        salvaged_measurements: salvaged,
+        dropped_trials: tally.dropped,
+        rejected_measurements: tally.rejected,
+        salvaged_measurements: tally.salvaged,
     }
 }
 

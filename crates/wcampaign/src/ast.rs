@@ -314,7 +314,7 @@ fn join_f64(values: &[f64]) -> String {
 }
 
 /// The canonical campaign-file token of an environment.
-pub fn environment_token(env: Environment) -> &'static str {
+fn environment_token(env: Environment) -> &'static str {
     match env {
         Environment::EmptyHall => "hall",
         Environment::Lab => "lab",
@@ -323,7 +323,7 @@ pub fn environment_token(env: Environment) -> &'static str {
 }
 
 /// The canonical campaign-file token of a container material.
-pub fn container_token(c: ContainerMaterial) -> &'static str {
+fn container_token(c: ContainerMaterial) -> &'static str {
     match c {
         ContainerMaterial::Glass => "glass",
         ContainerMaterial::Plastic => "plastic",

@@ -48,4 +48,4 @@ pub use ast::{
 };
 pub use grid::{cell_count, derive_cell_seed, expand, CellPlan};
 pub use parse::{parse, CampaignError, DiagKind, MAX_CELLS};
-pub use schedule::{fault_plan, fault_schedule, lower, state_at, StepState};
+pub use schedule::{fault_plan, lower, state_at, StepState};

@@ -8,7 +8,7 @@
 //! fault ramp reproduce the PR2 degradation curve segment by segment.
 
 use wimi_phy::channel::Environment;
-use wimi_phy::fault::{FaultPlan, FaultSchedule};
+use wimi_phy::fault::FaultPlan;
 
 use crate::ast::{Campaign, ScheduleChange, TargetMode};
 use crate::grid::CellPlan;
@@ -95,16 +95,6 @@ pub fn fault_plan(state: &StepState, fault_seed: u64) -> Option<FaultPlan> {
     }
 }
 
-/// Lowers a whole segment list onto a [`FaultSchedule`] keyed by test
-/// trial, for callers that want the wiphy-level view of the ramp.
-pub fn fault_schedule(steps: &[StepState], fault_seed: u64) -> FaultSchedule {
-    let mut schedule = FaultSchedule::new();
-    for step in steps {
-        schedule.push(step.from as u64, fault_plan(step, fault_seed));
-    }
-    schedule
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,17 +178,5 @@ mod tests {
             ..state
         };
         assert!(fault_plan(&windowed, 0xFA17).is_some());
-    }
-
-    #[test]
-    fn fault_schedule_mirrors_segments() {
-        let c = ramp_campaign();
-        let cells = expand(&c);
-        let steps = lower(&c, &cells[0]);
-        let schedule = fault_schedule(&steps, c.fault_seed);
-        assert_eq!(schedule.len(), steps.len());
-        assert!(schedule.plan_at(0).is_none());
-        assert!(schedule.plan_at(3).is_some());
-        assert!(schedule.plan_at(7).is_some());
     }
 }

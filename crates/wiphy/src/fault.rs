@@ -348,71 +348,6 @@ impl FaultPlan {
     }
 }
 
-/// A piecewise-constant fault timeline: an ordered list of steps, each
-/// switching the active [`FaultPlan`] (or switching faults off) from a
-/// given measurement index onward.
-///
-/// This is the wiphy-level seam the campaign subsystem lowers schedules
-/// onto: the runner asks [`FaultSchedule::plan_at`] for the plan governing
-/// each test trial. Steps are pushed in strictly ascending order of their
-/// start index, so lookup is a deterministic scan.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSchedule {
-    steps: Vec<(u64, Option<FaultPlan>)>,
-}
-
-impl FaultSchedule {
-    /// An empty schedule (no plan at any index).
-    pub fn new() -> Self {
-        FaultSchedule::default()
-    }
-
-    /// Appends a step: from measurement index `from` onward, `plan` is in
-    /// effect (`None` switches faults off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not strictly greater than the previous step's
-    /// start index.
-    pub fn push(&mut self, from: u64, plan: Option<FaultPlan>) {
-        if let Some((last, _)) = self.steps.last() {
-            assert!(
-                from > *last,
-                "schedule steps must have strictly ascending start indices ({from} after {last})"
-            );
-        }
-        self.steps.push((from, plan));
-    }
-
-    /// The plan governing measurement `index`: that of the last step whose
-    /// start is ≤ `index`, or `None` before the first step (or when the
-    /// governing step switches faults off).
-    pub fn plan_at(&self, index: u64) -> Option<&FaultPlan> {
-        let mut current: Option<&FaultPlan> = None;
-        for (from, plan) in &self.steps {
-            if *from <= index {
-                current = plan.as_ref();
-            }
-        }
-        current
-    }
-
-    /// Number of steps in the schedule.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// `true` when the schedule has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// The raw `(from, plan)` steps in order.
-    pub fn steps(&self) -> &[(u64, Option<FaultPlan>)] {
-        &self.steps
-    }
-}
-
 /// SplitMix64-style mix of the plan seed with the capture nonce, so each
 /// capture under one plan gets an independent, reproducible fault stream.
 fn mix(seed: u64, nonce: u64) -> u64 {
@@ -560,31 +495,5 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn rejects_bad_probability() {
         let _ = FaultPlan::new(0).with_packet_loss(1.5);
-    }
-
-    #[test]
-    fn schedule_returns_last_step_at_or_before_index() {
-        let mut schedule = FaultSchedule::new();
-        assert!(schedule.is_empty());
-        assert!(schedule.plan_at(0).is_none());
-        schedule.push(2, Some(FaultPlan::hostile(1).scaled(0.2)));
-        schedule.push(5, Some(FaultPlan::hostile(1).scaled(0.4)));
-        schedule.push(8, None);
-        assert_eq!(schedule.len(), 3);
-        assert!(schedule.plan_at(1).is_none());
-        assert!(schedule.plan_at(2).is_some());
-        let mid = schedule.plan_at(6).expect("step 5 plan");
-        assert!((mid.packet_loss - 0.2).abs() < 1e-12);
-        assert!(schedule.plan_at(8).is_none());
-        assert!(schedule.plan_at(100).is_none());
-        assert_eq!(schedule.steps().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn schedule_rejects_non_ascending_steps() {
-        let mut schedule = FaultSchedule::new();
-        schedule.push(3, None);
-        schedule.push(3, None);
     }
 }

@@ -29,12 +29,12 @@ use wimi_ml::dataset::Dataset;
 use wimi_obs::{CounterId, GaugeId, Recorder};
 use wimi_phy::channel::Environment;
 use wimi_phy::scenario::LiquidSpec;
-use wimi_trace::{Observer, TaskKey};
+use wimi_trace::Observer;
 
 use crate::cache::{ModelCache, ModelKey};
 use crate::metrics::ShardSample;
 use crate::queue::BoundedQueues;
-use crate::retry::{measure_with_retry, MeasureOutcome, Trial};
+use crate::retry::{measure_trials, MeasureOutcome, Trial};
 use crate::session::{MeasureRequest, Session};
 
 /// Engine shape and training configuration.
@@ -311,12 +311,13 @@ impl Engine {
     /// `train_per_class` clean measurements per catalog material under
     /// the key's environment and capture length, seeded purely from the
     /// key — then an SVM fit. Training measurements go through the same
-    /// re-seat-and-retry protocol as serving ([`measure_with_retry`]),
-    /// under the default policy, without faults or tracing: a
-    /// [`ModelKey`] has no fault component, so its model is the clean
-    /// deployment's. A key whose training set ends up with fewer than two
-    /// populated classes yields an *untrained* model (its requests
-    /// classify to `None`), keeping the service total.
+    /// re-seat-and-retry protocol as serving, as one trial list
+    /// ([`measure_trials`]) that fans out unless training runs inside
+    /// another fan-out, under the default policy, without faults or
+    /// tracing: a [`ModelKey`] has no fault component, so its model is the
+    /// clean deployment's. A key whose training set ends up with fewer
+    /// than two populated classes yields an *untrained* model (its
+    /// requests classify to `None`), keeping the service total.
     fn train_model(&self, key: &ModelKey) -> WiMi {
         let seed = key.train_seed(self.cfg.train_root);
         let environment = Environment::ALL
@@ -327,7 +328,8 @@ impl Engine {
         let obs = Observer::new(Some(Arc::clone(&self.recorder)), None);
         let mut extractor = WiMi::new(self.cfg.config.clone());
         extractor.set_observer(obs.clone());
-        let mut ds = Dataset::new(key.catalog.clone());
+        let mut labels = Vec::new();
+        let mut trials = Vec::new();
         for trial in 0..self.cfg.train_per_class.max(1) {
             for (label, name) in key.catalog.iter().enumerate() {
                 // Unknown names contribute no samples; if that leaves the
@@ -340,11 +342,17 @@ impl Engine {
                     obs: obs.clone(),
                     ..Trial::clean(Some(spec), environment, key.packets)
                 };
-                let out =
-                    measure_with_retry(&extractor, &clean, mseed, TaskKey::measurement(mseed));
-                if let Some(f) = out.feature {
-                    ds.push(f.as_vector(), label);
-                }
+                labels.push(label);
+                trials.push((mseed, clean));
+            }
+        }
+        let mut ds = Dataset::new(key.catalog.clone());
+        let features = measure_trials(&extractor, &trials, |out| {
+            out.feature.map(|f| f.as_vector())
+        });
+        for (label, feature) in labels.into_iter().zip(features) {
+            if let Some(f) = feature {
+                ds.push(f, label);
             }
         }
         let mut model = WiMi::new(WiMiConfig {
@@ -362,7 +370,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::RetryPolicy;
+    use crate::retry::{measure_with_retry, RetryPolicy};
     use crate::session::SessionSpec;
     use rand::{Rng, SeedableRng};
     use wimi_obs::Snapshot;
@@ -371,6 +379,7 @@ mod tests {
     use wimi_phy::material::{Liquid, LIQUIDS};
     use wimi_phy::scenario::{Scenario, Simulator};
     use wimi_phy::units::Meters;
+    use wimi_trace::TaskKey;
 
     fn sessions(n: usize) -> (Vec<Session>, Vec<(String, LiquidSpec)>) {
         let catalog: Vec<(String, LiquidSpec)> = [Liquid::Milk, Liquid::PureWater]

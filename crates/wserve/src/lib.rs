@@ -11,8 +11,9 @@
 //! which amortise across links. This crate provides the serving layer:
 //!
 //! * [`measure_with_retry`] — the one re-seat-and-retry measurement
-//!   protocol (a [`Trial`] under a [`RetryPolicy`]) that sessions, model
-//!   training and the experiment harness all call.
+//!   protocol (a [`Trial`] under a [`RetryPolicy`]), and
+//!   [`measure_trials`], its fan-out over a trial list, through which
+//!   model training, campaign cells and the experiment harness measure.
 //! * [`Session`] — one link: scenario, ground truth, [`RetryPolicy`],
 //!   and its own per-session observability sinks.
 //! * [`Engine`] — tick-structured service: [`Engine::submit`] requests
@@ -65,6 +66,8 @@ pub use cache::{ModelCache, ModelKey};
 pub use engine::{Engine, ServeConfig, ServeResponse};
 pub use fleet::{run_campaign_fleet, run_fleet, FleetConfig, FleetReport};
 pub use queue::BoundedQueues;
-pub use retry::{attempt_capture_seed, measure_with_retry, MeasureOutcome, RetryPolicy, Trial};
+pub use retry::{
+    attempt_capture_seed, measure_trials, measure_with_retry, MeasureOutcome, RetryPolicy, Trial,
+};
 pub use session::{MeasureRequest, Session, SessionSpec};
 pub use summary::{parse_summary, summary_json, SUMMARY_SCHEMA};

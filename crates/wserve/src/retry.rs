@@ -3,10 +3,11 @@
 //! A WiMi measurement is one baseline/target capture pair at one beaker
 //! placement. A placement that lands γ-ambiguous is refused, so the
 //! operator re-seats the beaker and tries again under a bounded
-//! [`RetryPolicy`]. [`measure_with_retry`] is that protocol; the
-//! experiment harness, campaign cells, serve sessions and serve-side
-//! model training all call it, so a measurement means the same thing
-//! wherever it is taken.
+//! [`RetryPolicy`]. [`measure_with_retry`] is that protocol, and
+//! [`measure_trials`] runs it over a list of trials: the experiment
+//! harness, campaign cells and serve-side model training measure through
+//! the list form, serve sessions through the single call, so a
+//! measurement means the same thing wherever it is taken.
 
 use rand::{Rng, SeedableRng};
 use wimi_core::{MaterialFeature, WiMi};
@@ -264,6 +265,25 @@ pub fn measure_with_retry(
         }
     }
     out
+}
+
+/// Measures every `(seed, trial)` of `trials` with [`measure_with_retry`]
+/// in the task [`TaskKey::measurement`]`(seed)`, fanned out over
+/// [`wimi_core::par`] worker threads, and returns what `keep` takes from
+/// each outcome, in list order. `keep` runs as each measurement finishes,
+/// so what a caller does not read (a feature's per-subcarrier vectors,
+/// say) is freed before the next one starts. Each outcome is a pure
+/// function of its trial and seed, so the result is the same for any
+/// worker count.
+pub fn measure_trials<R: Send>(
+    extractor: &WiMi,
+    trials: &[(u64, Trial<'_>)],
+    keep: impl Fn(MeasureOutcome) -> R + Sync,
+) -> Vec<R> {
+    wimi_core::par::map(trials, |_, (seed, trial)| {
+        let task = TaskKey::measurement(*seed);
+        keep(measure_with_retry(extractor, trial, *seed, task))
+    })
 }
 
 #[cfg(test)]

@@ -80,11 +80,41 @@ fn cell_artifacts_are_byte_identical_across_thread_counts_and_replay() {
     }
 
     // Replaying one cell in isolation from its recorded seed reproduces
-    // the full run's artifact byte for byte.
+    // the full run's artifact byte for byte, with the cell's own trials
+    // fanned out over four workers against the one-worker full run.
     let cells = expand(&c);
+    wimi::core::par::set_thread_override(Some(4));
     let replayed = run_cell(&c, &cells[2]);
-    assert_eq!(replayed.seed, parallel.cells[2].seed);
-    assert_eq!(replayed.artifact, parallel.cells[2].artifact);
+    wimi::core::par::set_thread_override(None);
+    assert_eq!(replayed.seed, serial.cells[2].seed);
+    assert_eq!(replayed.artifact, serial.cells[2].artifact);
+}
+
+#[test]
+fn untrainable_cell_scores_nothing_and_drops_nothing() {
+    // The parser insists on at least one training trial; zero of them
+    // is the plainest untrainable cell.
+    let mut c = parse(
+        "campaign bare\ntest 3\naxis materials = PureWater+Honey\n\
+         axis packets = 10\nat 1 fault 0.5\n",
+    )
+    .expect("campaign parses");
+    c.train = 0;
+    let outcome = run_cell(&c, &expand(&c)[0]);
+    assert_eq!(outcome.accuracy, 0.0);
+    assert_eq!(outcome.segments.len(), 2);
+    assert!(outcome.segments.iter().all(|s| s.total == 0));
+    // The skipped test phase is not counted as dropped, so the cell's
+    // count and its recorder's agree (the rule the benchmark's campaign
+    // conservation check reads).
+    let recorded = outcome
+        .counters
+        .iter()
+        .find(|(name, _)| *name == "trials_dropped")
+        .map_or(0, |&(_, v)| v);
+    assert_eq!(outcome.dropped, 0);
+    assert_eq!(recorded, 0);
+    wimi::trace::artifact::parse_and_validate(&outcome.artifact).expect("artifact validates");
 }
 
 #[test]

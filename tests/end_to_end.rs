@@ -10,6 +10,7 @@ use wimi::phy::scenario::{Beaker, LiquidSpec, Scenario, ScenarioBuilder, Simulat
 use wimi::phy::units::Meters;
 use wimi::serve::{measure_with_retry, Trial};
 use wimi::trace::TaskKey;
+use wimi_experiments::harness::{run_identification, Material, RunOptions};
 
 /// One 20-packet Lab measurement through the shared re-seat-and-retry
 /// protocol, everything derived from `seed`.
@@ -188,4 +189,29 @@ fn two_antenna_receiver_still_works() {
         }
     }
     assert!(got >= 4, "two-antenna extraction too fragile: {got}/8");
+}
+
+#[test]
+fn identification_runs_from_every_seed() {
+    // The trial-seed schedule wraps, so a run seeded near `u64::MAX`
+    // measures like any other instead of overflowing its seed arithmetic.
+    let materials = [
+        Material::catalog(Liquid::PureWater),
+        Material::catalog(Liquid::Honey),
+    ];
+    let opts = RunOptions {
+        seed: u64::MAX - 5,
+        n_train: 1,
+        n_test: 1,
+        ..RunOptions::default()
+    };
+    let r = run_identification(&materials, &opts);
+    let classified: usize = (0..2)
+        .flat_map(|t| (0..2).map(move |p| (t, p)))
+        .map(|(t, p)| r.confusion.count(t, p))
+        .sum();
+    assert!(
+        classified + r.dropped_trials >= 2,
+        "every test trial is classified or dropped"
+    );
 }
