@@ -214,11 +214,61 @@ impl CleanedAmplitudes {
         scratch: &mut CleanScratch,
     ) -> Self {
         assert!(!capture.is_empty(), "capture holds no packets");
-        let n_antennas = capture.n_antennas();
-        let n_subcarriers = capture.n_subcarriers();
         let (re, im) = capture.planes();
         let mut plane = Vec::with_capacity(re.len());
         plane.extend(re.iter().zip(im).map(|(&r, &i)| magnitude(r, i)));
+        Self::clean(
+            plane,
+            capture.n_antennas(),
+            capture.n_subcarriers(),
+            config,
+            scratch,
+        )
+    }
+
+    /// [`Self::compute_with`] over the antennas `keep` alone, in that
+    /// order: antenna `keep[j]` of the capture is antenna `j` of the
+    /// result. Every column is cleaned on its own, so each kept series
+    /// carries the bits `compute_with` gives it, without the work on the
+    /// antennas left out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capture is empty or `keep` names an antenna the
+    /// capture lacks.
+    pub(crate) fn compute_antennas_with(
+        capture: &CsiCapture,
+        keep: &[usize],
+        config: &AmplitudeConfig,
+        scratch: &mut CleanScratch,
+    ) -> Self {
+        assert!(!capture.is_empty(), "capture holds no packets");
+        let n_subcarriers = capture.n_subcarriers();
+        assert!(
+            keep.iter().all(|&a| a < capture.n_antennas()),
+            "antenna index out of range"
+        );
+        let cols = capture.n_antennas() * n_subcarriers;
+        let (re, im) = capture.planes();
+        let mut plane = Vec::with_capacity(capture.len() * keep.len() * n_subcarriers);
+        for (row_re, row_im) in re.chunks_exact(cols).zip(im.chunks_exact(cols)) {
+            for &a in keep {
+                let row = row_re.iter().zip(row_im).skip(a * n_subcarriers);
+                plane.extend(row.take(n_subcarriers).map(|(&r, &i)| magnitude(r, i)));
+            }
+        }
+        Self::clean(plane, keep.len(), n_subcarriers, config, scratch)
+    }
+
+    /// Cleans a sample-major magnitude plane of `n_antennas ·
+    /// n_subcarriers` columns in place and wraps it.
+    fn clean(
+        mut plane: Vec<f64>,
+        n_antennas: usize,
+        n_subcarriers: usize,
+        config: &AmplitudeConfig,
+        scratch: &mut CleanScratch,
+    ) -> Self {
         config.clean_columns(&mut plane, n_antennas * n_subcarriers, scratch);
         CleanedAmplitudes {
             n_antennas,
@@ -443,6 +493,33 @@ mod tests {
                 }
                 for (x, y) in direct.variance.iter().zip(&cached.variance) {
                     assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_antennas_clean_to_the_same_bits() {
+        let mut scratch = CleanScratch::default();
+        for (seed, packets) in [(3u64, 20usize), (4, 5), (6, 33)] {
+            let cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
+            for config in &flag_configs() {
+                let all = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
+                for keep in [[0usize, 1usize], [0, 2], [1, 2], [2, 0]] {
+                    let kept =
+                        CleanedAmplitudes::compute_antennas_with(&cap, &keep, config, &mut scratch);
+                    assert_eq!(kept.n_antennas(), 2);
+                    assert_eq!(kept.n_packets(), packets);
+                    for (j, &a) in keep.iter().enumerate() {
+                        for k in 0..cap.n_subcarriers() {
+                            let want: Vec<f64> = all.series(a, k).collect();
+                            let got: Vec<f64> = kept.series(j, k).collect();
+                            assert_eq!(got.len(), want.len());
+                            for (x, y) in got.iter().zip(&want) {
+                                assert_eq!(x.to_bits(), y.to_bits(), "{keep:?} ({a}, {k})");
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -437,10 +437,23 @@ impl WiMi {
         b: usize,
         rejected: &[usize],
     ) -> Result<MaterialFeature, FeatureError> {
+        // The pair reads only antennas a and b, and each column is
+        // cleaned on its own, so only their columns are cleaned; the
+        // ratios are then taken as antennas 0 and 1 of that plane and
+        // labelled with the capture's pair.
         let (amp_base, amp_tar) = {
             let _span = self.obs.stage(StageId::AmplitudeDenoising);
-            let amps = self.clean_amplitudes(baseline, target);
-            ratio_profiles(&amps, a, b, &mut RatioScratch::default())
+            let (config, keep) = (&self.config.amplitude, [a, b]);
+            let mut scratch = CleanScratch::default();
+            let amps = (
+                CleanedAmplitudes::compute_antennas_with(baseline, &keep, config, &mut scratch),
+                CleanedAmplitudes::compute_antennas_with(target, &keep, config, &mut scratch),
+            );
+            let (mut amp_base, mut amp_tar) =
+                ratio_profiles(&amps, 0, 1, &mut RatioScratch::default());
+            amp_base.pair = (a, b);
+            amp_tar.pair = (a, b);
+            (amp_base, amp_tar)
         };
         let (phase_base, phase_tar, selected) =
             self.phase_profiles(baseline, target, a, b, rejected);

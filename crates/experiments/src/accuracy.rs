@@ -1,6 +1,8 @@
 //! Identification-accuracy figures (paper Figs. 13–21).
 
-use crate::harness::{heading, paper_liquids, pct, run_identification, Material, RunOptions};
+use crate::harness::{
+    heading, paper_liquids, pct, run_identification, Material, Phase, RunOptions,
+};
 use wimi_core::amplitude::AmplitudeConfig;
 use wimi_core::antenna::PairSelection;
 use wimi_core::subcarrier::SubcarrierSelection;
@@ -9,7 +11,7 @@ use wimi_phy::channel::Environment;
 use wimi_phy::material::{ContainerMaterial, Liquid, SaltwaterConcentration};
 use wimi_phy::scenario::Beaker;
 use wimi_phy::units::Meters;
-use wimi_serve::{measure_trials, RetryPolicy, Trial};
+use wimi_serve::RetryPolicy;
 
 /// A quick/full switch: quick mode shrinks trial counts ~3× for smoke runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,10 +336,10 @@ pub fn fig20(effort: Effort) {
         println!("  {container:<8}: accuracy {}", pct(result.accuracy()));
         accs.push(result.accuracy());
     }
-    // Metal: the pipeline must *refuse* rather than misclassify.
+    // Metal: the pipeline must *refuse* rather than misclassify. Six
+    // trials of every material on the test schedule, each with its own
+    // placement, noise stream and task.
     let opts = RunOptions {
-        n_train: 2,
-        n_test: 4,
         retry: RetryPolicy::attempts(1),
         modify: Box::new(|b| {
             b.beaker(Beaker::paper_default().with_material(ContainerMaterial::Metal));
@@ -345,13 +347,13 @@ pub fn fig20(effort: Effort) {
         ..RunOptions::default()
     };
     let extractor = wimi_core::WiMi::new(opts.config.clone());
-    let trials: Vec<(u64, Trial)> = (777..783)
-        .flat_map(|seed| materials.iter().map(move |m| (seed, &m.spec)))
-        .map(|(seed, spec)| (seed, opts.trial(Some(spec))))
-        .collect();
-    let total = trials.len();
-    let refusals = measure_trials(&extractor, &trials, |out| out.feature.is_none());
-    let refused = refusals.into_iter().filter(|&r| r).count();
+    let specs: Vec<_> = materials.iter().map(|m| Some(&m.spec)).collect();
+    let outcomes = opts.measure_phase(&extractor, Phase::Test, 0..6, &specs);
+    let total = outcomes.len();
+    let refused = outcomes
+        .iter()
+        .filter(|(_, out)| out.feature.is_none())
+        .count();
     println!("  Metal   : {refused}/{total} measurements refused (no penetration)");
     println!(
         "paper shape: glass ≈ plastic, metal breaks the system → {}",

@@ -225,14 +225,15 @@ impl MultipathChannel {
     /// its multiplier buffer: static scatterers stay put, dynamic ones get
     /// a fresh phase/gain perturbation.
     pub fn draw_jitter_into<R: Rng + ?Sized>(&self, rng: &mut R, jitter: &mut PacketJitter) {
+        let zig = crate::normal::tables();
         jitter.multipliers.clear();
         jitter.multipliers.reserve(self.scatterers.len());
         for s in &self.scatterers {
             let m = if !s.dynamic {
                 Complex::ONE
             } else {
-                let g: f64 = 1.0 + self.gain_jitter_std * rng.sample(StandardNormal);
-                let p: f64 = self.phase_jitter_std * rng.sample(StandardNormal);
+                let g: f64 = 1.0 + self.gain_jitter_std * crate::normal::draw(zig, rng);
+                let p: f64 = self.phase_jitter_std * crate::normal::draw(zig, rng);
                 Complex::from_polar(g.max(0.0), p)
             };
             jitter.multipliers.push(m);
@@ -288,105 +289,123 @@ impl MultipathChannel {
             .sum()
     }
 
-    /// Static per-scatterer path gains at one receive antenna over a band,
-    /// written subcarrier-major into `out`:
-    /// `out[k·n + s] = gain_s · e^{−jβ_k·(d_tx→s + d_s→rx)}` for `n`
-    /// scatterers, with `β_k = wavenumbers[k]` (see
-    /// [`free_space_wavenumber`]). These depend only on the (fixed)
-    /// geometry, so a caller generating many packets computes them once,
-    /// folds them ([`Self::fold_static`]) and combines each packet's jitter
-    /// with [`Self::response_from_folded`].
-    /// The path length does not depend on frequency, so it is computed
-    /// once per scatterer rather than once per (scatterer, subcarrier).
+    /// Number of planes in a [`Self::band_gains`] table: the static sum
+    /// and one per dynamic scatterer.
+    pub(crate) fn band_planes(&self) -> usize {
+        1 + (self.scatterers.len() - self.n_static)
+    }
+
+    /// Path gains of every scatterer at the receive antennas `rx` over a
+    /// band, written scatterer-major into `out`: [`Self::band_planes`]
+    /// planes of `n = rx.len() · wavenumbers.len()` values, each indexed
+    /// `a · n_sub + k` (antenna-major, like a packet's planes).
+    ///
+    /// - Plane 0 holds the static scatterers' sum `Σ_static g_s·1`,
+    ///   accumulated from [`Complex::ZERO`] in scatterer order. Static
+    ///   scatterers never jitter (their multiplier is always
+    ///   [`Complex::ONE`]) and draw nothing, so this part of every
+    ///   packet's sum is constant.
+    /// - Plane `1 + d` holds the `d`-th dynamic scatterer's gain
+    ///   `g_s = gain · e^{−jβ_k·(d_tx→s + d_s→rx)}`, `β_k = wavenumbers[k]`
+    ///   (see [`free_space_wavenumber`]).
+    ///
+    /// These depend only on the (fixed) geometry, so a caller generating
+    /// many packets computes them once and combines each packet's jitter
+    /// with [`Self::band_response_into`]. The path length does not depend
+    /// on frequency, so it is computed once per (scatterer, antenna).
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` is not `wavenumbers.len()` times the number
-    /// of scatterers.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "out is asserted to hold wavenumbers.len()·n gains, and k < wavenumbers.len(), i < n"
-    )]
-    pub fn path_gains(&self, tx: Point, rx: Point, wavenumbers: &[f64], out: &mut [Complex]) {
-        let n = self.scatterers.len();
+    /// Panics if `out.len()` is not `band_planes() · n`.
+    pub(crate) fn band_gains(
+        &self,
+        tx: Point,
+        rx: &[Point],
+        wavenumbers: &[f64],
+        out: &mut [Complex],
+    ) {
+        let n_sub = wavenumbers.len();
+        let n = rx.len() * n_sub;
         assert_eq!(
             out.len(),
-            wavenumbers.len() * n,
-            "path gain plane must hold subcarriers × scatterers"
+            self.band_planes() * n,
+            "band gain table must hold one plane per band_planes()"
         );
-        for (i, s) in self.scatterers.iter().enumerate() {
-            let d = tx.distance_to(s.position).value() + s.position.distance_to(rx).value();
-            for (k, &beta0) in wavenumbers.iter().enumerate() {
-                out[k * n + i] = s.gain * Complex::cis(-beta0 * d);
+        if n == 0 {
+            return;
+        }
+        let (static_sum, dynamic_rows) = out.split_at_mut(n);
+        let (static_scatterers, dynamic_scatterers) = self.scatterers.split_at(self.n_static);
+        static_sum.fill(Complex::ZERO);
+        for s in static_scatterers {
+            for (&p, acc_row) in rx.iter().zip(static_sum.chunks_exact_mut(n_sub)) {
+                let d = tx.distance_to(s.position).value() + s.position.distance_to(p).value();
+                for (acc, &beta0) in acc_row.iter_mut().zip(wavenumbers) {
+                    *acc += s.gain * Complex::cis(-beta0 * d) * Complex::ONE;
+                }
+            }
+        }
+        for (s, row) in dynamic_scatterers
+            .iter()
+            .zip(dynamic_rows.chunks_exact_mut(n))
+        {
+            for (&p, antenna_row) in rx.iter().zip(row.chunks_exact_mut(n_sub)) {
+                let d = tx.distance_to(s.position).value() + s.position.distance_to(p).value();
+                for (g, &beta0) in antenna_row.iter_mut().zip(wavenumbers) {
+                    *g = s.gain * Complex::cis(-beta0 * d);
+                }
             }
         }
     }
 
-    /// Folds the static scatterers' share of a [`Self::path_gains`] plane
-    /// once, in place. Static scatterers lead the list, never jitter
-    /// (their multiplier is always [`Complex::ONE`]) and draw nothing from
-    /// the RNG, so their part of every packet's sum is constant: each row
-    /// of one gain per scatterer gets `Σ_static g·1` in its first slot,
-    /// summed from [`Complex::ZERO`] in scatterer order exactly as the
-    /// per-packet sum would.
+    /// One packet's multipath sum at every point of a [`Self::band_gains`]
+    /// table, written into the `(re, im)` planes: the static plane, then
+    /// `acc + g_d·m_d` for each dynamic scatterer's row and jitter
+    /// multiplier in scatterer order. Each element sees the same
+    /// operations in the same order as [`Self::response`], so the result
+    /// equals it bit for bit; the rows are contiguous, so the loop runs
+    /// over independent elements rather than one serial chain each.
     ///
     /// # Panics
     ///
-    /// Panics if the plane does not hold whole rows of one gain per
-    /// scatterer.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "n_static > 0 leaves rows of n ≥ n_static gains, so row[0] and row[..n_static] exist"
-    )]
-    pub fn fold_static(&self, gains: &mut [Complex]) {
-        if self.n_static == 0 {
-            return;
-        }
-        let n = self.scatterers.len();
-        assert!(
-            gains.len().is_multiple_of(n),
-            "path gain plane must hold whole scatterer rows"
-        );
-        for row in gains.chunks_exact_mut(n) {
-            row[0] = row[..self.n_static]
-                .iter()
-                .fold(Complex::ZERO, |acc, g| acc + *g * Complex::ONE);
-        }
-    }
-
-    /// Combines one row of [`Self::fold_static`]-folded path gains with a
-    /// packet's jitter, continuing the folded static sum over the dynamic
-    /// scatterers only; equals `response(tx, rx, f, jitter, None)` for the
-    /// same geometry, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gains` or `jitter` were built from a channel with a
-    /// different number of scatterers.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "both lengths are asserted equal to the scatterer count, and n_static ≤ that count by construction"
-    )]
-    pub fn response_from_folded(&self, gains: &[Complex], jitter: &PacketJitter) -> Complex {
+    /// Panics if `re` and `im` differ in length, if `gains` does not hold
+    /// [`Self::band_planes`] planes of that length, or if `jitter` was
+    /// drawn from a channel with a different number of scatterers.
+    pub(crate) fn band_response_into(
+        &self,
+        gains: &[Complex],
+        jitter: &PacketJitter,
+        re: &mut [f64],
+        im: &mut [f64],
+    ) {
+        let n = re.len();
+        assert_eq!(im.len(), n, "re and im planes must match");
         assert_eq!(
             gains.len(),
-            self.scatterers.len(),
-            "path gains do not match this channel"
+            self.band_planes() * n,
+            "band gains do not match this channel"
         );
         assert_eq!(
             jitter.multipliers.len(),
             self.scatterers.len(),
             "jitter state does not match this channel"
         );
-        let start = if self.n_static == 0 {
-            Complex::ZERO
-        } else {
-            gains[0]
-        };
-        gains[self.n_static..]
-            .iter()
-            .zip(&jitter.multipliers[self.n_static..])
-            .fold(start, |acc, (g, m)| acc + *g * *m)
+        if n == 0 {
+            return;
+        }
+        let (static_sum, dynamic_rows) = gains.split_at(n);
+        for ((r, i), g) in re.iter_mut().zip(im.iter_mut()).zip(static_sum) {
+            *r = g.re;
+            *i = g.im;
+        }
+        let dynamic_multipliers = jitter.multipliers.iter().skip(self.n_static);
+        for (row, &m) in dynamic_rows.chunks_exact(n).zip(dynamic_multipliers) {
+            for ((r, i), &g) in re.iter_mut().zip(im.iter_mut()).zip(row) {
+                let acc = Complex::new(*r, *i) + g * m;
+                *r = acc.re;
+                *i = acc.im;
+            }
+        }
     }
 }
 
@@ -516,26 +535,50 @@ mod tests {
         );
     }
 
+    /// A band of `n` subcarriers 1.875 MHz apart and its wavenumbers.
+    fn band(n: usize) -> (Vec<Hertz>, Vec<f64>) {
+        let freqs: Vec<Hertz> = (0..n).map(|k| Hertz(5.2e9 + 1.875e6 * k as f64)).collect();
+        let wavenumbers = freqs.iter().map(|&f| free_space_wavenumber(f)).collect();
+        (freqs, wavenumbers)
+    }
+
     #[test]
-    fn cached_path_gains_reproduce_direct_response() {
-        let (tx, rx) = link();
+    fn band_response_matches_direct_response_bitwise() {
+        let (tx, _) = link();
+        let (freqs, wavenumbers) = band(30);
+        let rx = [
+            Point::new(2.0, -0.029),
+            Point::new(2.0, 0.0),
+            Point::new(2.0, 0.029),
+            Point::new(3.1, 0.4),
+        ];
+        let n = rx.len() * freqs.len();
         for (seed, env) in Environment::ALL.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(seed as u64 + 5);
-            let ch = MultipathChannel::realize(env, tx, rx, &mut rng);
-            let mut gains = vec![Complex::ZERO; ch.scatterers().len()];
-            ch.path_gains(tx, rx, &[free_space_wavenumber(F)], &mut gains);
-            ch.fold_static(&mut gains);
-            for _ in 0..8 {
-                let j = draw_jitter(&ch, &mut rng);
-                let direct = ch.response(tx, rx, F, &j, None);
-                let cached = ch.response_from_folded(&gains, &j);
-                assert_eq!(direct.re.to_bits(), cached.re.to_bits(), "{env}");
-                assert_eq!(direct.im.to_bits(), cached.im.to_bits(), "{env}");
+            let ch = MultipathChannel::realize(env, tx, Point::new(2.0, 0.0), &mut rng);
+            let mut gains = vec![Complex::ZERO; ch.band_planes() * n];
+            ch.band_gains(tx, &rx, &wavenumbers, &mut gains);
+            let (mut re, mut im) = (vec![0.0; n], vec![0.0; n]);
+            for packet in 0..8 {
+                let j = if packet == 0 {
+                    static_jitter(&ch)
+                } else {
+                    draw_jitter(&ch, &mut rng)
+                };
+                ch.band_response_into(&gains, &j, &mut re, &mut im);
+                for (a, &p) in rx.iter().enumerate() {
+                    for (k, &f) in freqs.iter().enumerate() {
+                        let direct = ch.response(tx, p, f, &j, None);
+                        let i = a * freqs.len() + k;
+                        assert_eq!(re[i].to_bits(), direct.re.to_bits(), "{env} a={a} k={k}");
+                        assert_eq!(im[i].to_bits(), direct.im.to_bits(), "{env} a={a} k={k}");
+                    }
+                }
             }
         }
     }
 
-    /// Verbatim copy of the per-frequency `path_gains` the band version
+    /// Verbatim copy of the per-frequency `path_gains` the band tables
     /// replaced: it recomputed every scatterer's path length per call.
     fn reference_path_gains(ch: &MultipathChannel, tx: Point, rx: Point, f: Hertz) -> Vec<Complex> {
         let beta0 = f.angular() / crate::constants::SPEED_OF_LIGHT;
@@ -559,29 +602,46 @@ mod tests {
     #[test]
     fn band_gains_match_per_frequency_reference_bitwise() {
         let tx = Point::new(0.0, 0.0);
-        let freqs: Vec<Hertz> = (0..30).map(|k| Hertz(5.2e9 + 1.875e6 * k as f64)).collect();
-        let wavenumbers: Vec<f64> = freqs.iter().map(|&f| free_space_wavenumber(f)).collect();
+        let (freqs, wavenumbers) = band(30);
+        let rx = [
+            Point::new(2.0, -0.029),
+            Point::new(2.0, 0.0),
+            Point::new(3.1, 0.4),
+        ];
+        let n_sub = freqs.len();
+        let n = rx.len() * n_sub;
         for (seed, env) in Environment::ALL.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(seed as u64 + 40);
             let ch = MultipathChannel::realize(env, tx, Point::new(2.0, 0.0), &mut rng);
-            let n = ch.scatterers().len();
-            for rx in [
-                Point::new(2.0, -0.029),
-                Point::new(2.0, 0.0),
-                Point::new(3.1, 0.4),
-            ] {
-                let mut plane = vec![Complex::ZERO; freqs.len() * n];
-                ch.path_gains(tx, rx, &wavenumbers, &mut plane);
-                let mut los = vec![Complex::ZERO; freqs.len()];
-                los_response(tx, rx, &wavenumbers, Meters(2.0), &mut los);
+            let mut table = vec![Complex::ZERO; ch.band_planes() * n];
+            ch.band_gains(tx, &rx, &wavenumbers, &mut table);
+            let mut los = vec![Complex::ZERO; n_sub];
+            for (a, &p) in rx.iter().enumerate() {
+                los_response(tx, p, &wavenumbers, Meters(2.0), &mut los);
                 for (k, &f) in freqs.iter().enumerate() {
-                    let reference = reference_path_gains(&ch, tx, rx, f);
-                    for (s, g) in reference.iter().enumerate() {
-                        let got = plane[k * n + s];
-                        assert_eq!(got.re.to_bits(), g.re.to_bits(), "{env} k={k} s={s}");
-                        assert_eq!(got.im.to_bits(), g.im.to_bits(), "{env} k={k} s={s}");
+                    let i = a * n_sub + k;
+                    let reference = reference_path_gains(&ch, tx, p, f);
+                    let (statics, dynamics) = reference.split_at(ch.n_static);
+                    let sum = statics
+                        .iter()
+                        .fold(Complex::ZERO, |acc, g| acc + *g * Complex::ONE);
+                    let got = table[i];
+                    assert_eq!(
+                        got.re.to_bits(),
+                        sum.re.to_bits(),
+                        "{env} static a={a} k={k}"
+                    );
+                    assert_eq!(
+                        got.im.to_bits(),
+                        sum.im.to_bits(),
+                        "{env} static a={a} k={k}"
+                    );
+                    for (d, g) in dynamics.iter().enumerate() {
+                        let got = table[(1 + d) * n + i];
+                        assert_eq!(got.re.to_bits(), g.re.to_bits(), "{env} a={a} k={k} d={d}");
+                        assert_eq!(got.im.to_bits(), g.im.to_bits(), "{env} a={a} k={k} d={d}");
                     }
-                    let want = reference_los_response(tx, rx, f, Meters(2.0));
+                    let want = reference_los_response(tx, p, f, Meters(2.0));
                     assert_eq!(los[k].re.to_bits(), want.re.to_bits(), "LoS k={k}");
                     assert_eq!(los[k].im.to_bits(), want.im.to_bits(), "LoS k={k}");
                 }

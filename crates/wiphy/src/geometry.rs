@@ -206,6 +206,11 @@ impl AntennaArray {
     pub fn iter(&self) -> std::slice::Iter<'_, Point> {
         self.positions.iter()
     }
+
+    /// The antenna positions, in array order.
+    pub(crate) fn positions(&self) -> &[Point] {
+        &self.positions
+    }
 }
 
 /// Severity of sub-wavelength diffraction for a target of diameter `d`.

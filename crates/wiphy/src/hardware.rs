@@ -16,9 +16,9 @@
 #![deny(clippy::cast_possible_truncation)]
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use crate::channel::StandardNormal;
 use crate::complex::Complex;
 use crate::csi::CsiPacket;
+use crate::normal;
 use rand::Rng;
 
 /// Hardware impairment configuration.
@@ -134,7 +134,8 @@ impl HardwareProfile {
     /// `cis(β + k·slope)` is evaluated once per subcarrier into `corrupt`
     /// (caller-owned scratch, overwritten) and shared by every antenna; it
     /// draws nothing, so the RNG stream is the same as evaluating it per
-    /// antenna.
+    /// antenna. The ziggurat tables are taken once per packet and every
+    /// normal draw reads them directly, with no per-draw `OnceLock` check.
     ///
     /// # Panics
     ///
@@ -156,22 +157,23 @@ impl HardwareProfile {
         assert_eq!(re.len(), n_antennas * n_subcarriers, "re plane length");
         assert_eq!(im.len(), n_antennas * n_subcarriers, "im plane length");
 
+        let zig = normal::tables();
         // Common-to-all-antennas corruption.
         let (cfo_intercept, slope) = if self.phase_corruption {
             (
                 rng.gen_range(0.0..std::f64::consts::TAU),
-                self.phase_slope_std * rng.sample(StandardNormal),
+                self.phase_slope_std * normal::draw(zig, rng),
             )
         } else {
             (0.0, 0.0)
         };
-        let agc = db_to_amp(self.agc_wobble_db * rng.sample(StandardNormal));
+        let agc = db_to_amp(self.agc_wobble_db * normal::draw(zig, rng));
         // k(λ_b + λ_s) + β phase corruption, Eq. (5).
         corrupt.clear();
         corrupt.extend((0..n_subcarriers).map(|k| Complex::cis(cfo_intercept + slope * k as f64)));
 
         for a in 0..n_antennas {
-            let ripple = db_to_amp(self.antenna_gain_ripple_db * rng.sample(StandardNormal));
+            let ripple = db_to_amp(self.antenna_gain_ripple_db * normal::draw(zig, rng));
             let impulse_hit = rng.gen::<f64>() < self.impulse_probability;
             let outlier_hit = rng.gen::<f64>() < self.outlier_probability;
             let outlier_gain = if outlier_hit {
@@ -202,8 +204,8 @@ impl HardwareProfile {
                 // Thermal noise.
                 if self.noise_std > 0.0 {
                     h += Complex::new(
-                        self.noise_std * rng.sample(StandardNormal),
-                        self.noise_std * rng.sample(StandardNormal),
+                        self.noise_std * normal::draw(zig, rng),
+                        self.noise_std * normal::draw(zig, rng),
                     );
                 }
                 re[i] = h.re;
@@ -225,22 +227,36 @@ fn db_to_amp(db: f64) -> f64 {
 /// integers, scaled to the per-packet maximum component — the Intel 5300
 /// CSI tool's storage format.
 fn quantize_intel5300_planes(re: &mut [f64], im: &mut [f64]) {
-    let mut max_c: f64 = 0.0;
-    for (&r, &i) in re.iter().zip(im.iter()) {
-        max_c = max_c.max(r.abs()).max(i.abs());
-    }
+    let max_c = max_abs(re).max(max_abs(im));
     // `max_c` is a maximum of absolute values, so non-positive means the
     // packet is all-zero and there is nothing to quantise.
     if max_c <= 0.0 {
         return;
     }
     let scale = 127.0 / max_c;
-    for x in re.iter_mut() {
+    for x in re.iter_mut().chain(im.iter_mut()) {
         *x = round_half_away(*x * scale) / scale;
     }
-    for x in im.iter_mut() {
-        *x = round_half_away(*x * scale) / scale;
+}
+
+/// The largest `|x|` in `xs`, or `0` when `xs` is empty or all NaN,
+/// through eight independent `max` chains rather than one serial one.
+/// Every operand is an `abs`, so `+0` or more, and [`f64::max`] drops a
+/// NaN operand whatever the order: the result is the same maximum a
+/// single left-to-right chain finds, bit for bit.
+fn max_abs(xs: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let mut chunks = xs.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(x.abs());
+        }
     }
+    let rest = chunks
+        .remainder()
+        .iter()
+        .fold(0.0f64, |m, &x| m.max(x.abs()));
+    lanes.iter().fold(rest, |m, &x| m.max(x))
 }
 
 /// [`f64::round`] (half away from zero) without its libm call, bit for
@@ -248,16 +264,26 @@ fn quantize_intel5300_planes(re: &mut [f64], im: &mut [f64]) {
 /// beyond (already integral) and for NaN, with `v`'s sign put back.
 /// Below 2⁵² the sum `|v| + 0.5` is exact unless it crosses into the next
 /// binade, and then it is not within half an ulp below an integer, so
-/// truncating it rounds `|v|` as `round` does.
+/// truncating it rounds `|v|` as `round` does. Below 2³⁰ — every finite
+/// component the quantizer rounds, whose largest scales to 127 — the
+/// truncation goes through an `i32`, which the vector unit converts
+/// several at a time, and above it through an `i64`.
+#[inline]
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "0.5 <= |v| < 2^52 on this branch, so trunc(|v| + 0.5) <= 2^52 fits an i64 and converts back to f64 exactly"
+    reason = "|v| < 2^30 on the i32 branch and |v| < 2^52 on the i64 branch, so trunc(|v| + 0.5) fits each integer and converts back to f64 exactly"
 )]
 fn round_half_away(v: f64) -> f64 {
+    const NARROW: f64 = 1_073_741_824.0; // 2^30
     const EXACT: f64 = 4_503_599_627_370_496.0; // 2^52
     let a = v.abs();
-    let r = if a < 0.5 {
-        0.0
+    let r = if a < NARROW {
+        let t = f64::from((a + 0.5) as i32);
+        if a < 0.5 {
+            0.0
+        } else {
+            t
+        }
     } else if a < EXACT {
         ((a + 0.5) as i64) as f64
     } else {
@@ -267,8 +293,9 @@ fn round_half_away(v: f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::normal::StandardNormal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -292,8 +319,10 @@ mod tests {
     }
 
     /// Verbatim copy of `apply_planes` before the phase-corruption phasor
-    /// was hoisted: it evaluated `cis(β + k·slope)` once per antenna.
-    fn reference_apply_planes<R: Rng + ?Sized>(
+    /// was hoisted: it evaluated `cis(β + k·slope)` once per antenna, took
+    /// the ziggurat tables once per normal draw and quantised through
+    /// [`reference_quantize`].
+    pub(crate) fn reference_apply_planes<R: Rng + ?Sized>(
         prof: &HardwareProfile,
         re: &mut [f64],
         im: &mut [f64],
@@ -348,7 +377,7 @@ mod tests {
             }
         }
         if prof.quantize_8bit {
-            quantize_intel5300_planes(re, im);
+            reference_quantize(re, im);
         }
     }
 
@@ -411,6 +440,119 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Verbatim copy of `quantize_intel5300_planes` before its maximum
+    /// ran in eight lanes and its rounding left libm: one serial `max`
+    /// chain, [`f64::round`] on every component.
+    fn reference_quantize(re: &mut [f64], im: &mut [f64]) {
+        let mut max_c: f64 = 0.0;
+        for (&r, &i) in re.iter().zip(im.iter()) {
+            max_c = max_c.max(r.abs()).max(i.abs());
+        }
+        if max_c <= 0.0 {
+            return;
+        }
+        let scale = 127.0 / max_c;
+        for x in re.iter_mut() {
+            *x = (*x * scale).round() / scale;
+        }
+        for x in im.iter_mut() {
+            *x = (*x * scale).round() / scale;
+        }
+    }
+
+    /// Quantizes `(re, im)` both ways and compares every bit.
+    fn assert_quantizers_agree(re: &[f64], im: &[f64], what: &str) {
+        let (mut got_re, mut got_im) = (re.to_vec(), im.to_vec());
+        let (mut want_re, mut want_im) = (re.to_vec(), im.to_vec());
+        quantize_intel5300_planes(&mut got_re, &mut got_im);
+        reference_quantize(&mut want_re, &mut want_im);
+        for (i, (g, w)) in got_re.iter().zip(&want_re).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: re[{i}] {g:e} vs {w:e}");
+        }
+        for (i, (g, w)) in got_im.iter().zip(&want_im).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: im[{i}] {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn lane_quantizer_matches_reference_bitwise() {
+        // Random packets of every length around the eight-lane chunking.
+        let mut rng = StdRng::seed_from_u64(17);
+        for len in [0usize, 1, 2, 7, 8, 9, 15, 16, 17, 30, 90, 120] {
+            for scale in [1e-300, 1e-3, 1.0, 37.5, 1e300] {
+                for _ in 0..20 {
+                    let mut draw = || scale * (2.0 * rng.gen::<f64>() - 1.0);
+                    let re: Vec<f64> = (0..len).map(|_| draw()).collect();
+                    let im: Vec<f64> = (0..len).map(|_| draw()).collect();
+                    assert_quantizers_agree(&re, &im, &format!("random len {len} scale {scale:e}"));
+                }
+            }
+        }
+        // With 127 the largest component the scale is exactly 1, so these
+        // are half-integers, their neighbours and signed zeros as rounded.
+        let mut halves = vec![127.0, -0.0, 0.0];
+        for twice in -253i32..=253 {
+            let h = f64::from(twice) / 2.0;
+            halves.extend([h.next_down(), h, h.next_up()]);
+        }
+        let n = halves.len() / 2;
+        assert_quantizers_agree(&halves[..n], &halves[n..2 * n], "half-integers");
+        assert_quantizers_agree(&halves[n..2 * n], &halves[..n], "half-integers swapped");
+        // A largest component of 254 scales by exactly one half.
+        let doubled: Vec<f64> = halves.iter().map(|h| 2.0 * h).collect();
+        assert_quantizers_agree(&doubled[..n], &doubled[n..2 * n], "scale one half");
+
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let specials: [(&str, Vec<f64>, Vec<f64>); 9] = [
+            ("all zero", vec![0.0; 90], vec![0.0; 90]),
+            (
+                "signed zeros",
+                vec![-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+                vec![-0.0; 9],
+            ),
+            (
+                "+inf",
+                vec![1.0, inf, -2.5, 0.0, 3.0, -0.0, 4.0, 5.0, 6.0],
+                vec![0.5; 9],
+            ),
+            (
+                "-inf",
+                vec![0.5; 9],
+                vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, -inf],
+            ),
+            (
+                "nan",
+                vec![1.0, nan, -2.5, 0.25, 3.0, -0.75, 4.0, 5.0, 6.0],
+                vec![nan; 9],
+            ),
+            ("all nan", vec![nan; 10], vec![nan; 10]),
+            (
+                "nan and inf",
+                vec![nan, inf, -inf, 1.0, 0.0, -1.0, nan, 2.0, 3.0],
+                vec![1.0; 9],
+            ),
+            (
+                "one huge",
+                {
+                    let mut v = vec![0.25; 90];
+                    v[41] = 1e300;
+                    v
+                },
+                vec![-0.5; 90],
+            ),
+            (
+                "subnormal peak",
+                vec![
+                    5e-324, -1e-310, 0.0, 2e-315, -0.0, 1e-320, 3e-312, 0.0, 1e-309,
+                ],
+                vec![0.0; 9],
+            ),
+        ];
+        for (what, re, im) in &specials {
+            assert_quantizers_agree(re, im, what);
         }
     }
 
@@ -551,6 +693,17 @@ mod tests {
             -0.5f64.next_down(),
             f64::MIN_POSITIVE,
             -f64::MIN_POSITIVE,
+            1_073_741_823.5,
+            1_073_741_824.0f64.next_down(),
+            1_073_741_824.0,
+            1_073_741_824.5,
+            1_073_741_824.0f64.next_up(),
+            -1_073_741_823.5,
+            -1_073_741_824.0,
+            -1_073_741_824.5,
+            2_147_483_647.5,
+            2_147_483_648.0,
+            -2_147_483_648.5,
             4_503_599_627_370_495.5,
             4_503_599_627_370_496.0,
             4_503_599_627_370_497.0,

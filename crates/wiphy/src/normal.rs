@@ -36,7 +36,7 @@ fn density(x: f64) -> f64 {
 
 /// Layer edges `x[i]` (decreasing, `x[0] = V/f(R)`, `x[1] = R`,
 /// `x[256] = 0`) and the density at each edge, `f[i] = e^{−x[i]²/2}`.
-struct Tables {
+pub(crate) struct Tables {
     x: [f64; LAYERS + 1],
     f: [f64; LAYERS + 1],
 }
@@ -44,11 +44,13 @@ struct Tables {
 /// The ziggurat tables. They depend on nothing but [`ZIG_R`] and
 /// [`ZIG_V`], so they are built once per process: each layer's upper
 /// edge is the abscissa where the layer below it reaches area `V`.
+/// A loop drawing many normals takes them once and calls [`draw`], so
+/// it pays this `OnceLock` check once rather than once per draw.
 #[expect(
     clippy::indexing_slicing,
     reason = "constant indices and 2..LAYERS into arrays of LAYERS + 1 entries"
 )]
-fn tables() -> &'static Tables {
+pub(crate) fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
         let mut x = [0.0; LAYERS + 1];
@@ -81,34 +83,40 @@ fn tail<R: Rng + ?Sized>(rng: &mut R, negative: bool) -> f64 {
     }
 }
 
+/// One standard normal draw from the ziggurat tables `t` — the whole of
+/// [`StandardNormal::sample`], for loops that take [`tables`] once.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i is the low 8 bits of a draw, so i + 1 ≤ LAYERS indexes tables of LAYERS + 1 entries"
+)]
+#[inline]
+pub(crate) fn draw<R: Rng + ?Sized>(t: &Tables, rng: &mut R) -> f64 {
+    loop {
+        let bits = rng.next_u64();
+        let i = (bits & 0xff) as usize;
+        // The 52 high bits k give u = (2k + 1)/2^52 − 1: exact,
+        // symmetric about 0, and never 0 or ±1.
+        let u = ((bits >> 12) * 2 + 1) as f64 * TWO_POW_M52 - 1.0;
+        let x = u * t.x[i];
+        if x.abs() < t.x[i + 1] {
+            return x;
+        }
+        if i == 0 {
+            return tail(rng, u < 0.0);
+        }
+        if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>() < density(x) {
+            return x;
+        }
+    }
+}
+
 /// Standard normal distribution N(0, 1).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StandardNormal;
 
 impl Distribution<f64> for StandardNormal {
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "i is the low 8 bits of a draw, so i + 1 ≤ LAYERS indexes tables of LAYERS + 1 entries"
-    )]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let t = tables();
-        loop {
-            let bits = rng.next_u64();
-            let i = (bits & 0xff) as usize;
-            // The 52 high bits k give u = (2k + 1)/2^52 − 1: exact,
-            // symmetric about 0, and never 0 or ±1.
-            let u = ((bits >> 12) * 2 + 1) as f64 * TWO_POW_M52 - 1.0;
-            let x = u * t.x[i];
-            if x.abs() < t.x[i + 1] {
-                return x;
-            }
-            if i == 0 {
-                return tail(rng, u < 0.0);
-            }
-            if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>() < density(x) {
-                return x;
-            }
-        }
+        draw(tables(), rng)
     }
 }
 
@@ -146,6 +154,45 @@ mod tests {
             })
             .sum();
         (g(a) + inner + g(a + 14.0)) * h / 3.0
+    }
+
+    /// Verbatim copy of `StandardNormal::sample` before its body moved
+    /// into [`draw`]: it took the tables once per draw.
+    fn reference_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+        let t = tables();
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & 0xff) as usize;
+            let u = ((bits >> 12) * 2 + 1) as f64 * TWO_POW_M52 - 1.0;
+            let x = u * t.x[i];
+            if x.abs() < t.x[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                return tail(rng, u < 0.0);
+            }
+            if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>() < density(x) {
+                return x;
+            }
+        }
+    }
+
+    #[test]
+    fn draw_with_hoisted_tables_matches_sample_bitwise() {
+        let t = tables();
+        let mut hoisted = StdRng::seed_from_u64(99);
+        let mut sampled = StdRng::seed_from_u64(99);
+        let mut reference = StdRng::seed_from_u64(99);
+        for n in 0..N {
+            let got = draw(t, &mut hoisted);
+            let via_sample = sampled.sample(StandardNormal);
+            let want = reference_sample(&mut reference);
+            assert_eq!(got.to_bits(), want.to_bits(), "draw {n}");
+            assert_eq!(via_sample.to_bits(), want.to_bits(), "sample {n}");
+        }
+        let next = reference.gen::<u64>();
+        assert_eq!(hoisted.gen::<u64>(), next, "RNG state after draw");
+        assert_eq!(sampled.gen::<u64>(), next, "RNG state after sample");
     }
 
     #[test]

@@ -376,15 +376,16 @@ pub struct Simulator {
     rng: StdRng,
     rays: Vec<Ray>,
     /// Frequency-domain invariants of the realisation: subcarrier
-    /// frequencies, LoS responses and static multipath path gains.
+    /// frequencies, LoS responses and multipath path gains.
     band: BandCache,
-    /// Cached [`Simulator::compute_target_insertions`] result, an
-    /// antenna-major `n_antennas · n_subcarriers` plane. The insertion
-    /// factors are deterministic in the scenario and the current liquid,
-    /// so they stay valid until [`Simulator::set_liquid`] clears them;
-    /// only jitter, ray perturbation, multipath and hardware impairments
-    /// are stochastic per packet.
-    insertions_cache: Option<Vec<Complex>>,
+    /// Cached [`Simulator::compute_through`] result: the LoS response
+    /// times the target insertion, `los · ins`, as an antenna-major
+    /// `n_antennas · n_subcarriers` plane. Both factors are deterministic
+    /// in the scenario and the current liquid, so the product stays valid
+    /// until [`Simulator::set_liquid`] clears it; only jitter, ray
+    /// perturbation, multipath and hardware impairments are stochastic
+    /// per packet.
+    through_cache: Option<Vec<Complex>>,
     /// Ray-perturbation spread (amplitude σ, phase σ), hoisted from the
     /// per-packet draw; `None` when the scenario is perturbation-free.
     perturb_sigmas: Option<(f64, f64)>,
@@ -425,12 +426,12 @@ struct BandCache {
     freqs: Vec<Hertz>,
     /// Free-space LoS response, antenna-major: entry `a · n_sub + k`.
     los: Vec<Complex>,
-    /// Static multipath path gains `gain · e^{−jβ₀d}` per antenna ×
-    /// subcarrier × scatterer: entry `(a · n_sub + k) · n_scatterers + s`,
-    /// folded by [`MultipathChannel::fold_static`] so each row's first
-    /// slot holds the static scatterers' constant sum. Caching these drops
-    /// the per-scatterer distance and `cis` work, and the static part of
-    /// the per-packet sum, out of the packet loop.
+    /// Multipath path gains, scatterer-major as
+    /// [`MultipathChannel::band_gains`] lays them out: one antenna-major
+    /// plane holding the static scatterers' constant sum, then one plane
+    /// per dynamic scatterer. Caching these drops the per-scatterer
+    /// distance and `cis` work, and the static part of the per-packet
+    /// sum, out of the packet loop, which then runs over contiguous rows.
     mp_gains: Vec<Complex>,
 }
 
@@ -442,7 +443,7 @@ impl BandCache {
     /// per-frequency formulas evaluate.
     #[expect(
         clippy::indexing_slicing,
-        reason = "los and mp_gains are allocated as rx.len() rows of n_sub and n_sub·n_scat values, and a < rx.len()"
+        reason = "los is allocated as rx.len() rows of n_sub values, and a < rx.len()"
     )]
     fn build(scenario: &Scenario, multipath: &MultipathChannel) -> Self {
         let n_sub = scenario.channel.num_subcarriers();
@@ -452,10 +453,7 @@ impl BandCache {
         let wavenumbers: Vec<f64> = freqs.iter().map(|&f| free_space_wavenumber(f)).collect();
         let tx = scenario.tx_position();
         let rx = scenario.rx_array();
-        let n_scat = multipath.scatterers().len();
         let mut los = vec![Complex::ZERO; rx.len() * n_sub];
-        let mut mp_gains = vec![Complex::ZERO; rx.len() * n_sub * n_scat];
-        let row_gains = n_sub * n_scat;
         for (a, &rx_pos) in rx.iter().enumerate() {
             los_response(
                 tx,
@@ -464,14 +462,9 @@ impl BandCache {
                 scenario.link_distance,
                 &mut los[a * n_sub..(a + 1) * n_sub],
             );
-            multipath.path_gains(
-                tx,
-                rx_pos,
-                &wavenumbers,
-                &mut mp_gains[a * row_gains..(a + 1) * row_gains],
-            );
         }
-        multipath.fold_static(&mut mp_gains);
+        let mut mp_gains = vec![Complex::ZERO; multipath.band_planes() * rx.len() * n_sub];
+        multipath.band_gains(tx, rx.positions(), &wavenumbers, &mut mp_gains);
         BandCache {
             freqs,
             los,
@@ -508,7 +501,7 @@ impl Simulator {
             rng,
             rays,
             band,
-            insertions_cache: None,
+            through_cache: None,
             perturb_sigmas,
             fault: None,
             captures_taken: 0,
@@ -536,7 +529,7 @@ impl Simulator {
     /// baseline beaker. Invalidates the cached insertion factors.
     pub fn set_liquid(&mut self, liquid: Option<LiquidSpec>) {
         self.liquid = liquid;
-        self.insertions_cache = None;
+        self.through_cache = None;
     }
 
     /// The current liquid, if any.
@@ -592,14 +585,16 @@ impl Simulator {
     /// (jitter and perturbation draws go into simulator-owned scratch).
     /// RNG draw order matches the historical per-packet implementation
     /// exactly: jitter, then one perturbation per antenna, then hardware.
+    /// The multipath sum is accumulated into the planes first and the LoS
+    /// term `(los · ins) · perturb` added to it, the same operations per
+    /// element as summing `through + multipath` in one pass.
     #[expect(
         clippy::indexing_slicing,
-        reason = "per-antenna rows and cached insertion tables are all sized n_antennas·n_subcarriers by construction"
+        reason = "the planes and the cached through-target plane are all sized n_antennas·n_subcarriers by construction"
     )]
     fn packet_into(&mut self, re: &mut [f64], im: &mut [f64]) {
         let n_ant = self.scenario.n_antennas;
         let n_sub = self.band.freqs.len();
-        let n_scat = self.multipath.scatterers().len();
 
         let mut jitter = std::mem::replace(
             &mut self.jitter_scratch,
@@ -616,19 +611,19 @@ impl Simulator {
             perturbs.push(p);
         }
 
-        // Per-antenna target insertion across subcarriers: invariant until
-        // `set_liquid`, so it is computed once and cached (take/put-back
-        // keeps the hot path panic-free).
-        let insertions = self
-            .insertions_cache
+        // Per-antenna LoS-through-target term across subcarriers:
+        // invariant until `set_liquid`, so it is computed once and cached
+        // (take/put-back keeps the hot path panic-free).
+        let through = self
+            .through_cache
             .take()
-            .unwrap_or_else(|| self.compute_target_insertions());
+            .unwrap_or_else(|| self.compute_through());
 
+        self.multipath
+            .band_response_into(&self.band.mp_gains, &jitter, re, im);
         for (a, &perturb) in perturbs.iter().enumerate() {
             for i in a * n_sub..(a + 1) * n_sub {
-                let through = self.band.los[i] * insertions[i] * perturb;
-                let gains = &self.band.mp_gains[i * n_scat..(i + 1) * n_scat];
-                let h = through + self.multipath.response_from_folded(gains, &jitter);
+                let h = through[i] * perturb + Complex::new(re[i], im[i]);
                 re[i] = h.re;
                 im[i] = h.im;
             }
@@ -642,15 +637,28 @@ impl Simulator {
             &mut self.rng,
             &mut self.corrupt_scratch,
         );
-        self.insertions_cache = Some(insertions);
+        self.through_cache = Some(through);
         self.jitter_scratch = jitter;
         self.perturb_scratch = perturbs;
+    }
+
+    /// The LoS response times the target insertion, `los · ins`, as an
+    /// antenna-major `n_antennas · n_subcarriers` plane — see
+    /// `through_cache`. A packet multiplies each entry by its antenna's
+    /// perturbation, and `los · ins · perturb` evaluates as
+    /// `(los · ins) · perturb`, so caching the product keeps every bit.
+    fn compute_through(&self) -> Vec<Complex> {
+        let mut plane = self.compute_target_insertions();
+        for (t, &los) in plane.iter_mut().zip(&self.band.los) {
+            *t = los * *t;
+        }
+        plane
     }
 
     /// Per-antenna, per-subcarrier complex insertion factor of the beaker
     /// (and liquid) on the LoS ray, with the common leakage floor applied,
     /// as an antenna-major `n_antennas · n_subcarriers` plane.
-    /// Deterministic in `(scenario, liquid)` — see `insertions_cache`. The
+    /// Deterministic in `(scenario, liquid)` — see `through_cache`. The
     /// propagation constants depend only on frequency, so they are
     /// evaluated once per subcarrier and shared by every antenna.
     #[expect(
@@ -989,6 +997,195 @@ mod tests {
             uncached.set_liquid(Some(Liquid::Milk.into()));
             assert_eq!(cached.packet(), uncached.packet());
         }
+    }
+
+    /// Verbatim copy of the capture path before the scatterer-major
+    /// multipath fold, the `los · ins` cache and the hoisted ziggurat
+    /// tables: `BandCache::build`'s per-antenna `path_gains` plane,
+    /// subcarrier-major with the static sum folded into each row's first
+    /// slot (`fold_static`), and a `packet_into` that sums each element's
+    /// row through `response_from_folded`, draws its jitter through
+    /// `rng.sample` and applies the old hardware path.
+    struct ReferenceCapture {
+        mp_gains: Vec<Complex>,
+        n_static: usize,
+    }
+
+    impl ReferenceCapture {
+        fn new(sim: &Simulator) -> Self {
+            let scenario = &sim.scenario;
+            let wavenumbers: Vec<f64> = sim
+                .band
+                .freqs
+                .iter()
+                .map(|&f| free_space_wavenumber(f))
+                .collect();
+            let tx = scenario.tx_position();
+            let rx = scenario.rx_array();
+            let scatterers = sim.multipath.scatterers();
+            let n_scat = scatterers.len();
+            let n_static = scatterers.iter().filter(|s| !s.dynamic).count();
+            let row_gains = wavenumbers.len() * n_scat;
+            let mut mp_gains = vec![Complex::ZERO; rx.len() * row_gains];
+            for (a, &rx_pos) in rx.iter().enumerate() {
+                let out = &mut mp_gains[a * row_gains..(a + 1) * row_gains];
+                for (i, s) in scatterers.iter().enumerate() {
+                    let d =
+                        tx.distance_to(s.position).value() + s.position.distance_to(rx_pos).value();
+                    for (k, &beta0) in wavenumbers.iter().enumerate() {
+                        out[k * n_scat + i] = s.gain * Complex::cis(-beta0 * d);
+                    }
+                }
+            }
+            if n_static > 0 {
+                for row in mp_gains.chunks_exact_mut(n_scat) {
+                    row[0] = row[..n_static]
+                        .iter()
+                        .fold(Complex::ZERO, |acc, g| acc + *g * Complex::ONE);
+                }
+            }
+            ReferenceCapture { mp_gains, n_static }
+        }
+
+        fn draw_jitter(&self, sim: &mut Simulator) -> Vec<Complex> {
+            let prof = sim.scenario.environment.profile();
+            let mut multipliers = Vec::new();
+            for s in sim.multipath.scatterers() {
+                let m = if !s.dynamic {
+                    Complex::ONE
+                } else {
+                    let g: f64 = 1.0 + prof.gain_jitter_std * sim.rng.sample(StandardNormal);
+                    let p: f64 = prof.phase_jitter_std * sim.rng.sample(StandardNormal);
+                    Complex::from_polar(g.max(0.0), p)
+                };
+                multipliers.push(m);
+            }
+            multipliers
+        }
+
+        fn response_from_folded(&self, gains: &[Complex], jitter: &[Complex]) -> Complex {
+            let start = if self.n_static == 0 {
+                Complex::ZERO
+            } else {
+                gains[0]
+            };
+            gains[self.n_static..]
+                .iter()
+                .zip(&jitter[self.n_static..])
+                .fold(start, |acc, (g, m)| acc + *g * *m)
+        }
+
+        fn packet_into(&self, sim: &mut Simulator, re: &mut [f64], im: &mut [f64]) {
+            let n_ant = sim.scenario.n_antennas;
+            let n_sub = sim.band.freqs.len();
+            let n_scat = sim.multipath.scatterers().len();
+            let jitter = self.draw_jitter(sim);
+            let mut perturbs = Vec::new();
+            for _ in 0..n_ant {
+                let p = sim.draw_ray_perturbation();
+                perturbs.push(p);
+            }
+            let insertions = sim.compute_target_insertions();
+            for (a, &perturb) in perturbs.iter().enumerate() {
+                for i in a * n_sub..(a + 1) * n_sub {
+                    let through = sim.band.los[i] * insertions[i] * perturb;
+                    let gains = &self.mp_gains[i * n_scat..(i + 1) * n_scat];
+                    let h = through + self.response_from_folded(gains, &jitter);
+                    re[i] = h.re;
+                    im[i] = h.im;
+                }
+            }
+            let hardware = sim.scenario.hardware.clone();
+            crate::hardware::tests::reference_apply_planes(
+                &hardware,
+                re,
+                im,
+                n_ant,
+                n_sub,
+                &mut sim.rng,
+            );
+        }
+
+        fn capture(&self, sim: &mut Simulator, n_packets: usize) -> CsiCapture {
+            let n_ant = sim.scenario.n_antennas;
+            let n_sub = sim.band.freqs.len();
+            let mut clean = CsiCapture::zeros(n_packets, n_ant, n_sub);
+            for m in 0..n_packets {
+                let (re, im) = clean.packet_planes_mut(m);
+                self.packet_into(sim, re, im);
+            }
+            let nonce = sim.captures_taken;
+            sim.captures_taken = sim.captures_taken.wrapping_add(1);
+            match &sim.fault {
+                Some(plan) if !plan.is_identity() => plan.apply(&clean, nonce),
+                _ => clean,
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_capture_matches_reference_bitwise() {
+        let heavy = HardwareProfile {
+            impulse_probability: 0.6,
+            outlier_probability: 0.4,
+            ..HardwareProfile::default()
+        };
+        let small = Beaker::paper_default().with_diameter(Meters::from_cm(3.2));
+        // (hardware, small beaker and flow noise, hostile faults)
+        let cases = [
+            (HardwareProfile::default(), false, false),
+            (HardwareProfile::ideal(), false, false),
+            (heavy.clone(), true, false),
+            (HardwareProfile::ideal(), true, false),
+            (heavy, true, true),
+        ];
+        let mut compared = 0usize;
+        for env in Environment::ALL {
+            for n_ant in 2..=4 {
+                for (c, (hardware, perturbed, faulty)) in cases.iter().enumerate() {
+                    let mut b = Scenario::builder();
+                    b.environment(env)
+                        .antennas(n_ant, Meters::from_cm(2.9))
+                        .hardware(hardware.clone());
+                    if *perturbed {
+                        b.beaker(small.clone()).flow_noise(0.4);
+                    }
+                    let seed = 1000 + 10 * n_ant as u64 + c as u64;
+                    let mut sim = Simulator::new(b.build(), seed);
+                    let mut twin = sim.clone();
+                    let reference = ReferenceCapture::new(&twin);
+                    if *faulty {
+                        sim.set_fault_plan(Some(FaultPlan::hostile(seed)));
+                        twin.set_fault_plan(Some(FaultPlan::hostile(seed)));
+                    }
+                    assert_eq!(sim.perturb_sigmas.is_some(), *perturbed);
+                    for (liquid, n_packets) in [
+                        (None, 6),
+                        (Some(Liquid::Milk), 7),
+                        (Some(Liquid::PureWater), 3),
+                        (None, 2),
+                    ] {
+                        sim.set_liquid(liquid.map(LiquidSpec::from));
+                        twin.set_liquid(liquid.map(LiquidSpec::from));
+                        let got = sim.capture(n_packets);
+                        let want = reference.capture(&mut twin, n_packets);
+                        let what = format!("{env} {n_ant} antennas case {c} {liquid:?}");
+                        assert_eq!(got.len(), want.len(), "{what}");
+                        let ((got_re, got_im), (want_re, want_im)) = (got.planes(), want.planes());
+                        assert_eq!(got_re.len(), want_re.len(), "{what}");
+                        for (i, (g, w)) in got_re.iter().zip(want_re).enumerate() {
+                            assert_eq!(g.to_bits(), w.to_bits(), "{what}: re[{i}]");
+                        }
+                        for (i, (g, w)) in got_im.iter().zip(want_im).enumerate() {
+                            assert_eq!(g.to_bits(), w.to_bits(), "{what}: im[{i}]");
+                        }
+                        compared += got_re.len();
+                    }
+                    assert_eq!(sim.rng.gen::<u64>(), twin.rng.gen::<u64>(), "RNG state");
+                }
+            }
+        }
+        assert!(compared > 10_000, "compared {compared} components");
     }
 
     #[test]
