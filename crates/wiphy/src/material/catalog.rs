@@ -222,7 +222,7 @@ impl ContainerMaterial {
 
 impl fmt::Display for ContainerMaterial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+        f.pad(self.name())
     }
 }
 
@@ -314,6 +314,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Liquid::PureWater.to_string(), "Pure water");
         assert_eq!(ContainerMaterial::Metal.to_string(), "Metal");
+        assert_eq!(format!("{:<8}", ContainerMaterial::Glass), "Glass   ");
         assert_eq!(
             SaltwaterConcentration::new(1.2).to_string(),
             "saltwater 1.2 g/100ml"
