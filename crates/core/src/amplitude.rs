@@ -157,8 +157,8 @@ fn sigma_screen(plane: &[f64], cols: usize, stats: &mut Vec<f64>) {
     }
 }
 
-/// Scratch buffers for [`AmplitudeConfig::clean_series_into`] and
-/// [`CleanedAmplitudes::compute_with`].
+/// Scratch buffers for [`AmplitudeConfig::clean_series_into`], shared by
+/// every series a measurement cleans.
 #[derive(Debug, Clone, Default)]
 pub struct CleanScratch {
     /// The per-column 3σ statistics of [`sigma_screen`] followed by one
@@ -170,8 +170,9 @@ pub struct CleanScratch {
     denoise: DenoiseScratch,
 }
 
-/// Every cleaned per-(antenna, subcarrier) amplitude time series of one
-/// capture, computed once and shared across antenna pairs.
+/// The cleaned per-(antenna, subcarrier) amplitude time series of one
+/// capture — of every antenna, or of those a measurement's pairs read —
+/// computed once and shared across antenna pairs.
 ///
 /// The amplitude cleaning chain (outlier repair + wavelet denoise) is a
 /// function of a single antenna's series, yet each antenna participates in
@@ -198,77 +199,42 @@ impl CleanedAmplitudes {
     ///
     /// Panics if the capture is empty.
     pub fn compute(capture: &CsiCapture, config: &AmplitudeConfig) -> Self {
-        Self::compute_with(capture, config, &mut CleanScratch::default())
+        Self::compute_antennas_with(capture, |_| true, config, &mut CleanScratch::default())
     }
 
-    /// [`Self::compute`] through caller-owned scratch, so the baseline
-    /// and target captures of one measurement share one set of cleaning
-    /// buffers — same bits.
+    /// [`Self::compute`] over the antennas `keep` accepts alone, through
+    /// caller-owned scratch: the `j`-th kept antenna of the capture, in
+    /// ascending order, is antenna `j` of the result. Every column is
+    /// cleaned on its own, so each kept series carries the bits `compute`
+    /// gives it, without the work on the antennas left out, and the
+    /// baseline and target captures of one measurement share one set of
+    /// cleaning buffers.
     ///
     /// # Panics
     ///
     /// Panics if the capture is empty.
-    pub fn compute_with(
-        capture: &CsiCapture,
-        config: &AmplitudeConfig,
-        scratch: &mut CleanScratch,
-    ) -> Self {
-        assert!(!capture.is_empty(), "capture holds no packets");
-        let (re, im) = capture.planes();
-        let mut plane = Vec::with_capacity(re.len());
-        plane.extend(re.iter().zip(im).map(|(&r, &i)| magnitude(r, i)));
-        Self::clean(
-            plane,
-            capture.n_antennas(),
-            capture.n_subcarriers(),
-            config,
-            scratch,
-        )
-    }
-
-    /// [`Self::compute_with`] over the antennas `keep` alone, in that
-    /// order: antenna `keep[j]` of the capture is antenna `j` of the
-    /// result. Every column is cleaned on its own, so each kept series
-    /// carries the bits `compute_with` gives it, without the work on the
-    /// antennas left out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capture is empty or `keep` names an antenna the
-    /// capture lacks.
     pub(crate) fn compute_antennas_with(
         capture: &CsiCapture,
-        keep: &[usize],
+        keep: impl Fn(usize) -> bool,
         config: &AmplitudeConfig,
         scratch: &mut CleanScratch,
     ) -> Self {
         assert!(!capture.is_empty(), "capture holds no packets");
         let n_subcarriers = capture.n_subcarriers();
-        assert!(
-            keep.iter().all(|&a| a < capture.n_antennas()),
-            "antenna index out of range"
-        );
+        let n_antennas = (0..capture.n_antennas()).filter(|&a| keep(a)).count();
         let cols = capture.n_antennas() * n_subcarriers;
         let (re, im) = capture.planes();
-        let mut plane = Vec::with_capacity(capture.len() * keep.len() * n_subcarriers);
+        let mut plane = Vec::with_capacity(capture.len() * n_antennas * n_subcarriers);
         for (row_re, row_im) in re.chunks_exact(cols).zip(im.chunks_exact(cols)) {
-            for &a in keep {
-                let row = row_re.iter().zip(row_im).skip(a * n_subcarriers);
-                plane.extend(row.take(n_subcarriers).map(|(&r, &i)| magnitude(r, i)));
+            let antennas = row_re
+                .chunks_exact(n_subcarriers)
+                .zip(row_im.chunks_exact(n_subcarriers));
+            for (a, (ant_re, ant_im)) in antennas.enumerate() {
+                if keep(a) {
+                    plane.extend(ant_re.iter().zip(ant_im).map(|(&r, &i)| magnitude(r, i)));
+                }
             }
         }
-        Self::clean(plane, keep.len(), n_subcarriers, config, scratch)
-    }
-
-    /// Cleans a sample-major magnitude plane of `n_antennas ·
-    /// n_subcarriers` columns in place and wraps it.
-    fn clean(
-        mut plane: Vec<f64>,
-        n_antennas: usize,
-        n_subcarriers: usize,
-        config: &AmplitudeConfig,
-        scratch: &mut CleanScratch,
-    ) -> Self {
         config.clean_columns(&mut plane, n_antennas * n_subcarriers, scratch);
         CleanedAmplitudes {
             n_antennas,
@@ -504,10 +470,14 @@ mod tests {
         for (seed, packets) in [(3u64, 20usize), (4, 5), (6, 33)] {
             let cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
             for config in &flag_configs() {
-                let all = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
-                for keep in [[0usize, 1usize], [0, 2], [1, 2], [2, 0]] {
-                    let kept =
-                        CleanedAmplitudes::compute_antennas_with(&cap, &keep, config, &mut scratch);
+                let all = CleanedAmplitudes::compute(&cap, config);
+                for keep in [[0usize, 1usize], [0, 2], [1, 2]] {
+                    let kept = CleanedAmplitudes::compute_antennas_with(
+                        &cap,
+                        |a| keep.contains(&a),
+                        config,
+                        &mut scratch,
+                    );
                     assert_eq!(kept.n_antennas(), 2);
                     assert_eq!(kept.n_packets(), packets);
                     for (j, &a) in keep.iter().enumerate() {
@@ -552,7 +522,8 @@ mod tests {
         for (seed, packets) in [(3u64, 20usize), (4, 5), (5, 8), (6, 33), (7, 1)] {
             let cap = Simulator::new(Scenario::builder().build(), seed).capture(packets);
             for config in &flag_configs() {
-                let flat = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
+                let flat =
+                    CleanedAmplitudes::compute_antennas_with(&cap, |_| true, config, &mut scratch);
                 assert_eq!(flat.n_packets(), packets);
                 for a in 0..cap.n_antennas() {
                     for k in 0..cap.n_subcarriers() {
@@ -725,7 +696,12 @@ mod tests {
                     cap = plan.apply(&cap, seed);
                 }
                 for config in &flag_configs() {
-                    let batched = CleanedAmplitudes::compute_with(&cap, config, &mut scratch);
+                    let batched = CleanedAmplitudes::compute_antennas_with(
+                        &cap,
+                        |_| true,
+                        config,
+                        &mut scratch,
+                    );
                     for a in 0..cap.n_antennas() {
                         for k in 0..cap.n_subcarriers() {
                             let what =

@@ -91,13 +91,12 @@ impl MaterialFeature {
         self.omega.clone()
     }
 
-    /// Extracts the feature from baseline/target phase and amplitude
-    /// profiles restricted to `subcarriers` — the single-pair extractor
-    /// the pipeline uses when screening leaves two antennas or the
-    /// configuration names one pair.
+    /// Extracts the feature of one antenna pair — the single-pair
+    /// extractor the pipeline uses when screening leaves two antennas or
+    /// the configuration names one pair.
     ///
-    /// Subcarriers in `rejected` (triage-found unusable: zero amplitude on
-    /// a surviving antenna; pass `&[]` for none) are excluded from the
+    /// Subcarriers in `m.rejected` (triage-found unusable: zero amplitude
+    /// on a surviving antenna; `&[]` for none) are excluded from the
     /// *band-level* estimates — the band-median `ln ΔΨ` and the
     /// frequency-slope phase-unwrap anchor. A zeroed subcarrier reads a
     /// bogus constant phase (the argument of complex zero), which would
@@ -114,125 +113,57 @@ impl MaterialFeature {
     /// # Panics
     ///
     /// Panics if the profiles cover different antenna pairs or subcarrier
-    /// counts, or `subcarriers` is empty.
-    #[allow(clippy::too_many_arguments)]
+    /// counts, or `m.subcarriers` is empty.
     pub fn extract(
-        phase_base: &PhaseDifferenceProfile,
-        phase_tar: &PhaseDifferenceProfile,
-        amp_base: &AmplitudeRatioProfile,
-        amp_tar: &AmplitudeRatioProfile,
-        subcarriers: &[usize],
-        rejected: &[usize],
+        m: &PairMeasurement<'_>,
         config: &FeatureConfig,
     ) -> Result<MaterialFeature, FeatureError> {
         assert_eq!(
-            phase_base.pair, phase_tar.pair,
+            m.phase_base.pair, m.phase_tar.pair,
             "phase profiles pair mismatch"
         );
         assert_eq!(
-            amp_base.pair, amp_tar.pair,
+            m.amp_base.pair, m.amp_tar.pair,
             "amplitude profiles pair mismatch"
         );
         assert_eq!(
-            phase_base.pair, amp_base.pair,
+            m.phase_base.pair, m.amp_base.pair,
             "phase/amplitude pair mismatch"
         );
-        assert!(!subcarriers.is_empty(), "need at least one subcarrier");
-
-        // ΔΘ_k (wrapped) per selected subcarrier; ΔΨ reported per selected
-        // subcarrier but *used* as a band-median over every subcarrier —
-        // Ω̄ is frequency-flat over one Wi-Fi channel, and the median over
-        // the full band suppresses per-subcarrier amplitude noise far
-        // better than the handful of phase-selected subcarriers could.
-        let mut delta_theta = Vec::with_capacity(subcarriers.len());
-        let mut delta_psi = Vec::with_capacity(subcarriers.len());
-        for &k in subcarriers {
-            let dt = wrap_to_pi(phase_tar.mean[k] - phase_base.mean[k]);
-            let base_ratio = amp_base.mean[k];
-            let tar_ratio = amp_tar.mean[k];
-            if !base_ratio.is_finite()
-                || !tar_ratio.is_finite()
-                || base_ratio <= 0.0
-                || tar_ratio <= 0.0
-            {
-                return Err(FeatureError::DegenerateAmplitude);
-            }
-            delta_theta.push(dt);
-            delta_psi.push(tar_ratio / base_ratio);
-        }
-        let ln_psi_band =
-            band_ln_psi(amp_base, amp_tar, rejected).ok_or(FeatureError::DegenerateAmplitude)?;
+        assert!(!m.subcarriers.is_empty(), "need at least one subcarrier");
+        let p = PairData::prepare(m).map_err(|_| FeatureError::DegenerateAmplitude)?;
 
         // γ resolution for a single pair: a low-loss liquid cannot have
         // wrapped (γ = 0); a lossy one picks the γ whose unwrapped phase
-        // best matches the frequency-slope estimate. (The joint
-        // multi-pair extraction in [`Self::extract_joint_with_diag`] is
-        // more robust; this single-pair path serves two antennas.)
-        let mut best_dispersion_any = f64::INFINITY;
-        let mut best: Option<GammaCandidate> = None;
-        if ln_psi_band.abs() < LOW_LOSS_LN_PSI {
-            if let Some(cand) = gamma_candidate(
-                &delta_theta,
-                ln_psi_band,
-                0,
-                (LOW_LOSS_MEAN_FLOOR, OMEGA_MEAN_MAX),
-            ) {
-                best_dispersion_any = best_dispersion_any.min(cand.dispersion);
-                if cand.dispersion <= config.max_dispersion {
-                    best = Some(cand);
-                }
-            }
+        // best matches the frequency-slope estimate, or the smallest |γ|
+        // when the band gives no slope (`min_by` keeps the first of equal
+        // distances). The joint multi-pair extraction in
+        // [`Self::extract_joint_with_diag`] is more robust; this path
+        // serves a measurement of one pair.
+        let (gammas, mean_bounds) = if p.ln_psi_band.abs() < LOW_LOSS_LN_PSI {
+            (0..=0, (LOW_LOSS_MEAN_FLOOR, OMEGA_MEAN_MAX))
         } else {
-            let slope_est = slope_unwrapped_estimate(phase_base, phase_tar, rejected);
-            let dt_mean = mean(&delta_theta);
-            let candidates = enumerate_gamma_candidates(
-                &delta_theta,
-                ln_psi_band,
-                config,
-                (0.004, OMEGA_MEAN_MAX),
-            );
-            for cand in candidates {
-                best_dispersion_any = best_dispersion_any.min(cand.dispersion);
-                if cand.dispersion > config.max_dispersion {
-                    continue;
-                }
-                let unwrapped = dt_mean + cand.gamma as f64 * std::f64::consts::TAU;
-                let dist = if slope_est.is_finite() {
-                    (unwrapped - slope_est).abs()
-                } else {
-                    cand.gamma.abs() as f64
-                };
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        let b_unwrapped = dt_mean + b.gamma as f64 * std::f64::consts::TAU;
-                        let b_dist = if slope_est.is_finite() {
-                            (b_unwrapped - slope_est).abs()
-                        } else {
-                            b.gamma.abs() as f64
-                        };
-                        dist < b_dist
-                    }
-                };
-                if better {
-                    best = Some(cand);
-                }
+            let g = config.gamma_search;
+            (-g..=g, (0.004, OMEGA_MEAN_MAX))
+        };
+        let dt_mean = mean(&p.delta_theta);
+        let distance = |gamma: i32| {
+            if p.unwrapped_est.is_finite() {
+                (dt_mean + gamma as f64 * std::f64::consts::TAU - p.unwrapped_est).abs()
+            } else {
+                gamma.abs() as f64
             }
-        }
-
+        };
+        let mut best_dispersion = f64::INFINITY;
+        let best = gammas
+            .filter_map(|gamma| gamma_candidate(&p.delta_theta, p.ln_psi_band, gamma, mean_bounds))
+            .inspect(|cand| best_dispersion = best_dispersion.min(cand.dispersion))
+            .filter(|cand| cand.dispersion <= config.max_dispersion)
+            .map(|cand| (distance(cand.gamma), cand))
+            .min_by(|(a, _), (b, _)| a.total_cmp(b));
         match best {
-            Some(cand) => Ok(MaterialFeature {
-                pair: phase_base.pair,
-                subcarriers: subcarriers.to_vec(),
-                omega: cand.omegas.clone(),
-                delta_theta,
-                delta_psi,
-                gamma: cand.gamma,
-                dispersion: cand.dispersion,
-            }),
-            None => Err(FeatureError::NoConsistentFeature {
-                best_dispersion: best_dispersion_any,
-            }),
+            Some((_, cand)) => Ok(p.feature(cand)),
+            None => Err(FeatureError::NoConsistentFeature { best_dispersion }),
         }
     }
 
@@ -294,41 +225,11 @@ impl MaterialFeature {
 
         let mut per_pair: Vec<PairData<'_>> = Vec::with_capacity(inputs.len());
         for m in inputs {
-            let mut delta_theta = Vec::with_capacity(m.subcarriers.len());
-            let mut delta_psi = Vec::with_capacity(m.subcarriers.len());
-            let mut degenerate = false;
-            for &k in m.subcarriers {
-                let dt = wrap_to_pi(m.phase_tar.mean[k] - m.phase_base.mean[k]);
-                let br = m.amp_base.mean[k];
-                let tr = m.amp_tar.mean[k];
-                if !br.is_finite() || !tr.is_finite() || br <= 0.0 || tr <= 0.0 {
-                    degenerate = true;
-                    break;
-                }
-                delta_theta.push(dt);
-                delta_psi.push(tr / br);
+            match PairData::prepare(m) {
+                Ok(p) => per_pair.push(p),
+                Err(PairSkip::Degenerate) => diag.pairs_skipped_degenerate += 1,
+                Err(PairSkip::BandUnusable) => diag.pairs_skipped_band_unusable += 1,
             }
-            // A degenerate selected-subcarrier amplitude is already known
-            // here — skip before paying for the band median, and count
-            // the two skip reasons separately so diagnostics can tell a
-            // bad selection from a bad band.
-            if degenerate {
-                diag.pairs_skipped_degenerate += 1;
-                continue;
-            }
-            let Some(ln_psi_band) = band_ln_psi(m.amp_base, m.amp_tar, m.rejected) else {
-                diag.pairs_skipped_band_unusable += 1;
-                continue;
-            };
-            let unwrapped_est = slope_unwrapped_estimate(m.phase_base, m.phase_tar, m.rejected);
-            per_pair.push(PairData {
-                pair: m.phase_base.pair,
-                subcarriers: m.subcarriers,
-                delta_theta,
-                delta_psi,
-                ln_psi_band,
-                unwrapped_est,
-            });
         }
         diag.pairs_usable = per_pair.len();
         if per_pair.is_empty() {
@@ -447,28 +348,84 @@ impl MaterialFeature {
                 best_dispersion: cand.dispersion,
             });
         }
-        let pdata = &per_pair[idx];
-        Ok(MaterialFeature {
-            pair: pdata.pair,
-            subcarriers: pdata.subcarriers.to_vec(),
-            omega: cand.omegas.clone(),
-            delta_theta: pdata.delta_theta.clone(),
-            delta_psi: pdata.delta_psi.clone(),
-            gamma: cand.gamma,
-            dispersion: cand.dispersion,
-        })
+        Ok(per_pair.swap_remove(idx).feature(cand))
     }
 }
 
-/// One usable pair's inputs to joint γ resolution.
+/// One usable pair's per-pair quantities (Eqs. 18–19), which both γ
+/// routes resolve.
 struct PairData<'a> {
     pair: (usize, usize),
     subcarriers: &'a [usize],
+    /// Wrapped `ΔΘ` per selected subcarrier.
     delta_theta: Vec<f64>,
+    /// `ΔΨ` per selected subcarrier (reported, not used: Ω̄ takes the
+    /// band median `ln_psi_band`).
     delta_psi: Vec<f64>,
+    /// Band-median `−ln ΔΨ` over every kept subcarrier.
     ln_psi_band: f64,
     /// Coarse unwrapped-ΔΘ estimate from the frequency slope.
     unwrapped_est: f64,
+}
+
+/// Why a pair yields no [`PairData`].
+enum PairSkip {
+    /// A *selected* subcarrier's amplitude ratio is non-finite or
+    /// non-positive.
+    Degenerate,
+    /// Fewer than half the kept subcarriers give a usable band median.
+    BandUnusable,
+}
+
+impl<'a> PairData<'a> {
+    /// Reads `ΔΘ` and `ΔΨ` on the selected subcarriers, then the band
+    /// median and the slope estimate. A degenerate selected amplitude is
+    /// known before the band median is paid for, and the two skip
+    /// reasons stay apart so diagnostics can tell a bad selection from a
+    /// bad band.
+    ///
+    /// `ΔΨ` is reported per selected subcarrier but *used* as a
+    /// band-median over every subcarrier: Ω̄ is frequency-flat over one
+    /// Wi-Fi channel, and the median over the full band suppresses
+    /// per-subcarrier amplitude noise far better than the handful of
+    /// phase-selected subcarriers could.
+    fn prepare(m: &PairMeasurement<'a>) -> Result<Self, PairSkip> {
+        let mut delta_theta = Vec::with_capacity(m.subcarriers.len());
+        let mut delta_psi = Vec::with_capacity(m.subcarriers.len());
+        for &k in m.subcarriers {
+            let dt = wrap_to_pi(m.phase_tar.mean[k] - m.phase_base.mean[k]);
+            let br = m.amp_base.mean[k];
+            let tr = m.amp_tar.mean[k];
+            if !br.is_finite() || !tr.is_finite() || br <= 0.0 || tr <= 0.0 {
+                return Err(PairSkip::Degenerate);
+            }
+            delta_theta.push(dt);
+            delta_psi.push(tr / br);
+        }
+        let ln_psi_band =
+            band_ln_psi(m.amp_base, m.amp_tar, m.rejected).ok_or(PairSkip::BandUnusable)?;
+        Ok(PairData {
+            pair: m.phase_base.pair,
+            subcarriers: m.subcarriers,
+            delta_theta,
+            delta_psi,
+            ln_psi_band,
+            unwrapped_est: slope_unwrapped_estimate(m.phase_base, m.phase_tar, m.rejected),
+        })
+    }
+
+    /// The feature this pair gives under the resolved candidate.
+    fn feature(self, cand: GammaCandidate) -> MaterialFeature {
+        MaterialFeature {
+            pair: self.pair,
+            subcarriers: self.subcarriers.to_vec(),
+            omega: cand.omegas,
+            delta_theta: self.delta_theta,
+            delta_psi: self.delta_psi,
+            gamma: cand.gamma,
+            dispersion: cand.dispersion,
+        }
+    }
 }
 
 /// Number of points of the multi-baseline Ω̄ search grid.
@@ -754,8 +711,8 @@ pub struct JointDiagnostics {
     pub pairs_skipped_band_unusable: usize,
 }
 
-/// One antenna pair's measurement inputs for
-/// [`MaterialFeature::extract_joint_with_diag`].
+/// One antenna pair's measurement inputs for [`MaterialFeature::extract`]
+/// and [`MaterialFeature::extract_joint_with_diag`].
 #[derive(Debug, Clone, Copy)]
 pub struct PairMeasurement<'a> {
     /// Baseline phase-difference profile.
@@ -780,24 +737,11 @@ struct GammaCandidate {
     dispersion: f64,
 }
 
-/// Enumerates γ candidates whose Ω̄ values are finite and within the
-/// plausible range on every subcarrier, with their relative dispersions.
-/// `ln_psi_band` is the band-median `−ln ΔΨ`; `mean_bounds` gates the mean
-/// Ω̄ (tighter for lossy liquids, looser for the low-loss branch).
-fn enumerate_gamma_candidates(
-    delta_theta: &[f64],
-    ln_psi_band: f64,
-    config: &FeatureConfig,
-    mean_bounds: (f64, f64),
-) -> Vec<GammaCandidate> {
-    (-config.gamma_search..=config.gamma_search)
-        .filter_map(|gamma| gamma_candidate(delta_theta, ln_psi_band, gamma, mean_bounds))
-        .collect()
-}
-
 /// The candidate for one wrap count `gamma`, when its Ω̄ values are finite
 /// and within the plausible range on every subcarrier and their mean is
-/// within `mean_bounds` (see [`enumerate_gamma_candidates`]).
+/// within `mean_bounds`. `ln_psi_band` is the band-median `−ln ΔΨ`;
+/// `mean_bounds` gates the mean Ω̄ (tighter for lossy liquids, looser for
+/// the low-loss branch).
 fn gamma_candidate(
     delta_theta: &[f64],
     ln_psi_band: f64,
@@ -833,19 +777,30 @@ fn gamma_candidate(
 mod tests {
     use super::*;
 
+    /// Baseline and target phase, then baseline and target amplitude
+    /// profiles of one pair.
+    type Profiles = (
+        PhaseDifferenceProfile,
+        PhaseDifferenceProfile,
+        AmplitudeRatioProfile,
+        AmplitudeRatioProfile,
+    );
+
+    /// The pair measurement of `p` on `subcarriers`, nothing rejected.
+    fn input<'a>(p: &'a Profiles, subcarriers: &'a [usize]) -> PairMeasurement<'a> {
+        PairMeasurement {
+            phase_base: &p.0,
+            phase_tar: &p.1,
+            amp_base: &p.2,
+            amp_tar: &p.3,
+            subcarriers,
+            rejected: &[],
+        }
+    }
+
     /// Builds synthetic profiles implementing the paper's equations
     /// exactly: ΔΘ_k = ΔD·(β−β₀), ΔΨ_k = e^{−ΔD·α}.
-    fn synthetic(
-        delta_d: f64,
-        alpha: f64,
-        beta_contrast: f64,
-        n_sub: usize,
-    ) -> (
-        PhaseDifferenceProfile,
-        PhaseDifferenceProfile,
-        AmplitudeRatioProfile,
-        AmplitudeRatioProfile,
-    ) {
+    fn synthetic(delta_d: f64, alpha: f64, beta_contrast: f64, n_sub: usize) -> Profiles {
         // Per-index fractional frequency step matching the slope
         // estimator's model of the band (see slope_unwrapped_estimate).
         let frac = (56.0 / (n_sub as f64 - 1.0)) * 312_500.0 / 5.24e9;
@@ -1097,17 +1052,9 @@ mod tests {
     #[test]
     fn recovers_omega_without_wrapping() {
         // Oil-like: ΔΘ < π, γ = 0.
-        let (pb, pt, ab, at) = synthetic(0.007, 2.8, 65.0, 4);
-        let feat = MaterialFeature::extract(
-            &pb,
-            &pt,
-            &ab,
-            &at,
-            &[0, 1, 2, 3],
-            &[],
-            &FeatureConfig::default(),
-        )
-        .unwrap();
+        let p = synthetic(0.007, 2.8, 65.0, 4);
+        let feat =
+            MaterialFeature::extract(&input(&p, &[0, 1, 2, 3]), &FeatureConfig::default()).unwrap();
         assert_eq!(feat.gamma, 0);
         let expect = 2.8 / 65.0;
         assert!(
@@ -1121,17 +1068,9 @@ mod tests {
     fn recovers_omega_with_phase_wrap() {
         // Water-like: ΔD·(β−β₀) ≈ 6.1 rad of phase *drop* → the wrapped
         // measurement needs γ = −1 to recover the true −6.1 rad.
-        let (pb, pt, ab, at) = synthetic(0.0073, 110.0, 830.0, 4);
-        let feat = MaterialFeature::extract(
-            &pb,
-            &pt,
-            &ab,
-            &at,
-            &[0, 1, 2, 3],
-            &[],
-            &FeatureConfig::default(),
-        )
-        .unwrap();
+        let p = synthetic(0.0073, 110.0, 830.0, 4);
+        let feat =
+            MaterialFeature::extract(&input(&p, &[0, 1, 2, 3]), &FeatureConfig::default()).unwrap();
         assert_eq!(feat.gamma, -1);
         let expect = 110.0 / 830.0;
         assert!(
@@ -1144,13 +1083,11 @@ mod tests {
     #[test]
     fn feature_is_size_independent() {
         // Two different ΔD (container sizes/positions) must give the same Ω̄.
-        let (pb1, pt1, ab1, at1) = synthetic(0.004, 110.0, 830.0, 4);
-        let (pb2, pt2, ab2, at2) = synthetic(0.009, 110.0, 830.0, 4);
+        let p1 = synthetic(0.004, 110.0, 830.0, 4);
+        let p2 = synthetic(0.009, 110.0, 830.0, 4);
         let cfg = FeatureConfig::default();
-        let f1 =
-            MaterialFeature::extract(&pb1, &pt1, &ab1, &at1, &[0, 1, 2, 3], &[], &cfg).unwrap();
-        let f2 =
-            MaterialFeature::extract(&pb2, &pt2, &ab2, &at2, &[0, 1, 2, 3], &[], &cfg).unwrap();
+        let f1 = MaterialFeature::extract(&input(&p1, &[0, 1, 2, 3]), &cfg).unwrap();
+        let f2 = MaterialFeature::extract(&input(&p2, &[0, 1, 2, 3]), &cfg).unwrap();
         assert!(
             (f1.omega_mean() - f2.omega_mean()).abs() / f1.omega_mean() < 0.05,
             "size leak: {} vs {}",
@@ -1163,17 +1100,9 @@ mod tests {
     fn negative_delta_d_works() {
         // Antenna 2's chord longer than antenna 1's: both ΔΘ and ln ΔΨ flip
         // sign; Ω̄ must come out the same.
-        let (pb, pt, ab, at) = synthetic(-0.006, 110.0, 830.0, 4);
-        let feat = MaterialFeature::extract(
-            &pb,
-            &pt,
-            &ab,
-            &at,
-            &[0, 1, 2, 3],
-            &[],
-            &FeatureConfig::default(),
-        )
-        .unwrap();
+        let p = synthetic(-0.006, 110.0, 830.0, 4);
+        let feat =
+            MaterialFeature::extract(&input(&p, &[0, 1, 2, 3]), &FeatureConfig::default()).unwrap();
         let expect = 110.0 / 830.0;
         assert!(
             (feat.omega_mean() - expect).abs() / expect < 0.05,
@@ -1183,50 +1112,57 @@ mod tests {
         assert!(feat.gamma >= 0);
     }
 
+    /// Uncorrelated phase/amplitude (blocked LoS) over four subcarriers.
+    fn random_phases() -> Profiles {
+        let n = 4;
+        (
+            PhaseDifferenceProfile {
+                pair: (0, 1),
+                mean: vec![0.0; n],
+                variance: vec![0.0; n],
+            },
+            PhaseDifferenceProfile {
+                pair: (0, 1),
+                mean: vec![2.9, -1.3, 0.4, -2.2],
+                variance: vec![0.0; n],
+            },
+            AmplitudeRatioProfile {
+                pair: (0, 1),
+                mean: vec![1.0; n],
+                variance: vec![0.0; n],
+            },
+            AmplitudeRatioProfile {
+                pair: (0, 1),
+                mean: vec![0.8, 1.4, 0.7, 1.2],
+                variance: vec![0.0; n],
+            },
+        )
+    }
+
+    /// The gate that refuses [`random_phases`].
+    const TIGHT: FeatureConfig = FeatureConfig {
+        gamma_search: 3,
+        max_dispersion: 0.3,
+    };
+
     #[test]
     fn rejects_random_phases_as_inconsistent() {
-        // Uncorrelated phase/amplitude (blocked LoS): no γ can reconcile
-        // the subcarriers.
-        let n = 4;
-        let pb = PhaseDifferenceProfile {
-            pair: (0, 1),
-            mean: vec![0.0; n],
-            variance: vec![0.0; n],
-        };
-        let pt = PhaseDifferenceProfile {
-            pair: (0, 1),
-            mean: vec![2.9, -1.3, 0.4, -2.2],
-            variance: vec![0.0; n],
-        };
-        let ab = AmplitudeRatioProfile {
-            pair: (0, 1),
-            mean: vec![1.0; n],
-            variance: vec![0.0; n],
-        };
-        let at = AmplitudeRatioProfile {
-            pair: (0, 1),
-            mean: vec![0.8, 1.4, 0.7, 1.2],
-            variance: vec![0.0; n],
-        };
-        let cfg = FeatureConfig {
-            gamma_search: 3,
-            max_dispersion: 0.3,
-        };
-        let res = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &[], &cfg);
+        // No γ can reconcile the subcarriers.
+        let res = MaterialFeature::extract(&input(&random_phases(), &[0, 1, 2, 3]), &TIGHT);
         assert!(matches!(res, Err(FeatureError::NoConsistentFeature { .. })));
+    }
+
+    /// [`synthetic`] with one selected subcarrier's target ratio zeroed.
+    fn degenerate() -> Profiles {
+        let mut p = synthetic(0.007, 2.8, 65.0, 4);
+        p.3.mean[2] = 0.0;
+        p
     }
 
     #[test]
     fn rejects_degenerate_amplitude() {
-        let (pb, pt, ab, mut at) = synthetic(0.007, 2.8, 65.0, 4);
-        at.mean[2] = 0.0;
         let res = MaterialFeature::extract(
-            &pb,
-            &pt,
-            &ab,
-            &at,
-            &[0, 1, 2, 3],
-            &[],
+            &input(&degenerate(), &[0, 1, 2, 3]),
             &FeatureConfig::default(),
         );
         assert_eq!(res, Err(FeatureError::DegenerateAmplitude));
@@ -1234,17 +1170,9 @@ mod tests {
 
     #[test]
     fn as_vector_matches_omega() {
-        let (pb, pt, ab, at) = synthetic(0.007, 2.8, 65.0, 3);
-        let feat = MaterialFeature::extract(
-            &pb,
-            &pt,
-            &ab,
-            &at,
-            &[0, 1, 2],
-            &[],
-            &FeatureConfig::default(),
-        )
-        .unwrap();
+        let p = synthetic(0.007, 2.8, 65.0, 3);
+        let feat =
+            MaterialFeature::extract(&input(&p, &[0, 1, 2]), &FeatureConfig::default()).unwrap();
         assert_eq!(feat.as_vector(), feat.omega);
         assert_eq!(feat.as_vector().len(), 3);
         assert!(feat.dispersion < 0.1);
@@ -1254,11 +1182,220 @@ mod tests {
     fn distinguishes_materials() {
         // Water-like vs oil-like targets must yield clearly different Ω̄.
         let cfg = FeatureConfig::default();
-        let (pb, pt, ab, at) = synthetic(0.007, 110.0, 830.0, 4);
-        let water = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &[], &cfg).unwrap();
-        let (pb, pt, ab, at) = synthetic(0.007, 2.8, 65.0, 4);
-        let oil = MaterialFeature::extract(&pb, &pt, &ab, &at, &[0, 1, 2, 3], &[], &cfg).unwrap();
+        let p = synthetic(0.007, 110.0, 830.0, 4);
+        let water = MaterialFeature::extract(&input(&p, &[0, 1, 2, 3]), &cfg).unwrap();
+        let p = synthetic(0.007, 2.8, 65.0, 4);
+        let oil = MaterialFeature::extract(&input(&p, &[0, 1, 2, 3]), &cfg).unwrap();
         assert!((water.omega_mean() - oil.omega_mean()).abs() > 0.05);
+    }
+
+    /// The profiles of `pair` over a real Lab capture of 20 baseline and
+    /// 20 target packets, with the pipeline's default subcarrier
+    /// selection.
+    fn captured(
+        liquid: wimi_phy::material::Liquid,
+        seed: u64,
+        n_antennas: usize,
+        (a, b): (usize, usize),
+    ) -> (Profiles, Vec<usize>) {
+        use crate::pipeline::WiMiConfig;
+        use wimi_phy::channel::Environment;
+        use wimi_phy::csi::CsiSource;
+        use wimi_phy::scenario::{Scenario, Simulator};
+        use wimi_phy::units::Meters;
+
+        let cfg = WiMiConfig::default();
+        let mut builder = Scenario::builder();
+        builder.environment(Environment::Lab);
+        builder.antennas(n_antennas, Meters::from_cm(2.9));
+        let mut sim = Simulator::new(builder.build(), seed);
+        let base = sim.capture(20);
+        sim.set_liquid(Some(liquid.into()));
+        let tar = sim.capture(20);
+        let pb = PhaseDifferenceProfile::compute(&base, a, b);
+        let pt = PhaseDifferenceProfile::compute(&tar, a, b);
+        let selected = cfg.subcarriers.resolve_excluding(&pb, &pt, &[]);
+        let ab = AmplitudeRatioProfile::compute(&base, a, b, &cfg.amplitude);
+        let at = AmplitudeRatioProfile::compute(&tar, a, b, &cfg.amplitude);
+        ((pb, pt, ab, at), selected)
+    }
+
+    /// Verbatim copy of the seven-argument single-pair extractor that
+    /// [`MaterialFeature::extract`] replaced, with its candidate
+    /// enumeration inlined: its own ΔΘ/ΔΨ loop, the slope estimate on the
+    /// lossy branch only, and a comparator that recomputes the
+    /// incumbent's distance for every candidate.
+    fn reference_extract(
+        phase_base: &PhaseDifferenceProfile,
+        phase_tar: &PhaseDifferenceProfile,
+        amp_base: &AmplitudeRatioProfile,
+        amp_tar: &AmplitudeRatioProfile,
+        subcarriers: &[usize],
+        rejected: &[usize],
+        config: &FeatureConfig,
+    ) -> Result<MaterialFeature, FeatureError> {
+        assert_eq!(
+            phase_base.pair, phase_tar.pair,
+            "phase profiles pair mismatch"
+        );
+        assert_eq!(
+            amp_base.pair, amp_tar.pair,
+            "amplitude profiles pair mismatch"
+        );
+        assert_eq!(
+            phase_base.pair, amp_base.pair,
+            "phase/amplitude pair mismatch"
+        );
+        assert!(!subcarriers.is_empty(), "need at least one subcarrier");
+
+        let mut delta_theta = Vec::with_capacity(subcarriers.len());
+        let mut delta_psi = Vec::with_capacity(subcarriers.len());
+        for &k in subcarriers {
+            let dt = wrap_to_pi(phase_tar.mean[k] - phase_base.mean[k]);
+            let base_ratio = amp_base.mean[k];
+            let tar_ratio = amp_tar.mean[k];
+            if !base_ratio.is_finite()
+                || !tar_ratio.is_finite()
+                || base_ratio <= 0.0
+                || tar_ratio <= 0.0
+            {
+                return Err(FeatureError::DegenerateAmplitude);
+            }
+            delta_theta.push(dt);
+            delta_psi.push(tar_ratio / base_ratio);
+        }
+        let ln_psi_band =
+            band_ln_psi(amp_base, amp_tar, rejected).ok_or(FeatureError::DegenerateAmplitude)?;
+
+        let mut best_dispersion_any = f64::INFINITY;
+        let mut best: Option<GammaCandidate> = None;
+        if ln_psi_band.abs() < LOW_LOSS_LN_PSI {
+            if let Some(cand) = gamma_candidate(
+                &delta_theta,
+                ln_psi_band,
+                0,
+                (LOW_LOSS_MEAN_FLOOR, OMEGA_MEAN_MAX),
+            ) {
+                best_dispersion_any = best_dispersion_any.min(cand.dispersion);
+                if cand.dispersion <= config.max_dispersion {
+                    best = Some(cand);
+                }
+            }
+        } else {
+            let slope_est = slope_unwrapped_estimate(phase_base, phase_tar, rejected);
+            let dt_mean = mean(&delta_theta);
+            let candidates: Vec<GammaCandidate> = (-config.gamma_search..=config.gamma_search)
+                .filter_map(|gamma| {
+                    gamma_candidate(&delta_theta, ln_psi_band, gamma, (0.004, OMEGA_MEAN_MAX))
+                })
+                .collect();
+            for cand in candidates {
+                best_dispersion_any = best_dispersion_any.min(cand.dispersion);
+                if cand.dispersion > config.max_dispersion {
+                    continue;
+                }
+                let unwrapped = dt_mean + cand.gamma as f64 * std::f64::consts::TAU;
+                let dist = if slope_est.is_finite() {
+                    (unwrapped - slope_est).abs()
+                } else {
+                    cand.gamma.abs() as f64
+                };
+                let better = match &best {
+                    None => true,
+                    Some(b) => {
+                        let b_unwrapped = dt_mean + b.gamma as f64 * std::f64::consts::TAU;
+                        let b_dist = if slope_est.is_finite() {
+                            (b_unwrapped - slope_est).abs()
+                        } else {
+                            b.gamma.abs() as f64
+                        };
+                        dist < b_dist
+                    }
+                };
+                if better {
+                    best = Some(cand);
+                }
+            }
+        }
+
+        match best {
+            Some(cand) => Ok(MaterialFeature {
+                pair: phase_base.pair,
+                subcarriers: subcarriers.to_vec(),
+                omega: cand.omegas.clone(),
+                delta_theta,
+                delta_psi,
+                gamma: cand.gamma,
+                dispersion: cand.dispersion,
+            }),
+            None => Err(FeatureError::NoConsistentFeature {
+                best_dispersion: best_dispersion_any,
+            }),
+        }
+    }
+
+    /// Bitwise equality of two extractions, every `f64` of a feature and
+    /// the `NoConsistentFeature` payload included.
+    fn same_extraction(
+        a: &Result<MaterialFeature, FeatureError>,
+        b: &Result<MaterialFeature, FeatureError>,
+    ) -> bool {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (a, b) {
+            (Ok(x), Ok(y)) => {
+                x.pair == y.pair
+                    && x.subcarriers == y.subcarriers
+                    && x.gamma == y.gamma
+                    && x.dispersion.to_bits() == y.dispersion.to_bits()
+                    && bits(&x.omega) == bits(&y.omega)
+                    && bits(&x.delta_theta) == bits(&y.delta_theta)
+                    && bits(&x.delta_psi) == bits(&y.delta_psi)
+            }
+            (
+                Err(FeatureError::NoConsistentFeature { best_dispersion: x }),
+                Err(FeatureError::NoConsistentFeature { best_dispersion: y }),
+            ) => x.to_bits() == y.to_bits(),
+            (Err(x), Err(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn single_pair_extract_matches_seven_argument_reference() {
+        // Returns the resolved γ, if any.
+        let check = |p: &Profiles, subcarriers: &[usize], cfg: &FeatureConfig, what: &str| {
+            let got = MaterialFeature::extract(&input(p, subcarriers), cfg);
+            let want = reference_extract(&p.0, &p.1, &p.2, &p.3, subcarriers, &[], cfg);
+            assert!(same_extraction(&got, &want), "{what}: {got:?} vs {want:?}");
+            got.ok().map(|f| f.gamma)
+        };
+        let all4 = [0, 1, 2, 3];
+        let default = FeatureConfig::default();
+        let water = synthetic(0.0073, 110.0, 830.0, 4);
+        let far_water = synthetic(-0.006, 110.0, 830.0, 4);
+        let oil = synthetic(0.007, 2.8, 65.0, 4);
+        assert_eq!(check(&oil, &all4, &default, "no wrap"), Some(0));
+        assert_eq!(check(&water, &all4, &default, "γ = −1"), Some(-1));
+        assert_eq!(check(&far_water, &all4, &default, "negative ΔD"), Some(1));
+        assert_eq!(check(&random_phases(), &all4, &TIGHT, "random"), None);
+        assert_eq!(check(&degenerate(), &all4, &default, "degenerate"), None);
+        // Three subcarriers leave the slope estimate NaN, so a lossy
+        // liquid's candidates are ranked by |γ|.
+        let short = synthetic(0.0073, 110.0, 830.0, 3);
+        assert_eq!(check(&short, &[0, 1, 2], &default, "no slope"), Some(-1));
+
+        // Real captures: every liquid, every pair, many wrap counts.
+        let liquids = wimi_phy::material::LIQUIDS;
+        let mut gammas = std::collections::BTreeSet::new();
+        for seed in 1000..1040u64 {
+            let liquid = liquids[seed as usize % liquids.len()];
+            for pair in [(0, 1), (0, 2), (1, 2)] {
+                let (p, selected) = captured(liquid, seed, 3, pair);
+                let what = format!("{liquid:?} seed {seed} pair {pair:?}");
+                gammas.insert(check(&p, &selected, &default, &what));
+            }
+        }
+        assert!(gammas.len() >= 3, "resolved only {gammas:?}");
     }
 
     #[test]
@@ -1266,41 +1403,14 @@ mod tests {
         // One pair from a real two-antenna capture that the single-pair
         // extractor measures: joint resolution has no second pair to check
         // its wrap count against, so it must refuse rather than answer.
-        use crate::pipeline::WiMiConfig;
-        use wimi_phy::channel::Environment;
-        use wimi_phy::csi::CsiSource;
-        use wimi_phy::material::Liquid;
-        use wimi_phy::scenario::{Scenario, Simulator};
-        use wimi_phy::units::Meters;
-
-        let cfg = WiMiConfig::default();
-        let mut builder = Scenario::builder();
-        builder.environment(Environment::Lab);
-        builder.antennas(2, Meters::from_cm(2.9));
-        let mut sim = Simulator::new(builder.build(), 0);
-        let base = sim.capture(20);
-        sim.set_liquid(Some(Liquid::Oil.into()));
-        let tar = sim.capture(20);
-        let pb = PhaseDifferenceProfile::compute(&base, 0, 1);
-        let pt = PhaseDifferenceProfile::compute(&tar, 0, 1);
-        let selected = cfg.subcarriers.resolve_excluding(&pb, &pt, &[]);
-        let ab = AmplitudeRatioProfile::compute(&base, 0, 1, &cfg.amplitude);
-        let at = AmplitudeRatioProfile::compute(&tar, 0, 1, &cfg.amplitude);
-        let single = MaterialFeature::extract(&pb, &pt, &ab, &at, &selected, &[], &cfg.feature);
+        let (p, selected) = captured(wimi_phy::material::Liquid::Oil, 0, 2, (0, 1));
+        let cfg = FeatureConfig::default();
+        let input = input(&p, &selected);
         assert!(
-            single.is_ok(),
+            MaterialFeature::extract(&input, &cfg).is_ok(),
             "the single-pair extractor measures this pair"
         );
-
-        let input = PairMeasurement {
-            phase_base: &pb,
-            phase_tar: &pt,
-            amp_base: &ab,
-            amp_tar: &at,
-            subcarriers: &selected,
-            rejected: &[],
-        };
-        let (result, diag) = MaterialFeature::extract_joint_with_diag(&[input], &cfg.feature);
+        let (result, diag) = MaterialFeature::extract_joint_with_diag(&[input], &cfg);
         assert!(
             matches!(result, Err(FeatureError::NoConsistentFeature { .. })),
             "a lone pair must not yield a joint feature: {result:?}"

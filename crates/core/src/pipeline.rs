@@ -9,10 +9,10 @@
 use crate::amplitude::{
     AmplitudeConfig, AmplitudeRatioProfile, CleanScratch, CleanedAmplitudes, RatioScratch,
 };
-use crate::antenna::PairSelection;
+use crate::antenna::{enumerate_pairs, PairSelection};
 use crate::database::MaterialDatabase;
 use crate::error::{FeatureError, IdentifyError, IssueKind, StageIssue};
-use crate::feature::{FeatureConfig, MaterialFeature};
+use crate::feature::{FeatureConfig, MaterialFeature, PairMeasurement};
 use crate::phase::{PhaseDifferenceProfile, PhaseScratch};
 use crate::subcarrier::SubcarrierSelection;
 use rand::rngs::StdRng;
@@ -214,20 +214,21 @@ impl WiMi {
     /// then discards remaining packets with all-zero rows on a surviving
     /// antenna. On clean captures screening is a strict no-op: the
     /// extracted feature is bit-identical to what the pre-salvage
-    /// pipeline produced. Extraction then takes one of two routes, chosen
-    /// by what screening leaves:
+    /// pipeline produced. Extraction then measures one pair list: the
+    /// [`PairSelection::Fixed`] pair, or every pair of the antennas
+    /// screening leaves. Each pair becomes one [`PairMeasurement`], and
+    /// the list's length picks how γ is resolved:
     ///
-    /// - three or more antennas: joint γ resolution over every pair
+    /// - several pairs (three or more antennas): joint γ resolution
     ///   ([`MaterialFeature::extract_joint_with_diag`]), which reports the
     ///   pair with the strongest phase differential;
-    /// - two antennas — native two-antenna hardware, or three with one
-    ///   dead chain: the single-pair extractor
-    ///   ([`MaterialFeature::extract`]) on that pair.
+    /// - one pair — a fixed pair, native two-antenna hardware, or three
+    ///   antennas with one dead chain: the single-pair extractor
+    ///   ([`MaterialFeature::extract`]).
     ///
-    /// [`PairSelection::Fixed`] measures its one pair through the
-    /// single-pair extractor. The pair's order does not matter, and a
-    /// pair naming one antenna twice or an antenna the capture lacks
-    /// fails with [`FeatureError::InvalidPair`] before screening.
+    /// A fixed pair's order does not matter, and a pair naming one
+    /// antenna twice or an antenna the capture lacks fails with
+    /// [`FeatureError::InvalidPair`] before screening.
     pub fn measure(&self, baseline: &CsiCapture, target: &CsiCapture) -> Measurement {
         let m = self.measure_inner(baseline, target);
         observe_measurement(&self.obs, &m);
@@ -284,49 +285,30 @@ impl WiMi {
         let base = screened.baseline.as_ref();
         let tar = screened.target.as_ref();
         let survivors = &screened.survivors;
+
+        // A fixed pair is measured alone, in the screened numbering;
+        // otherwise every pair of survivors is, and two survivors give
+        // exactly the pair (0, 1).
+        let fixed = match fixed
+            .map(|(a, b)| remap_fixed_pair(a, b, survivors))
+            .transpose()
+        {
+            Ok(fixed) => fixed,
+            Err(e) => {
+                quality.pairs_attempted = 1;
+                return failed(quality, e);
+            }
+        };
+        let all_pairs;
+        let pairs = match &fixed {
+            Some(pair) => std::slice::from_ref(pair),
+            None => {
+                all_pairs = enumerate_pairs(base.n_antennas());
+                &all_pairs[..]
+            }
+        };
         let rejected = &screened.rejected_subcarriers;
-
-        // The single-pair extractor takes a fixed pair and a capture that
-        // screening left with two antennas: joint resolution's cross-pair
-        // gate would have nothing to compare one pair against.
-        let single = match fixed {
-            Some((a, b)) => Some(remap_fixed_pair(a, b, survivors)),
-            None if base.n_antennas() == 2 => Some(Ok((0, 1))),
-            None => None,
-        };
-        let feature = if let Some(pair) = single {
-            quality.pairs_attempted = 1;
-            let result = pair.and_then(|(a, b)| self.extract_for_pair(base, tar, a, b, rejected));
-            quality.pairs_resolved = result.is_ok() as usize;
-            result
-        } else {
-            let (result, diag) = self.extract_joint(base, tar, rejected);
-            quality.pairs_attempted = diag.pairs_attempted;
-            quality.pairs_resolved = diag.pairs_resolved;
-            if let Some(rec) = self.obs.recorder() {
-                rec.add(CounterId::PairsUsable, diag.pairs_usable as u64);
-                rec.add(
-                    CounterId::PairsSkippedDegenerate,
-                    diag.pairs_skipped_degenerate as u64,
-                );
-                rec.add(
-                    CounterId::PairsSkippedBandUnusable,
-                    diag.pairs_skipped_band_unusable as u64,
-                );
-            }
-            if diag.pairs_resolved < diag.pairs_attempted {
-                quality.issues.push(StageIssue::new(
-                    StageId::GammaResolution,
-                    IssueKind::PairsUnresolved {
-                        attempted: diag.pairs_attempted,
-                        resolved: diag.pairs_resolved,
-                    },
-                ));
-            }
-            result
-        };
-
-        match feature {
+        match self.extract(base, tar, pairs, rejected, &mut quality) {
             Ok(mut f) => {
                 // Report the pair in the original capture's antenna
                 // numbering even when screening dropped antennas.
@@ -340,69 +322,101 @@ impl WiMi {
         }
     }
 
-    /// Joint extraction over every antenna pair with cross-pair γ
-    /// resolution (see [`MaterialFeature::extract_joint_with_diag`]).
-    fn extract_joint(
+    /// Extracts the feature over `pairs` (ascending, in the screened
+    /// captures' numbering) and books their accounting into `quality`.
+    /// One pair goes to the single-pair extractor; several go to joint γ
+    /// resolution, whose cross-pair gate would have nothing to compare a
+    /// lone pair against.
+    fn extract(
         &self,
         baseline: &CsiCapture,
         target: &CsiCapture,
+        pairs: &[(usize, usize)],
         rejected: &[usize],
-    ) -> (
-        Result<MaterialFeature, FeatureError>,
-        crate::feature::JointDiagnostics,
-    ) {
-        let pairs = crate::antenna::enumerate_pairs(baseline.n_antennas());
-        // Clean every antenna's amplitude series once, up front: each
-        // antenna appears in several pairs, and the cleaning chain is the
-        // most expensive per-pair stage. One span covers the cleaning and
-        // every pair's ratios, as on the single-pair route.
-        let ratios: Vec<_> = {
-            let _span = self.obs.stage(StageId::AmplitudeDenoising);
-            let amps = self.clean_amplitudes(baseline, target);
-            let mut scratch = RatioScratch::default();
-            pairs
-                .iter()
-                .map(|&(a, b)| ratio_profiles(&amps, a, b, &mut scratch))
-                .collect()
-        };
-        let phases: Vec<_> = pairs
-            .iter()
-            .map(|&(a, b)| self.phase_profiles(baseline, target, a, b, rejected))
-            .collect();
-        let inputs: Vec<crate::feature::PairMeasurement<'_>> = phases
-            .iter()
-            .zip(&ratios)
-            .map(|((phase_base, phase_tar, selected), (amp_base, amp_tar))| {
-                crate::feature::PairMeasurement {
-                    phase_base,
-                    phase_tar,
-                    amp_base,
-                    amp_tar,
-                    subcarriers: selected,
-                    rejected,
-                }
+        quality: &mut QualityReport,
+    ) -> Result<MaterialFeature, FeatureError> {
+        // Cleaning is the most expensive per-pair stage, and each column
+        // is cleaned on its own: only the antennas the pairs read are
+        // cleaned, once however many pairs read them. Antenna `x` of the
+        // capture is antenna `rank(x)` of the cleaned planes. One span
+        // covers the cleaning and every pair's ratios.
+        let reads = |x: usize| pairs.iter().any(|&(a, b)| a == x || b == x);
+        let rank = |x: usize| (0..x).filter(|&y| reads(y)).count();
+        let amplitude_span = self.obs.stage(StageId::AmplitudeDenoising);
+        let (config, mut clean_scratch) = (&self.config.amplitude, CleanScratch::default());
+        let amps = [baseline, target].map(|cap| {
+            CleanedAmplitudes::compute_antennas_with(cap, reads, config, &mut clean_scratch)
+        });
+        let mut ratio_scratch = RatioScratch::default();
+        let mut ratios = |&(a, b): &(usize, usize)| {
+            amps.each_ref().map(|cleaned| {
+                let mut profile = AmplitudeRatioProfile::from_cleaned_with(
+                    cleaned,
+                    rank(a),
+                    rank(b),
+                    &mut ratio_scratch,
+                );
+                profile.pair = (a, b);
+                profile
             })
+        };
+        let mut phase_scratch = PhaseScratch::default();
+        let mut phases = |&(a, b): &(usize, usize)| {
+            self.phase_profiles(baseline, target, a, b, rejected, &mut phase_scratch)
+        };
+
+        if let [pair] = pairs {
+            let amp = ratios(pair);
+            drop(amplitude_span);
+            let phase = phases(pair);
+            quality.pairs_attempted = 1;
+            let _span = self.obs.stage(StageId::GammaResolution);
+            let result = MaterialFeature::extract(
+                &pair_measurement(&amp, &phase, rejected),
+                &self.config.feature,
+            );
+            quality.pairs_resolved = result.is_ok() as usize;
+            return result;
+        }
+        let amps: Vec<_> = pairs.iter().map(ratios).collect();
+        drop(amplitude_span);
+        let phases: Vec<_> = pairs.iter().map(phases).collect();
+        let inputs: Vec<_> = amps
+            .iter()
+            .zip(&phases)
+            .map(|(amp, phase)| pair_measurement(amp, phase, rejected))
             .collect();
-        let _span = self.obs.span(StageId::GammaResolution);
-        MaterialFeature::extract_joint_with_diag(&inputs, &self.config.feature)
+        let (result, diag) = {
+            let _span = self.obs.span(StageId::GammaResolution);
+            MaterialFeature::extract_joint_with_diag(&inputs, &self.config.feature)
+        };
+        quality.pairs_attempted = diag.pairs_attempted;
+        quality.pairs_resolved = diag.pairs_resolved;
+        if let Some(rec) = self.obs.recorder() {
+            rec.add(CounterId::PairsUsable, diag.pairs_usable as u64);
+            rec.add(
+                CounterId::PairsSkippedDegenerate,
+                diag.pairs_skipped_degenerate as u64,
+            );
+            rec.add(
+                CounterId::PairsSkippedBandUnusable,
+                diag.pairs_skipped_band_unusable as u64,
+            );
+        }
+        if diag.pairs_resolved < diag.pairs_attempted {
+            quality.issues.push(StageIssue::new(
+                StageId::GammaResolution,
+                IssueKind::PairsUnresolved {
+                    attempted: diag.pairs_attempted,
+                    resolved: diag.pairs_resolved,
+                },
+            ));
+        }
+        result
     }
 
-    /// Cleans every amplitude series of both captures through one shared
-    /// set of cleaning buffers.
-    fn clean_amplitudes(
-        &self,
-        baseline: &CsiCapture,
-        target: &CsiCapture,
-    ) -> (CleanedAmplitudes, CleanedAmplitudes) {
-        let mut scratch = CleanScratch::default();
-        (
-            CleanedAmplitudes::compute_with(baseline, &self.config.amplitude, &mut scratch),
-            CleanedAmplitudes::compute_with(target, &self.config.amplitude, &mut scratch),
-        )
-    }
-
-    /// Per-pair phase work shared by the joint and single-pair paths:
-    /// phase calibration and good-subcarrier selection, each under its
+    /// Per-pair phase work: phase calibration through the measurement's
+    /// one phase scratch, then good-subcarrier selection, each under its
     /// stage span when a recorder is attached.
     fn phase_profiles(
         &self,
@@ -411,62 +425,19 @@ impl WiMi {
         a: usize,
         b: usize,
         rejected: &[usize],
-    ) -> (PhaseDifferenceProfile, PhaseDifferenceProfile, Vec<usize>) {
-        let (phase_base, phase_tar) = {
+        scratch: &mut PhaseScratch,
+    ) -> PhaseProfiles {
+        let phase = {
             let _span = self.obs.stage(StageId::PhaseCalibration);
-            let mut scratch = PhaseScratch::default();
-            (
-                PhaseDifferenceProfile::compute_with(baseline, a, b, &mut scratch),
-                PhaseDifferenceProfile::compute_with(target, a, b, &mut scratch),
-            )
+            [baseline, target].map(|cap| PhaseDifferenceProfile::compute_with(cap, a, b, scratch))
         };
         let selected = {
             let _span = self.obs.stage(StageId::SubcarrierSelection);
             self.config
                 .subcarriers
-                .resolve_excluding(&phase_base, &phase_tar, rejected)
+                .resolve_excluding(&phase[0], &phase[1], rejected)
         };
-        (phase_base, phase_tar, selected)
-    }
-
-    fn extract_for_pair(
-        &self,
-        baseline: &CsiCapture,
-        target: &CsiCapture,
-        a: usize,
-        b: usize,
-        rejected: &[usize],
-    ) -> Result<MaterialFeature, FeatureError> {
-        // The pair reads only antennas a and b, and each column is
-        // cleaned on its own, so only their columns are cleaned; the
-        // ratios are then taken as antennas 0 and 1 of that plane and
-        // labelled with the capture's pair.
-        let (amp_base, amp_tar) = {
-            let _span = self.obs.stage(StageId::AmplitudeDenoising);
-            let (config, keep) = (&self.config.amplitude, [a, b]);
-            let mut scratch = CleanScratch::default();
-            let amps = (
-                CleanedAmplitudes::compute_antennas_with(baseline, &keep, config, &mut scratch),
-                CleanedAmplitudes::compute_antennas_with(target, &keep, config, &mut scratch),
-            );
-            let (mut amp_base, mut amp_tar) =
-                ratio_profiles(&amps, 0, 1, &mut RatioScratch::default());
-            amp_base.pair = (a, b);
-            amp_tar.pair = (a, b);
-            (amp_base, amp_tar)
-        };
-        let (phase_base, phase_tar, selected) =
-            self.phase_profiles(baseline, target, a, b, rejected);
-        let _span = self.obs.stage(StageId::GammaResolution);
-        MaterialFeature::extract(
-            &phase_base,
-            &phase_tar,
-            &amp_base,
-            &amp_tar,
-            &selected,
-            rejected,
-            &self.config.feature,
-        )
+        (phase, selected)
     }
 
     /// Trains the SVM on a material database.
@@ -487,11 +458,7 @@ impl WiMi {
     /// Panics if the dataset has fewer than two populated classes.
     pub fn train_on_dataset(&mut self, ds: &Dataset) {
         let scaler = StandardScaler::fit(ds.features());
-        let mut scaled = Dataset::new(ds.class_names().to_vec());
-        for i in 0..ds.len() {
-            let (x, y) = ds.sample(i);
-            scaled.push(scaler.transform_one(x), y);
-        }
+        let scaled = scaler.transform_dataset(ds);
         let mut rng = StdRng::seed_from_u64(self.config.train_seed);
         let model = MulticlassSvm::train_observed(&scaled, &self.config.svm, &mut rng, &self.obs);
         self.class_names = ds.class_names().to_vec();
@@ -678,18 +645,25 @@ fn issue_id(kind: &IssueKind) -> IssueId {
     }
 }
 
-/// The pair `(a, b)`'s amplitude-ratio profiles of the cleaned baseline
-/// and target series, through one shared ratio buffer.
-fn ratio_profiles(
-    amps: &(CleanedAmplitudes, CleanedAmplitudes),
-    a: usize,
-    b: usize,
-    scratch: &mut RatioScratch,
-) -> (AmplitudeRatioProfile, AmplitudeRatioProfile) {
-    (
-        AmplitudeRatioProfile::from_cleaned_with(&amps.0, a, b, scratch),
-        AmplitudeRatioProfile::from_cleaned_with(&amps.1, a, b, scratch),
-    )
+/// Baseline and target phase-difference profiles of one pair, with the
+/// subcarriers selected on them.
+type PhaseProfiles = ([PhaseDifferenceProfile; 2], Vec<usize>);
+
+/// One pair's extractor input from its baseline and target ratio
+/// profiles and its [`PhaseProfiles`].
+fn pair_measurement<'a>(
+    [amp_base, amp_tar]: &'a [AmplitudeRatioProfile; 2],
+    ([phase_base, phase_tar], selected): &'a PhaseProfiles,
+    rejected: &'a [usize],
+) -> PairMeasurement<'a> {
+    PairMeasurement {
+        phase_base,
+        phase_tar,
+        amp_base,
+        amp_tar,
+        subcarriers: selected,
+        rejected,
+    }
 }
 
 /// Finalises a failed measurement, filing the error under the stage that

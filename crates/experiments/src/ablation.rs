@@ -99,19 +99,14 @@ pub fn ablation_classifier(effort: Effort) {
     let extractor = wimi_core::WiMi::new(opts.config.clone());
     let class_names: Vec<String> = materials.iter().map(|m| m.name.clone()).collect();
     let specs: Vec<_> = materials.iter().map(|m| Some(&m.spec)).collect();
-    let mut train = Dataset::new(class_names.clone());
+    let mut train = Dataset::new(class_names);
     for (label, out) in opts.measure_phase(&extractor, Phase::Train, 0..opts.n_train, &specs) {
         if let Some(f) = out.feature {
             train.push(f.as_vector(), label);
         }
     }
     let scaler = StandardScaler::fit(train.features());
-    let mut scaled = Dataset::new(class_names);
-    for i in 0..train.len() {
-        let (x, y) = train.sample(i);
-        scaled.push(scaler.transform_one(x), y);
-    }
-    let knn = KnnClassifier::fit(scaled, 5);
+    let knn = KnnClassifier::fit(scaler.transform_dataset(&train), 5);
     let mut correct = 0usize;
     let mut total = 0usize;
     for (label, out) in opts.measure_phase(&extractor, Phase::Test, 0..opts.n_test, &specs) {

@@ -1,5 +1,7 @@
 //! Feature standardisation.
 
+use crate::dataset::Dataset;
+
 /// Per-dimension standardiser: `x' = (x − μ)/σ`, fitted on training data
 /// and applied to both training and test sets so no test statistics leak.
 ///
@@ -73,9 +75,18 @@ impl StandardScaler {
             .collect()
     }
 
-    /// Standardises a batch.
-    pub fn transform(&self, data: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        data.iter().map(|row| self.transform_one(row)).collect()
+    /// Standardises every sample of a dataset, keeping labels, order and
+    /// class names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimension differs from the fitted data.
+    pub fn transform_dataset(&self, ds: &Dataset) -> Dataset {
+        let mut scaled = Dataset::new(ds.class_names().to_vec());
+        for (x, &y) in ds.features().iter().zip(ds.labels()) {
+            scaled.push(self.transform_one(x), y);
+        }
+        scaled
     }
 }
 
@@ -85,16 +96,16 @@ mod tests {
 
     #[test]
     fn standardises_to_zero_mean_unit_var() {
-        let data = vec![
-            vec![1.0, 100.0],
-            vec![2.0, 200.0],
-            vec![3.0, 300.0],
-            vec![4.0, 400.0],
-        ];
-        let scaler = StandardScaler::fit(&data);
-        let z = scaler.transform(&data);
+        let mut ds = Dataset::new(vec!["a".into(), "b".into()]);
+        for (i, x) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+            ds.push(vec![x, 100.0 * x], i % 2);
+        }
+        let scaler = StandardScaler::fit(ds.features());
+        let z = scaler.transform_dataset(&ds);
+        assert_eq!(z.labels(), ds.labels());
+        assert_eq!(z.class_names(), ds.class_names());
         for d in 0..2 {
-            let col: Vec<f64> = z.iter().map(|row| row[d]).collect();
+            let col: Vec<f64> = z.features().iter().map(|row| row[d]).collect();
             let mean: f64 = col.iter().sum::<f64>() / col.len() as f64;
             let var: f64 =
                 col.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / col.len() as f64;
